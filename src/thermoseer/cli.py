@@ -5,9 +5,12 @@ Subcommands: ``generate`` (synthetic wall datasets), ``train`` / ``finetune``
 yet-to-print layer plus timing), ``eval`` (REOP report plus boxplot CSV),
 and ``field`` (layer temperature-field CSV).
 
-Datasets are JSON Lines with a header record; checkpoints are single JSON
-documents with row-major weight matrices.  All writes are whole-file atomic
-(temp file then rename) and byte-stable: identical inputs and seeds produce
+Datasets are JSON Lines with a header record.  A checkpoint (format version
+2) is one UTF-8 JSON header line ended by ``\\n`` followed by one raw blob of
+``8 * param_count`` bytes: the little-endian float64 values of ``w1, b1, ...,
+w6, b6``, each weight matrix row-major.  Files are recognised by content, not
+by extension.  All writes are whole-file atomic (fsynced unique temp file
+then rename) and byte-stable: identical inputs and seeds produce
 byte-identical files.
 
 Exit codes: 0 ok, 2 config, 3 data, 4 checkpoint, 5 protocol, 6 horizon.
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import sys
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,17 +46,27 @@ from .core import (
     Profile,
     ProtocolError,
     ShapeError,
+    ThermoseerError,
     WallDataset,
     mapping_features,
     wire_deposition_rate,
 )
-from .mapping import MappingModel, TrainConfig, init_model, layer_dims, train
+from .mapping import (
+    MappingModel,
+    TrainConfig,
+    init_model,
+    layer_dims,
+    param_count,
+    train,
+)
 from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
 from .synthgen import SynthParams, generate_experiment_wall, generate_wall
 
 DATASET_FORMAT = "thermoseer-dataset"
 CHECKPOINT_FORMAT = "thermoseer-ckpt"
-FORMAT_VERSION = 1
+DATASET_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPE = "<f8"
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -65,11 +79,28 @@ EXIT_HORIZON = 6
 # atomic file writes
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _atomic_write(path: str, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (``str`` is written as UTF-8) in one
+    step: write a uniquely named temp file beside the target, fsync it, then
+    rename it over the target.  The temp file is removed if any step fails.
+    It is created with mode 0o666 less the umask, as ``open(path, "w")``
+    would create the target."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +113,7 @@ def save_dataset(path: str, dataset: WallDataset, wall_id=1) -> None:
     buf = io.StringIO()
     header = {
         "format": DATASET_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": DATASET_VERSION,
         "settings": {
             "travel_speed": dataset.settings.travel_speed,
             "wire_feed_rate": dataset.settings.wire_feed_rate,
@@ -122,14 +153,27 @@ def save_dataset(path: str, dataset: WallDataset, wall_id=1) -> None:
 
 
 def load_dataset(path: str) -> WallDataset:
+    """Read a dataset written by :func:`save_dataset`; every malformed file
+    raises DomainError."""
+    try:
+        return _parse_dataset(path)
+    except ThermoseerError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError; deeply
+        # nested JSON raises RecursionError
+        raise DomainError(f"{path}: malformed dataset: {exc!r}") from exc
+
+
+def _parse_dataset(path: str) -> WallDataset:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
         raise DomainError(f"{path}: empty dataset file")
     header = json.loads(lines[0])
-    if header.get("format") != DATASET_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DomainError(f"{path}: not a {DATASET_FORMAT} file")
-    if header.get("version") != FORMAT_VERSION:
+    if header.get("version") != DATASET_VERSION:
         raise DomainError(f"{path}: unsupported dataset version {header.get('version')}")
     s = header["settings"]
     settings = ProcessSettings(
@@ -161,15 +205,21 @@ def load_dataset(path: str) -> WallDataset:
 
 
 def save_checkpoint(path: str, model: MappingModel) -> None:
-    """Single JSON document.  Weight matrices are flattened row-major: entry
-    [i, j] (input i to output j) sits at index i * fan_out + j."""
-    doc = {
+    """Format version 2: one UTF-8 JSON header line ended by ``\\n``, then
+    exactly ``8 * param_count`` bytes of little-endian float64.
+
+    The header holds ``format``, ``version``, ``n``, ``layer_widths``,
+    ``dtype`` (``"<f8"``), ``param_count``, ``scaler``, ``seeds`` and
+    ``training_meta``.  The payload holds ``w1, b1, ..., w6, b6`` back to
+    back; each weight matrix is row-major, so entry [i, j] (input i to
+    output j) sits at offset i * fan_out + j within its block."""
+    header = {
         "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": CHECKPOINT_VERSION,
         "n": model.n,
         "layer_widths": layer_dims(model.n)[1:],
-        "weights": [w.reshape(-1).tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "dtype": CHECKPOINT_DTYPE,
+        "param_count": param_count(model),
         "scaler": {
             "temp_scale": model.temp_scale,
             "feature_mean": model.feature_mean.tolist(),
@@ -179,43 +229,96 @@ def save_checkpoint(path: str, model: MappingModel) -> None:
         "seeds": {"init": model.seed},
         "training_meta": model.training_meta,
     }
-    _atomic_write(path, json.dumps(doc) + "\n")
+    blocks = [a.reshape(-1) for pair in zip(model.weights, model.biases) for a in pair]
+    payload = np.concatenate(blocks).astype(CHECKPOINT_DTYPE, copy=False)
+    _atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload.tobytes())
+
+
+def _header_key(table: dict, key: str, kind, path: str):
+    """``table[key]`` if it is an instance of ``kind`` (never a bool unless
+    ``kind`` is bool), else a CheckpointError."""
+    value = table.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise CheckpointError(f"{path}: header key {key!r} is missing or mistyped")
+    return value
+
+
+def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
+    """A list of four finite floats from the scaler block."""
+    value = _header_key(table, key, list, path)
+    if len(value) != 4 or not all(isinstance(v, float) for v in value):
+        raise CheckpointError(f"{path}: scaler {key!r} must hold 4 floats")
+    vector = np.array(value, dtype=np.float64)
+    if not np.all(np.isfinite(vector)):
+        raise CheckpointError(f"{path}: scaler {key!r} is not finite")
+    return vector
 
 
 def load_checkpoint(path: str) -> MappingModel:
+    """Read a version-2 checkpoint (see :func:`save_checkpoint`).  The
+    weights and biases are views into one writable float64 vector; every
+    malformed file raises CheckpointError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    if end < 0:
+        raise CheckpointError(f"{path}: no header line")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        header = json.loads(data[:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != FORMAT_VERSION:
+    if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {doc.get('version')}"
+            f"{path}: unsupported checkpoint version {header.get('version')}"
         )
-    n = doc["n"]
+    n = _header_key(header, "n", int, path)
+    if n < 2:
+        raise CheckpointError(f"{path}: n must be >= 2, got {n}")
     dims = layer_dims(n)
-    if doc["layer_widths"] != dims[1:]:
+    if _header_key(header, "layer_widths", list, path) != dims[1:]:
         raise CheckpointError(f"{path}: layer widths do not match N={n}")
-    weights, biases = [], []
-    for l, (flat, b) in enumerate(zip(doc["weights"], doc["biases"])):
-        shape = (dims[l], dims[l + 1])
-        if len(flat) != shape[0] * shape[1] or len(b) != shape[1]:
-            raise CheckpointError(f"{path}: affine map {l + 1} has wrong size")
-        weights.append(np.array(flat).reshape(shape))
-        biases.append(np.array(b))
-    scaler = doc["scaler"]
+    if _header_key(header, "dtype", str, path) != CHECKPOINT_DTYPE:
+        raise CheckpointError(f"{path}: dtype must be {CHECKPOINT_DTYPE!r}, "
+                              f"got {header['dtype']!r}")
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if _header_key(header, "param_count", int, path) != count:
+        raise CheckpointError(f"{path}: param_count must be {count} for N={n}")
+    scaler = _header_key(header, "scaler", dict, path)
+    feature_mean = _header_vector(scaler, "feature_mean", path)
+    feature_std = _header_vector(scaler, "feature_std", path)
+    temp_scale = _header_key(scaler, "temp_scale", float, path)
+    if not (np.all(feature_std > 0.0) and np.isfinite(temp_scale) and temp_scale > 0.0):
+        raise CheckpointError(f"{path}: scaler scales must be positive and finite")
+    fitted = _header_key(scaler, "fitted", bool, path)
+    seed = _header_key(_header_key(header, "seeds", dict, path), "init", int, path)
+    training_meta = _header_key(header, "training_meta", dict, path)
+
+    payload = memoryview(data)[end + 1:]
+    if len(payload) != 8 * count:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
+                              f"expected {8 * count}")
+    # astype copies into an aligned, writable, native-order vector
+    flat = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise CheckpointError(f"{path}: payload holds non-finite values")
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
     return MappingModel(
         n=n,
         weights=weights,
         biases=biases,
-        feature_mean=np.array(scaler["feature_mean"]),
-        feature_std=np.array(scaler["feature_std"]),
-        scaler_fitted=bool(scaler.get("fitted", True)),
-        seed=doc.get("seeds", {}).get("init", 0),
-        temp_scale=scaler["temp_scale"],
-        training_meta=doc.get("training_meta", {}),
+        feature_mean=feature_mean,
+        feature_std=feature_std,
+        scaler_fitted=fitted,
+        seed=seed,
+        temp_scale=temp_scale,
+        training_meta=training_meta,
     )
 
 

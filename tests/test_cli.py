@@ -1,17 +1,23 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 
 from thermoseer.cli import (
+    _atomic_write,
     load_checkpoint,
     load_dataset,
     main,
     save_checkpoint,
     save_dataset,
 )
-from thermoseer.mapping import init_model
+from thermoseer.mapping import TrainConfig, init_model, param_count, train
+from thermoseer.pipeline import extract_curve_pairs
 from thermoseer.synthgen import SynthParams, generate_wall
 from thermoseer.core import ProcessSettings
 
@@ -94,14 +100,199 @@ class TestCheckpointRoundTrip:
         assert loaded.seed == 3
 
     def test_version_mismatch_exit_4(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), init_model(8, seed=3))
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        header, payload = _split_checkpoint(path.read_bytes())
+        header["version"] = 99
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         code = run_cli("predict", "--ckpt", str(path), "--data", "x.jsonl",
                        "--layer", "5", "--out", str(tmp_path / "p.jsonl"))
         assert code == 4
+
+    def test_file_is_header_line_plus_float64_payload(self, tmp_path):
+        model = init_model(8, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), model)
+        data = path.read_bytes()
+        header_line = data[:data.index(b"\n") + 1]
+        assert len(data) == len(header_line) + 8 * param_count(model)
+        header = json.loads(header_line)
+        assert header["version"] == 2
+        assert header["dtype"] == "<f8"
+        assert header["param_count"] == param_count(model)
+        # the payload opens with w1 row-major in little-endian float64
+        first = np.frombuffer(data, dtype="<f8", count=3, offset=len(header_line))
+        np.testing.assert_array_equal(first, model.weights[0][0, :3])
+
+    def test_trained_model_round_trips_exactly(self, tmp_path, small_wall):
+        model, _ = train(init_model(40, seed=5), extract_curve_pairs(small_wall),
+                         TrainConfig(epochs=1, batch_size=32, seed=2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), model)
+        loaded = load_checkpoint(str(path))
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert got.dtype == np.float64 and got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(loaded.feature_mean, model.feature_mean)
+        np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
+        assert loaded.scaler_fitted is True
+        assert loaded.temp_scale == model.temp_scale
+        assert loaded.seed == 5
+        assert loaded.training_meta == model.training_meta
+
+
+def _split_checkpoint(data: bytes):
+    end = data.index(b"\n")
+    return json.loads(data[:end]), data[end + 1:]
+
+
+def _v1_document(model) -> bytes:
+    """A checkpoint as the retired version-1 writer laid it out: one JSON
+    document with the weights as nested lists."""
+    doc = {
+        "format": "thermoseer-ckpt", "version": 1, "n": model.n,
+        "layer_widths": [w.shape[1] for w in model.weights],
+        "weights": [w.reshape(-1).tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "scaler": {"temp_scale": model.temp_scale,
+                   "feature_mean": model.feature_mean.tolist(),
+                   "feature_std": model.feature_std.tolist(), "fitted": False},
+        "seeds": {"init": model.seed}, "training_meta": {},
+    }
+    return (json.dumps(doc) + "\n").encode()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(str(path), init_model(8, seed=3))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def predict_with(tmp_path_factory):
+    """Runs ``predict`` on the given checkpoint bytes; returns the exit code."""
+    workdir = tmp_path_factory.mktemp("bad-ckpt")
+
+    def run(data: bytes) -> int:
+        path = workdir / "model.ckpt"
+        path.write_bytes(data)
+        return run_cli("predict", "--ckpt", str(path), "--data", "x.jsonl",
+                       "--layer", "5", "--out", str(workdir / "p.jsonl"))
+    return run
+
+
+class TestMalformedCheckpointExit4:
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_cut_mid_header(self, checkpoint_bytes, predict_with, frac):
+        end = checkpoint_bytes.index(b"\n")
+        assert predict_with(checkpoint_bytes[:int(frac * end)]) == 4
+
+    def test_cut_at_end_of_header(self, checkpoint_bytes, predict_with):
+        end = checkpoint_bytes.index(b"\n")
+        assert predict_with(checkpoint_bytes[:end]) == 4
+        assert predict_with(checkpoint_bytes[:end + 1]) == 4
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_cut_mid_payload(self, checkpoint_bytes, predict_with, frac):
+        start = checkpoint_bytes.index(b"\n") + 1
+        cut = start + max(1, int(frac * (len(checkpoint_bytes) - start)))
+        assert predict_with(checkpoint_bytes[:min(cut, len(checkpoint_bytes) - 1)]) == 4
+
+    def test_one_byte_appended(self, checkpoint_bytes, predict_with):
+        assert predict_with(checkpoint_bytes + b"\0") == 4
+
+    @pytest.mark.parametrize("key", ["n", "layer_widths", "dtype", "param_count",
+                                     "scaler", "seeds", "training_meta"])
+    def test_missing_key(self, checkpoint_bytes, predict_with, key):
+        header, payload = _split_checkpoint(checkpoint_bytes)
+        del header[key]
+        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+
+    @pytest.mark.parametrize("key, value", [("n", "8"), ("n", 8.0), ("param_count", True),
+                                            ("dtype", "<f4"), ("dtype", ">f8"),
+                                            ("scaler", [])])
+    def test_mistyped_key_or_other_dtype(self, checkpoint_bytes, predict_with, key, value):
+        header, payload = _split_checkpoint(checkpoint_bytes)
+        header[key] = value
+        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+
+    def test_header_not_utf8_or_not_json(self, checkpoint_bytes, predict_with):
+        _, payload = _split_checkpoint(checkpoint_bytes)
+        assert predict_with(b"\xff\xfe{}\n" + payload) == 4
+        assert predict_with(b"not json\n" + payload) == 4
+        assert predict_with(b"[1, 2]\n" + payload) == 4
+        assert predict_with(b"[" * 100_000 + b"\n" + payload) == 4
+
+    @pytest.mark.parametrize("key, value", [("temp_scale", 1000), ("temp_scale", 0.0),
+                                            ("feature_std", [1.0, 1.0, 1.0, 0.0]),
+                                            ("feature_mean", [0.0, 0.0, 0.0, 10 ** 400])])
+    def test_bad_scaler(self, checkpoint_bytes, predict_with, key, value):
+        header, payload = _split_checkpoint(checkpoint_bytes)
+        header["scaler"][key] = value
+        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+
+    def test_non_finite_payload(self, checkpoint_bytes, predict_with):
+        bad = bytearray(checkpoint_bytes)
+        bad[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        assert predict_with(bytes(bad)) == 4
+
+    def test_v1_document(self, predict_with, capsys):
+        assert predict_with(_v1_document(init_model(8, seed=3))) == 4
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+class TestMalformedDatasetExit3:
+    def test_header_only(self, tmp_path, small_wall):
+        path = tmp_path / "wall.jsonl"
+        path.write_text('{"format": "thermoseer-dataset", "version": 1}\n')
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+        save_dataset(str(path), small_wall)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "wall.jsonl"
+        path.write_text("this is not json\n")
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+        path.write_bytes(b"\xff\xfe\n")
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+        path.write_text("[" * 100_000 + "\n")
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            _atomic_write(str(path), b"new")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_str_and_bytes_with_plain_open_mode(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        _atomic_write(str(tmp_path / "a.txt"), "text é")
+        _atomic_write(str(tmp_path / "b.bin"), b"\x00\x01")
+        assert (tmp_path / "a.txt").read_bytes() == "text é".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+        mode = stat.S_IMODE(plain.stat().st_mode)
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "b.bin").stat().st_mode) == mode
 
 
 class TestGenerate:
