@@ -13,21 +13,22 @@ by extension.  All writes are whole-file atomic (fsynced unique temp file
 then rename) and byte-stable: identical inputs and seeds produce
 byte-identical files.
 
-Exit codes: 0 ok, 2 config, 3 data, 4 checkpoint, 5 protocol, 6 horizon.
-The ``THERMOSEER_THREADS`` environment variable caps wall-generation
-parallelism (0 or unset = auto).
+Exit codes: 0 ok, 2 config, 3 data (also a numeric failure such as a
+diverging training loss), 4 checkpoint, 5 protocol, 6 horizon.  ``generate``
+builds the walls of a multi-wall config one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
+import typing
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .core import (
     DwellSchedule,
     HorizonError,
     MetricError,
+    NumericsError,
     PairingError,
     PointId,
     ProcessSettings,
@@ -51,14 +53,7 @@ from .core import (
     mapping_features,
     wire_deposition_rate,
 )
-from .mapping import (
-    MappingModel,
-    TrainConfig,
-    init_model,
-    layer_dims,
-    param_count,
-    train,
-)
+from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
 from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
 from .synthgen import SynthParams, generate_experiment_wall, generate_wall
 
@@ -114,17 +109,7 @@ def save_dataset(path: str, dataset: WallDataset, wall_id=1) -> None:
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
-        "settings": {
-            "travel_speed": dataset.settings.travel_speed,
-            "wire_feed_rate": dataset.settings.wire_feed_rate,
-            "wire_diameter": dataset.settings.wire_diameter,
-            "layer_length": dataset.settings.layer_length,
-            "layer_thickness": dataset.settings.layer_thickness,
-            "layer_print_time": dataset.settings.layer_print_time,
-            "deposition_rate": dataset.settings.deposition_rate,
-            "interpass_target": dataset.settings.interpass_target,
-            "num_layers": dataset.settings.num_layers,
-        },
+        "settings": dataclasses.asdict(dataset.settings),
         "schedule": list(dataset.schedule.dwell),
         "provenance": dataset.provenance,
     }
@@ -175,18 +160,8 @@ def _parse_dataset(path: str) -> WallDataset:
         raise DomainError(f"{path}: not a {DATASET_FORMAT} file")
     if header.get("version") != DATASET_VERSION:
         raise DomainError(f"{path}: unsupported dataset version {header.get('version')}")
-    s = header["settings"]
-    settings = ProcessSettings(
-        travel_speed=s["travel_speed"],
-        wire_feed_rate=s["wire_feed_rate"],
-        wire_diameter=s["wire_diameter"],
-        layer_length=s["layer_length"],
-        layer_thickness=s["layer_thickness"],
-        layer_print_time=s["layer_print_time"],
-        deposition_rate=s["deposition_rate"],
-        interpass_target=s["interpass_target"],
-        num_layers=s["num_layers"],
-    )
+    # a missing or unknown settings key is a TypeError
+    settings = ProcessSettings(**header["settings"])
     schedule = DwellSchedule(tuple(header["schedule"]))
     profiles = {}
     for line in lines[1:]:
@@ -229,9 +204,8 @@ def save_checkpoint(path: str, model: MappingModel) -> None:
         "seeds": {"init": model.seed},
         "training_meta": model.training_meta,
     }
-    blocks = [a.reshape(-1) for pair in zip(model.weights, model.biases) for a in pair]
-    payload = np.concatenate(blocks).astype(CHECKPOINT_DTYPE, copy=False)
-    _atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload.tobytes())
+    payload = model.params.astype(CHECKPOINT_DTYPE, copy=False).tobytes()
+    _atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
 def _header_key(table: dict, key: str, kind, path: str):
@@ -256,7 +230,7 @@ def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
 
 def load_checkpoint(path: str) -> MappingModel:
     """Read a version-2 checkpoint (see :func:`save_checkpoint`).  The
-    weights and biases are views into one writable float64 vector; every
+    payload becomes the model's writable float64 ``params`` vector; every
     malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -276,15 +250,12 @@ def load_checkpoint(path: str) -> MappingModel:
     n = _header_key(header, "n", int, path)
     if n < 2:
         raise CheckpointError(f"{path}: n must be >= 2, got {n}")
-    dims = layer_dims(n)
-    if _header_key(header, "layer_widths", list, path) != dims[1:]:
+    if _header_key(header, "layer_widths", list, path) != layer_dims(n)[1:]:
         raise CheckpointError(f"{path}: layer widths do not match N={n}")
     if _header_key(header, "dtype", str, path) != CHECKPOINT_DTYPE:
         raise CheckpointError(f"{path}: dtype must be {CHECKPOINT_DTYPE!r}, "
                               f"got {header['dtype']!r}")
-    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    if _header_key(header, "param_count", int, path) != count:
-        raise CheckpointError(f"{path}: param_count must be {count} for N={n}")
+    count = _header_key(header, "param_count", int, path)
     scaler = _header_key(header, "scaler", dict, path)
     feature_mean = _header_vector(scaler, "feature_mean", path)
     feature_std = _header_vector(scaler, "feature_std", path)
@@ -303,23 +274,19 @@ def load_checkpoint(path: str) -> MappingModel:
     flat = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE).astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise CheckpointError(f"{path}: payload holds non-finite values")
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
-        at += fan_in * fan_out
-        biases.append(flat[at:at + fan_out])
-        at += fan_out
-    return MappingModel(
-        n=n,
-        weights=weights,
-        biases=biases,
-        feature_mean=feature_mean,
-        feature_std=feature_std,
-        scaler_fitted=fitted,
-        seed=seed,
-        temp_scale=temp_scale,
-        training_meta=training_meta,
-    )
+    try:
+        return MappingModel(
+            n=n,
+            params=flat,
+            feature_mean=feature_mean,
+            feature_std=feature_std,
+            scaler_fitted=fitted,
+            seed=seed,
+            temp_scale=temp_scale,
+            training_meta=training_meta,
+        )
+    except ShapeError as exc:  # param_count does not fit N
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -343,18 +310,18 @@ def parse_config(path: str) -> dict[str, str]:
     return table
 
 
+def _field_types(cls) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+_EXPERIMENT_KEYS = {"jitter_mm": float, "sample_period": float, "rise_threshold": float}
 _GENERATE_KEYS = {
-    "seed": int, "style": str, "wall_id": int,
-    "travel_speed": float, "wire_feed_rate": float, "wire_diameter": float,
-    "layer_length": float, "layer_thickness": float, "num_layers": int,
-    "interpass_target": float, "layer_print_time": float, "deposition_rate": float,
+    "style": str, "wall_id": int,
     "points_per_layer": int, "spacing_mm": float, "n": int,
-    "ambient": float, "peak_base": float, "cool_tau0": float,
-    "cool_height_gain": float, "substrate_chill": float, "chill_height": float,
-    "reheat_tau": float, "reheat_decay": float,
-    "reheat_scale": float, "dr_gain": float, "delay_gain": float,
-    "delay_tau_gain": float, "noise_sd": float,
-    "jitter_mm": float, "sample_period": float, "rise_threshold": float,
+    **_field_types(ProcessSettings),
+    **_field_types(SynthParams),
+    **_EXPERIMENT_KEYS,
 }
 
 
@@ -405,17 +372,10 @@ def _build_generation(values: dict):
         deposition_rate=values.get(
             "deposition_rate", wire_deposition_rate(wire_feed_rate, wire_diameter)),
     )
-    synth_keys = ("ambient", "peak_base", "cool_tau0", "cool_height_gain",
-                  "substrate_chill", "chill_height", "reheat_tau", "reheat_decay",
-                  "reheat_scale", "dr_gain", "delay_gain", "delay_tau_gain",
-                  "noise_sd")
-    params = SynthParams(seed=values["seed"],
-                         **{k: values[k] for k in synth_keys if k in values})
+    params = SynthParams(**{k: values[k] for k in _field_types(SynthParams) if k in values})
     extra = {}
     if style == "experiment":
-        for key in ("jitter_mm", "sample_period", "rise_threshold"):
-            if key in values:
-                extra[key] = values[key]
+        extra = {k: values[k] for k in _EXPERIMENT_KEYS if k in values}
     return style, settings, params, {
         "points_per_layer": values.get("points_per_layer", 7),
         "n": values.get("n", 100),
@@ -430,15 +390,6 @@ def _generate_one(style, settings, params, kwargs):
     kwargs = {k: v for k, v in kwargs.items()
               if k in ("points_per_layer", "n", "spacing_mm")}
     return generate_wall(settings, params, **kwargs)
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("THERMOSEER_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"THERMOSEER_THREADS must be an integer, got {raw!r}")
-    return None if cap <= 0 else cap
 
 
 def cmd_generate(args) -> int:
@@ -457,26 +408,14 @@ def cmd_generate(args) -> int:
         values.setdefault("wall_id", wall_id)
         plans.append((wall_id, _build_generation(values)))
 
-    def run(plan):
-        wall_id, (style, settings, params, kwargs, rec_id) = plan
+    for wall_id, (style, settings, params, kwargs, rec_id) in plans:
         dataset = _generate_one(style, settings, params, kwargs)
         path = args.out.replace("{id}", str(wall_id))
         save_dataset(path, dataset, wall_id=rec_id)
-        return wall_id, path, dataset
-
-    workers = _thread_cap() or min(len(plans), os.cpu_count() or 1)
-    if len(plans) == 1:
-        results = [run(plans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, plans))
-
-    for wall_id, path, dataset in results:
-        layers = dataset.layers()
         pairs = len(extract_curve_pairs(dataset))
-        print(f"wall {wall_id}: {len(layers)} profiled layers, "
+        print(f"wall {wall_id}: {len(dataset.layers())} profiled layers, "
               f"{len(dataset.profiles)} points, {pairs} curve pairs -> {path}")
-    print(f"{len(results)} wall(s) written")
+    print(f"{len(plans)} wall(s) written")
     return 0
 
 
@@ -735,7 +674,8 @@ _EXIT_BY_ERROR = (
     (CheckpointError, EXIT_CHECKPOINT),
     (HorizonError, EXIT_HORIZON),
     (ProtocolError, EXIT_PROTOCOL),
-    ((ShapeError, DomainError, CoverageError, PairingError, MetricError), EXIT_DATA),
+    ((ShapeError, DomainError, CoverageError, PairingError, MetricError, NumericsError),
+     EXIT_DATA),
 )
 
 

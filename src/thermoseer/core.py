@@ -15,12 +15,6 @@ import numpy as np
 CURVES_PER_PROFILE = 5
 ABSOLUTE_ZERO_C = -273.15
 
-# Arc current/voltage fits (amperes/volts as functions of wire feed rate in
-# m/min) and the process efficiency used for the energy-per-volume estimate.
-CURRENT_FIT = (1.22, 5.2444)
-VOLTAGE_FIT = (27.267, 10.556)
-PROCESS_EFFICIENCY = 0.85
-
 
 class ThermoseerError(Exception):
     """Base class for all package errors."""
@@ -404,22 +398,3 @@ def reop(predicted: Profile, truth: Profile) -> float:
     p = predicted.stacked()
     return float(np.mean(np.abs(p - t) / t))
 
-
-def energy_per_volume(
-    wire_feed_rate: float,
-    layer_thickness: float,
-    layer_length: float,
-    layer_width: float,
-) -> float:
-    """Melting energy per bead volume (J/mm^3) from the wire feed rate via the
-    arc current/voltage fits and the fixed process efficiency."""
-    for name, v in (("layer_thickness", layer_thickness),
-                    ("layer_length", layer_length),
-                    ("layer_width", layer_width)):
-        _require_positive(name, v)
-    if wire_feed_rate < 0.0 or not math.isfinite(wire_feed_rate):
-        raise DomainError(f"wire_feed_rate must be >= 0, got {wire_feed_rate!r}")
-    current = CURRENT_FIT[0] * wire_feed_rate + CURRENT_FIT[1]
-    voltage = VOLTAGE_FIT[0] * wire_feed_rate + VOLTAGE_FIT[1]
-    bead_volume = layer_width * layer_length * layer_thickness
-    return PROCESS_EFFICIENCY * current * voltage / bead_volume

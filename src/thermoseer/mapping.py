@@ -14,11 +14,12 @@ bit-identical trained weights on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Curve, DomainError, MappingFeatures, ShapeError
+from .core import Curve, DomainError, MappingFeatures, NumericsError, ShapeError
 
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
@@ -35,18 +36,40 @@ def layer_dims(n: int) -> list[int]:
     return [n + 4] + _hidden_widths(n) + [n]
 
 
+def _param_size(n: int) -> int:
+    dims = layer_dims(n)
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(params: np.ndarray, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The parameter layout: ``params`` holds ``w1, b1, ..., w6, b6`` back to
+    back, each weight matrix row-major.  Returns the weight and bias views."""
+    if params.shape != (_param_size(n),):
+        raise ShapeError(f"N={n} needs {_param_size(n)} parameters in one vector, "
+                         f"got shape {params.shape}")
+    dims = layer_dims(n)
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(params[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(params[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass(eq=False)
 class MappingModel:
-    """Weights/biases of the six affine maps plus input scaling statistics.
+    """All weights and biases of the six affine maps in one float64 vector
+    ``params``, plus input scaling statistics.
 
-    Weight ``weights[l][i, j]`` connects input ``i`` of map ``l`` to its
-    output ``j``.  A model is treated as immutable once returned by
-    :func:`init_model`, :func:`train`, or :func:`finetune`.
+    ``weights[l]`` and ``biases[l]`` are views into ``params``; weight
+    ``weights[l][i, j]`` connects input ``i`` of map ``l`` to its output
+    ``j``.  A model is treated as immutable once returned by
+    :func:`init_model` or :func:`train`.
     """
 
     n: int
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
     feature_mean: np.ndarray
     feature_std: np.ndarray
     scaler_fitted: bool
@@ -54,29 +77,19 @@ class MappingModel:
     dropout_rate: float = DROPOUT_RATE
     temp_scale: float = TEMP_SCALE
     training_meta: dict = field(default_factory=dict)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = layer_dims(self.n)
-        if len(self.weights) != N_AFFINE_MAPS or len(self.biases) != N_AFFINE_MAPS:
-            raise ShapeError(f"model needs exactly {N_AFFINE_MAPS} affine maps")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l], dims[l + 1]) or b.shape != (dims[l + 1],):
-                raise ShapeError(
-                    f"affine map {l + 1} must be {dims[l]}x{dims[l + 1]}, got "
-                    f"{w.shape} with bias {b.shape}"
-                )
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.params, self.n)
 
     def copy(self) -> "MappingModel":
-        return MappingModel(
-            n=self.n,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+        return replace(
+            self,
+            params=self.params.copy(),
             feature_mean=self.feature_mean.copy(),
             feature_std=self.feature_std.copy(),
-            scaler_fitted=self.scaler_fitted,
-            seed=self.seed,
-            dropout_rate=self.dropout_rate,
-            temp_scale=self.temp_scale,
             training_meta=dict(self.training_meta),
         )
 
@@ -132,26 +145,23 @@ def init_model(n: int, seed: int = 0) -> MappingModel:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    dims = layer_dims(n)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MappingModel(
+    model = MappingModel(
         n=n,
-        weights=weights,
-        biases=biases,
+        params=np.zeros(_param_size(n)),
         feature_mean=np.zeros(4),
         feature_std=np.ones(4),
         scaler_fitted=False,
         seed=seed,
     )
+    for w in model.weights:
+        bound = np.sqrt(1.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def param_count(model: MappingModel) -> int:
     """Exact number of scalar weights and biases."""
-    return sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
+    return model.params.size
 
 
 def _scale_features(model: MappingModel, features: np.ndarray) -> np.ndarray:
@@ -181,27 +191,6 @@ def _assemble_input(model: MappingModel, temps: np.ndarray,
     return np.concatenate(
         [temps / model.temp_scale, _scale_features(model, features)], axis=-1
     )
-
-
-def forward(model: MappingModel, input_curve: Curve, features: MappingFeatures,
-            train_mode: bool = False, rng: np.random.Generator | None = None) -> Curve:
-    """Predicted partial curve of the point one layer up, in degC.
-
-    The residual connection adds the input curve after de-scaling, so a
-    zero-weight model returns the input curve exactly.  Dropout is active
-    only in train mode; inference is deterministic.
-    """
-    if input_curve.n != model.n:
-        raise ShapeError(f"curve has N={input_curve.n}, model expects {model.n}")
-    x = _assemble_input(model, input_curve.temps, features.as_array())[None, :]
-    mask = None
-    if train_mode:
-        if rng is None:
-            raise DomainError("train_mode forward needs an rng for dropout")
-        mask = rng.random((1, 3 * model.n)) >= model.dropout_rate
-    out, _, _ = _net_forward(model, x, mask)
-    temps = out[0] * model.temp_scale + input_curve.temps
-    return Curve(temps, input_curve.duration, input_curve.curve_index)
 
 
 def forward_raw(model: MappingModel, temps: np.ndarray,
@@ -245,18 +234,6 @@ def forward_many(model: MappingModel, curves: list[Curve],
     ]
 
 
-def recursive_predict(model: MappingModel, start_curve: Curve,
-                      feature_sequence: list[MappingFeatures]) -> Curve:
-    """Fold the mapping over a feature sequence: each step feeds the previous
-    prediction back in, climbing one layer per step."""
-    if not feature_sequence:
-        raise DomainError("feature_sequence must be nonempty")
-    curve = start_curve
-    for feats in feature_sequence:
-        curve = forward(model, curve, feats)
-    return curve
-
-
 def _training_matrices(model: MappingModel, samples: list[CurvePairSample]):
     temps = np.stack([s.input_curve.temps for s in samples])
     feats = np.stack([s.features.as_array() for s in samples])
@@ -277,33 +254,37 @@ def mse_loss(model: MappingModel, samples: list[CurvePairSample]) -> float:
 def loss_gradients(model: MappingModel, samples: list[CurvePairSample],
                    dropout_mask: np.ndarray | None = None):
     """Analytic gradients of the batch MSE with respect to every weight and
-    bias, via backpropagation.  Returns (weight grads, bias grads, loss)."""
+    bias, via backpropagation.  Returns (weight grads, bias grads, loss); the
+    gradients are views into one flat vector laid out like ``params``."""
     x, r = _training_matrices(model, samples)
-    return _backprop(model, x, r, dropout_mask)
+    d_weights, d_biases = _layer_views(np.empty_like(model.params), model.n)
+    loss = _backprop(model, x, r, dropout_mask, d_weights, d_biases)
+    return d_weights, d_biases, loss
 
 
 def _backprop(model: MappingModel, x: np.ndarray, r: np.ndarray,
-              dropout_mask: np.ndarray | None):
+              dropout_mask: np.ndarray | None,
+              d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> float:
+    """Writes the batch gradients into ``d_weights`` / ``d_biases`` and
+    returns the batch loss."""
     out, pre, post = _net_forward(model, x, dropout_mask)
     diff = out - r
     loss = float(np.mean(diff ** 2))
 
-    d_weights = [None] * N_AFFINE_MAPS
-    d_biases = [None] * N_AFFINE_MAPS
     grad = (2.0 / diff.size) * diff
-    d_weights[-1] = post[-1].T @ grad
-    d_biases[-1] = grad.sum(axis=0)
+    np.matmul(post[-1].T, grad, out=d_weights[-1])
+    grad.sum(axis=0, out=d_biases[-1])
     grad = grad @ model.weights[-1].T
     if dropout_mask is not None:
         grad = grad * dropout_mask / (1.0 - model.dropout_rate)
     for l in range(N_AFFINE_MAPS - 2, -1, -1):
         grad = grad * (pre[l] > 0.0)
         below = post[l - 1] if l > 0 else x
-        d_weights[l] = below.T @ grad
-        d_biases[l] = grad.sum(axis=0)
+        np.matmul(below.T, grad, out=d_weights[l])
+        grad.sum(axis=0, out=d_biases[l])
         if l > 0:
             grad = grad @ model.weights[l].T
-    return d_weights, d_biases, loss
+    return loss
 
 
 def train(model: MappingModel, samples: list[CurvePairSample],
@@ -314,8 +295,10 @@ def train(model: MappingModel, samples: list[CurvePairSample],
     may be short), and applies one Adam step per batch; the learning rate
     shrinks by the decay ratio after each decay epoch.  Feature scaling
     statistics are fitted from the samples unless the model already carries
-    fitted statistics (as a pretrained model does).  Returns the trained
-    model and the per-epoch loss history.
+    fitted statistics (as a pretrained model does), so fine-tuning a
+    pretrained model is this same procedure.  Returns the trained model and
+    the per-epoch loss history; a non-finite batch loss or trained weight
+    raises NumericsError.
     """
     if not samples:
         raise DomainError("samples must be nonempty")
@@ -338,10 +321,14 @@ def train(model: MappingModel, samples: list[CurvePairSample],
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 
-    m_w = [np.zeros_like(w) for w in out.weights]
-    v_w = [np.zeros_like(w) for w in out.weights]
-    m_b = [np.zeros_like(b) for b in out.biases]
-    v_b = [np.zeros_like(b) for b in out.biases]
+    params = out.params
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    # the gradient buffer doubles as scratch once v has taken the step's
+    # gradient; with `work` these are the only full-size temporaries
+    g = np.empty_like(params)
+    work = np.empty_like(params)
+    d_weights, d_biases = _layer_views(g, out.n)
     step = 0
 
     loss_history: list[float] = []
@@ -355,22 +342,26 @@ def train(model: MappingModel, samples: list[CurvePairSample],
             batch = order[lo:lo + config.batch_size]
             xb, rb = x_all[batch], r_all[batch]
             mask = rng.random((batch.size, 3 * out.n)) >= out.dropout_rate
-            d_w, d_b, loss = _backprop(out, xb, rb, mask)
+            loss = _backprop(out, xb, rb, mask, d_weights, d_biases)
+            if not math.isfinite(loss):
+                raise NumericsError(f"training diverged: batch loss {loss} is not "
+                                    f"finite (epoch {epoch + 1}, lr {lr})")
             sse += loss * batch.size
             step += 1
             correct1 = 1.0 - config.beta1 ** step
             correct2 = 1.0 - config.beta2 ** step
-            for l in range(N_AFFINE_MAPS):
-                for grads, params, ms, vs in (
-                    (d_w[l], out.weights[l], m_w[l], v_w[l]),
-                    (d_b[l], out.biases[l], m_b[l], v_b[l]),
-                ):
-                    ms *= config.beta1
-                    ms += (1.0 - config.beta1) * grads
-                    vs *= config.beta2
-                    vs += (1.0 - config.beta2) * grads ** 2
-                    params -= lr * (ms / correct1) / (np.sqrt(vs / correct2) + config.epsilon)
+            # params -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon),
+            # in place, in the same elementwise order as the unfused update
+            m *= config.beta1
+            m += np.multiply(g, 1.0 - config.beta1, out=work)
+            v *= config.beta2
+            v += np.multiply(np.square(g, out=g), 1.0 - config.beta2, out=g)
+            np.multiply(np.divide(m, correct1, out=work), lr, out=work)
+            np.add(np.sqrt(np.divide(v, correct2, out=g), out=g), config.epsilon, out=g)
+            params -= np.divide(work, g, out=work)
         loss_history.append(sse / n_samples)
+    if not np.isfinite(params).all():
+        raise NumericsError("training produced non-finite weights")
 
     out.training_meta = {
         "epochs_run": config.epochs,
@@ -378,12 +369,3 @@ def train(model: MappingModel, samples: list[CurvePairSample],
         "lr_history": lr_history,
     }
     return out, loss_history
-
-
-def finetune(pretrained: MappingModel, samples: list[CurvePairSample],
-             config: TrainConfig) -> MappingModel:
-    """Continue training all parameters of a pretrained model on a small
-    dataset with the same procedure as :func:`train`; the pretrained input
-    scaling statistics are retained."""
-    model, _ = train(pretrained, samples, config)
-    return model

@@ -31,7 +31,15 @@ from .core import (
     mapping_features,
     reop,
 )
-from .mapping import CurvePairSample, MappingModel, TrainConfig, forward_many, train
+from .mapping import (
+    CurvePairSample,
+    MappingModel,
+    TrainConfig,
+    forward_many,
+    forward_raw,
+    init_model,
+    train,
+)
 from .preprocess import overlap_truncate
 from .reconstruct import (
     DEFAULT_ENERGY_THRESHOLD,
@@ -294,8 +302,6 @@ def mapped_pair_reops(model: MappingModel, samples: list[CurvePairSample]) -> li
     :func:`extract_curve_pairs` guarantees) scores as one profile.  Raw-array
     inference is used so even wildly wrong predictions are scored rather than
     rejected."""
-    from .mapping import forward_raw
-
     if not samples or len(samples) % CURVES_PER_PROFILE != 0:
         raise DomainError(
             f"need a multiple of {CURVES_PER_PROFILE} samples, got {len(samples)}"
@@ -354,8 +360,6 @@ def run_benchmark(train_data, test_data: WallDataset,
     the measured-vs-reconstructed split of the online protocol.  Passing a
     pretrained ``model`` skips training.
     """
-    from .mapping import init_model
-
     walls = train_data if isinstance(train_data, list) else [train_data]
     for wall in walls:
         if wall is test_data:

@@ -1,9 +1,9 @@
 """Raw trace to fixed-shape curve preprocessing.
 
-Simulation-style traces are split at known deposition times; experiment-style
-traces are split at sharp temperature rises.  Segments are tail-smoothed,
-resampled to a fixed number of evenly spaced values, and overlap-truncated to
-align curve pairs of successive layers.  Interpolation is linear throughout.
+Experiment-style traces are split at sharp temperature rises.  Segments are
+resampled to a fixed number of evenly spaced values, and curves are
+overlap-truncated to align curve pairs of successive layers.  Interpolation
+is linear throughout.
 """
 
 from __future__ import annotations
@@ -12,17 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CURVES_PER_PROFILE,
-    CoverageError,
-    Curve,
-    DomainError,
-    DwellSchedule,
-    PointId,
-    ProcessSettings,
-    ShapeError,
-    deposition_time,
-)
+from .core import Curve, DomainError, ShapeError
 from .synthgen import RawTrace
 
 
@@ -52,62 +42,6 @@ class Segment:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-
-def _one_sided_value(times: np.ndarray, temps: np.ndarray, t_star: float,
-                     side: str) -> float:
-    """Trace value at ``t_star`` extrapolated from one side only.
-
-    Deposition boundaries are derivative kinks (the re-heat peak), so a
-    straddling interpolation would mix the two adjacent cycles; a short
-    one-sided quadratic keeps the boundary value on its own cycle.
-    """
-    if side == "below":
-        idx = np.flatnonzero(times <= t_star + 1e-12)[-3:]
-    else:
-        idx = np.flatnonzero(times >= t_star - 1e-12)[:3]
-    ts, ys = times[idx], temps[idx]
-    if ts.size == 1:
-        return float(ys[0])
-    coeffs = np.polyfit(ts - t_star, ys, deg=min(2, ts.size - 1))
-    return float(coeffs[-1])
-
-
-def split_simulation(trace: RawTrace, schedule: DwellSchedule,
-                     settings: ProcessSettings, point: PointId) -> list[Segment]:
-    """Split a trace into the point's five curves at its deposition-time
-    boundaries.  Boundary samples are extrapolated one-sidedly so each
-    segment spans its window exactly without bleeding across the re-heat
-    kink."""
-    boundaries = []
-    for k in range(CURVES_PER_PROFILE + 1):
-        layer = point.layer + k
-        if layer > settings.num_layers:
-            raise CoverageError(
-                f"layer {point.layer} admits only curves 1..{k - 1}: boundary "
-                f"layer {layer} is past the top layer {settings.num_layers}"
-            )
-        boundaries.append(deposition_time(schedule, settings, layer, point.axial_distance))
-
-    if trace.times[0] > boundaries[0] + 1e-9 or trace.times[-1] < boundaries[-1] - 1e-9:
-        covered = sum(1 for b in boundaries[1:] if trace.times[-1] >= b - 1e-9)
-        raise CoverageError(
-            f"trace [{trace.times[0]:.3f}, {trace.times[-1]:.3f}] s does not span the "
-            f"five curve windows; last fully representable curve is k={covered}"
-        )
-
-    segments = []
-    for k in range(CURVES_PER_PROFILE):
-        lo, hi = boundaries[k], boundaries[k + 1]
-        inside = (trace.times > lo + 1e-12) & (trace.times < hi - 1e-12)
-        times = np.concatenate([[lo], trace.times[inside], [hi]])
-        temps = np.concatenate([
-            [_one_sided_value(trace.times, trace.temps, lo, "above")],
-            trace.temps[inside],
-            [_one_sided_value(trace.times[inside], trace.temps[inside], hi, "below")],
-        ])
-        segments.append(Segment(times - lo, temps, index=k + 1))
-    return segments
 
 
 def split_experiment(trace: RawTrace, rise_threshold: float = 50.0,
@@ -142,35 +76,6 @@ def split_experiment(trace: RawTrace, rise_threshold: float = 50.0,
         segments.append(Segment(times, trace.temps[lo:hi], index=index))
         index += 1
     return segments
-
-
-def smooth_tail(segment: Segment, tail_fraction: float = 0.05) -> Segment:
-    """Replace a strictly increasing suffix inside the final ``tail_fraction``
-    of the segment with a hold of the pre-rise minimum."""
-    if len(segment) < 4:
-        raise DomainError(f"segment needs >= 4 samples to smooth, got {len(segment)}")
-    if tail_fraction <= 0.0:
-        return segment
-    temps = segment.temps
-    n = temps.size
-
-    s = n - 1
-    while s > 0 and temps[s - 1] < temps[s]:
-        s -= 1
-    if s == n - 1:
-        return segment  # no rising suffix
-
-    window_start = segment.times[0] + (1.0 - tail_fraction) * segment.duration
-    w = int(np.searchsorted(segment.times, window_start))
-    r0 = max(s, w)
-    if r0 >= n:
-        return segment
-    if r0 == 0:
-        r0 = 1
-    hold = float(np.min(temps[max(0, s - 1):r0]))
-    out = temps.copy()
-    out[r0:] = hold
-    return Segment(segment.times, out, index=segment.index)
 
 
 def resample(segment: Segment, n: int, curve_index: int | None = None) -> Curve:

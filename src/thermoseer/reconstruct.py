@@ -61,10 +61,6 @@ class ElmModel:
         return self.output_weights.shape[1]
 
 
-def elm_param_count(elm: ElmModel) -> int:
-    return elm.hidden_weights.size + elm.hidden_biases.size + elm.output_weights.size
-
-
 def _hidden_matrix(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
     x = (np.atleast_1d(delays) - elm.delay_mean) / elm.delay_std
     return np.maximum(np.outer(x, elm.hidden_weights) + elm.hidden_biases, 0.0)

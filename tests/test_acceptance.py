@@ -29,8 +29,6 @@ from thermoseer.mapping import (
     CurvePairSample,
     MappingFeatures,
     TrainConfig,
-    finetune,
-    forward,
     forward_many,
     init_model,
     loss_gradients,
@@ -117,7 +115,7 @@ class TestCriterion02ResidualIdentity:
         rng = np.random.default_rng(n)
         curve = Curve(rng.uniform(150, 1400, n), 60.0, 1)
         feats = MappingFeatures(20.5, 120.0, 52.8, 15.0)
-        out = forward(model, curve, feats)
+        out = forward_many(model, [curve], [feats])[0]
         assert np.array_equal(out.temps, curve.temps)
         _pass(f"2 residual identity (N={n})")
 
@@ -321,7 +319,7 @@ class TestCriterion11FinetuningBenefit:
 
             test_pairs = extract_curve_pairs(test_wall)
             before = float(np.median(mapped_pair_reops(pretrained, test_pairs)))
-            tuned = finetune(pretrained, subset,
+            tuned, _ = train(pretrained, subset,
                              TrainConfig(epochs=FINETUNE_EPOCHS, seed=seed))
             after = float(np.median(mapped_pair_reops(tuned, test_pairs)))
             print(f"  seed {seed}: simulation-only median {before:.4f} -> "

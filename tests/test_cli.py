@@ -239,12 +239,32 @@ class TestMalformedCheckpointExit4:
         bad[-8:] = np.array([np.nan], dtype="<f8").tobytes()
         assert predict_with(bytes(bad)) == 4
 
+    def test_param_count_not_fitting_n(self, checkpoint_bytes, predict_with):
+        # header and payload agree on 4 fewer parameters than N=8 needs
+        header, payload = _split_checkpoint(checkpoint_bytes)
+        header["param_count"] -= 4
+        assert predict_with(json.dumps(header).encode() + b"\n" + payload[:-32]) == 4
+
     def test_v1_document(self, predict_with, capsys):
         assert predict_with(_v1_document(init_model(8, seed=3))) == 4
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 class TestMalformedDatasetExit3:
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_missing_or_unknown_settings_key(self, tmp_path, small_wall, change):
+        path = tmp_path / "wall.jsonl"
+        save_dataset(str(path), small_wall)
+        header, *records = path.read_text().splitlines(keepends=True)
+        doc = json.loads(header)
+        if change == "drop":
+            del doc["settings"]["num_layers"]
+        else:
+            doc["settings"]["bead_width"] = 4.4
+        path.write_text(json.dumps(doc) + "\n" + "".join(records))
+        assert run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(tmp_path / "r.json")) == 3
+
     def test_header_only(self, tmp_path, small_wall):
         path = tmp_path / "wall.jsonl"
         path.write_text('{"format": "thermoseer-dataset", "version": 1}\n')
@@ -383,6 +403,15 @@ class TestTrainPredictEvalField:
         rows = list(csv.reader(open(field)))
         assert rows[0] == ["local_time_s", "position_mm", "temp_c", "interior"]
         assert len(rows) == 1 + 2 * 160
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_loss_exit_3_writes_nothing(self, tmp_path, dataset_path, capsys):
+        ckpt, loss_csv = tmp_path / "model.ckpt", tmp_path / "loss.csv"
+        assert run_cli("train", "--data", dataset_path, "--out", str(ckpt),
+                       "--loss-csv", str(loss_csv), "--epochs", "3",
+                       "--lr", "1e150") == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not ckpt.exists() and not loss_csv.exists()
 
     def test_zero_epochs_checkpoint_equals_init(self, tmp_path, dataset_path):
         ckpt = str(tmp_path / "model.json")

@@ -15,7 +15,6 @@ from thermoseer.core import (
     WallDataset,
     curve_duration,
     deposition_time,
-    energy_per_volume,
     mapping_features,
     reop,
     wire_deposition_rate,
@@ -179,27 +178,6 @@ class TestReop:
     def test_mixed_n_rejected(self):
         with pytest.raises(ShapeError):
             reop(constant_profile(10.0, n=20), constant_profile(10.0, n=21))
-
-
-class TestEnergyPerVolume:
-    def test_hand_value(self):
-        # I = 8.9044 A, V = 92.357 V, bead volume 1056 mm^3
-        got = energy_per_volume(3.0, 1.5, 160.0, 4.4)
-        assert got == pytest.approx(0.85 * 8.9044 * 92.357 / 1056.0, rel=1e-12)
-        assert got == pytest.approx(0.662, abs=5e-4)
-
-    def test_zero_feed_rate_gives_intercepts(self):
-        got = energy_per_volume(0.0, 1.0, 1.0, 1.0)
-        assert got == pytest.approx(0.85 * 5.2444 * 10.556, rel=1e-12)
-
-    def test_double_volume_halves(self):
-        one = energy_per_volume(4.5, 1.5, 160.0, 4.4)
-        two = energy_per_volume(4.5, 3.0, 160.0, 4.4)
-        assert two == pytest.approx(one / 2.0, rel=1e-12)
-
-    def test_nonpositive_volume(self):
-        with pytest.raises(DomainError):
-            energy_per_volume(3.0, 0.0, 160.0, 4.4)
 
 
 class TestTypes:

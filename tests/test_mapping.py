@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thermoseer.core import Curve, DomainError, MappingFeatures, ShapeError
+from thermoseer.cli import load_checkpoint, save_checkpoint
+from thermoseer.core import Curve, DomainError, MappingFeatures, NumericsError, ShapeError
 from thermoseer.mapping import (
     CurvePairSample,
     MappingModel,
     TrainConfig,
-    finetune,
-    forward,
+    _training_matrices,
     forward_many,
+    forward_raw,
     init_model,
     layer_dims,
     loss_gradients,
     mse_loss,
     param_count,
-    recursive_predict,
     train,
 )
 
@@ -94,39 +95,86 @@ class TestModelShape:
             init_model(1)
 
 
+class TestFlatParams:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_views_tile_params_in_order(self, n, seed):
+        model = init_model(n, seed=seed)
+        blocks = [a for pair in zip(model.weights, model.biases) for a in pair]
+        dims = layer_dims(n)
+        shapes = [s for a, b in zip(dims[:-1], dims[1:]) for s in ((a, b), (b,))]
+        assert [b.shape for b in blocks] == shapes
+        at = 0
+        for block in blocks:
+            assert np.shares_memory(block, model.params)
+            assert block.flags.c_contiguous
+            np.testing.assert_array_equal(block.reshape(-1),
+                                          model.params[at:at + block.size])
+            at += block.size
+        assert at == model.params.size == param_count(model)
+        model.weights[-1][-1, -1] = 7.0
+        assert model.params[-n - 1] == 7.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_checkpoint_payload_is_params(self, tmp_path_factory, n, seed):
+        path = tmp_path_factory.mktemp("flat") / "model.ckpt"
+        model = init_model(n, seed=seed)
+        save_checkpoint(str(path), model)
+        data = path.read_bytes()
+        assert data[data.index(b"\n") + 1:] == model.params.tobytes()
+        loaded = load_checkpoint(str(path))
+        np.testing.assert_array_equal(loaded.params, model.params)
+        assert all(np.shares_memory(w, loaded.params) for w in loaded.weights)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 12), batch=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_zero_weight_residual_identity(self, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        model = zero_model(n)
+        temps = rng.uniform(150.0, 1400.0, size=(batch, n))
+        feats = np.stack([make_features(rng).as_array() for _ in range(batch)])
+        np.testing.assert_array_equal(forward_raw(model, temps, feats), temps)
+
+    def test_copy_owns_its_params(self):
+        model = init_model(6, seed=2)
+        twin = model.copy()
+        assert not np.shares_memory(twin.params, model.params)
+        assert all(np.shares_memory(w, twin.params) for w in twin.weights)
+        np.testing.assert_array_equal(twin.params, model.params)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ShapeError):
+            MappingModel(n=4, params=np.zeros(10), feature_mean=np.zeros(4),
+                         feature_std=np.ones(4), scaler_fitted=False, seed=0)
+
+
 class TestForward:
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_residual_identity_with_zero_weights(self, n):
         rng = np.random.default_rng(1)
         model = zero_model(n)
         curve = make_curve(rng, n)
-        out = forward(model, curve, make_features(rng))
+        out = forward_many(model, [curve], [make_features(rng)])[0]
         np.testing.assert_array_equal(out.temps, curve.temps)
         assert out.duration == curve.duration
 
     def test_inference_deterministic(self):
         rng = np.random.default_rng(2)
         model = scaled_model(12, seed=3)
-        curve, feats = make_curve(rng, 12), make_features(rng)
-        a = forward(model, curve, feats)
-        b = forward(model, curve, feats)
-        np.testing.assert_array_equal(a.temps, b.temps)
-
-    def test_train_mode_needs_rng_and_drops(self):
-        rng = np.random.default_rng(3)
-        model = scaled_model(12, seed=3)
-        curve, feats = make_curve(rng, 12), make_features(rng)
-        with pytest.raises(DomainError):
-            forward(model, curve, feats, train_mode=True)
-        a = forward(model, curve, feats, train_mode=True, rng=np.random.default_rng(0))
-        b = forward(model, curve, feats, train_mode=True, rng=np.random.default_rng(99))
-        assert not np.array_equal(a.temps, b.temps)
+        temps, feats = make_curve(rng, 12).temps, make_features(rng).as_array()
+        a = forward_raw(model, temps, feats)
+        b = forward_raw(model, temps, feats)
+        np.testing.assert_array_equal(a, b)
 
     def test_wrong_n_rejected(self):
         rng = np.random.default_rng(4)
         model = scaled_model(12, seed=3)
         with pytest.raises(ShapeError):
-            forward(model, make_curve(rng, 13), make_features(rng))
+            forward_many(model, [make_curve(rng, 13)], [make_features(rng)])
+        with pytest.raises(ShapeError):
+            forward_raw(model, make_curve(rng, 13).temps, make_features(rng).as_array())
 
     def test_forward_many_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -135,8 +183,8 @@ class TestForward:
         feats = [make_features(rng) for _ in range(8)]
         batched = forward_many(model, curves, feats)
         for c, f, got in zip(curves, feats, batched):
-            want = forward(model, c, f)
-            np.testing.assert_allclose(got.temps, want.temps, rtol=1e-12)
+            want = forward_raw(model, c.temps, f.as_array())[0]
+            np.testing.assert_allclose(got.temps, want, rtol=1e-12)
 
 
 class TestGradients:
@@ -210,7 +258,7 @@ class TestTrain:
         trained, _ = train(init_model(8, seed=4), samples, cfg)
         assert trained.scaler_fitted
         other = make_samples(rng, 8, 8)
-        tuned = finetune(trained, other, cfg)
+        tuned, _ = train(trained, other, cfg)
         np.testing.assert_array_equal(tuned.feature_mean, trained.feature_mean)
         np.testing.assert_array_equal(tuned.feature_std, trained.feature_std)
 
@@ -221,50 +269,67 @@ class TestTrain:
             train(init_model(8, seed=0), samples, TrainConfig(epochs=1))
 
 
-class TestFinetune:
-    def test_zero_epochs_identity(self):
-        rng = np.random.default_rng(31)
-        model = init_model(8, seed=1)
-        assert finetune(model, make_samples(rng, 8, 4), TrainConfig(epochs=0)) is model
+def reference_train(model, samples, config):
+    """The per-layer Adam loop the flat-vector training replaced: one moment
+    pair per weight and bias array, updated block by block."""
+    out = model.copy()
+    feats = np.stack([s.features.as_array() for s in samples])
+    std = feats.std(axis=0)
+    std[std < 1e-12] = 1.0
+    out.feature_mean, out.feature_std, out.scaler_fitted = feats.mean(axis=0), std, True
+    x_all, r_all = _training_matrices(out, samples)
+    rng = np.random.default_rng(config.seed)
+    m_w = [np.zeros_like(w) for w in out.weights]
+    v_w = [np.zeros_like(w) for w in out.weights]
+    m_b = [np.zeros_like(b) for b in out.biases]
+    v_b = [np.zeros_like(b) for b in out.biases]
+    step, history = 0, []
+    for epoch in range(config.epochs):
+        lr = config.lr_at(epoch)
+        order = rng.permutation(len(samples))
+        sse = 0.0
+        for lo in range(0, len(samples), config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            mask = rng.random((batch.size, 3 * out.n)) >= out.dropout_rate
+            batch_samples = [samples[i] for i in batch]
+            d_w, d_b, loss = loss_gradients(out, batch_samples, mask)
+            sse += loss * batch.size
+            step += 1
+            correct1 = 1.0 - config.beta1 ** step
+            correct2 = 1.0 - config.beta2 ** step
+            for l in range(6):
+                for grads, params, ms, vs in (
+                    (d_w[l], out.weights[l], m_w[l], v_w[l]),
+                    (d_b[l], out.biases[l], m_b[l], v_b[l]),
+                ):
+                    ms *= config.beta1
+                    ms += (1.0 - config.beta1) * grads
+                    vs *= config.beta2
+                    vs += (1.0 - config.beta2) * grads ** 2
+                    params -= lr * (ms / correct1) / (np.sqrt(vs / correct2) + config.epsilon)
+        history.append(sse / len(samples))
+    return out, history
 
-    def test_same_as_train_from_scratch(self):
-        rng = np.random.default_rng(32)
-        samples = make_samples(rng, 8, 24)
-        cfg = TrainConfig(epochs=4, batch_size=8, seed=6)
-        via_train, _ = train(init_model(8, seed=2), samples, cfg)
-        via_finetune = finetune(init_model(8, seed=2), samples, cfg)
-        for wa, wb in zip(via_train.weights, via_finetune.weights):
-            np.testing.assert_array_equal(wa, wb)
 
+class TestFlatAdam:
+    @pytest.mark.parametrize("n, count, batch", [(6, 40, 16), (11, 23, 8)])
+    def test_bit_identical_to_per_layer_loop(self, n, count, batch):
+        rng = np.random.default_rng(n)
+        samples = make_samples(rng, n, count)
+        cfg = TrainConfig(epochs=5, batch_size=batch, seed=3,
+                          lr_decay_epochs=(2, 4))
+        got, got_history = train(init_model(n, seed=5), samples, cfg)
+        want, want_history = reference_train(init_model(n, seed=5), samples, cfg)
+        assert got_history == want_history
+        assert got.params.tobytes() == want.params.tobytes()
 
-class TestRecursive:
-    def test_single_step_equals_forward(self):
-        rng = np.random.default_rng(41)
-        model = scaled_model(10, seed=3)
-        curve, feats = make_curve(rng, 10), make_features(rng)
-        a = recursive_predict(model, curve, [feats])
-        b = forward(model, curve, feats)
-        np.testing.assert_array_equal(a.temps, b.temps)
-
-    def test_zero_model_is_identity_composition(self):
-        rng = np.random.default_rng(42)
-        model = zero_model(10)
-        curve = make_curve(rng, 10)
-        feats = [make_features(rng) for _ in range(5)]
-        out = recursive_predict(model, curve, feats)
-        np.testing.assert_array_equal(out.temps, curve.temps)
-
-    def test_five_steps_preserve_shape(self):
-        rng = np.random.default_rng(43)
-        model = scaled_model(10, seed=3)
-        out = recursive_predict(model, make_curve(rng, 10),
-                                [make_features(rng) for _ in range(5)])
-        assert out.n == 10
-
-    def test_empty_sequence_rejected(self):
-        rng = np.random.default_rng(44)
-        with pytest.raises(DomainError):
-            recursive_predict(scaled_model(10, seed=0), make_curve(rng, 10), [])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_raises(self):
+        rng = np.random.default_rng(61)
+        samples = make_samples(rng, 8, 16)
+        with pytest.raises(NumericsError):
+            train(init_model(8, seed=1), samples,
+                  TrainConfig(epochs=3, batch_size=16, initial_lr=1e150))
 
 
 class TestLatency:

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from thermoseer.core import CoverageError, Curve, DomainError, PointId, deposition_time
-from thermoseer.preprocess import (
-    Segment,
-    overlap_truncate,
-    resample,
-    smooth_tail,
-    split_experiment,
-    split_simulation,
-)
+from thermoseer.core import Curve, DomainError, PointId
+from thermoseer.preprocess import Segment, overlap_truncate, resample, split_experiment
 from thermoseer.synthgen import (
     RawTrace,
     SynthParams,
-    analytic_curve,
     build_schedule,
     emulate_pyrometer,
     point_trace,
@@ -24,60 +16,6 @@ def make_trace(temps, dt=1.0, layer=1, d=10.0):
     temps = np.asarray(temps, dtype=float)
     pt = PointId.from_distance(layer, d, 8.0)
     return RawTrace(np.arange(temps.size) * dt, temps, pt, dt)
-
-
-class TestSplitSimulation:
-    @pytest.fixture
-    def setup(self, settings):
-        params = SynthParams()
-        sched = build_schedule(params, settings)
-        pt = PointId.from_distance(2, 80.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
-        return params, sched, pt, trace
-
-    def test_boundaries_are_deposition_times(self, settings, setup):
-        params, sched, pt, trace = setup
-        segs = split_simulation(trace, sched, settings, pt)
-        assert len(segs) == 5
-        t0 = deposition_time(sched, settings, pt.layer, pt.axial_distance)
-        running = t0
-        for k, seg in enumerate(segs, start=1):
-            lo = deposition_time(sched, settings, pt.layer + k - 1, pt.axial_distance)
-            hi = deposition_time(sched, settings, pt.layer + k, pt.axial_distance)
-            assert running == pytest.approx(lo, abs=1e-9)
-            assert seg.duration == pytest.approx(hi - lo, abs=1e-9)
-            running = hi
-
-    def test_contiguous_non_overlapping(self, setup, settings):
-        _, sched, pt, trace = setup
-        segs = split_simulation(trace, sched, settings, pt)
-        # windows tile the span exactly; the oracle is continuous across the
-        # boundary kink, so the one-sided boundary estimates agree closely
-        for a, b in zip(segs[:-1], segs[1:]):
-            assert a.temps[-1] == pytest.approx(b.temps[0], abs=0.5)
-
-    def test_first_boundary_hand_value(self, settings):
-        # layer 1, d = 80 mm at 8 mm/s: deposition at 10 s
-        params = SynthParams()
-        sched = build_schedule(params, settings)
-        pt = PointId.from_distance(1, 80.0, settings.travel_speed)
-        assert deposition_time(sched, settings, 1, 80.0) == pytest.approx(10.0)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
-        assert trace.times[0] == pytest.approx(10.0)
-
-    def test_too_short_trace_reports_coverage(self, settings, setup):
-        _, sched, pt, trace = setup
-        cut = trace.times.size // 2
-        short = RawTrace(trace.times[:cut], trace.temps[:cut], pt, trace.sample_period)
-        with pytest.raises(CoverageError, match="k="):
-            split_simulation(short, sched, settings, pt)
-
-    def test_top_layer_overflow(self, settings, setup):
-        _, sched, _, _ = setup
-        pt = PointId.from_distance(36, 80.0, settings.travel_speed)
-        trace = make_trace(np.full(100, 300.0), dt=100.0, layer=36, d=80.0)
-        with pytest.raises(CoverageError):
-            split_simulation(trace, sched, settings, pt)
 
 
 class TestSplitExperiment:
@@ -130,38 +68,6 @@ class TestSplitExperiment:
         # six visible deposition events: the point's own deposition plus the
         # five re-heat arcs of the layers above it
         assert len(segs) - 1 == 6
-
-
-class TestSmoothTail:
-    def test_monotone_tail_unchanged(self):
-        seg = Segment(np.arange(6.0), np.array([500, 400, 320, 260, 220, 200.0]))
-        assert smooth_tail(seg, 0.2) is seg
-
-    def test_hand_example(self):
-        seg = Segment(np.arange(4.0), np.array([210.0, 205.0, 209.0, 215.0]))
-        out = smooth_tail(seg, 0.5)
-        np.testing.assert_allclose(out.temps, [210.0, 205.0, 205.0, 205.0])
-
-    def test_zero_fraction_identity(self):
-        seg = Segment(np.arange(4.0), np.array([210.0, 205.0, 209.0, 215.0]))
-        assert smooth_tail(seg, 0.0) is seg
-
-    def test_rise_outside_window_untouched(self):
-        # rise ends well before the final 5% of the segment
-        temps = np.concatenate([[400.0, 300.0, 350.0, 380.0], np.linspace(370, 200, 40)])
-        seg = Segment(np.arange(44.0), temps)
-        out = smooth_tail(seg, 0.05)
-        np.testing.assert_array_equal(out.temps, temps)
-
-    def test_replaced_region_non_increasing(self):
-        temps = np.concatenate([np.linspace(800, 210, 30), [212.0, 215.0, 230.0]])
-        out = smooth_tail(Segment(np.arange(33.0), temps), 0.15)
-        tail = out.temps[29:]
-        assert np.all(np.diff(tail) <= 0.0)
-
-    def test_short_segment_rejected(self):
-        with pytest.raises(DomainError):
-            smooth_tail(Segment(np.arange(3.0), np.array([3.0, 2.0, 1.0])), 0.1)
 
 
 class TestResample:
@@ -225,18 +131,3 @@ class TestOverlapTruncate:
         with pytest.raises(DomainError):
             overlap_truncate(cur, 11.0)
 
-
-class TestRoundTrip:
-    def test_split_resample_matches_oracle(self, settings):
-        # generate -> raw trace -> split -> resample reproduces the analytic
-        # values at the resampled points within the interpolation bound
-        params = SynthParams()
-        sched = build_schedule(params, settings)
-        pt = PointId.from_distance(6, 100.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
-        segs = split_simulation(trace, sched, settings, pt)
-        for k, seg in enumerate(segs, start=1):
-            curve = resample(seg, 100)
-            want = analytic_curve(params, settings, sched, pt, k,
-                                  np.linspace(0.0, curve.duration, 100))
-            assert np.max(np.abs(curve.temps - want)) < 0.5

@@ -7,7 +7,6 @@ from thermoseer.core import Curve, DomainError, PointId, Profile, ShapeError, re
 from thermoseer.reconstruct import (
     ElmModel,
     build_profile_matrix,
-    elm_param_count,
     elm_predict,
     elm_predict_many,
     elm_train,
@@ -186,12 +185,6 @@ class TestElm:
             perturbed = elm.output_weights + rng.standard_normal(
                 elm.output_weights.shape) * rng.uniform(1e-6, 1e-2)
             assert best <= np.linalg.norm(h @ perturbed - y) + 1e-6
-
-    def test_param_count(self):
-        delays = np.linspace(1, 10, 7)
-        for m_star in (1, 4, 7):
-            elm = elm_train(delays, np.ones((7, m_star)), n_hidden=128, seed=0)
-            assert elm_param_count(elm) == 128 * (2 + m_star)
 
     def test_single_output_column_shape(self):
         elm = elm_train(np.linspace(1, 10, 5), np.ones((5, 1)), n_hidden=16, seed=0)

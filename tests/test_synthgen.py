@@ -10,6 +10,7 @@ from thermoseer.core import (
     ProcessSettings,
     Profile,
     curve_duration,
+    deposition_time,
     reop,
 )
 from thermoseer.preprocess import overlap_truncate
@@ -197,6 +198,32 @@ class TestPointTrace:
         assert np.all(trace.temps[:6] == params.ambient)
         # deposition jump right after the lead-in
         assert trace.temps[6] > 1000.0
+
+    def test_first_boundary_hand_value(self, settings):
+        # layer 1, d = 80 mm at 8 mm/s: deposition at 10 s
+        params = SynthParams()
+        sched = build_schedule(params, settings)
+        pt = PointId.from_distance(1, 80.0, settings.travel_speed)
+        assert deposition_time(sched, settings, 1, 80.0) == pytest.approx(10.0)
+        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
+        assert trace.times[0] == pytest.approx(10.0)
+
+    def test_matches_analytic_curves_at_sample_times(self, settings):
+        # each sample inside the k-th window between successive deposition
+        # times equals curve k of the oracle at the sample's local time
+        params = SynthParams()
+        sched = build_schedule(params, settings)
+        pt = PointId.from_distance(6, 100.0, settings.travel_speed)
+        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
+        assert trace.times[0] == deposition_time(sched, settings, 6, 100.0)
+        for k in range(1, 6):
+            lo = deposition_time(sched, settings, pt.layer + k - 1, pt.axial_distance)
+            hi = deposition_time(sched, settings, pt.layer + k, pt.axial_distance)
+            inside = (trace.times > lo + 1e-9) & (trace.times < hi - 1e-9)
+            assert inside.sum() >= (hi - lo) / 0.1 - 2
+            want = analytic_curve(params, settings, sched, pt, k,
+                                  trace.times[inside] - lo)
+            np.testing.assert_allclose(trace.temps[inside], want, rtol=0, atol=1e-9)
 
 
 class TestExperimentWall:
