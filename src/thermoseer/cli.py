@@ -167,6 +167,8 @@ def _parse_dataset(path: str) -> WallDataset:
     for line in lines[1:]:
         rec = json.loads(line)
         point = PointId(rec["layer"], rec["d_mm"], rec["t_rd_s"])
+        if point in profiles:
+            raise DomainError(f"{path}: point {point} is listed twice")
         curves = tuple(
             Curve(np.array(rec["curves"][k]), rec["durations_s"][k], k + 1)
             for k in range(5)
@@ -483,36 +485,27 @@ def _train_config(values) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    """``train`` from a fresh model or ``finetune`` from ``--ckpt``; a flag
+    wins over its config key."""
     values = _merge_train_options(args)
-    paths = args.data or values.get("data", "").split(",")
+    if "out" not in values:
+        raise ConfigError(f"{args.command}: give --out or an 'out' config key")
+    paths = values.get("data", "")
+    if isinstance(paths, str):
+        paths = paths.split(",")
     datasets, samples = _load_training_data(paths, values.get("layers"))
+    if args.command == "finetune":
+        # fine-tuning is the same procedure continued from the loaded weights
+        model, verb = load_checkpoint(args.ckpt), "fine-tuned"
+    else:
+        model, verb = init_model(datasets[0].n, seed=values.get("init_seed", 0)), "trained"
     config = _train_config(values)
-    model = init_model(datasets[0].n, seed=values.get("init_seed", 0))
     trained, history = train(model, samples, config)
-    save_checkpoint(args.out, trained)
-    if args.loss_csv:
-        _write_loss_csv(args.loss_csv, history)
-    print(f"trained on {len(samples)} curve pairs for {config.epochs} epochs "
-          f"-> {args.out}")
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    values = _merge_train_options(args)
-    pretrained = load_checkpoint(args.ckpt)
-    paths = args.data or values.get("data", "").split(",")
-    datasets, samples = _load_training_data(paths, values.get("layers"))
-    if datasets[0].n != pretrained.n:
-        raise ShapeError(
-            f"checkpoint N={pretrained.n} does not match dataset N={datasets[0].n}")
-    config = _train_config(values)
-    # fine-tuning is the same procedure continued from the loaded weights
-    tuned, history = train(pretrained, samples, config)
-    save_checkpoint(args.out, tuned)
-    if args.loss_csv:
-        _write_loss_csv(args.loss_csv, history)
-    print(f"fine-tuned on {len(samples)} curve pairs for {config.epochs} epochs "
-          f"-> {args.out}")
+    save_checkpoint(values["out"], trained)
+    if "loss_csv" in values:
+        _write_loss_csv(values["loss_csv"], history)
+    print(f"{verb} on {len(samples)} curve pairs for {config.epochs} epochs "
+          f"-> {values['out']}")
     return 0
 
 
@@ -623,13 +616,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output path; use {id} with multi-wall configs")
     p.set_defaults(func=cmd_generate)
 
-    for name, func, needs_ckpt in (("train", cmd_train, False),
-                                   ("finetune", cmd_finetune, True)):
+    for name in ("train", "finetune"):
         p = sub.add_parser(name, help=f"{name} the mapping model")
-        if needs_ckpt:
+        if name == "finetune":
             p.add_argument("--ckpt", required=True, help="pretrained checkpoint")
-        p.add_argument("--data", nargs="*", help="dataset file(s)")
-        p.add_argument("--out", required=True, help="output checkpoint path")
+        p.add_argument("--data", nargs="+", help="dataset file(s)")
+        p.add_argument("--out", help="output checkpoint path")
         p.add_argument("--loss-csv", dest="loss_csv", help="per-epoch loss CSV")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--epochs", type=int)
@@ -638,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--init-seed", dest="init_seed", type=int)
         p.add_argument("--layers", help="layer range START:END for curve pairs")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict one yet-to-print layer")
     p.add_argument("--ckpt", required=True)

@@ -74,7 +74,6 @@ class MappingModel:
     feature_std: np.ndarray
     scaler_fitted: bool
     seed: int
-    dropout_rate: float = DROPOUT_RATE
     temp_scale: float = TEMP_SCALE
     training_meta: dict = field(default_factory=dict)
     weights: list[np.ndarray] = field(init=False, repr=False)
@@ -180,7 +179,7 @@ def _net_forward(model: MappingModel, x: np.ndarray,
         pre.append(z)
         post.append(h)
     if dropout_mask is not None:
-        h = h * dropout_mask / (1.0 - model.dropout_rate)
+        h = h * dropout_mask / (1.0 - DROPOUT_RATE)
         post[-1] = h
     out = h @ model.weights[-1] + model.biases[-1]
     return out, pre, post
@@ -276,7 +275,7 @@ def _backprop(model: MappingModel, x: np.ndarray, r: np.ndarray,
     grad.sum(axis=0, out=d_biases[-1])
     grad = grad @ model.weights[-1].T
     if dropout_mask is not None:
-        grad = grad * dropout_mask / (1.0 - model.dropout_rate)
+        grad = grad * dropout_mask / (1.0 - DROPOUT_RATE)
     for l in range(N_AFFINE_MAPS - 2, -1, -1):
         grad = grad * (pre[l] > 0.0)
         below = post[l - 1] if l > 0 else x
@@ -333,33 +332,36 @@ def train(model: MappingModel, samples: list[CurvePairSample],
 
     loss_history: list[float] = []
     lr_history: list[float] = []
-    for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
-        lr_history.append(lr)
-        order = rng.permutation(n_samples)
-        sse = 0.0
-        for lo in range(0, n_samples, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            xb, rb = x_all[batch], r_all[batch]
-            mask = rng.random((batch.size, 3 * out.n)) >= out.dropout_rate
-            loss = _backprop(out, xb, rb, mask, d_weights, d_biases)
-            if not math.isfinite(loss):
-                raise NumericsError(f"training diverged: batch loss {loss} is not "
-                                    f"finite (epoch {epoch + 1}, lr {lr})")
-            sse += loss * batch.size
-            step += 1
-            correct1 = 1.0 - config.beta1 ** step
-            correct2 = 1.0 - config.beta2 ** step
-            # params -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon),
-            # in place, in the same elementwise order as the unfused update
-            m *= config.beta1
-            m += np.multiply(g, 1.0 - config.beta1, out=work)
-            v *= config.beta2
-            v += np.multiply(np.square(g, out=g), 1.0 - config.beta2, out=g)
-            np.multiply(np.divide(m, correct1, out=work), lr, out=work)
-            np.add(np.sqrt(np.divide(v, correct2, out=g), out=g), config.epsilon, out=g)
-            params -= np.divide(work, g, out=work)
-        loss_history.append(sse / n_samples)
+    # a diverging run overflows in the matmuls; the finite-loss check below
+    # reports it, so numpy's own warnings would only repeat the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = config.lr_at(epoch)
+            lr_history.append(lr)
+            order = rng.permutation(n_samples)
+            sse = 0.0
+            for lo in range(0, n_samples, config.batch_size):
+                batch = order[lo:lo + config.batch_size]
+                xb, rb = x_all[batch], r_all[batch]
+                mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
+                loss = _backprop(out, xb, rb, mask, d_weights, d_biases)
+                if not math.isfinite(loss):
+                    raise NumericsError(f"training diverged: batch loss {loss} is not "
+                                        f"finite (epoch {epoch + 1}, lr {lr})")
+                sse += loss * batch.size
+                step += 1
+                correct1 = 1.0 - config.beta1 ** step
+                correct2 = 1.0 - config.beta2 ** step
+                # params -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon),
+                # in place, in the same elementwise order as the unfused update
+                m *= config.beta1
+                m += np.multiply(g, 1.0 - config.beta1, out=work)
+                v *= config.beta2
+                v += np.multiply(np.square(g, out=g), 1.0 - config.beta2, out=g)
+                np.multiply(np.divide(m, correct1, out=work), lr, out=work)
+                np.add(np.sqrt(np.divide(v, correct2, out=g), out=g), config.epsilon, out=g)
+                params -= np.divide(work, g, out=work)
+            loss_history.append(sse / n_samples)
     if not np.isfinite(params).all():
         raise NumericsError("training produced non-finite weights")
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     CURVES_PER_PROFILE,
-    Curve,
     DomainError,
     DwellSchedule,
     HorizonError,
@@ -43,7 +42,6 @@ from .mapping import (
 from .preprocess import overlap_truncate
 from .reconstruct import (
     DEFAULT_ENERGY_THRESHOLD,
-    DEFAULT_HIDDEN_NODES,
     LayerReconstruction,
     fit_layer,
     reconstruct_profile,
@@ -83,7 +81,6 @@ class FieldFrame:
 def predict_next_layer(model: MappingModel, measured: list[Profile],
                        settings: ProcessSettings, schedule: DwellSchedule,
                        energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-                       n_hidden: int = DEFAULT_HIDDEN_NODES,
                        recon_seed: int = 0) -> LayerPrediction:
     """Map M measured profiles one layer up and train the layer's
     reconstruction online."""
@@ -112,8 +109,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
     t_map = time.perf_counter()
 
     recon = fit_layer(mapped, settings.travel_speed,
-                      energy_threshold=energy_threshold,
-                      n_hidden=n_hidden, seed=recon_seed)
+                      energy_threshold=energy_threshold, seed=recon_seed)
     t_done = time.perf_counter()
     return LayerPrediction(
         layer=target,
@@ -150,12 +146,6 @@ def predict_point(prediction: LayerPrediction, axial_distance: float,
         )
     delay = axial_distance / settings.travel_speed
     return reconstruct_profile(prediction.reconstruction, delay)
-
-
-def field_horizon(prediction: LayerPrediction) -> float:
-    """Largest representable local time: the five partial-curve durations of
-    the layer's earliest-deposited position."""
-    return float(np.sum(prediction.reconstruction.durations))
 
 
 def render_field(prediction: LayerPrediction, settings: ProcessSettings,
@@ -323,23 +313,6 @@ class BenchmarkReport:
     final_train_loss: float
     per_layer: dict[int, LayerSummary]
     mapped_per_layer: dict[int, LayerSummary]
-    timing: dict[int, dict[str, float]]
-
-    def to_json_dict(self) -> dict:
-        def layer_block(summaries):
-            return {
-                str(layer): {
-                    "count": s.count, "median": s.median, "max": s.maximum,
-                    "q1": s.q1, "q3": s.q3,
-                } for layer, s in summaries.items()
-            }
-        return {
-            "train_pairs": self.train_pairs,
-            "final_train_loss": self.final_train_loss,
-            "per_layer": layer_block(self.per_layer),
-            "mapped_per_layer": layer_block(self.mapped_per_layer),
-            "timing": {str(k): v for k, v in self.timing.items()},
-        }
 
 
 def run_benchmark(train_data, test_data: WallDataset,
@@ -347,9 +320,6 @@ def run_benchmark(train_data, test_data: WallDataset,
                   test_layers: list[int] | None = None,
                   train_config: TrainConfig = TrainConfig(),
                   model_seed: int = 0,
-                  recon_seed: int = 0,
-                  energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-                  n_hidden: int = DEFAULT_HIDDEN_NODES,
                   model: MappingModel | None = None) -> BenchmarkReport:
     """Train on curve pairs from the training walls/layers, then predict each
     test layer from the layer below and score the reconstruction at held-out
@@ -357,13 +327,16 @@ def run_benchmark(train_data, test_data: WallDataset,
 
     On each test layer the odd-indexed points (first, third, ...) feed the
     mapping and the remaining points are reconstructed and scored, mirroring
-    the measured-vs-reconstructed split of the online protocol.  Passing a
-    pretrained ``model`` skips training.
+    the measured-vs-reconstructed split of the online protocol.  Left out,
+    ``test_layers`` is every layer of the test wall with a layer below it.
+    Passing a pretrained ``model`` skips training.
     """
     walls = train_data if isinstance(train_data, list) else [train_data]
+    if test_layers is None:
+        test_layers = [l for l in test_data.layers() if l - 1 in set(test_data.layers())]
     for wall in walls:
         if wall is test_data:
-            overlap = set(train_layers or wall.layers()) & set(test_layers or [])
+            overlap = set(train_layers or wall.layers()) & set(test_layers)
             if overlap:
                 raise ProtocolError(
                     f"train and test layers overlap on the same wall: {sorted(overlap)}"
@@ -381,11 +354,8 @@ def run_benchmark(train_data, test_data: WallDataset,
         model, history = train(init_model(n, seed=model_seed), samples, train_config)
         final_loss = history[-1] if history else float("nan")
 
-    if test_layers is None:
-        test_layers = [l for l in test_data.layers() if l - 1 in set(test_data.layers())]
     per_layer: dict[int, LayerSummary] = {}
     mapped_per_layer: dict[int, LayerSummary] = {}
-    timing: dict[int, dict[str, float]] = {}
     for layer in sorted(test_layers):
         measured = test_data.profiles_on(layer - 1)
         truth = test_data.profiles_on(layer)
@@ -397,9 +367,7 @@ def run_benchmark(train_data, test_data: WallDataset,
                     {q.point.axial_distance for q in inputs}] or truth
 
         prediction = predict_next_layer(model, inputs, test_data.settings,
-                                        test_data.schedule,
-                                        energy_threshold=energy_threshold,
-                                        n_hidden=n_hidden, recon_seed=recon_seed)
+                                        test_data.schedule)
         recon_preds = [predict_point(prediction, p.point.axial_distance,
                                      test_data.settings) for p in held_out]
         report = evaluate(recon_preds, held_out)
@@ -411,16 +379,10 @@ def run_benchmark(train_data, test_data: WallDataset,
         if mapped_truth:
             mreport = evaluate(prediction.mapped_profiles, mapped_truth)
             mapped_per_layer[layer] = next(iter(mreport.per_layer.values()))
-        timing[layer] = {
-            "map_seconds": prediction.map_seconds,
-            "reconstruct_seconds": prediction.reconstruct_seconds,
-            "total_seconds": prediction.elapsed,
-        }
 
     return BenchmarkReport(
         train_pairs=len(samples),
         final_train_loss=final_loss,
         per_layer=per_layer,
         mapped_per_layer=mapped_per_layer,
-        timing=timing,
     )

@@ -93,34 +93,20 @@ def resample(segment: Segment, n: int, curve_index: int | None = None) -> Curve:
                  segment.index if curve_index is None else curve_index)
 
 
-def overlap_truncate(upper, lower_duration: float, n: int | None = None,
-                     curve_index: int | None = None) -> Curve:
-    """Restrict an upper-layer curve (raw segment or resampled Curve) to the
-    first ``lower_duration`` seconds and resample it to ``n`` values.  This is
-    the supervised partial-curve target for curve pairs."""
-    if isinstance(upper, Curve):
-        times, temps = upper.times(), upper.temps
-        duration = upper.duration
-        if n is None:
-            n = upper.n
-        if curve_index is None:
-            curve_index = upper.curve_index
-    elif isinstance(upper, Segment):
-        times, temps = upper.times - upper.times[0], upper.temps
-        duration = upper.duration
-        if n is None:
-            raise DomainError("n is required when truncating a raw segment")
-        if curve_index is None:
-            curve_index = upper.index
-    else:
-        raise ShapeError(f"expected Segment or Curve, got {type(upper).__name__}")
-
+def overlap_truncate(upper: Curve, lower_duration: float,
+                     n: int | None = None) -> Curve:
+    """Restrict an upper-layer curve to its first ``lower_duration`` seconds
+    and resample it to ``n`` values (default: the curve's own ``n``).  This
+    is the supervised partial-curve target for curve pairs."""
+    if n is None:
+        n = upper.n
     if lower_duration <= 0.0:
         raise DomainError(f"lower_duration must be positive, got {lower_duration!r}")
-    if lower_duration > duration + 1e-9:
+    if lower_duration > upper.duration + 1e-9:
         raise DomainError(
             f"lower_duration {lower_duration} s exceeds the upper curve's "
-            f"{duration} s; dwell times must be nondecreasing"
+            f"{upper.duration} s; dwell times must be nondecreasing"
         )
-    grid = np.linspace(0.0, min(lower_duration, duration), n)
-    return Curve(np.interp(grid, times, temps), lower_duration, curve_index)
+    grid = np.linspace(0.0, min(lower_duration, upper.duration), n)
+    return Curve(np.interp(grid, upper.times(), upper.temps), lower_duration,
+                 upper.curve_index)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import (
     CURVES_PER_PROFILE,
@@ -34,14 +35,14 @@ DEFAULT_HIDDEN_NODES = 128
 class ElmModel:
     """Single-hidden-layer network with frozen random hidden parameters and
     least-squares output weights.  Input dimension is 1 (the relative delay);
-    parameter count is exactly n_hidden * (2 + m_star)."""
+    with n_hidden hidden nodes and m_star outputs the parameter count is
+    exactly n_hidden * (2 + m_star)."""
 
     hidden_weights: np.ndarray
     hidden_biases: np.ndarray
     output_weights: np.ndarray
     delay_mean: float
     delay_std: float
-    seed: int
 
     def __post_init__(self) -> None:
         nh = self.hidden_weights.size
@@ -52,17 +53,9 @@ class ElmModel:
                 f"output weights must have {nh} rows, got {self.output_weights.shape}"
             )
 
-    @property
-    def n_hidden(self) -> int:
-        return self.hidden_weights.size
-
-    @property
-    def m_star(self) -> int:
-        return self.output_weights.shape[1]
-
 
 def _hidden_matrix(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
-    x = (np.atleast_1d(delays) - elm.delay_mean) / elm.delay_std
+    x = (delays - elm.delay_mean) / elm.delay_std
     return np.maximum(np.outer(x, elm.hidden_weights) + elm.hidden_biases, 0.0)
 
 
@@ -98,22 +91,16 @@ def elm_train(delays: np.ndarray, coefficients: np.ndarray,
         std = 1.0
 
     elm = ElmModel(omega, bias, np.zeros((n_hidden, coefficients.shape[1])),
-                   mean, std, seed)
+                   mean, std)
     h = _hidden_matrix(elm, delays)
     elm.output_weights = np.linalg.lstsq(h, coefficients, rcond=None)[0]
     return elm
 
 
-def elm_predict(elm: ElmModel, delay: float) -> np.ndarray:
-    """Basis-coefficient vector (m_star,) for one relative delay."""
-    if not np.isfinite(delay):
-        raise DomainError(f"delay must be finite, got {delay!r}")
-    return (_hidden_matrix(elm, np.array([delay])) @ elm.output_weights)[0]
-
-
-def elm_predict_many(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
-    """Coefficient rows (len(delays), m_star) in one pass."""
-    delays = np.asarray(delays, dtype=np.float64)
+def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
+    """Basis-coefficient rows (len(delays), m_star) in one pass; a scalar
+    delay gives one row."""
+    delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not np.all(np.isfinite(delays)):
         raise DomainError("delays must be finite")
     return _hidden_matrix(elm, delays) @ elm.output_weights
@@ -182,11 +169,9 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
 
 @dataclass(eq=False)
 class LayerReconstruction:
-    """Reduced basis, training coefficients, and the trained ELM of one layer."""
+    """Reduced basis, singular values, and the trained ELM of one layer."""
 
     basis: np.ndarray
-    coefficients: np.ndarray
-    m_star: int
     singular_values: np.ndarray
     elm: ElmModel
     layer: int
@@ -195,7 +180,7 @@ class LayerReconstruction:
     delay_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.basis.ndim != 2 or self.basis.shape[1] != self.m_star:
+        if self.basis.ndim != 2:
             raise ShapeError(f"basis must be 5N x m_star, got {self.basis.shape}")
         if self.basis.shape[0] % CURVES_PER_PROFILE != 0:
             raise ShapeError("basis row count must be a multiple of 5")
@@ -208,22 +193,24 @@ class LayerReconstruction:
             raise ShapeError("need one duration per curve")
 
     @property
+    def m_star(self) -> int:
+        return self.basis.shape[1]
+
+    @property
     def n(self) -> int:
         return self.basis.shape[0] // CURVES_PER_PROFILE
 
 
 def fit_layer(profiles: list[Profile], travel_speed: float,
               energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-              n_hidden: int = DEFAULT_HIDDEN_NODES, seed: int = 0) -> LayerReconstruction:
+              seed: int = 0) -> LayerReconstruction:
     """Decompose a layer's profiles and train its delay-to-coefficients ELM."""
     matrix, delays = build_profile_matrix(profiles)
-    basis, rows, m_star, singular_values = pod_decompose(matrix, energy_threshold)
-    elm = elm_train(delays, rows, n_hidden=n_hidden, seed=seed)
+    basis, rows, _, singular_values = pod_decompose(matrix, energy_threshold)
+    elm = elm_train(delays, rows, seed=seed)
     reference = min(profiles, key=lambda p: p.point.relative_delay)
     return LayerReconstruction(
         basis=basis,
-        coefficients=rows,
-        m_star=m_star,
         singular_values=singular_values,
         elm=elm,
         layer=profiles[0].point.layer,
@@ -233,10 +220,17 @@ def fit_layer(profiles: list[Profile], travel_speed: float,
     )
 
 
+def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike) -> np.ndarray:
+    """Stacked 5N-vectors for many delays at once, one column per delay: the
+    reduced basis times the ELM's coefficient estimates."""
+    return recon.basis @ elm_predict(recon.elm, delays).T
+
+
 def reconstruct_profile(recon: LayerReconstruction, delay: float) -> Profile:
-    """Temperature profile of an arbitrary point on the layer: the reduced
-    basis times the ELM's coefficient estimate, unstacked into five curves."""
-    stacked = recon.basis @ elm_predict(recon.elm, delay)
+    """Temperature profile of an arbitrary point on the layer: the one
+    stacked column of :func:`reconstruct_stacked`, unstacked into five
+    curves."""
+    stacked = reconstruct_stacked(recon, [delay])[:, 0]
     n = recon.n
     point = PointId(recon.layer, delay * recon.travel_speed, delay)
     curves = tuple(
@@ -244,8 +238,3 @@ def reconstruct_profile(recon: LayerReconstruction, delay: float) -> Profile:
         for k in range(CURVES_PER_PROFILE)
     )
     return Profile(point, curves)
-
-
-def reconstruct_stacked(recon: LayerReconstruction, delays: np.ndarray) -> np.ndarray:
-    """Stacked 5N-vectors for many delays at once, one column per delay."""
-    return recon.basis @ elm_predict_many(recon.elm, delays).T

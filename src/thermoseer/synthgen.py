@@ -227,39 +227,19 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
                     sample_period=sample_period)
 
 
-def emulate_pyrometer(source, clamp_low: float = PYROMETER_CLAMP_LOW,
+def emulate_pyrometer(trace: RawTrace, clamp_low: float = PYROMETER_CLAMP_LOW,
                       clamp_high: float = PYROMETER_CLAMP_HIGH,
                       noise_sd: float = 0.0, seed: int = 0) -> RawTrace:
-    """Pyrometer view of a trace or profile: additive zero-mean Gaussian noise
-    followed by clamping to the instrument band."""
+    """Pyrometer view of a trace: additive zero-mean Gaussian noise followed
+    by clamping to the instrument band."""
     if clamp_low >= clamp_high:
         raise DomainError(f"clamp_low {clamp_low} must be below clamp_high {clamp_high}")
-    if isinstance(source, Profile):
-        trace = _profile_to_trace(source)
-    elif isinstance(source, RawTrace):
-        trace = source
-    else:
-        raise ShapeError(f"expected RawTrace or Profile, got {type(source).__name__}")
     temps = trace.temps.copy()
     if noise_sd > 0.0:
         temps += np.random.default_rng(seed).normal(0.0, noise_sd, size=temps.shape)
     np.clip(temps, clamp_low, clamp_high, out=temps)
     return RawTrace(times=trace.times, temps=temps, point=trace.point,
                     sample_period=trace.sample_period)
-
-
-def _profile_to_trace(profile: Profile, sample_period: float = 0.1) -> RawTrace:
-    """Concatenate a profile's curves onto one fixed-period local time grid."""
-    bounds = np.concatenate([[0.0], np.cumsum(profile.durations)])
-    n = int(math.ceil(bounds[-1] / sample_period))
-    times = np.arange(n + 1) * sample_period
-    temps = np.empty_like(times)
-    for k, curve in enumerate(profile.curves):
-        lo, hi = bounds[k], bounds[k + 1]
-        sel = (times >= lo) & ((times < hi) | (k == CURVES_PER_PROFILE - 1))
-        temps[sel] = np.interp(times[sel] - lo, curve.times(), curve.temps)
-    return RawTrace(times=times, temps=temps, point=profile.point,
-                    sample_period=sample_period)
 
 
 def _point_distances(settings: ProcessSettings, points_per_layer: int,

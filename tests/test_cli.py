@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -250,7 +251,61 @@ class TestMalformedCheckpointExit4:
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def dataset_bytes(tmp_path_factory):
+    settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                     layer_print_time=20.5, deposition_rate=52.8)
+    path = tmp_path_factory.mktemp("data") / "wall.jsonl"
+    save_dataset(str(path), generate_wall(settings, SynthParams(seed=7),
+                                          points_per_layer=3, n=40))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def eval_with(tmp_path_factory):
+    """Runs ``eval`` of the given dataset bytes against themselves; returns
+    the exit code."""
+    workdir = tmp_path_factory.mktemp("bad-data")
+
+    def run(data: bytes) -> int:
+        path = workdir / "wall.jsonl"
+        path.write_bytes(data)
+        return run_cli("eval", "--pred", str(path), "--truth", str(path),
+                       "--out", str(workdir / "r.json"))
+    return run
+
+
+def _duplicate_line(data: bytes, index: int) -> bytes:
+    """``data`` with record line ``index`` (0 is the first after the header)
+    written twice."""
+    lines = data.splitlines(keepends=True)
+    k = 1 + index % (len(lines) - 1)
+    return b"".join(lines[:k + 1] + lines[k:])
+
+
 class TestMalformedDatasetExit3:
+    def test_repeated_point(self, dataset_bytes, eval_with, capsys):
+        assert eval_with(dataset_bytes) == 0
+        assert eval_with(_duplicate_line(dataset_bytes, 5)) == 3
+        assert "listed twice" in capsys.readouterr().err
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(kind=st.sampled_from(["cut", "flip", "duplicate"]),
+                      frac=st.floats(0.0, 1.0, exclude_max=True),
+                      mask=st.integers(1, 255))
+    def test_fuzzed_file_loads_or_exits_3(self, dataset_bytes, eval_with,
+                                          kind, frac, mask):
+        at = int(frac * len(dataset_bytes))
+        if kind == "cut":
+            data = dataset_bytes[:at]
+        elif kind == "flip":
+            data = bytearray(dataset_bytes)
+            data[at] ^= mask
+            data = bytes(data)
+        else:
+            data = _duplicate_line(dataset_bytes, at)
+        assert eval_with(data) in (0, 3)
+
     @pytest.mark.parametrize("change", ["drop", "add"])
     def test_missing_or_unknown_settings_key(self, tmp_path, small_wall, change):
         path = tmp_path / "wall.jsonl"
@@ -404,12 +459,13 @@ class TestTrainPredictEvalField:
         assert rows[0] == ["local_time_s", "position_mm", "temp_c", "interior"]
         assert len(rows) == 1 + 2 * 160
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_loss_exit_3_writes_nothing(self, tmp_path, dataset_path, capsys):
         ckpt, loss_csv = tmp_path / "model.ckpt", tmp_path / "loss.csv"
-        assert run_cli("train", "--data", dataset_path, "--out", str(ckpt),
-                       "--loss-csv", str(loss_csv), "--epochs", "3",
-                       "--lr", "1e150") == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--data", dataset_path, "--out", str(ckpt),
+                           "--loss-csv", str(loss_csv), "--epochs", "3",
+                           "--lr", "1e150") == 3
         assert "not finite" in capsys.readouterr().err
         assert not ckpt.exists() and not loss_csv.exists()
 
@@ -488,3 +544,31 @@ class TestTrainPredictEvalField:
                        "--config", str(cfg), "--epochs", "1",
                        "--loss-csv", loss_csv) == 0
         assert len(list(csv.reader(open(loss_csv)))) == 2
+
+    def test_out_and_loss_csv_from_config(self, tmp_path, dataset_path):
+        ckpt, loss_csv = tmp_path / "m.ckpt", tmp_path / "loss.csv"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"epochs = 1\nbatch_size = 32\nout = {ckpt}\n"
+                       f"loss_csv = {loss_csv}\n")
+        assert run_cli("train", "--data", dataset_path, "--config", str(cfg)) == 0
+        assert load_checkpoint(str(ckpt)).n == 40
+        assert len(list(csv.reader(open(loss_csv)))) == 2
+        tuned, tune_csv = tmp_path / "tuned.ckpt", tmp_path / "tune.csv"
+        cfg.write_text(f"epochs = 1\nout = {tuned}\nloss_csv = {tune_csv}\n"
+                       f"data = {dataset_path}\n")
+        assert run_cli("finetune", "--ckpt", str(ckpt), "--config", str(cfg)) == 0
+        assert tuned.exists() and tune_csv.exists()
+
+    def test_no_out_exit_2(self, tmp_path, dataset_path):
+        assert run_cli("train", "--data", dataset_path, "--epochs", "0") == 2
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 0\n")
+        assert run_cli("train", "--data", dataset_path, "--config", str(cfg)) == 2
+        assert sorted(os.listdir(tmp_path)) == ["train.cfg", "wall.jsonl"]
+
+    def test_finetune_n_mismatch_exit_3(self, tmp_path, dataset_path):
+        ckpt = tmp_path / "n8.ckpt"
+        save_checkpoint(str(ckpt), init_model(8, seed=0))
+        assert run_cli("finetune", "--ckpt", str(ckpt), "--data", dataset_path,
+                       "--out", str(tmp_path / "t.ckpt"), "--epochs", "1") == 3
+        assert not (tmp_path / "t.ckpt").exists()

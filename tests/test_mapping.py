@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from thermoseer.cli import load_checkpoint, save_checkpoint
 from thermoseer.core import Curve, DomainError, MappingFeatures, NumericsError, ShapeError
 from thermoseer.mapping import (
+    DROPOUT_RATE,
     CurvePairSample,
     MappingModel,
     TrainConfig,
@@ -290,7 +291,7 @@ def reference_train(model, samples, config):
         sse = 0.0
         for lo in range(0, len(samples), config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            mask = rng.random((batch.size, 3 * out.n)) >= out.dropout_rate
+            mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
             batch_samples = [samples[i] for i in batch]
             d_w, d_b, loss = loss_gradients(out, batch_samples, mask)
             sse += loss * batch.size

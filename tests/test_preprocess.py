@@ -103,21 +103,21 @@ class TestResample:
 
 class TestOverlapTruncate:
     def test_equal_durations_is_plain_resample(self):
-        seg = Segment(np.linspace(0, 8, 30), np.linspace(900, 300, 30))
-        a = overlap_truncate(seg, 8.0, n=10)
-        b = resample(seg, 10)
+        cur = Curve(np.linspace(900, 300, 30), 8.0, 1)
+        a = overlap_truncate(cur, 8.0, n=10)
+        b = resample(Segment(cur.times(), cur.temps), 10)
         np.testing.assert_allclose(a.temps, b.temps, atol=1e-12)
 
     def test_half_ramp(self):
-        seg = Segment(np.array([0.0, 10.0]), np.array([0.0, 100.0]))
-        c = overlap_truncate(seg, 5.0, n=6)
+        cur = Curve(np.array([0.0, 100.0]), 10.0, 1)
+        c = overlap_truncate(cur, 5.0, n=6)
         np.testing.assert_allclose(c.temps, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         assert c.duration == 5.0
 
     def test_n_preserved(self):
-        seg = Segment(np.linspace(0, 20, 100), np.linspace(1000, 250, 100))
+        cur = Curve(np.linspace(1000, 250, 100), 20.0, 1)
         for frac in (0.2, 0.5, 0.9):
-            assert overlap_truncate(seg, 20 * frac, n=33).n == 33
+            assert overlap_truncate(cur, 20 * frac, n=33).n == 33
 
     def test_accepts_curve(self):
         cur = Curve(np.linspace(0.0, 100.0, 11), 10.0, 2)

@@ -8,7 +8,6 @@ from thermoseer.reconstruct import (
     ElmModel,
     build_profile_matrix,
     elm_predict,
-    elm_predict_many,
     elm_train,
     fit_layer,
     pod_decompose,
@@ -156,7 +155,7 @@ class TestElm:
         beta0 = rng.standard_normal((128, 3))
         y = h @ beta0
         elm = elm_train(delays, y, n_hidden=128, seed=11)
-        np.testing.assert_allclose(elm_predict_many(elm, delays), y, atol=1e-8)
+        np.testing.assert_allclose(elm_predict(elm, delays), y, atol=1e-8)
 
     def test_residual_matches_pseudoinverse(self):
         rng = np.random.default_rng(9)
@@ -189,11 +188,11 @@ class TestElm:
     def test_single_output_column_shape(self):
         elm = elm_train(np.linspace(1, 10, 5), np.ones((5, 1)), n_hidden=16, seed=0)
         assert elm.output_weights.shape == (16, 1)
-        assert elm_predict(elm, 3.0).shape == (1,)
+        assert elm_predict(elm, 3.0).shape == (1, 1)
 
     def test_zero_hidden_parameters_give_zero_output(self):
-        elm = ElmModel(np.zeros(8), np.zeros(8), np.ones((8, 3)), 0.0, 1.0, 0)
-        np.testing.assert_array_equal(elm_predict(elm, 123.4), np.zeros(3))
+        elm = ElmModel(np.zeros(8), np.zeros(8), np.ones((8, 3)), 0.0, 1.0)
+        np.testing.assert_array_equal(elm_predict(elm, 123.4), np.zeros((1, 3)))
 
     def test_deterministic(self):
         delays = np.linspace(1, 10, 6)

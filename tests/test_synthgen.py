@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from thermoseer.core import (
-    Curve,
     DomainError,
     PointId,
     ProcessSettings,
@@ -167,13 +166,6 @@ class TestEmulatePyrometer:
         a = emulate_pyrometer(trace, noise_sd=5.0, seed=9)
         b = emulate_pyrometer(trace, noise_sd=5.0, seed=9)
         np.testing.assert_array_equal(a.temps, b.temps)
-
-    def test_accepts_profile(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        curves = tuple(Curve(np.linspace(1450.0, 200.0, 30), 60.0, k) for k in range(1, 6))
-        out = emulate_pyrometer(Profile(pt, curves), noise_sd=0.0)
-        assert out.temps.max() == 1000.0
-        assert out.temps.min() >= 150.0
 
     def test_bad_band_rejected(self):
         pt = PointId.from_distance(1, 10.0, 8.0)
