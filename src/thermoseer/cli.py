@@ -13,9 +13,10 @@ by extension.  All writes are whole-file atomic (fsynced unique temp file
 then rename) and byte-stable: identical inputs and seeds produce
 byte-identical files.
 
-Exit codes: 0 ok, 2 config, 3 data (also a numeric failure such as a
-diverging training loss), 4 checkpoint, 5 protocol, 6 horizon.  ``generate``
-builds the walls of a multi-wall config one after another.
+Exit codes live on the error classes (``ThermoseerError.exit_code``): 0 ok,
+2 config, 3 data (also a numeric failure such as a diverging training loss,
+and an unreadable or unwritable file), 4 checkpoint, 5 protocol, 6 horizon.
+``generate`` builds the walls of a multi-wall config one after another.
 """
 
 from __future__ import annotations
@@ -35,23 +36,16 @@ import numpy as np
 from .core import (
     CheckpointError,
     ConfigError,
-    CoverageError,
     Curve,
     DomainError,
     DwellSchedule,
-    HorizonError,
-    MetricError,
-    NumericsError,
-    PairingError,
     PointId,
     ProcessSettings,
     Profile,
-    ProtocolError,
     ShapeError,
     ThermoseerError,
     WallDataset,
     mapping_features,
-    wire_deposition_rate,
 )
 from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
 from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
@@ -62,12 +56,6 @@ CHECKPOINT_FORMAT = "thermoseer-ckpt"
 DATASET_VERSION = 1
 CHECKPOINT_VERSION = 2
 CHECKPOINT_DTYPE = "<f8"
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_CHECKPOINT = 4
-EXIT_PROTOCOL = 5
-EXIT_HORIZON = 6
 
 
 # --------------------------------------------------------------------------
@@ -98,11 +86,35 @@ def _atomic_write(path: str, data: bytes | str) -> None:
         raise
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One CSV file with ``\\n`` line ends, written atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
 # --------------------------------------------------------------------------
 # dataset format
 
 
-def save_dataset(path: str, dataset: WallDataset, wall_id=1) -> None:
+def _derived_fields(dataset: WallDataset):
+    """``(profile, head, features)`` per point, ordered by (layer, point
+    index): the record fields that follow from the profile and the dataset,
+    which :func:`save_dataset` writes and :func:`load_dataset` checks."""
+    for layer in dataset.layers():
+        feats = mapping_features(dataset.settings, dataset.schedule, layer)
+        features = {"t_layer_s": feats.layer_print_time, "dwell_s": feats.dwell_of_source_layer,
+                    "dr_mm3s": feats.deposition_rate, "h_mm": feats.relative_height}
+        for index, prof in enumerate(dataset.profiles_on(layer), start=1):
+            head = {"wall_id": dataset.wall_id, "layer": layer, "point_index": index,
+                    "d_mm": prof.point.axial_distance,
+                    "t_rd_s": prof.point.relative_delay, "n": prof.n}
+            yield prof, head, features
+
+
+def save_dataset(path: str, dataset: WallDataset) -> None:
     """JSON Lines: one header record, then one record per point ordered by
     (layer, point index)."""
     buf = io.StringIO()
@@ -114,32 +126,21 @@ def save_dataset(path: str, dataset: WallDataset, wall_id=1) -> None:
         "provenance": dataset.provenance,
     }
     buf.write(json.dumps(header) + "\n")
-    for layer in dataset.layers():
-        for index, prof in enumerate(dataset.profiles_on(layer), start=1):
-            feats = mapping_features(dataset.settings, dataset.schedule, layer)
-            record = {
-                "wall_id": wall_id,
-                "layer": layer,
-                "point_index": index,
-                "d_mm": prof.point.axial_distance,
-                "t_rd_s": prof.point.relative_delay,
-                "n": prof.n,
-                "durations_s": list(prof.durations),
-                "curves": [c.temps.tolist() for c in prof.curves],
-                "features": {
-                    "t_layer_s": feats.layer_print_time,
-                    "dwell_s": feats.dwell_of_source_layer,
-                    "dr_mm3s": feats.deposition_rate,
-                    "h_mm": feats.relative_height,
-                },
-            }
-            buf.write(json.dumps(record) + "\n")
+    for prof, head, features in _derived_fields(dataset):
+        record = {
+            **head,
+            "durations_s": list(prof.durations),
+            "curves": [c.temps.tolist() for c in prof.curves],
+            "features": features,
+        }
+        buf.write(json.dumps(record) + "\n")
     _atomic_write(path, buf.getvalue())
 
 
 def load_dataset(path: str) -> WallDataset:
     """Read a dataset written by :func:`save_dataset`; every malformed file
-    raises DomainError."""
+    raises DomainError, also one whose records disagree on ``wall_id`` or
+    hold derived fields that do not follow from the rest of the file."""
     try:
         return _parse_dataset(path)
     except ThermoseerError:
@@ -163,7 +164,7 @@ def _parse_dataset(path: str) -> WallDataset:
     # a missing or unknown settings key is a TypeError
     settings = ProcessSettings(**header["settings"])
     schedule = DwellSchedule(tuple(header["schedule"]))
-    profiles = {}
+    profiles, stored = {}, {}
     for line in lines[1:]:
         rec = json.loads(line)
         point = PointId(rec["layer"], rec["d_mm"], rec["t_rd_s"])
@@ -174,7 +175,17 @@ def _parse_dataset(path: str) -> WallDataset:
             for k in range(5)
         )
         profiles[point] = Profile(point, curves)
-    return WallDataset(settings, schedule, profiles, header.get("provenance", {}))
+        stored[point] = {key: rec[key] for key in ("wall_id", "point_index", "n", "features")}
+    # the first record names the wall; the check below holds the others to it
+    wall_id = next(iter(stored.values()))["wall_id"] if stored else 1
+    dataset = WallDataset(settings, schedule, profiles, header.get("provenance", {}), wall_id)
+    for prof, head, features in _derived_fields(dataset):
+        derived = {**head, "features": features}
+        for key, value in stored[prof.point].items():
+            if value != derived[key]:
+                raise DomainError(f"{path}: point {prof.point} records {key} = {value!r}, "
+                                  f"not {derived[key]!r}")
+    return dataset
 
 
 # --------------------------------------------------------------------------
@@ -317,10 +328,12 @@ def _field_types(cls) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+# keyword arguments of generate_wall; generate_experiment_wall takes these too
+_WALL_KEYS = {"points_per_layer": int, "spacing_mm": float, "n": int}
 _EXPERIMENT_KEYS = {"jitter_mm": float, "sample_period": float, "rise_threshold": float}
 _GENERATE_KEYS = {
     "style": str, "wall_id": int,
-    "points_per_layer": int, "spacing_mm": float, "n": int,
+    **_WALL_KEYS,
     **_field_types(ProcessSettings),
     **_field_types(SynthParams),
     **_EXPERIMENT_KEYS,
@@ -352,46 +365,31 @@ def _split_wall_overrides(table: dict[str, str]):
     return shared, walls
 
 
+# the arguments ProcessSettings.build requires; other keys keep their owners' defaults
+_BUILD_DEFAULTS = {"travel_speed": 8.0, "wire_feed_rate": 3.0, "layer_length": 160.0,
+                   "layer_thickness": 1.5, "num_layers": 40}
+
+
+def _given(values: dict, keys) -> dict:
+    return {k: values[k] for k in keys if k in values}
+
+
 def _build_generation(values: dict):
+    """``(generator, settings, params, kwargs)`` of one wall's typed config
+    values; the wall is ``generator(settings, params, **kwargs)``."""
     if "seed" not in values:
         raise ConfigError("config: required key 'seed' is missing")
     style = values.get("style", "simulation")
     if style not in ("simulation", "experiment"):
         raise ConfigError(f"config: style must be simulation or experiment, got {style!r}")
-
-    travel_speed = values.get("travel_speed", 8.0)
-    wire_feed_rate = values.get("wire_feed_rate", 3.0)
-    wire_diameter = values.get("wire_diameter", 1.2)
     settings = ProcessSettings.build(
-        travel_speed=travel_speed,
-        wire_feed_rate=wire_feed_rate,
-        wire_diameter=wire_diameter,
-        layer_length=values.get("layer_length", 160.0),
-        layer_thickness=values.get("layer_thickness", 1.5),
-        num_layers=values.get("num_layers", 40),
-        interpass_target=values.get("interpass_target", 200.0),
-        layer_print_time=values.get("layer_print_time"),
-        deposition_rate=values.get(
-            "deposition_rate", wire_deposition_rate(wire_feed_rate, wire_diameter)),
-    )
-    params = SynthParams(**{k: values[k] for k in _field_types(SynthParams) if k in values})
-    extra = {}
+        **{**_BUILD_DEFAULTS, **_given(values, _field_types(ProcessSettings))})
+    params = SynthParams(**_given(values, _field_types(SynthParams)))
     if style == "experiment":
-        extra = {k: values[k] for k in _EXPERIMENT_KEYS if k in values}
-    return style, settings, params, {
-        "points_per_layer": values.get("points_per_layer", 7),
-        "n": values.get("n", 100),
-        "spacing_mm": values.get("spacing_mm"),
-        **extra,
-    }, values.get("wall_id", 1)
-
-
-def _generate_one(style, settings, params, kwargs):
-    if style == "experiment":
-        return generate_experiment_wall(settings, params, **kwargs)
-    kwargs = {k: v for k, v in kwargs.items()
-              if k in ("points_per_layer", "n", "spacing_mm")}
-    return generate_wall(settings, params, **kwargs)
+        generator, keys = generate_experiment_wall, {**_WALL_KEYS, **_EXPERIMENT_KEYS}
+    else:
+        generator, keys = generate_wall, _WALL_KEYS
+    return generator, settings, params, {"points_per_layer": 7, **_given(values, keys)}
 
 
 def cmd_generate(args) -> int:
@@ -404,16 +402,16 @@ def cmd_generate(args) -> int:
 
     plans = []
     for wall_id in wall_ids:
-        values = dict(shared)
-        values.update(_typed(wall_tables.get(wall_id, {}), _GENERATE_KEYS,
-                             f"config wall.{wall_id}"))
-        values.setdefault("wall_id", wall_id)
-        plans.append((wall_id, _build_generation(values)))
+        values = {"wall_id": wall_id, **shared,
+                  **_typed(wall_tables.get(wall_id, {}), _GENERATE_KEYS,
+                           f"config wall.{wall_id}")}
+        plans.append((wall_id, values["wall_id"], _build_generation(values)))
 
-    for wall_id, (style, settings, params, kwargs, rec_id) in plans:
-        dataset = _generate_one(style, settings, params, kwargs)
+    for wall_id, record_id, (generator, settings, params, kwargs) in plans:
+        dataset = dataclasses.replace(generator(settings, params, **kwargs),
+                                      wall_id=record_id)
         path = args.out.replace("{id}", str(wall_id))
-        save_dataset(path, dataset, wall_id=rec_id)
+        save_dataset(path, dataset)
         pairs = len(extract_curve_pairs(dataset))
         print(f"wall {wall_id}: {len(dataset.layers())} profiled layers, "
               f"{len(dataset.profiles)} points, {pairs} curve pairs -> {path}")
@@ -424,6 +422,7 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------------
 # training commands
 
+# config keys of train/finetune; each is also a flag (--batch-size for batch_size)
 _TRAIN_KEYS = {
     "epochs": int, "batch_size": int, "lr": float, "seed": int,
     "init_seed": int, "layers": str, "data": str, "out": str, "loss_csv": str,
@@ -466,31 +465,20 @@ def _load_training_data(paths, layer_spec):
     return datasets, samples
 
 
-def _write_loss_csv(path, history):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "loss"])
-    for epoch, loss in enumerate(history, start=1):
-        writer.writerow([epoch, repr(loss)])
-    _atomic_write(path, buf.getvalue())
-
-
 def _train_config(values) -> TrainConfig:
-    return TrainConfig(
-        epochs=values.get("epochs", 500),
-        batch_size=values.get("batch_size", 256),
-        initial_lr=values.get("lr", 0.001),
-        seed=values.get("seed", 0),
-    )
+    """``lr`` sets ``initial_lr``; a field whose key is not given keeps its default."""
+    fields = {"epochs": "epochs", "batch_size": "batch_size", "lr": "initial_lr", "seed": "seed"}
+    return TrainConfig(**{fields[key]: values[key] for key in fields if key in values})
 
 
 def cmd_train(args) -> int:
     """``train`` from a fresh model or ``finetune`` from ``--ckpt``; a flag
     wins over its config key."""
     values = _merge_train_options(args)
-    if "out" not in values:
-        raise ConfigError(f"{args.command}: give --out or an 'out' config key")
-    paths = values.get("data", "")
+    for key in ("out", "data"):
+        if key not in values:
+            raise ConfigError(f"{args.command}: give --{key} or a {key!r} config key")
+    paths = values["data"]
     if isinstance(paths, str):
         paths = paths.split(",")
     datasets, samples = _load_training_data(paths, values.get("layers"))
@@ -503,7 +491,8 @@ def cmd_train(args) -> int:
     trained, history = train(model, samples, config)
     save_checkpoint(values["out"], trained)
     if "loss_csv" in values:
-        _write_loss_csv(values["loss_csv"], history)
+        _write_csv(values["loss_csv"], ["epoch", "loss"],
+                   ([epoch, repr(loss)] for epoch, loss in enumerate(history, start=1)))
     print(f"{verb} on {len(samples)} curve pairs for {config.epochs} epochs "
           f"-> {values['out']}")
     return 0
@@ -522,15 +511,15 @@ def cmd_predict(args) -> int:
         {p.point: p for p in prediction.mapped_profiles},
         {"kind": "prediction", "source": args.data, "layer": args.layer,
          "checkpoint": args.ckpt},
+        wall_id=dataset.wall_id,
     )
-    save_dataset(args.out, predicted,
-                 wall_id=dataset.provenance.get("wall_id", 1))
-    timing = {
-        "map_seconds": prediction.map_seconds,
-        "reconstruct_seconds": prediction.reconstruct_seconds,
-        "total_seconds": prediction.elapsed,
-    }
+    save_dataset(args.out, predicted)
     if args.timing:
+        timing = {
+            "map_seconds": prediction.map_seconds,
+            "reconstruct_seconds": prediction.reconstruct_seconds,
+            "total_seconds": prediction.elapsed,
+        }
         _atomic_write(args.timing, json.dumps(timing) + "\n")
     print(f"predicted layer {args.layer} ({len(prediction.mapped_profiles)} points) "
           f"in {prediction.elapsed:.4f} s -> {args.out}")
@@ -556,17 +545,13 @@ def cmd_eval(args) -> int:
     _atomic_write(args.out, json.dumps(doc) + "\n")
 
     if args.csv:
-        index_of = {}
-        for layer in predicted.layers():
-            for idx, prof in enumerate(predicted.profiles_on(layer), start=1):
-                index_of[(layer, round(prof.point.axial_distance, 9))] = idx
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["layer", "point", "reop"])
+        # per_point is ordered by layer, then axial distance: a point's index
+        # is its place on its layer
+        rows, places = [], {}
         for point, value in report.per_point:
-            idx = index_of[(point.layer, round(point.axial_distance, 9))]
-            writer.writerow([point.layer, idx, repr(value)])
-        _atomic_write(args.csv, buf.getvalue())
+            places[point.layer] = places.get(point.layer, 0) + 1
+            rows.append([point.layer, places[point.layer], repr(value)])
+        _write_csv(args.csv, ["layer", "point", "reop"], rows)
 
     medians = {layer: s.median for layer, s in report.per_layer.items()}
     print(f"evaluated {len(report.per_point)} profiles; per-layer medians: {medians}")
@@ -587,14 +572,10 @@ def cmd_field(args) -> int:
     frames = [render_field(prediction, dataset.settings, dataset.schedule, t,
                            n_positions=args.positions) for t in times]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["local_time_s", "position_mm", "temp_c", "interior"])
-    for frame in frames:
-        for pos, temp, inner in zip(frame.positions, frame.temps, frame.interior):
-            writer.writerow([repr(frame.local_time), repr(float(pos)),
-                             repr(float(temp)), int(inner)])
-    _atomic_write(args.out, buf.getvalue())
+    _write_csv(args.out, ["local_time_s", "position_mm", "temp_c", "interior"],
+               ([repr(frame.local_time), repr(float(pos)), repr(float(temp)), int(inner)]
+                for frame in frames
+                for pos, temp, inner in zip(frame.positions, frame.temps, frame.interior)))
     print(f"rendered {len(frames)} field frame(s) of layer {args.layer} -> {args.out}")
     return 0
 
@@ -620,16 +601,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} the mapping model")
         if name == "finetune":
             p.add_argument("--ckpt", required=True, help="pretrained checkpoint")
-        p.add_argument("--data", nargs="+", help="dataset file(s)")
-        p.add_argument("--out", help="output checkpoint path")
-        p.add_argument("--loss-csv", dest="loss_csv", help="per-epoch loss CSV")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--init-seed", dest="init_seed", type=int)
-        p.add_argument("--layers", help="layer range START:END for curve pairs")
+        for key, kind in _TRAIN_KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           nargs="+" if key == "data" else None)
         p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict one yet-to-print layer")
@@ -661,29 +636,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_BY_ERROR = (
-    (ConfigError, EXIT_CONFIG),
-    (CheckpointError, EXIT_CHECKPOINT),
-    (HorizonError, EXIT_HORIZON),
-    (ProtocolError, EXIT_PROTOCOL),
-    ((ShapeError, DomainError, CoverageError, PairingError, MetricError, NumericsError),
-     EXIT_DATA),
-)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (ThermoseerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:
-        for errors, code in _EXIT_BY_ERROR:
-            if isinstance(exc, errors):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+        return getattr(exc, "exit_code", ThermoseerError.exit_code)  # OSError: data
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ ABSOLUTE_ZERO_C = -273.15
 
 
 class ThermoseerError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``exit_code`` is the command-line
+    exit status of the error: 3 (data) unless a subclass says otherwise."""
+
+    exit_code = 3
 
 
 class DomainError(ThermoseerError, ValueError):
@@ -32,12 +35,10 @@ class MetricError(ThermoseerError, ValueError):
     """A metric is undefined for the given operands."""
 
 
-class CoverageError(ThermoseerError, ValueError):
-    """A trace does not cover the time span an operation requires."""
-
-
 class HorizonError(ThermoseerError):
     """A query lies beyond the representable five-curve time horizon."""
+
+    exit_code = 6
 
 
 class NumericsError(ThermoseerError):
@@ -51,13 +52,19 @@ class PairingError(ThermoseerError, ValueError):
 class ProtocolError(ThermoseerError):
     """A benchmark or prediction protocol precondition is violated."""
 
+    exit_code = 5
+
 
 class ConfigError(ThermoseerError, ValueError):
     """A configuration file or flag set is invalid."""
 
+    exit_code = 2
+
 
 class CheckpointError(ThermoseerError, ValueError):
     """A checkpoint file is malformed or has an unsupported version."""
+
+    exit_code = 4
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -284,12 +291,14 @@ class MappingFeatures:
 
 @dataclass(frozen=True, eq=False)
 class WallDataset:
-    """All profiles of one generated or loaded thin wall."""
+    """All profiles of one generated or loaded thin wall; ``wall_id`` names
+    the wall in the records of its dataset file."""
 
     settings: ProcessSettings
     schedule: DwellSchedule
     profiles: dict[PointId, Profile]
     provenance: dict = field(default_factory=dict)
+    wall_id: int = 1
 
     def __post_init__(self) -> None:
         if len(self.schedule) != self.settings.num_layers:

@@ -15,6 +15,8 @@ import numpy as np
 from .core import Curve, DomainError, ShapeError
 from .synthgen import RawTrace
 
+MIN_RISE_SEPARATION_S = 5.0  # see split_experiment
+
 
 @dataclass(frozen=True, eq=False)
 class Segment:
@@ -22,7 +24,6 @@ class Segment:
 
     times: np.ndarray
     temps: np.ndarray
-    index: int = 1
 
     def __post_init__(self) -> None:
         times = np.ascontiguousarray(self.times, dtype=np.float64)
@@ -44,23 +45,22 @@ class Segment:
         return float(self.times[-1] - self.times[0])
 
 
-def split_experiment(trace: RawTrace, rise_threshold: float = 50.0,
-                     min_separation: float = 5.0) -> list[Segment]:
+def split_experiment(trace: RawTrace, rise_threshold: float = 50.0) -> list[Segment]:
     """Split a trace immediately before each sharp rise.
 
     A maximal run of consecutive forward differences above ``rise_threshold``
-    counts as one rise event, and rises closer than ``min_separation``
-    seconds to the previous one are treated as the same deposition event
-    (noise can briefly dip a rise below the threshold; true rises are at
-    least one print cycle apart).  A trace with no rise comes back as a
-    single segment."""
+    counts as one rise event, and rises closer than
+    :data:`MIN_RISE_SEPARATION_S` to the previous one are treated as the same
+    deposition event (noise can briefly dip a rise below the threshold; true
+    rises are at least one print cycle apart).  A trace with no rise comes
+    back as a single segment."""
     if rise_threshold <= 0.0:
         raise DomainError(f"rise_threshold must be positive, got {rise_threshold!r}")
     steep = np.diff(trace.temps) > rise_threshold
     starts = np.flatnonzero(steep & ~np.concatenate([[False], steep[:-1]]))
     kept = []
     for i in starts:
-        if not kept or (i + 1 - kept[-1]) * trace.sample_period >= min_separation:
+        if not kept or (i + 1 - kept[-1]) * trace.sample_period >= MIN_RISE_SEPARATION_S:
             kept.append(int(i) + 1)
     cuts = [0] + kept + [trace.times.size]
     cuts = sorted(set(c for c in cuts if 0 <= c <= trace.times.size))
@@ -68,17 +68,15 @@ def split_experiment(trace: RawTrace, rise_threshold: float = 50.0,
         cuts = [0] + cuts
 
     segments = []
-    index = 1
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1:
             continue
         times = trace.times[lo:hi] - trace.times[lo]
-        segments.append(Segment(times, trace.temps[lo:hi], index=index))
-        index += 1
+        segments.append(Segment(times, trace.temps[lo:hi]))
     return segments
 
 
-def resample(segment: Segment, n: int, curve_index: int | None = None) -> Curve:
+def resample(segment: Segment, n: int, curve_index: int = 1) -> Curve:
     """Evenly resample a segment to ``n`` temperatures over [0, duration] with
     linear interpolation; the segment endpoints are preserved exactly."""
     if len(segment) < 2:
@@ -89,8 +87,7 @@ def resample(segment: Segment, n: int, curve_index: int | None = None) -> Curve:
         raise DomainError("segment duration is degenerate")
     grid = np.linspace(segment.times[0], segment.times[-1], n)
     temps = np.interp(grid, segment.times, segment.temps)
-    return Curve(temps, segment.duration,
-                 segment.index if curve_index is None else curve_index)
+    return Curve(temps, segment.duration, curve_index)
 
 
 def overlap_truncate(upper: Curve, lower_duration: float,

@@ -227,17 +227,14 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
                     sample_period=sample_period)
 
 
-def emulate_pyrometer(trace: RawTrace, clamp_low: float = PYROMETER_CLAMP_LOW,
-                      clamp_high: float = PYROMETER_CLAMP_HIGH,
-                      noise_sd: float = 0.0, seed: int = 0) -> RawTrace:
+def emulate_pyrometer(trace: RawTrace, noise_sd: float = 0.0, seed: int = 0) -> RawTrace:
     """Pyrometer view of a trace: additive zero-mean Gaussian noise followed
-    by clamping to the instrument band."""
-    if clamp_low >= clamp_high:
-        raise DomainError(f"clamp_low {clamp_low} must be below clamp_high {clamp_high}")
+    by clamping to the instrument band [PYROMETER_CLAMP_LOW,
+    PYROMETER_CLAMP_HIGH]."""
     temps = trace.temps.copy()
     if noise_sd > 0.0:
         temps += np.random.default_rng(seed).normal(0.0, noise_sd, size=temps.shape)
-    np.clip(temps, clamp_low, clamp_high, out=temps)
+    np.clip(temps, PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH, out=temps)
     return RawTrace(times=trace.times, temps=temps, point=trace.point,
                     sample_period=trace.sample_period)
 
@@ -299,9 +296,7 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                              spacing_mm: float | None = None,
                              jitter_mm: float = 2.0,
                              sample_period: float = 0.5,
-                             rise_threshold: float = 50.0,
-                             clamp_low: float = PYROMETER_CLAMP_LOW,
-                             clamp_high: float = PYROMETER_CLAMP_HIGH) -> WallDataset:
+                             rise_threshold: float = 50.0) -> WallDataset:
     """Experiment-style dataset: each point's oracle trace is evaluated at a
     jittered location (manual pyrometer placement), passed through the
     pyrometer emulator, split at sharp rises, and resampled.  Recorded point
@@ -324,8 +319,7 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
             true_point = PointId.from_distance(layer, true_d, settings.travel_speed)
             trace = point_trace(params, settings, schedule, true_point,
                                 sample_period=sample_period, lead_in=5.0)
-            seen = emulate_pyrometer(trace, clamp_low, clamp_high,
-                                     noise_sd=params.noise_sd,
+            seen = emulate_pyrometer(trace, noise_sd=params.noise_sd,
                                      seed=int(rng.integers(2 ** 31)))
             segments = split_experiment(seen, rise_threshold)
             if len(segments) < CURVES_PER_PROFILE + 1:
@@ -352,6 +346,6 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
         "jitter_mm": jitter_mm,
         "sample_period": sample_period,
         "rise_threshold": rise_threshold,
-        "clamp": [clamp_low, clamp_high],
+        "clamp": [PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH],
     }
     return WallDataset(settings, schedule, profiles, provenance)

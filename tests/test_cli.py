@@ -9,6 +9,8 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
+import thermoseer
+from thermoseer import cli
 from thermoseer.cli import (
     _atomic_write,
     load_checkpoint,
@@ -289,6 +291,20 @@ class TestMalformedDatasetExit3:
         assert eval_with(_duplicate_line(dataset_bytes, 5)) == 3
         assert "listed twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("n", 7), ("point_index", 99), ("wall_id", 42),
+                                            ("features", {"dwell_s": -5.0})],
+                             ids=["n", "point_index", "wall_id", "features"])
+    def test_derived_field_that_does_not_follow(self, dataset_bytes, eval_with, capsys,
+                                                key, value):
+        # one record's n, point_index, wall_id or features block edited
+        assert eval_with(dataset_bytes) == 0
+        lines = dataset_bytes.splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record[key] = {**record[key], **value} if key == "features" else value
+        lines[3] = json.dumps(record).encode() + b"\n"
+        assert eval_with(b"".join(lines)) == 3
+        assert f"records {key} = " in capsys.readouterr().err
+
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(kind=st.sampled_from(["cut", "flip", "duplicate"]),
                       frac=st.floats(0.0, 1.0, exclude_max=True),
@@ -409,6 +425,21 @@ class TestGenerate:
         two = load_dataset(str(tmp_path / "w2.jsonl"))
         assert one.settings.travel_speed == 8.0
         assert two.settings.travel_speed == 15.0
+
+    def test_prediction_keeps_the_wall_id(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("seed = 3\nnum_layers = 12\npoints_per_layer = 2\nn = 20\n"
+                       "wall.1.style = simulation\nwall.2.style = experiment\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path / "w{id}.jsonl")) == 0
+        assert load_dataset(str(tmp_path / "w2.jsonl")).wall_id == 2
+        ckpt, pred = str(tmp_path / "m.ckpt"), tmp_path / "pred.jsonl"
+        assert run_cli("train", "--data", str(tmp_path / "w1.jsonl"), "--out", ckpt,
+                       "--epochs", "1", "--batch-size", "32") == 0
+        assert run_cli("predict", "--ckpt", ckpt, "--data", str(tmp_path / "w2.jsonl"),
+                       "--layer", "6", "--out", str(pred)) == 0
+        records = [json.loads(line) for line in pred.read_text().splitlines()[1:]]
+        assert [r["wall_id"] for r in records] == [2, 2]
 
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -566,9 +597,40 @@ class TestTrainPredictEvalField:
         assert run_cli("train", "--data", dataset_path, "--config", str(cfg)) == 2
         assert sorted(os.listdir(tmp_path)) == ["train.cfg", "wall.jsonl"]
 
+    def test_no_data_exit_2(self, tmp_path, capsys):
+        assert run_cli("train", "--out", str(tmp_path / "x.ckpt"), "--epochs", "0") == 2
+        assert "give --data" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_finetune_n_mismatch_exit_3(self, tmp_path, dataset_path):
         ckpt = tmp_path / "n8.ckpt"
         save_checkpoint(str(ckpt), init_model(8, seed=0))
         assert run_cli("finetune", "--ckpt", str(ckpt), "--data", dataset_path,
                        "--out", str(tmp_path / "t.ckpt"), "--epochs", "1") == 3
         assert not (tmp_path / "t.ckpt").exists()
+
+
+class TestExitCodes:
+    DOCUMENTED = {"ConfigError": 2, "CheckpointError": 4, "ProtocolError": 5,
+                  "HorizonError": 6}
+
+    @staticmethod
+    def _eval_raising(monkeypatch, exc):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        return run_cli("eval", "--pred", "p.jsonl", "--truth", "t.jsonl", "--out", "r.json")
+
+    def test_every_exported_error_class(self, monkeypatch, capsys):
+        errors = [obj for obj in (getattr(thermoseer, name) for name in thermoseer.__all__)
+                  if isinstance(obj, type) and issubclass(obj, thermoseer.ThermoseerError)]
+        assert set(self.DOCUMENTED) < {e.__name__ for e in errors}
+        for error in errors:
+            code = self._eval_raising(monkeypatch, error("boom"))
+            assert code == self.DOCUMENTED.get(error.__name__, 3), error.__name__
+            assert capsys.readouterr().err == "error: boom\n"
+
+    def test_os_error_is_3_and_any_other_error_raises(self, monkeypatch):
+        assert self._eval_raising(monkeypatch, FileNotFoundError("gone")) == 3
+        with pytest.raises(RuntimeError):
+            self._eval_raising(monkeypatch, RuntimeError("bug"))

@@ -1,7 +1,9 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from thermoseer.core import (
     Curve,
@@ -62,6 +64,25 @@ class TestDepositionTime:
                     - deposition_time(schedule, settings, layer, d)
                 want = settings.layer_print_time + schedule.for_layer(layer)
                 assert delta == pytest.approx(want, abs=1e-9)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(num_layers=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
+                      data=st.data())
+    def test_layer_difference_identity_property(self, num_layers, seed, data):
+        # over random settings, schedules, layers and distances: moving up one
+        # layer at a fixed distance adds one print time plus that layer's dwell
+        rng = np.random.default_rng(seed)
+        travel_speed, layer_length = rng.uniform(1.0, 30.0), rng.uniform(10.0, 500.0)
+        settings = ProcessSettings.build(
+            travel_speed, 3.0, layer_length, rng.uniform(0.5, 3.0), num_layers,
+            layer_print_time=layer_length / travel_speed + rng.uniform(0.0, 10.0))
+        schedule = DwellSchedule(tuple(rng.uniform(0.0, 500.0, size=num_layers)))
+        layer = data.draw(st.integers(1, num_layers - 1))
+        d = data.draw(st.floats(0.0, layer_length))
+        delta = deposition_time(schedule, settings, layer + 1, d) \
+            - deposition_time(schedule, settings, layer, d)
+        want = settings.layer_print_time + schedule.for_layer(layer)
+        assert delta == pytest.approx(want, abs=1e-9)
 
     def test_strictly_increasing(self, settings, schedule):
         assert deposition_time(schedule, settings, 3, 10.0) < deposition_time(schedule, settings, 3, 11.0)
@@ -154,6 +175,25 @@ class TestReop:
                     Curve(c.temps * alpha, c.duration, c.curve_index) for c in truth.curves
                 ))
                 assert reop(pred, truth) == pytest.approx(abs(alpha - 1.0), abs=1e-12)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
+                      alpha=st.floats(0.01, 10.0), c=st.floats(0.01, 100.0))
+    def test_scaling_properties(self, n, seed, alpha, c):
+        # REOP(alpha T, T) = |alpha - 1|, and REOP is invariant to scaling
+        # both operands by c; the prediction stays 1-50% off the truth so the
+        # difference p - t carries no cancellation error
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(20.0, 1500.0, size=(5, n))
+        p = t * (1.0 + rng.choice([-1.0, 1.0], size=t.shape) * rng.uniform(0.01, 0.5, size=t.shape))
+
+        def profile(temps):
+            point = PointId.from_distance(3, 40.0, 8.0)
+            return Profile(point, tuple(Curve(temps[k], 50.0, k + 1) for k in range(5)))
+
+        assert abs(reop(profile(alpha * t), profile(t)) - abs(alpha - 1.0)) <= 1e-12
+        base = reop(profile(p), profile(t))
+        assert abs(reop(profile(c * p), profile(c * t)) - base) <= 1e-12 * base
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -52,7 +52,7 @@ class TestSplitExperiment:
         # a rise whose middle difference dips below the threshold still cuts
         # only once: the second run starts within the refractory separation
         temps = np.array([300.0, 295, 290, 420, 510, 650, 780, 775, 770, 765])
-        segs = split_experiment(make_trace(temps), 100.0, min_separation=5.0)
+        segs = split_experiment(make_trace(temps), 100.0)
         assert len(segs) == 2
         assert len(segs[0]) == 3
 

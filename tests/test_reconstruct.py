@@ -1,7 +1,9 @@
 import time
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from thermoseer.core import Curve, DomainError, PointId, Profile, ShapeError, reop
 from thermoseer.reconstruct import (
@@ -126,6 +128,22 @@ class TestPodDecompose:
             assert prefix[m_star - 1] >= threshold - 1e-12
             if m_star > 1:
                 assert prefix[m_star - 2] < threshold
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(rows=st.integers(2, 80), cols=st.integers(1, 12),
+                      seed=st.integers(0, 2 ** 32 - 1), threshold=st.floats(0.05, 1.0))
+    def test_energy_bound_property(self, rows, cols, seed, threshold):
+        # m* modes keep at least the threshold's share of the energy, both by
+        # the singular values and by the reconstruction; m* - 1 modes keep less
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 10.0, size=cols)
+        basis, coeffs, m_star, s = pod_decompose(matrix, threshold)
+        share = np.sum(s[:m_star] ** 2) / np.sum(s ** 2)
+        assert share >= threshold - 1e-12
+        kept = 1.0 - (np.linalg.norm(matrix - basis @ coeffs.T) / np.linalg.norm(matrix)) ** 2
+        assert kept >= threshold - 1e-9
+        if m_star > 1:
+            assert np.sum(s[:m_star - 1] ** 2) / np.sum(s ** 2) < threshold
 
     def test_orthonormal_basis(self):
         rng = np.random.default_rng(7)

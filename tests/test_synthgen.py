@@ -167,12 +167,6 @@ class TestEmulatePyrometer:
         b = emulate_pyrometer(trace, noise_sd=5.0, seed=9)
         np.testing.assert_array_equal(a.temps, b.temps)
 
-    def test_bad_band_rejected(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        trace = RawTrace(np.arange(3) * 0.1, np.full(3, 500.0), pt, 0.1)
-        with pytest.raises(DomainError):
-            emulate_pyrometer(trace, clamp_low=1000.0, clamp_high=150.0)
-
 
 class TestPointTrace:
     def test_spans_five_cycles(self, settings, params):
