@@ -5,13 +5,15 @@ Subcommands: ``generate`` (synthetic wall datasets), ``train`` / ``finetune``
 yet-to-print layer plus timing), ``eval`` (REOP report plus boxplot CSV),
 and ``field`` (layer temperature-field CSV).
 
-Datasets are JSON Lines with a header record.  A checkpoint (format version
-2) is one UTF-8 JSON header line ended by ``\\n`` followed by one raw blob of
-``8 * param_count`` bytes: the little-endian float64 values of ``w1, b1, ...,
-w6, b6``, each weight matrix row-major.  Files are recognised by content, not
-by extension.  All writes are whole-file atomic (fsynced unique temp file
-then rename) and byte-stable: identical inputs and seeds produce
-byte-identical files.
+Datasets (format version 2) and checkpoints (format version 3) share one
+container: a UTF-8 JSON header line ended by ``\\n`` within the first MiB,
+then one raw blob of little-endian float64 values whose count the header
+implies.  A dataset row holds one point (layer, axial distance, five curve
+durations, five curves); the checkpoint blob is the mapping net's parameter
+vector.  Nothing that follows from the rest of a file is stored.  Files are
+recognised by content, not by extension.  All writes are whole-file atomic
+(fsynced unique temp file then rename) and byte-stable: identical inputs and
+seeds produce byte-identical files.
 
 Exit codes live on the error classes (``ThermoseerError.exit_code``): 0 ok,
 2 config, 3 data (also a numeric failure such as a diverging training loss,
@@ -26,6 +28,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import typing
@@ -34,6 +37,7 @@ import uuid
 import numpy as np
 
 from .core import (
+    CURVES_PER_PROFILE,
     CheckpointError,
     ConfigError,
     Curve,
@@ -45,17 +49,18 @@ from .core import (
     ShapeError,
     ThermoseerError,
     WallDataset,
-    mapping_features,
 )
 from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
 from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
 from .synthgen import SynthParams, generate_experiment_wall, generate_wall
 
-DATASET_FORMAT = "thermoseer-dataset"
-CHECKPOINT_FORMAT = "thermoseer-ckpt"
-DATASET_VERSION = 1
-CHECKPOINT_VERSION = 2
-CHECKPOINT_DTYPE = "<f8"
+PAYLOAD_DTYPE = "<f8"
+HEADER_LINE_LIMIT = 1 << 20  # a header line's "\n" comes within this many bytes
+# kind of file -> (format name, version, error class of a malformed file)
+_CONTAINERS = {
+    "dataset": ("thermoseer-dataset", 2, DomainError),
+    "checkpoint": ("thermoseer-ckpt", 3, CheckpointError),
+}
 
 
 # --------------------------------------------------------------------------
@@ -96,96 +101,124 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 # --------------------------------------------------------------------------
+# file container: one JSON header line plus one raw float64 payload
+
+
+def _header_key(table: dict, key: str, kind, path: str, error=CheckpointError):
+    """``table[key]`` if it is an instance of ``kind`` (never a bool unless
+    ``kind`` is bool), else ``error``."""
+    value = table.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise error(f"{path}: header key {key!r} is missing or mistyped")
+    return value
+
+
+def _write_container(path: str, kind: str, header: dict, values: np.ndarray) -> None:
+    """One UTF-8 JSON header line (``format``, ``version`` and ``dtype`` of
+    ``kind``, then ``header``) ended by ``\\n``, then ``values`` as raw
+    little-endian float64.  A header that :func:`_read_container` would
+    reject for its length is refused, so every written file reads back."""
+    fmt, version, error = _CONTAINERS[kind]
+    line = json.dumps({"format": fmt, "version": version, "dtype": PAYLOAD_DTYPE,
+                       **header}).encode("utf-8")
+    if len(line) >= HEADER_LINE_LIMIT:
+        raise error(f"{path}: {kind} header of {len(line)} bytes exceeds "
+                    f"{HEADER_LINE_LIMIT - 1}")
+    _atomic_write(path, line + b"\n" + values.astype(PAYLOAD_DTYPE, copy=False).tobytes())
+
+
+def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
+    """``(header, values)`` of a file :func:`_write_container` wrote, where
+    ``shape_of(header)`` is the payload shape the header implies; ``values``
+    is an aligned, writable, finite float64 array.  Every malformed file
+    raises the error class of ``kind``."""
+    fmt, version, error = _CONTAINERS[kind]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n", 0, HEADER_LINE_LIMIT)
+    if end < 0:
+        raise error(f"{path}: no header line in the first {HEADER_LINE_LIMIT} bytes")
+    try:
+        header = json.loads(data[:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise error(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise error(f"{path}: not a {fmt} file")
+    if header.get("version") != version:
+        raise error(f"{path}: unsupported {kind} version {header.get('version')}")
+    if _header_key(header, "dtype", str, path, error) != PAYLOAD_DTYPE:
+        raise error(f"{path}: dtype must be {PAYLOAD_DTYPE!r}, got {header['dtype']!r}")
+    shape = shape_of(header)
+    payload = memoryview(data)[end + 1:]
+    if min(shape) < 0 or len(payload) != 8 * math.prod(shape):
+        raise error(f"{path}: payload holds {len(payload)} bytes, the header "
+                    f"implies {PAYLOAD_DTYPE} values of shape {shape}")
+    # astype copies into an aligned, writable, native-order array
+    values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(values)):
+        raise error(f"{path}: payload holds non-finite values")
+    return header, values
+
+
+# --------------------------------------------------------------------------
 # dataset format
 
-
-def _derived_fields(dataset: WallDataset):
-    """``(profile, head, features)`` per point, ordered by (layer, point
-    index): the record fields that follow from the profile and the dataset,
-    which :func:`save_dataset` writes and :func:`load_dataset` checks."""
-    for layer in dataset.layers():
-        feats = mapping_features(dataset.settings, dataset.schedule, layer)
-        features = {"t_layer_s": feats.layer_print_time, "dwell_s": feats.dwell_of_source_layer,
-                    "dr_mm3s": feats.deposition_rate, "h_mm": feats.relative_height}
-        for index, prof in enumerate(dataset.profiles_on(layer), start=1):
-            head = {"wall_id": dataset.wall_id, "layer": layer, "point_index": index,
-                    "d_mm": prof.point.axial_distance,
-                    "t_rd_s": prof.point.relative_delay, "n": prof.n}
-            yield prof, head, features
+_ROW_HEAD = 2 + CURVES_PER_PROFILE  # a row's layer, d_mm and five durations
 
 
 def save_dataset(path: str, dataset: WallDataset) -> None:
-    """JSON Lines: one header record, then one record per point ordered by
-    (layer, point index)."""
-    buf = io.StringIO()
+    """Format version 2 of the shared container (:func:`_write_container`).
+    The header holds ``settings``, ``schedule``, ``provenance``, ``wall_id``,
+    ``n`` and ``points``.  The payload holds one row of ``7 + 5 * n`` values
+    per point, ordered by (layer, axial distance): ``layer, d_mm``, the five
+    curve durations, then the five curves' temperatures.  What follows from
+    these (relative delay, place on the layer, mapping features) is not
+    stored."""
+    profiles = [prof for layer in dataset.layers() for prof in dataset.profiles_on(layer)]
+    rows = np.empty((len(profiles), _ROW_HEAD + CURVES_PER_PROFILE * dataset.n))
+    for row, prof in zip(rows, profiles):
+        row[:2] = prof.point.layer, prof.point.axial_distance
+        row[2:_ROW_HEAD] = prof.durations
+        row[_ROW_HEAD:] = prof.stacked()
     header = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
         "settings": dataclasses.asdict(dataset.settings),
         "schedule": list(dataset.schedule.dwell),
         "provenance": dataset.provenance,
+        "wall_id": dataset.wall_id,
+        "n": dataset.n,
+        "points": len(profiles),
     }
-    buf.write(json.dumps(header) + "\n")
-    for prof, head, features in _derived_fields(dataset):
-        record = {
-            **head,
-            "durations_s": list(prof.durations),
-            "curves": [c.temps.tolist() for c in prof.curves],
-            "features": features,
-        }
-        buf.write(json.dumps(record) + "\n")
-    _atomic_write(path, buf.getvalue())
+    _write_container(path, "dataset", header, rows)
 
 
 def load_dataset(path: str) -> WallDataset:
-    """Read a dataset written by :func:`save_dataset`; every malformed file
-    raises DomainError, also one whose records disagree on ``wall_id`` or
-    hold derived fields that do not follow from the rest of the file."""
+    """Read a version-2 dataset (see :func:`save_dataset`); every malformed
+    file raises DomainError, also one that lists a point twice."""
+    header, rows = _read_container(path, "dataset", lambda header: (
+        _header_key(header, "points", int, path, DomainError),
+        _ROW_HEAD + CURVES_PER_PROFILE * _header_key(header, "n", int, path, DomainError)))
     try:
-        return _parse_dataset(path)
+        # a missing or unknown settings key is a TypeError
+        settings = ProcessSettings(**header["settings"])
+        schedule = DwellSchedule(tuple(header["schedule"]))
+        profiles = {}
+        for row in rows:
+            layer, d_mm, *durations = row[:_ROW_HEAD].tolist()
+            if layer != int(layer):
+                raise DomainError(f"{path}: layer {layer!r} is not an integer")
+            point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
+            if point in profiles:
+                raise DomainError(f"{path}: point {point} is listed twice")
+            temps = row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1)
+            profiles[point] = Profile(point, tuple(
+                Curve(temps[k], durations[k], k + 1) for k in range(CURVES_PER_PROFILE)))
+        return WallDataset(settings, schedule, profiles,
+                           _header_key(header, "provenance", dict, path, DomainError),
+                           _header_key(header, "wall_id", int, path, DomainError))
     except ThermoseerError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
-        # ValueError covers UnicodeDecodeError and JSONDecodeError; deeply
-        # nested JSON raises RecursionError
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{path}: malformed dataset: {exc!r}") from exc
-
-
-def _parse_dataset(path: str) -> WallDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise DomainError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
-        raise DomainError(f"{path}: not a {DATASET_FORMAT} file")
-    if header.get("version") != DATASET_VERSION:
-        raise DomainError(f"{path}: unsupported dataset version {header.get('version')}")
-    # a missing or unknown settings key is a TypeError
-    settings = ProcessSettings(**header["settings"])
-    schedule = DwellSchedule(tuple(header["schedule"]))
-    profiles, stored = {}, {}
-    for line in lines[1:]:
-        rec = json.loads(line)
-        point = PointId(rec["layer"], rec["d_mm"], rec["t_rd_s"])
-        if point in profiles:
-            raise DomainError(f"{path}: point {point} is listed twice")
-        curves = tuple(
-            Curve(np.array(rec["curves"][k]), rec["durations_s"][k], k + 1)
-            for k in range(5)
-        )
-        profiles[point] = Profile(point, curves)
-        stored[point] = {key: rec[key] for key in ("wall_id", "point_index", "n", "features")}
-    # the first record names the wall; the check below holds the others to it
-    wall_id = next(iter(stored.values()))["wall_id"] if stored else 1
-    dataset = WallDataset(settings, schedule, profiles, header.get("provenance", {}), wall_id)
-    for prof, head, features in _derived_fields(dataset):
-        derived = {**head, "features": features}
-        for key, value in stored[prof.point].items():
-            if value != derived[key]:
-                raise DomainError(f"{path}: point {prof.point} records {key} = {value!r}, "
-                                  f"not {derived[key]!r}")
-    return dataset
 
 
 # --------------------------------------------------------------------------
@@ -193,23 +226,18 @@ def _parse_dataset(path: str) -> WallDataset:
 
 
 def save_checkpoint(path: str, model: MappingModel) -> None:
-    """Format version 2: one UTF-8 JSON header line ended by ``\\n``, then
-    exactly ``8 * param_count`` bytes of little-endian float64.
-
-    The header holds ``format``, ``version``, ``n``, ``layer_widths``,
-    ``dtype`` (``"<f8"``), ``param_count``, ``scaler``, ``seeds`` and
-    ``training_meta``.  The payload holds ``w1, b1, ..., w6, b6`` back to
-    back; each weight matrix is row-major, so entry [i, j] (input i to
-    output j) sits at offset i * fan_out + j within its block."""
+    """Format version 3 of the shared container (:func:`_write_container`).
+    The header holds ``n``, ``layer_widths``, ``param_count``, ``scaler``
+    (``feature_mean``, ``feature_std``, ``fitted``), ``seeds`` and
+    ``training_meta``.  The payload is the ``param_count`` values of ``w1,
+    b1, ..., w6, b6`` back to back; each weight matrix is row-major, so
+    entry [i, j] (input i to output j) sits at offset i * fan_out + j within
+    its block."""
     header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
         "n": model.n,
         "layer_widths": layer_dims(model.n)[1:],
-        "dtype": CHECKPOINT_DTYPE,
         "param_count": param_count(model),
         "scaler": {
-            "temp_scale": model.temp_scale,
             "feature_mean": model.feature_mean.tolist(),
             "feature_std": model.feature_std.tolist(),
             "fitted": model.scaler_fitted,
@@ -217,17 +245,7 @@ def save_checkpoint(path: str, model: MappingModel) -> None:
         "seeds": {"init": model.seed},
         "training_meta": model.training_meta,
     }
-    payload = model.params.astype(CHECKPOINT_DTYPE, copy=False).tobytes()
-    _atomic_write(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
-
-
-def _header_key(table: dict, key: str, kind, path: str):
-    """``table[key]`` if it is an instance of ``kind`` (never a bool unless
-    ``kind`` is bool), else a CheckpointError."""
-    value = table.get(key)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise CheckpointError(f"{path}: header key {key!r} is missing or mistyped")
-    return value
+    _write_container(path, "checkpoint", header, model.params)
 
 
 def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
@@ -242,61 +260,30 @@ def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
 
 
 def load_checkpoint(path: str) -> MappingModel:
-    """Read a version-2 checkpoint (see :func:`save_checkpoint`).  The
+    """Read a version-3 checkpoint (see :func:`save_checkpoint`).  The
     payload becomes the model's writable float64 ``params`` vector; every
     malformed file raises CheckpointError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
-    if end < 0:
-        raise CheckpointError(f"{path}: no header line")
-    try:
-        header = json.loads(data[:end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {header.get('version')}"
-        )
+    header, flat = _read_container(
+        path, "checkpoint", lambda header: (_header_key(header, "param_count", int, path),))
     n = _header_key(header, "n", int, path)
     if n < 2:
         raise CheckpointError(f"{path}: n must be >= 2, got {n}")
     if _header_key(header, "layer_widths", list, path) != layer_dims(n)[1:]:
         raise CheckpointError(f"{path}: layer widths do not match N={n}")
-    if _header_key(header, "dtype", str, path) != CHECKPOINT_DTYPE:
-        raise CheckpointError(f"{path}: dtype must be {CHECKPOINT_DTYPE!r}, "
-                              f"got {header['dtype']!r}")
-    count = _header_key(header, "param_count", int, path)
     scaler = _header_key(header, "scaler", dict, path)
     feature_mean = _header_vector(scaler, "feature_mean", path)
     feature_std = _header_vector(scaler, "feature_std", path)
-    temp_scale = _header_key(scaler, "temp_scale", float, path)
-    if not (np.all(feature_std > 0.0) and np.isfinite(temp_scale) and temp_scale > 0.0):
-        raise CheckpointError(f"{path}: scaler scales must be positive and finite")
-    fitted = _header_key(scaler, "fitted", bool, path)
-    seed = _header_key(_header_key(header, "seeds", dict, path), "init", int, path)
-    training_meta = _header_key(header, "training_meta", dict, path)
-
-    payload = memoryview(data)[end + 1:]
-    if len(payload) != 8 * count:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
-                              f"expected {8 * count}")
-    # astype copies into an aligned, writable, native-order vector
-    flat = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE).astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise CheckpointError(f"{path}: payload holds non-finite values")
+    if not np.all(feature_std > 0.0):
+        raise CheckpointError(f"{path}: scaler feature_std must be positive")
     try:
         return MappingModel(
             n=n,
             params=flat,
             feature_mean=feature_mean,
             feature_std=feature_std,
-            scaler_fitted=fitted,
-            seed=seed,
-            temp_scale=temp_scale,
-            training_meta=training_meta,
+            scaler_fitted=_header_key(scaler, "fitted", bool, path),
+            seed=_header_key(_header_key(header, "seeds", dict, path), "init", int, path),
+            training_meta=_header_key(header, "training_meta", dict, path),
         )
     except ShapeError as exc:  # param_count does not fit N
         raise CheckpointError(f"{path}: {exc}") from exc
@@ -399,6 +386,9 @@ def cmd_generate(args) -> int:
     wall_ids = sorted(wall_tables) or [shared.get("wall_id", 1)]
     if len(wall_ids) > 1 and "{id}" not in args.out:
         raise ConfigError("config defines multiple walls: --out needs an {id} placeholder")
+    if len(wall_ids) > 1 and "wall_id" in shared:
+        raise ConfigError("config defines multiple walls: a shared 'wall_id' key "
+                          "would give them all one id")
 
     plans = []
     for wall_id in wall_ids:

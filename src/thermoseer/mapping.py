@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Curve, DomainError, MappingFeatures, NumericsError, ShapeError
+from .core import ABSOLUTE_ZERO_C, Curve, DomainError, MappingFeatures, NumericsError, ShapeError
 
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
@@ -74,7 +74,6 @@ class MappingModel:
     feature_std: np.ndarray
     scaler_fitted: bool
     seed: int
-    temp_scale: float = TEMP_SCALE
     training_meta: dict = field(default_factory=dict)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
@@ -188,7 +187,7 @@ def _net_forward(model: MappingModel, x: np.ndarray,
 def _assemble_input(model: MappingModel, temps: np.ndarray,
                     features: np.ndarray) -> np.ndarray:
     return np.concatenate(
-        [temps / model.temp_scale, _scale_features(model, features)], axis=-1
+        [temps / TEMP_SCALE, _scale_features(model, features)], axis=-1
     )
 
 
@@ -212,12 +211,14 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
         raise DomainError("inputs must be finite")
     x = _assemble_input(model, temps, features)
     out, _, _ = _net_forward(model, x)
-    return out * model.temp_scale + temps
+    return out * TEMP_SCALE + temps
 
 
 def forward_many(model: MappingModel, curves: list[Curve],
                  features: list[MappingFeatures]) -> list[Curve]:
-    """Batched inference over many curves in one matrix pass."""
+    """Batched inference over many curves in one matrix pass.  Output that
+    is not finite or at or below absolute zero is the model's fault (say, a
+    diverged training run) and raises NumericsError."""
     if len(curves) != len(features):
         raise ShapeError("curves and features must pair up one-to-one")
     if not curves:
@@ -226,7 +227,11 @@ def forward_many(model: MappingModel, curves: list[Curve],
         raise ShapeError(f"all curves must have N={model.n}")
     temps = np.stack([c.temps for c in curves])
     feats = np.stack([f.as_array() for f in features])
-    preds = forward_raw(model, temps, feats)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        preds = forward_raw(model, temps, feats)
+    if not (np.all(np.isfinite(preds)) and np.all(preds > ABSOLUTE_ZERO_C)):
+        raise NumericsError("the mapping model predicts non-finite temperatures or "
+                            "temperatures at or below absolute zero; retrain it")
     return [
         Curve(preds[i], curves[i].duration, curves[i].curve_index)
         for i in range(len(curves))
@@ -239,7 +244,7 @@ def _training_matrices(model: MappingModel, samples: list[CurvePairSample]):
     targets = np.stack([s.target_partial.temps for s in samples])
     x = _assemble_input(model, temps, feats)
     # regression target of the network: the scaled residual correction
-    r = (targets - temps) / model.temp_scale
+    r = (targets - temps) / TEMP_SCALE
     return x, r
 
 

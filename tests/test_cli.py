@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import stat
@@ -54,14 +55,14 @@ def run_cli(*argv):
 
 class TestDatasetRoundTrip:
     def test_byte_identical_resave(self, tmp_path, small_wall):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
+        a = tmp_path / "a.tsd"
+        b = tmp_path / "b.tsd"
         save_dataset(str(a), small_wall)
         save_dataset(str(b), load_dataset(str(a)))
         assert a.read_bytes() == b.read_bytes()
 
     def test_values_preserved_exactly(self, tmp_path, small_wall):
-        path = tmp_path / "wall.jsonl"
+        path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
         loaded = load_dataset(str(path))
         assert loaded.n == small_wall.n
@@ -72,16 +73,35 @@ class TestDatasetRoundTrip:
                 assert ca.duration == cb.duration
 
     def test_header_schema(self, tmp_path, small_wall):
-        path = tmp_path / "wall.jsonl"
+        path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
-        header = json.loads(path.read_text().splitlines()[0])
+        data = path.read_bytes()
+        header_line = data[:data.index(b"\n") + 1]
+        header = json.loads(header_line)
+        assert set(header) == {"format", "version", "dtype", "settings", "schedule",
+                               "provenance", "wall_id", "n", "points"}
         assert header["format"] == "thermoseer-dataset"
-        assert header["version"] == 1
+        assert header["version"] == 2
+        assert header["dtype"] == "<f8"
         assert len(header["schedule"]) == 12
-        record = json.loads(path.read_text().splitlines()[1])
-        assert set(record) == {"wall_id", "layer", "point_index", "d_mm", "t_rd_s",
-                               "n", "durations_s", "curves", "features"}
-        assert set(record["features"]) == {"t_layer_s", "dwell_s", "dr_mm3s", "h_mm"}
+        assert (header["wall_id"], header["n"], header["points"]) == (1, 40, 21)
+        assert len(data) == len(header_line) + 8 * 21 * (7 + 5 * 40)
+
+    def test_rows_hold_layer_distance_durations_then_curves(self, tmp_path, small_wall):
+        path = tmp_path / "wall.tsd"
+        save_dataset(str(path), small_wall)
+        _, payload = _split_file(path.read_bytes())
+        rows = np.frombuffer(payload, dtype="<f8").reshape(21, 7 + 5 * 40)
+        ordered = [p for layer in small_wall.layers() for p in small_wall.profiles_on(layer)]
+        for row, prof in zip(rows, ordered):
+            assert (row[0], row[1]) == (prof.point.layer, prof.point.axial_distance)
+            assert tuple(row[2:7]) == prof.durations
+            np.testing.assert_array_equal(row[7:], prof.stacked())
+
+    def test_layers_load_as_integers(self, tmp_path, small_wall):
+        path = tmp_path / "wall.tsd"
+        save_dataset(str(path), small_wall)
+        assert all(type(point.layer) is int for point in load_dataset(str(path)).profiles)
 
 
 class TestCheckpointRoundTrip:
@@ -105,11 +125,11 @@ class TestCheckpointRoundTrip:
     def test_version_mismatch_exit_4(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), init_model(8, seed=3))
-        header, payload = _split_checkpoint(path.read_bytes())
+        header, payload = _split_file(path.read_bytes())
         header["version"] = 99
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        code = run_cli("predict", "--ckpt", str(path), "--data", "x.jsonl",
-                       "--layer", "5", "--out", str(tmp_path / "p.jsonl"))
+        code = run_cli("predict", "--ckpt", str(path), "--data", "x.tsd",
+                       "--layer", "5", "--out", str(tmp_path / "p.tsd"))
         assert code == 4
 
     def test_file_is_header_line_plus_float64_payload(self, tmp_path):
@@ -120,9 +140,10 @@ class TestCheckpointRoundTrip:
         header_line = data[:data.index(b"\n") + 1]
         assert len(data) == len(header_line) + 8 * param_count(model)
         header = json.loads(header_line)
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert header["dtype"] == "<f8"
         assert header["param_count"] == param_count(model)
+        assert set(header["scaler"]) == {"feature_mean", "feature_std", "fitted"}
         # the payload opens with w1 row-major in little-endian float64
         first = np.frombuffer(data, dtype="<f8", count=3, offset=len(header_line))
         np.testing.assert_array_equal(first, model.weights[0][0, :3])
@@ -139,14 +160,27 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(loaded.feature_mean, model.feature_mean)
         np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
         assert loaded.scaler_fitted is True
-        assert loaded.temp_scale == model.temp_scale
         assert loaded.seed == 5
         assert loaded.training_meta == model.training_meta
 
 
-def _split_checkpoint(data: bytes):
+def _split_file(data: bytes):
+    """The parsed header line and the raw payload of a checkpoint or dataset."""
     end = data.index(b"\n")
     return json.loads(data[:end]), data[end + 1:]
+
+
+def _join_file(header: dict, payload: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def _padded_header(data: bytes, line_length: int) -> bytes:
+    """``data`` with an extra header key that makes the header line (without
+    its ``\\n``) exactly ``line_length`` bytes long."""
+    header, payload = _split_file(data)
+    header["pad"] = ""
+    header["pad"] = "x" * (line_length - len(json.dumps(header)))
+    return _join_file(header, payload)
 
 
 def _v1_document(model) -> bytes:
@@ -157,7 +191,7 @@ def _v1_document(model) -> bytes:
         "layer_widths": [w.shape[1] for w in model.weights],
         "weights": [w.reshape(-1).tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "scaler": {"temp_scale": model.temp_scale,
+        "scaler": {"temp_scale": 1000.0,
                    "feature_mean": model.feature_mean.tolist(),
                    "feature_std": model.feature_std.tolist(), "fitted": False},
         "seeds": {"init": model.seed}, "training_meta": {},
@@ -180,8 +214,8 @@ def predict_with(tmp_path_factory):
     def run(data: bytes) -> int:
         path = workdir / "model.ckpt"
         path.write_bytes(data)
-        return run_cli("predict", "--ckpt", str(path), "--data", "x.jsonl",
-                       "--layer", "5", "--out", str(workdir / "p.jsonl"))
+        return run_cli("predict", "--ckpt", str(path), "--data", "x.tsd",
+                       "--layer", "5", "--out", str(workdir / "p.tsd"))
     return run
 
 
@@ -210,32 +244,33 @@ class TestMalformedCheckpointExit4:
     @pytest.mark.parametrize("key", ["n", "layer_widths", "dtype", "param_count",
                                      "scaler", "seeds", "training_meta"])
     def test_missing_key(self, checkpoint_bytes, predict_with, key):
-        header, payload = _split_checkpoint(checkpoint_bytes)
+        header, payload = _split_file(checkpoint_bytes)
         del header[key]
-        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+        assert predict_with(_join_file(header, payload)) == 4
 
     @pytest.mark.parametrize("key, value", [("n", "8"), ("n", 8.0), ("param_count", True),
                                             ("dtype", "<f4"), ("dtype", ">f8"),
                                             ("scaler", [])])
     def test_mistyped_key_or_other_dtype(self, checkpoint_bytes, predict_with, key, value):
-        header, payload = _split_checkpoint(checkpoint_bytes)
+        header, payload = _split_file(checkpoint_bytes)
         header[key] = value
-        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+        assert predict_with(_join_file(header, payload)) == 4
 
     def test_header_not_utf8_or_not_json(self, checkpoint_bytes, predict_with):
-        _, payload = _split_checkpoint(checkpoint_bytes)
+        _, payload = _split_file(checkpoint_bytes)
         assert predict_with(b"\xff\xfe{}\n" + payload) == 4
         assert predict_with(b"not json\n" + payload) == 4
         assert predict_with(b"[1, 2]\n" + payload) == 4
         assert predict_with(b"[" * 100_000 + b"\n" + payload) == 4
 
-    @pytest.mark.parametrize("key, value", [("temp_scale", 1000), ("temp_scale", 0.0),
-                                            ("feature_std", [1.0, 1.0, 1.0, 0.0]),
-                                            ("feature_mean", [0.0, 0.0, 0.0, 10 ** 400])])
+    # explicit ids keep the names these cases had before checkpoint version 3
+    @pytest.mark.parametrize("key, value", [("feature_std", [1.0, 1.0, 1.0, 0.0]),
+                                            ("feature_mean", [0.0, 0.0, 0.0, 10 ** 400])],
+                             ids=["feature_std-value2", "feature_mean-value3"])
     def test_bad_scaler(self, checkpoint_bytes, predict_with, key, value):
-        header, payload = _split_checkpoint(checkpoint_bytes)
+        header, payload = _split_file(checkpoint_bytes)
         header["scaler"][key] = value
-        assert predict_with(json.dumps(header).encode() + b"\n" + payload) == 4
+        assert predict_with(_join_file(header, payload)) == 4
 
     def test_non_finite_payload(self, checkpoint_bytes, predict_with):
         bad = bytearray(checkpoint_bytes)
@@ -244,7 +279,7 @@ class TestMalformedCheckpointExit4:
 
     def test_param_count_not_fitting_n(self, checkpoint_bytes, predict_with):
         # header and payload agree on 4 fewer parameters than N=8 needs
-        header, payload = _split_checkpoint(checkpoint_bytes)
+        header, payload = _split_file(checkpoint_bytes)
         header["param_count"] -= 4
         assert predict_with(json.dumps(header).encode() + b"\n" + payload[:-32]) == 4
 
@@ -252,12 +287,20 @@ class TestMalformedCheckpointExit4:
         assert predict_with(_v1_document(init_model(8, seed=3))) == 4
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
+    def test_header_line_ends_within_one_mib(self, checkpoint_bytes, predict_with,
+                                             tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_padded_header(checkpoint_bytes, cli.HEADER_LINE_LIMIT - 1))
+        assert load_checkpoint(str(path)).n == 8
+        assert predict_with(_padded_header(checkpoint_bytes, cli.HEADER_LINE_LIMIT)) == 4
+        assert "no header line in the first 1048576 bytes" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def dataset_bytes(tmp_path_factory):
     settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
                                      layer_print_time=20.5, deposition_rate=52.8)
-    path = tmp_path_factory.mktemp("data") / "wall.jsonl"
+    path = tmp_path_factory.mktemp("data") / "wall.tsd"
     save_dataset(str(path), generate_wall(settings, SynthParams(seed=7),
                                           points_per_layer=3, n=40))
     return path.read_bytes()
@@ -270,48 +313,38 @@ def eval_with(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("bad-data")
 
     def run(data: bytes) -> int:
-        path = workdir / "wall.jsonl"
+        path = workdir / "wall.tsd"
         path.write_bytes(data)
         return run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(workdir / "r.json"))
     return run
 
 
-def _duplicate_line(data: bytes, index: int) -> bytes:
-    """``data`` with record line ``index`` (0 is the first after the header)
-    written twice."""
-    lines = data.splitlines(keepends=True)
-    k = 1 + index % (len(lines) - 1)
-    return b"".join(lines[:k + 1] + lines[k:])
+def _duplicate_row(data: bytes, index: int) -> bytes:
+    """``data`` with payload row ``index`` (modulo the row count) written
+    twice and the header's point count raised to match."""
+    header, payload = _split_file(data)
+    width = 8 * (7 + 5 * header["n"])
+    at = (index % header["points"] + 1) * width
+    header["points"] += 1
+    return _join_file(header, payload[:at] + payload[at - width:])
 
 
 class TestMalformedDatasetExit3:
     def test_repeated_point(self, dataset_bytes, eval_with, capsys):
         assert eval_with(dataset_bytes) == 0
-        assert eval_with(_duplicate_line(dataset_bytes, 5)) == 3
+        assert eval_with(_duplicate_row(dataset_bytes, 5)) == 3
         assert "listed twice" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [("n", 7), ("point_index", 99), ("wall_id", 42),
-                                            ("features", {"dwell_s": -5.0})],
-                             ids=["n", "point_index", "wall_id", "features"])
-    def test_derived_field_that_does_not_follow(self, dataset_bytes, eval_with, capsys,
-                                                key, value):
-        # one record's n, point_index, wall_id or features block edited
-        assert eval_with(dataset_bytes) == 0
-        lines = dataset_bytes.splitlines(keepends=True)
-        record = json.loads(lines[3])
-        record[key] = {**record[key], **value} if key == "features" else value
-        lines[3] = json.dumps(record).encode() + b"\n"
-        assert eval_with(b"".join(lines)) == 3
-        assert f"records {key} = " in capsys.readouterr().err
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(kind=st.sampled_from(["cut", "flip", "duplicate"]),
+                      in_header=st.booleans(),
                       frac=st.floats(0.0, 1.0, exclude_max=True),
                       mask=st.integers(1, 255))
     def test_fuzzed_file_loads_or_exits_3(self, dataset_bytes, eval_with,
-                                          kind, frac, mask):
-        at = int(frac * len(dataset_bytes))
+                                          kind, in_header, frac, mask):
+        span = dataset_bytes.index(b"\n") + 1 if in_header else len(dataset_bytes)
+        at = int(frac * span)
         if kind == "cut":
             data = dataset_bytes[:at]
         elif kind == "flip":
@@ -319,35 +352,62 @@ class TestMalformedDatasetExit3:
             data[at] ^= mask
             data = bytes(data)
         else:
-            data = _duplicate_line(dataset_bytes, at)
+            data = _duplicate_row(dataset_bytes, at)
         assert eval_with(data) in (0, 3)
 
     @pytest.mark.parametrize("change", ["drop", "add"])
     def test_missing_or_unknown_settings_key(self, tmp_path, small_wall, change):
-        path = tmp_path / "wall.jsonl"
+        path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
-        header, *records = path.read_text().splitlines(keepends=True)
-        doc = json.loads(header)
+        header, payload = _split_file(path.read_bytes())
         if change == "drop":
-            del doc["settings"]["num_layers"]
+            del header["settings"]["num_layers"]
         else:
-            doc["settings"]["bead_width"] = 4.4
-        path.write_text(json.dumps(doc) + "\n" + "".join(records))
+            header["settings"]["bead_width"] = 4.4
+        path.write_bytes(_join_file(header, payload))
         assert run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(tmp_path / "r.json")) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("points", -1), ("points", 20), ("points", 21.0), ("n", 1), ("n", -1), ("n", True),
+        ("wall_id", "2"), ("provenance", []), ("schedule", 5), ("schedule", [1.0]),
+        ("settings", []), ("dtype", "<f4"), ("version", 1), ("format", "thermoseer-ckpt"),
+    ])
+    def test_hostile_header_value(self, dataset_bytes, eval_with, key, value):
+        header, payload = _split_file(dataset_bytes)
+        header[key] = value
+        assert eval_with(_join_file(header, payload)) == 3
+
+    @pytest.mark.parametrize("column, value", [(0, 1.5), (0, 0.0), (0, 13.0), (1, -1.0),
+                                               (1, 161.0), (2, 0.0), (7, -300.0)])
+    def test_hostile_row_value(self, dataset_bytes, eval_with, capsys, column, value):
+        # layer not integral or outside the wall, distance outside the layer,
+        # a zero duration, a temperature below absolute zero
+        header, payload = _split_file(dataset_bytes)
+        rows = np.frombuffer(payload, dtype="<f8").reshape(header["points"], -1).copy()
+        rows[4, column] = value
+        assert eval_with(_join_file(header, rows.tobytes())) == 3
+        if column == 0 and value == 1.5:
+            assert "layer 1.5 is not an integer" in capsys.readouterr().err
+
+    def test_header_line_ends_within_one_mib(self, dataset_bytes, eval_with, capsys):
+        assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT - 1)) == 0
+        assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT)) == 3
+        assert "no header line in the first 1048576 bytes" in capsys.readouterr().err
+
     def test_header_only(self, tmp_path, small_wall):
-        path = tmp_path / "wall.jsonl"
-        path.write_text('{"format": "thermoseer-dataset", "version": 1}\n')
+        path = tmp_path / "wall.tsd"
+        path.write_text('{"format": "thermoseer-dataset", "version": 2}\n')
         assert run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(tmp_path / "r.json")) == 3
         save_dataset(str(path), small_wall)
-        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        data = path.read_bytes()
+        path.write_bytes(data[:data.index(b"\n") + 1])
         assert run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(tmp_path / "r.json")) == 3
 
     def test_not_json(self, tmp_path):
-        path = tmp_path / "wall.jsonl"
+        path = tmp_path / "wall.tsd"
         path.write_text("this is not json\n")
         assert run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(tmp_path / "r.json")) == 3
@@ -357,6 +417,19 @@ class TestMalformedDatasetExit3:
         path.write_text("[" * 100_000 + "\n")
         assert run_cli("eval", "--pred", str(path), "--truth", str(path),
                        "--out", str(tmp_path / "r.json")) == 3
+
+
+class TestWriterRefusesUnreadableHeader:
+    def test_dataset_and_checkpoint(self, tmp_path, small_wall):
+        big = "x" * cli.HEADER_LINE_LIMIT
+        with pytest.raises(thermoseer.DomainError, match="header"):
+            save_dataset(str(tmp_path / "wall.tsd"),
+                         dataclasses.replace(small_wall, provenance={"note": big}))
+        model = init_model(8, seed=3)
+        model.training_meta = {"note": big}
+        with pytest.raises(thermoseer.CheckpointError, match="header"):
+            save_checkpoint(str(tmp_path / "model.ckpt"), model)
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicWrite:
@@ -388,14 +461,14 @@ class TestAtomicWrite:
 
 class TestGenerate:
     def test_writes_dataset_and_summary(self, tmp_path, config_path, capsys):
-        out = tmp_path / "wall.jsonl"
+        out = tmp_path / "wall.tsd"
         assert run_cli("generate", "--config", config_path, "--out", str(out)) == 0
         assert "curve pairs" in capsys.readouterr().out
         ds = load_dataset(str(out))
         assert ds.layers() == list(range(1, 8))
 
     def test_same_config_same_bytes(self, tmp_path, config_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a, b = tmp_path / "a.tsd", tmp_path / "b.tsd"
         run_cli("generate", "--config", config_path, "--out", str(a))
         run_cli("generate", "--config", config_path, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
@@ -404,13 +477,13 @@ class TestGenerate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("num_layers = 12\n")
         assert run_cli("generate", "--config", str(cfg),
-                       "--out", str(tmp_path / "x.jsonl")) == 2
+                       "--out", str(tmp_path / "x.tsd")) == 2
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("seed = 1\nbogus_key = 5\n")
         assert run_cli("generate", "--config", str(cfg),
-                       "--out", str(tmp_path / "x.jsonl")) == 2
+                       "--out", str(tmp_path / "x.tsd")) == 2
 
     def test_multi_wall_grid(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -420,9 +493,9 @@ class TestGenerate:
             "wall.2.travel_speed = 15\nwall.2.layer_thickness = 1.4\n"
         )
         assert run_cli("generate", "--config", str(cfg),
-                       "--out", str(tmp_path / "w{id}.jsonl")) == 0
-        one = load_dataset(str(tmp_path / "w1.jsonl"))
-        two = load_dataset(str(tmp_path / "w2.jsonl"))
+                       "--out", str(tmp_path / "w{id}.tsd")) == 0
+        one = load_dataset(str(tmp_path / "w1.tsd"))
+        two = load_dataset(str(tmp_path / "w2.tsd"))
         assert one.settings.travel_speed == 8.0
         assert two.settings.travel_speed == 15.0
 
@@ -431,27 +504,41 @@ class TestGenerate:
         cfg.write_text("seed = 3\nnum_layers = 12\npoints_per_layer = 2\nn = 20\n"
                        "wall.1.style = simulation\nwall.2.style = experiment\n")
         assert run_cli("generate", "--config", str(cfg),
-                       "--out", str(tmp_path / "w{id}.jsonl")) == 0
-        assert load_dataset(str(tmp_path / "w2.jsonl")).wall_id == 2
-        ckpt, pred = str(tmp_path / "m.ckpt"), tmp_path / "pred.jsonl"
-        assert run_cli("train", "--data", str(tmp_path / "w1.jsonl"), "--out", ckpt,
+                       "--out", str(tmp_path / "w{id}.tsd")) == 0
+        assert load_dataset(str(tmp_path / "w2.tsd")).wall_id == 2
+        ckpt, pred = str(tmp_path / "m.ckpt"), tmp_path / "pred.tsd"
+        assert run_cli("train", "--data", str(tmp_path / "w1.tsd"), "--out", ckpt,
                        "--epochs", "1", "--batch-size", "32") == 0
-        assert run_cli("predict", "--ckpt", ckpt, "--data", str(tmp_path / "w2.jsonl"),
+        assert run_cli("predict", "--ckpt", ckpt, "--data", str(tmp_path / "w2.tsd"),
                        "--layer", "6", "--out", str(pred)) == 0
-        records = [json.loads(line) for line in pred.read_text().splitlines()[1:]]
-        assert [r["wall_id"] for r in records] == [2, 2]
+        header, _ = _split_file(pred.read_bytes())
+        assert (header["wall_id"], header["points"]) == (2, 2)
+
+    def test_shared_wall_id_names_a_single_wall_only(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("seed = 3\nnum_layers = 12\npoints_per_layer = 2\nn = 20\n"
+                       "wall_id = 5\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path / "w.tsd")) == 0
+        assert load_dataset(str(tmp_path / "w.tsd")).wall_id == 5
+        cfg.write_text("seed = 3\nwall_id = 5\n"
+                       "wall.1.travel_speed = 8\nwall.2.travel_speed = 15\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path / "w{id}.tsd")) == 2
+        assert "shared 'wall_id'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["grid.cfg", "w.tsd"]
 
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("seed = 3\nwall.1.travel_speed = 8\nwall.2.travel_speed = 15\n")
         assert run_cli("generate", "--config", str(cfg),
-                       "--out", str(tmp_path / "w.jsonl")) == 2
+                       "--out", str(tmp_path / "w.tsd")) == 2
 
 
 class TestTrainPredictEvalField:
     @pytest.fixture
     def dataset_path(self, tmp_path, small_wall):
-        path = tmp_path / "wall.jsonl"
+        path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
         return str(path)
 
@@ -465,7 +552,7 @@ class TestTrainPredictEvalField:
         assert rows[0] == ["epoch", "loss"]
         assert len(rows) == 3  # header + 2 epochs
 
-        pred = str(tmp_path / "pred.jsonl")
+        pred = str(tmp_path / "pred.tsd")
         timing = str(tmp_path / "timing.json")
         assert run_cli("predict", "--ckpt", ckpt, "--data", dataset_path,
                        "--layer", "6", "--out", pred, "--timing", timing) == 0
@@ -500,6 +587,20 @@ class TestTrainPredictEvalField:
         assert "not finite" in capsys.readouterr().err
         assert not ckpt.exists() and not loss_csv.exists()
 
+    def test_non_physical_model_output_is_a_model_error(self, tmp_path, dataset_path,
+                                                       capsys):
+        model = init_model(40, seed=0)
+        model.weights[-1][...] *= 1e6  # predicts far below absolute zero
+        ckpt, pred = tmp_path / "model.ckpt", tmp_path / "pred.tsd"
+        save_checkpoint(str(ckpt), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("predict", "--ckpt", str(ckpt), "--data", dataset_path,
+                           "--layer", "6", "--out", str(pred)) == 3
+        err = capsys.readouterr().err
+        assert "mapping model predicts" in err and "curve temps" not in err
+        assert not pred.exists()
+
     def test_zero_epochs_checkpoint_equals_init(self, tmp_path, dataset_path):
         ckpt = str(tmp_path / "model.json")
         assert run_cli("train", "--data", dataset_path, "--out", ckpt,
@@ -524,7 +625,7 @@ class TestTrainPredictEvalField:
         ckpt = str(tmp_path / "model.json")
         run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0")
         assert run_cli("predict", "--ckpt", ckpt, "--data", dataset_path,
-                       "--layer", "1", "--out", str(tmp_path / "p.jsonl")) == 5
+                       "--layer", "1", "--out", str(tmp_path / "p.tsd")) == 5
 
     def test_field_beyond_horizon_exit_6(self, tmp_path, dataset_path, capsys):
         ckpt = str(tmp_path / "model.json")
@@ -539,7 +640,7 @@ class TestTrainPredictEvalField:
         settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
                                          layer_print_time=20.5, deposition_rate=52.8)
         other = generate_wall(settings, SynthParams(seed=7), points_per_layer=3, n=30)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.tsd", tmp_path / "b.tsd"
         save_dataset(str(p1), small_wall)
         save_dataset(str(p2), other)
         assert run_cli("train", "--data", str(p1), str(p2),
@@ -553,16 +654,16 @@ class TestTrainPredictEvalField:
             workdir = tmp_path / tag
             workdir.mkdir()
             monkeypatch.chdir(workdir)
-            save_dataset("wall.jsonl", small_wall)
-            run_cli("train", "--data", "wall.jsonl", "--out", "model.json",
+            save_dataset("wall.tsd", small_wall)
+            run_cli("train", "--data", "wall.tsd", "--out", "model.json",
                     "--epochs", "2", "--batch-size", "32",
                     "--seed", "4", "--init-seed", "9")
-            run_cli("predict", "--ckpt", "model.json", "--data", "wall.jsonl",
-                    "--layer", "6", "--out", "pred.jsonl")
-            run_cli("eval", "--pred", "pred.jsonl", "--truth", "wall.jsonl",
+            run_cli("predict", "--ckpt", "model.json", "--data", "wall.tsd",
+                    "--layer", "6", "--out", "pred.tsd")
+            run_cli("eval", "--pred", "pred.tsd", "--truth", "wall.tsd",
                     "--out", "report.json")
             outs.append(tuple((workdir / name).read_bytes() for name in
-                              ("wall.jsonl", "model.json", "pred.jsonl", "report.json")))
+                              ("wall.tsd", "model.json", "pred.tsd", "report.json")))
         assert outs[0] == outs[1]
 
     def test_config_twin_with_flag_override(self, tmp_path, dataset_path):
@@ -595,7 +696,7 @@ class TestTrainPredictEvalField:
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs = 0\n")
         assert run_cli("train", "--data", dataset_path, "--config", str(cfg)) == 2
-        assert sorted(os.listdir(tmp_path)) == ["train.cfg", "wall.jsonl"]
+        assert sorted(os.listdir(tmp_path)) == ["train.cfg", "wall.tsd"]
 
     def test_no_data_exit_2(self, tmp_path, capsys):
         assert run_cli("train", "--out", str(tmp_path / "x.ckpt"), "--epochs", "0") == 2
@@ -619,7 +720,7 @@ class TestExitCodes:
         def fail(args):
             raise exc
         monkeypatch.setattr(cli, "cmd_eval", fail)
-        return run_cli("eval", "--pred", "p.jsonl", "--truth", "t.jsonl", "--out", "r.json")
+        return run_cli("eval", "--pred", "p.tsd", "--truth", "t.tsd", "--out", "r.json")
 
     def test_every_exported_error_class(self, monkeypatch, capsys):
         errors = [obj for obj in (getattr(thermoseer, name) for name in thermoseer.__all__)
