@@ -193,10 +193,13 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
 
 def load_dataset(path: str) -> WallDataset:
     """Read a version-2 dataset (see :func:`save_dataset`); every malformed
-    file raises DomainError, also one that lists a point twice."""
+    file raises a data error (exit code 3) whose message names the file,
+    also one that lists a point twice."""
     header, rows = _read_container(path, "dataset", lambda header: (
         _header_key(header, "points", int, path, DomainError),
         _ROW_HEAD + CURVES_PER_PROFILE * _header_key(header, "n", int, path, DomainError)))
+    provenance = _header_key(header, "provenance", dict, path, DomainError)
+    wall_id = _header_key(header, "wall_id", int, path, DomainError)
     try:
         # a missing or unknown settings key is a TypeError
         settings = ProcessSettings(**header["settings"])
@@ -205,18 +208,16 @@ def load_dataset(path: str) -> WallDataset:
         for row in rows:
             layer, d_mm, *durations = row[:_ROW_HEAD].tolist()
             if layer != int(layer):
-                raise DomainError(f"{path}: layer {layer!r} is not an integer")
+                raise DomainError(f"layer {layer!r} is not an integer")
             point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
             if point in profiles:
-                raise DomainError(f"{path}: point {point} is listed twice")
+                raise DomainError(f"point {point} is listed twice")
             temps = row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1)
             profiles[point] = Profile(point, tuple(
                 Curve(temps[k], durations[k], k + 1) for k in range(CURVES_PER_PROFILE)))
-        return WallDataset(settings, schedule, profiles,
-                           _header_key(header, "provenance", dict, path, DomainError),
-                           _header_key(header, "wall_id", int, path, DomainError))
-    except ThermoseerError:
-        raise
+        return WallDataset(settings, schedule, profiles, provenance, wall_id)
+    except ThermoseerError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{path}: malformed dataset: {exc!r}") from exc
 
@@ -443,16 +444,11 @@ def _parse_layer_range(spec: str) -> list[int]:
 
 def _load_training_data(paths, layer_spec):
     datasets = [load_dataset(p) for p in paths]
-    sizes = {d.n for d in datasets}
-    if len(sizes) != 1:
-        raise ShapeError(f"datasets disagree on N: {sorted(sizes)}")
     layers = _parse_layer_range(layer_spec) if layer_spec else None
-    samples = []
-    for d in datasets:
-        samples.extend(extract_curve_pairs(d, layers))
-    if not samples:
+    pairs = extract_curve_pairs(datasets, layers)
+    if not len(pairs):
         raise ShapeError("no curve pairs in the given datasets/layer range")
-    return datasets, samples
+    return datasets, pairs
 
 
 def _train_config(values) -> TrainConfig:
@@ -471,19 +467,19 @@ def cmd_train(args) -> int:
     paths = values["data"]
     if isinstance(paths, str):
         paths = paths.split(",")
-    datasets, samples = _load_training_data(paths, values.get("layers"))
+    datasets, pairs = _load_training_data(paths, values.get("layers"))
     if args.command == "finetune":
         # fine-tuning is the same procedure continued from the loaded weights
         model, verb = load_checkpoint(args.ckpt), "fine-tuned"
     else:
         model, verb = init_model(datasets[0].n, seed=values.get("init_seed", 0)), "trained"
     config = _train_config(values)
-    trained, history = train(model, samples, config)
+    trained, history = train(model, pairs, config)
     save_checkpoint(values["out"], trained)
     if "loss_csv" in values:
         _write_csv(values["loss_csv"], ["epoch", "loss"],
                    ([epoch, repr(loss)] for epoch, loss in enumerate(history, start=1)))
-    print(f"{verb} on {len(samples)} curve pairs for {config.epochs} epochs "
+    print(f"{verb} on {len(pairs)} curve pairs for {config.epochs} epochs "
           f"-> {values['out']}")
     return 0
 

@@ -14,6 +14,9 @@ import numpy as np
 
 CURVES_PER_PROFILE = 5
 ABSOLUTE_ZERO_C = -273.15
+# No printed metal surface reaches this (even tungsten boils near 5600 degC),
+# so a reading at or above it is a corrupt value, not a temperature.
+MAX_TEMPERATURE_C = 1e4
 
 
 class ThermoseerError(Exception):
@@ -65,6 +68,12 @@ class CheckpointError(ThermoseerError, ValueError):
     """A checkpoint file is malformed or has an unsupported version."""
 
     exit_code = 4
+
+
+def in_temperature_range(temps: np.ndarray) -> bool:
+    """Whether every value lies strictly between ABSOLUTE_ZERO_C and
+    MAX_TEMPERATURE_C; a NaN or an infinity does not."""
+    return bool(np.all((temps > ABSOLUTE_ZERO_C) & (temps < MAX_TEMPERATURE_C)))
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -215,10 +224,9 @@ class Curve:
         temps = np.ascontiguousarray(self.temps, dtype=np.float64)
         if temps.ndim != 1 or temps.size < 2:
             raise ShapeError(f"curve temps must be a 1-D vector of >= 2 values, got shape {temps.shape}")
-        if not np.all(np.isfinite(temps)):
-            raise DomainError("curve temps contain non-finite values")
-        if np.any(temps <= ABSOLUTE_ZERO_C):
-            raise DomainError("curve temps at or below absolute zero")
+        if not in_temperature_range(temps):
+            raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
+                              f"and {MAX_TEMPERATURE_C:g} degC")
         if not math.isfinite(self.duration) or self.duration <= 0.0:
             raise DomainError(f"curve duration must be positive, got {self.duration!r}")
         if not 1 <= self.curve_index <= CURVES_PER_PROFILE:

@@ -6,7 +6,10 @@ plus four process features and outputs the N-value correction added to the
 input curve, so with zero weights the mapping is the identity.  Hidden sizes
 are 3N, 6N, 12N, 6N, 3N with ReLU activations, dropout 0.1 sits before the
 final N-output affine map, and training runs mini-batch Adam on a mean
-squared error loss over scaled temperatures.
+squared error loss over scaled temperatures.  The training set is one
+:class:`CurvePairs`: row-aligned arrays of input curves, process features
+and overlap-truncated target curves, which every training function reads
+directly.
 
 Everything is plain numpy with explicit seeds: identical seeds give
 bit-identical trained weights on one platform.
@@ -19,7 +22,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ABSOLUTE_ZERO_C, Curve, DomainError, MappingFeatures, NumericsError, ShapeError
+from .core import (
+    ABSOLUTE_ZERO_C,
+    MAX_TEMPERATURE_C,
+    Curve,
+    DomainError,
+    MappingFeatures,
+    NumericsError,
+    ShapeError,
+    in_temperature_range,
+)
 
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
@@ -122,20 +134,45 @@ class TrainConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class CurvePairSample:
-    """One supervised pair: the lower point's curve plus features, and the
-    upper point's overlap-truncated curve as the target."""
+class CurvePairs:
+    """Supervised curve pairs as three row-aligned, read-only float64
+    arrays: row i holds a lower point's curve (``inputs``, P x N), the four
+    :class:`MappingFeatures` of its source layer (``features``, P x 4) and
+    the upper point's curve truncated to the overlap (``targets``, P x N).
+    ``len(pairs)`` is P; ``pairs[rows]`` (a slice or an index array) is the
+    CurvePairs of those rows.  Values are checked as a :class:`Curve` and
+    :class:`MappingFeatures` check theirs."""
 
-    input_curve: Curve
-    features: MappingFeatures
-    target_partial: Curve
+    inputs: np.ndarray
+    features: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.input_curve.n != self.target_partial.n:
-            raise ShapeError(
-                f"input and target must share N, got {self.input_curve.n} "
-                f"vs {self.target_partial.n}"
-            )
+        inputs, features, targets = (np.ascontiguousarray(a, dtype=np.float64)
+                                     for a in (self.inputs, self.features, self.targets))
+        p, n = inputs.shape if inputs.ndim == 2 else (0, 0)
+        if n < 2 or features.shape != (p, 4) or targets.shape != (p, n):
+            raise ShapeError(f"curve pairs need inputs (P, N >= 2), features (P, 4) and "
+                             f"targets (P, N), got {inputs.shape}, {features.shape} "
+                             f"and {targets.shape}")
+        if not (in_temperature_range(inputs) and in_temperature_range(targets)):
+            raise DomainError(f"curve pair temperatures must lie strictly between "
+                              f"{ABSOLUTE_ZERO_C} and {MAX_TEMPERATURE_C:g} degC")
+        if not (np.all(np.isfinite(features)) and np.all(features >= 0.0)):
+            raise DomainError("curve pair features must be >= 0 and finite")
+        for name, array in (("inputs", inputs), ("features", features), ("targets", targets)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return self.inputs.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.inputs.shape[1]
+
+    def __getitem__(self, rows) -> "CurvePairs":
+        return CurvePairs(self.inputs[rows], self.features[rows], self.targets[rows])
 
 
 def init_model(n: int, seed: int = 0) -> MappingModel:
@@ -216,8 +253,9 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
 
 def forward_many(model: MappingModel, curves: list[Curve],
                  features: list[MappingFeatures]) -> list[Curve]:
-    """Batched inference over many curves in one matrix pass.  Output that
-    is not finite or at or below absolute zero is the model's fault (say, a
+    """Batched inference over many curves in one matrix pass.  Output outside
+    the range a :class:`Curve` accepts (not finite, at or below absolute
+    zero, at or above MAX_TEMPERATURE_C) is the model's fault (say, a
     diverged training run) and raises NumericsError."""
     if len(curves) != len(features):
         raise ShapeError("curves and features must pair up one-to-one")
@@ -229,38 +267,36 @@ def forward_many(model: MappingModel, curves: list[Curve],
     feats = np.stack([f.as_array() for f in features])
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         preds = forward_raw(model, temps, feats)
-    if not (np.all(np.isfinite(preds)) and np.all(preds > ABSOLUTE_ZERO_C)):
-        raise NumericsError("the mapping model predicts non-finite temperatures or "
-                            "temperatures at or below absolute zero; retrain it")
+    if not in_temperature_range(preds):
+        raise NumericsError(f"the mapping model predicts non-finite temperatures or "
+                            f"temperatures outside ({ABSOLUTE_ZERO_C}, "
+                            f"{MAX_TEMPERATURE_C:g}) degC; retrain it")
     return [
         Curve(preds[i], curves[i].duration, curves[i].curve_index)
         for i in range(len(curves))
     ]
 
 
-def _training_matrices(model: MappingModel, samples: list[CurvePairSample]):
-    temps = np.stack([s.input_curve.temps for s in samples])
-    feats = np.stack([s.features.as_array() for s in samples])
-    targets = np.stack([s.target_partial.temps for s in samples])
-    x = _assemble_input(model, temps, feats)
+def _training_matrices(model: MappingModel, pairs: CurvePairs):
+    x = _assemble_input(model, pairs.inputs, pairs.features)
     # regression target of the network: the scaled residual correction
-    r = (targets - temps) / TEMP_SCALE
+    r = (pairs.targets - pairs.inputs) / TEMP_SCALE
     return x, r
 
 
-def mse_loss(model: MappingModel, samples: list[CurvePairSample]) -> float:
+def mse_loss(model: MappingModel, pairs: CurvePairs) -> float:
     """Training loss on scaled targets with dropout disabled."""
-    x, r = _training_matrices(model, samples)
+    x, r = _training_matrices(model, pairs)
     out, _, _ = _net_forward(model, x)
     return float(np.mean((out - r) ** 2))
 
 
-def loss_gradients(model: MappingModel, samples: list[CurvePairSample],
+def loss_gradients(model: MappingModel, pairs: CurvePairs,
                    dropout_mask: np.ndarray | None = None):
     """Analytic gradients of the batch MSE with respect to every weight and
     bias, via backpropagation.  Returns (weight grads, bias grads, loss); the
     gradients are views into one flat vector laid out like ``params``."""
-    x, r = _training_matrices(model, samples)
+    x, r = _training_matrices(model, pairs)
     d_weights, d_biases = _layer_views(np.empty_like(model.params), model.n)
     loss = _backprop(model, x, r, dropout_mask, d_weights, d_biases)
     return d_weights, d_biases, loss
@@ -291,37 +327,35 @@ def _backprop(model: MappingModel, x: np.ndarray, r: np.ndarray,
     return loss
 
 
-def train(model: MappingModel, samples: list[CurvePairSample],
+def train(model: MappingModel, pairs: CurvePairs,
           config: TrainConfig) -> tuple[MappingModel, list[float]]:
     """Mini-batch Adam training.
 
-    Each epoch shuffles the samples, partitions them into batches (the last
+    Each epoch shuffles the pairs, partitions them into batches (the last
     may be short), and applies one Adam step per batch; the learning rate
     shrinks by the decay ratio after each decay epoch.  Feature scaling
-    statistics are fitted from the samples unless the model already carries
+    statistics are fitted from the pairs unless the model already carries
     fitted statistics (as a pretrained model does), so fine-tuning a
     pretrained model is this same procedure.  Returns the trained model and
     the per-epoch loss history; a non-finite batch loss or trained weight
     raises NumericsError.
     """
-    if not samples:
-        raise DomainError("samples must be nonempty")
-    sizes = {s.input_curve.n for s in samples}
-    if sizes != {model.n}:
-        raise ShapeError(f"samples have N {sorted(sizes)}, model expects {model.n}")
+    if not len(pairs):
+        raise DomainError("curve pairs must be nonempty")
+    if pairs.n != model.n:
+        raise ShapeError(f"curve pairs have N={pairs.n}, model expects {model.n}")
     if config.epochs == 0:
         return model, []
 
     out = model.copy()
     if not out.scaler_fitted:
-        feats = np.stack([s.features.as_array() for s in samples])
-        std = feats.std(axis=0)
+        std = pairs.features.std(axis=0)
         std[std < 1e-12] = 1.0
-        out.feature_mean = feats.mean(axis=0)
+        out.feature_mean = pairs.features.mean(axis=0)
         out.feature_std = std
         out.scaler_fitted = True
 
-    x_all, r_all = _training_matrices(out, samples)
+    x_all, r_all = _training_matrices(out, pairs)
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 

@@ -4,8 +4,10 @@ Step 1 takes the measured profiles of M points on the printed layer; step 2
 maps each of their curves one layer up with the mapping model; step 3
 decomposes the mapped profiles and trains the layer's ELM online; step 4
 reconstructs the profile of any requested point from its relative delay.
-The module also renders full-layer temperature fields, scores predictions
-with the profile error metric, and runs the train/test benchmark protocols.
+The module also extracts the supervised curve pairs of one or more walls
+as one :class:`~thermoseer.mapping.CurvePairs`, renders full-layer
+temperature fields, scores predictions with the profile error metric, and
+runs the train/test benchmark protocols.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from .core import (
     ProcessSettings,
     Profile,
     ProtocolError,
+    ShapeError,
     WallDataset,
     mapping_features,
     reop,
 )
 from .mapping import (
-    CurvePairSample,
+    CurvePairs,
     MappingModel,
     TrainConfig,
     forward_many,
@@ -39,7 +42,7 @@ from .mapping import (
     init_model,
     train,
 )
-from .preprocess import overlap_truncate
+from .preprocess import overlap_truncate, overlap_truncate_rows
 from .reconstruct import (
     DEFAULT_ENERGY_THRESHOLD,
     LayerReconstruction,
@@ -254,52 +257,63 @@ def evaluate(predictions: list[Profile], truth: list[Profile]) -> EvaluationRepo
     return EvaluationReport(per_point=per_point, per_layer=summaries)
 
 
-def extract_curve_pairs(dataset: WallDataset,
-                        layers: list[int] | None = None) -> list[CurvePairSample]:
-    """Supervised curve pairs from every layer transition whose endpoints both
-    carry profiles (restricted to transitions inside ``layers`` when given).
+def extract_curve_pairs(walls: WallDataset | list[WallDataset],
+                        layers: list[int] | None = None) -> CurvePairs:
+    """Supervised curve pairs of one wall or a list of walls, from every layer
+    transition whose endpoints both carry profiles (restricted to
+    transitions inside ``layers`` when given).
 
-    Samples come out ordered by source layer, then point (by axial distance),
-    then curve index, so every consecutive run of five samples is one
-    profile's curve set."""
-    available = set(dataset.layers())
-    if layers is None:
-        allowed = available
-    else:
-        allowed = set(layers)
-    sources = sorted(i for i in allowed
-                     if i in available and (i + 1) in available and (i + 1) in allowed)
+    Rows come out ordered by wall, then source layer, then point (by axial
+    distance), then curve index, so every consecutive run of five rows is
+    one profile's curve set.  Walls that disagree on N raise ShapeError."""
+    walls = [walls] if isinstance(walls, WallDataset) else list(walls)
+    sizes = {wall.n for wall in walls}
+    if len(sizes) != 1:
+        raise ShapeError(f"walls must share one N, got N {sorted(sizes)}")
+    n = sizes.pop()
 
-    samples = []
-    for i in sources:
-        feats = mapping_features(dataset.settings, dataset.schedule, i)
-        upper_by_d = {round(p.point.axial_distance, 9): p
-                      for p in dataset.profiles_on(i + 1)}
-        for lower in dataset.profiles_on(i):
-            upper = upper_by_d.get(round(lower.point.axial_distance, 9))
-            if upper is None:
-                continue
-            for k in range(CURVES_PER_PROFILE):
-                target = overlap_truncate(upper.curves[k], lower.curves[k].duration)
-                samples.append(CurvePairSample(lower.curves[k], feats, target))
-    return samples
+    lower, upper, features = [], [], []
+    for wall in walls:
+        available = set(wall.layers())
+        allowed = available if layers is None else set(layers)
+        sources = sorted(i for i in allowed
+                         if i in available and (i + 1) in available and (i + 1) in allowed)
+        for i in sources:
+            feats = mapping_features(wall.settings, wall.schedule, i).as_array()
+            upper_by_d = {round(p.point.axial_distance, 9): p
+                          for p in wall.profiles_on(i + 1)}
+            for low in wall.profiles_on(i):
+                up = upper_by_d.get(round(low.point.axial_distance, 9))
+                if up is not None:
+                    lower.append(low)
+                    upper.append(up)
+                    features.append(feats)
+
+    def curves(profiles):
+        return np.array([c.temps for p in profiles for c in p.curves]).reshape(-1, n)
+
+    def durations(profiles):
+        return np.array([p.durations for p in profiles]).reshape(-1)
+
+    targets = overlap_truncate_rows(curves(upper), durations(upper), durations(lower), n)
+    return CurvePairs(curves(lower),
+                      np.repeat(np.array(features).reshape(-1, 4), CURVES_PER_PROFILE, axis=0),
+                      targets)
 
 
-def mapped_pair_reops(model: MappingModel, samples: list[CurvePairSample]) -> list[float]:
+def mapped_pair_reops(model: MappingModel, pairs: CurvePairs) -> list[float]:
     """Profile-level REOP of single-step mapping over extracted curve pairs.
 
-    Every consecutive run of five samples (one point's curves, the order
+    Every consecutive run of five rows (one point's curves, the order
     :func:`extract_curve_pairs` guarantees) scores as one profile.  Raw-array
     inference is used so even wildly wrong predictions are scored rather than
     rejected."""
-    if not samples or len(samples) % CURVES_PER_PROFILE != 0:
+    if not len(pairs) or len(pairs) % CURVES_PER_PROFILE != 0:
         raise DomainError(
-            f"need a multiple of {CURVES_PER_PROFILE} samples, got {len(samples)}"
+            f"need a multiple of {CURVES_PER_PROFILE} curve pairs, got {len(pairs)}"
         )
-    temps = np.stack([s.input_curve.temps for s in samples])
-    feats = np.stack([s.features.as_array() for s in samples])
-    preds = forward_raw(model, temps, feats)
-    targets = np.stack([s.target_partial.temps for s in samples])
+    preds = forward_raw(model, pairs.inputs, pairs.features)
+    targets = pairs.targets
     if np.any(targets <= 0.0):
         raise MetricError("REOP undefined: targets contain temperatures <= 0 degC")
     rel = np.abs(preds - targets) / targets
@@ -342,16 +356,13 @@ def run_benchmark(train_data, test_data: WallDataset,
                     f"train and test layers overlap on the same wall: {sorted(overlap)}"
                 )
 
-    samples = []
-    for wall in walls:
-        samples.extend(extract_curve_pairs(wall, train_layers))
-    if not samples:
+    pairs = extract_curve_pairs(walls, train_layers)
+    if not len(pairs):
         raise ProtocolError("no curve pairs available from the training split")
 
     final_loss = float("nan")
     if model is None:
-        n = samples[0].input_curve.n
-        model, history = train(init_model(n, seed=model_seed), samples, train_config)
+        model, history = train(init_model(pairs.n, seed=model_seed), pairs, train_config)
         final_loss = history[-1] if history else float("nan")
 
     per_layer: dict[int, LayerSummary] = {}
@@ -381,7 +392,7 @@ def run_benchmark(train_data, test_data: WallDataset,
             mapped_per_layer[layer] = next(iter(mreport.per_layer.values()))
 
     return BenchmarkReport(
-        train_pairs=len(samples),
+        train_pairs=len(pairs),
         final_train_loss=final_loss,
         per_layer=per_layer,
         mapped_per_layer=mapped_per_layer,

@@ -2,8 +2,9 @@
 
 Experiment-style traces are split at sharp temperature rises.  Segments are
 resampled to a fixed number of evenly spaced values, and curves are
-overlap-truncated to align curve pairs of successive layers.  Interpolation
-is linear throughout.
+overlap-truncated to align curve pairs of successive layers: many rows in
+one call (:func:`overlap_truncate_rows`) or one :class:`Curve` at a time.
+Interpolation is linear throughout.
 """
 
 from __future__ import annotations
@@ -90,20 +91,32 @@ def resample(segment: Segment, n: int, curve_index: int = 1) -> Curve:
     return Curve(temps, segment.duration, curve_index)
 
 
+def overlap_truncate_rows(upper: np.ndarray, upper_durations: np.ndarray,
+                          lower_durations: np.ndarray, n: int) -> np.ndarray:
+    """Restrict each row of ``upper``, an evenly sampled curve over
+    [0, upper_durations[i]], to its first ``lower_durations[i]`` seconds and
+    resample it to ``n`` values; returns (rows, n).  This is the supervised
+    partial-curve target of curve pairs."""
+    if not np.all(lower_durations > 0.0):
+        raise DomainError(f"lower durations must be positive, got {lower_durations.min()!r}")
+    if np.any(lower_durations > upper_durations + 1e-9):
+        raise DomainError("a lower duration exceeds its upper curve's; dwell times "
+                          "must be nondecreasing")
+    grids = np.linspace(0.0, np.minimum(lower_durations, upper_durations), n, axis=-1)
+    times = np.linspace(0.0, upper_durations, upper.shape[1], axis=-1)
+    out = np.empty((upper.shape[0], n))
+    for row, grid, time, temps in zip(out, grids, times, upper):
+        row[:] = np.interp(grid, time, temps)
+    return out
+
+
 def overlap_truncate(upper: Curve, lower_duration: float,
                      n: int | None = None) -> Curve:
     """Restrict an upper-layer curve to its first ``lower_duration`` seconds
-    and resample it to ``n`` values (default: the curve's own ``n``).  This
-    is the supervised partial-curve target for curve pairs."""
-    if n is None:
-        n = upper.n
-    if lower_duration <= 0.0:
-        raise DomainError(f"lower_duration must be positive, got {lower_duration!r}")
-    if lower_duration > upper.duration + 1e-9:
-        raise DomainError(
-            f"lower_duration {lower_duration} s exceeds the upper curve's "
-            f"{upper.duration} s; dwell times must be nondecreasing"
-        )
-    grid = np.linspace(0.0, min(lower_duration, upper.duration), n)
-    return Curve(np.interp(grid, upper.times(), upper.temps), lower_duration,
-                 upper.curve_index)
+    and resample it to ``n`` values (default: the curve's own ``n``): the
+    one-curve form of :func:`overlap_truncate_rows`."""
+    temps = overlap_truncate_rows(upper.temps[np.newaxis],
+                                  np.array([upper.duration]),
+                                  np.array([lower_duration], dtype=np.float64),
+                                  upper.n if n is None else n)
+    return Curve(temps[0], lower_duration, upper.curve_index)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     CURVES_PER_PROFILE,
+    ConfigError,
     Curve,
     DomainError,
     DwellSchedule,
@@ -36,6 +37,10 @@ from .core import (
 
 PYROMETER_CLAMP_LOW = 150.0
 PYROMETER_CLAMP_HIGH = 1000.0
+EXPERIMENT_LEAD_IN_S = 5.0  # ambient readings before a point's deposition
+# float64 values one generated wall may need (2 GiB); a larger request is a
+# config error, refused before anything is allocated
+MAX_WALL_VALUES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -253,14 +258,29 @@ def _point_distances(settings: ProcessSettings, points_per_layer: int,
     return [j * spacing_mm for j in range(1, points_per_layer + 1)]
 
 
+def _refuse_oversized(settings: ProcessSettings, points_per_layer: int, n: int,
+                      trace_values: float = 0.0) -> None:
+    """ConfigError when a wall needs more than MAX_WALL_VALUES float64 values:
+    7 + 5n per profiled point (its layer, distance, five durations and five
+    curves, as in its dataset row) plus ``trace_values``."""
+    points = (settings.num_layers - CURVES_PER_PROFILE) * points_per_layer
+    values = points * (2 + CURVES_PER_PROFILE * (1 + n)) + trace_values
+    if values > MAX_WALL_VALUES:
+        raise ConfigError(f"the wall needs about {values:.3g} float64 values, more than "
+                          f"the {MAX_WALL_VALUES} allowed; make num_layers, "
+                          f"points_per_layer or n smaller, or sample_period larger")
+
+
 def generate_wall(settings: ProcessSettings, params: SynthParams,
                   points_per_layer: int, n: int = 100,
                   spacing_mm: float | None = None) -> WallDataset:
     """Simulation-style dataset: noise-free (unless ``params.noise_sd`` > 0)
     analytic profiles of evenly spaced interior points on every layer that
-    admits five curves."""
+    admits five curves.  A wall too large to hold (see MAX_WALL_VALUES)
+    raises ConfigError before anything is allocated."""
     if settings.num_layers < 6:
         raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
+    _refuse_oversized(settings, points_per_layer, n)
     distances = _point_distances(settings, points_per_layer, spacing_mm)
     schedule = build_schedule(params, settings)
 
@@ -300,15 +320,26 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     """Experiment-style dataset: each point's oracle trace is evaluated at a
     jittered location (manual pyrometer placement), passed through the
     pyrometer emulator, split at sharp rises, and resampled.  Recorded point
-    identities keep the nominal locations."""
+    identities keep the nominal locations.  A wall whose curves and raw
+    traces together exceed MAX_WALL_VALUES raises ConfigError before any
+    trace is built."""
     from .preprocess import resample, split_experiment
 
     if settings.num_layers < 6:
         raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
+    if sample_period <= 0.0:
+        raise DomainError(f"sample_period must be positive, got {sample_period!r}")
+    _refuse_oversized(settings, points_per_layer, n)
     if params.noise_sd <= 0.0:
         params = replace(params, noise_sd=2.0)
     distances = _point_distances(settings, points_per_layer, spacing_mm)
     schedule = build_schedule(params, settings)
+    # each point's raw trace spans the lead-in and its five cycles
+    trace_s = sum(EXPERIMENT_LEAD_IN_S + sum(curve_duration(schedule, settings, layer, k)
+                                             for k in range(1, CURVES_PER_PROFILE + 1))
+                  for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1))
+    _refuse_oversized(settings, points_per_layer, n,
+                      points_per_layer * trace_s / sample_period)
 
     profiles = {}
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
@@ -318,7 +349,8 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                                    0.0, settings.layer_length))
             true_point = PointId.from_distance(layer, true_d, settings.travel_speed)
             trace = point_trace(params, settings, schedule, true_point,
-                                sample_period=sample_period, lead_in=5.0)
+                                sample_period=sample_period,
+                                lead_in=EXPERIMENT_LEAD_IN_S)
             seen = emulate_pyrometer(trace, noise_sd=params.noise_sd,
                                      seed=int(rng.integers(2 ** 31)))
             segments = split_experiment(seen, rise_threshold)

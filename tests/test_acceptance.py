@@ -26,7 +26,7 @@ from thermoseer.core import (
     reop,
 )
 from thermoseer.mapping import (
-    CurvePairSample,
+    CurvePairs,
     MappingFeatures,
     TrainConfig,
     forward_many,
@@ -86,9 +86,7 @@ def cross_benchmark(grid_walls):
     """Criterion 10's benchmark: trained on eight walls, tested on the
     held-out ninth; the model is reused by criterion 11."""
     train_walls = [w for i, w in enumerate(grid_walls) if i != 4]
-    samples = []
-    for wall in train_walls:
-        samples.extend(extract_curve_pairs(wall))
+    samples = extract_curve_pairs(train_walls)
     model, _ = train(init_model(100, seed=0), samples,
                      TrainConfig(epochs=CROSS_SETTING_EPOCHS, seed=0))
     report = run_benchmark(train_walls, grid_walls[4],
@@ -128,15 +126,16 @@ class TestCriterion03GradientCheck:
         model.feature_mean = np.array([15.0, 160.0, 80.0, 30.0])
         model.feature_std = np.array([4.0, 80.0, 20.0, 17.0])
         model.scaler_fitted = True
-        samples = []
+        inputs, features, targets = [], [], []
         for _ in range(3):
-            inp = Curve(rng.uniform(150, 1400, 100), 60.0, 1)
-            target = Curve(inp.temps * rng.uniform(0.9, 1.1), 55.0, 1)
-            feats = MappingFeatures(float(rng.uniform(10, 21)),
-                                    float(rng.uniform(40, 280)),
-                                    float(rng.uniform(50, 110)),
-                                    float(rng.uniform(2, 60)))
-            samples.append(CurvePairSample(inp, feats, target))
+            inp = rng.uniform(150, 1400, 100)
+            targets.append(inp * rng.uniform(0.9, 1.1))
+            inputs.append(inp)
+            features.append([float(rng.uniform(10, 21)),
+                             float(rng.uniform(40, 280)),
+                             float(rng.uniform(50, 110)),
+                             float(rng.uniform(2, 60))])
+        samples = CurvePairs(np.array(inputs), np.array(features), np.array(targets))
         d_w, d_b, _ = loss_gradients(model, samples)
 
         picker = np.random.default_rng(11)
@@ -167,12 +166,9 @@ class TestCriterion03GradientCheck:
 class TestCriterion04LearningRateSchedule:
     def test_recorded_lr(self):
         rng = np.random.default_rng(3)
-        samples = []
-        for _ in range(4):
-            inp = Curve(rng.uniform(150, 1400, 2), 60.0, 1)
-            samples.append(CurvePairSample(
-                inp, MappingFeatures(20.5, 120.0, 52.8, 15.0),
-                Curve(inp.temps * 1.01, 55.0, 1)))
+        inputs = np.array([rng.uniform(150, 1400, 2) for _ in range(4)])
+        features = np.tile(MappingFeatures(20.5, 120.0, 52.8, 15.0).as_array(), (4, 1))
+        samples = CurvePairs(inputs, features, inputs * 1.01)
         model, _ = train(init_model(2, seed=0), samples,
                          TrainConfig(epochs=401, batch_size=4, seed=0))
         recorded = model.training_meta["lr_history"]
@@ -306,15 +302,13 @@ class TestCriterion11FinetuningBenefit:
             test_wall = generate_experiment_wall(
                 grid_settings(3, 16), SynthParams(seed=500 + seed),
                 points_per_layer=7, n=100)
-            tune_pairs = []
-            for row, base in ((0, 600), (8, 700)):
-                tune_wall = generate_experiment_wall(
-                    grid_settings(row, 16), SynthParams(seed=base + seed),
-                    points_per_layer=3, n=100)
-                tune_pairs.extend(extract_curve_pairs(tune_wall))
+            tune_walls = [generate_experiment_wall(
+                grid_settings(row, 16), SynthParams(seed=base + seed),
+                points_per_layer=3, n=100) for row, base in ((0, 600), (8, 700))]
+            tune_pairs = extract_curve_pairs(tune_walls)
             rng = np.random.default_rng(seed)
             chosen = sorted(rng.choice(len(tune_pairs), size=150, replace=False))
-            subset = [tune_pairs[i] for i in chosen]
+            subset = tune_pairs[chosen]
             assert len(subset) <= 150
 
             test_pairs = extract_curve_pairs(test_wall)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import stat
+import time
 import warnings
 
 import numpy as np
@@ -379,16 +380,20 @@ class TestMalformedDatasetExit3:
         assert eval_with(_join_file(header, payload)) == 3
 
     @pytest.mark.parametrize("column, value", [(0, 1.5), (0, 0.0), (0, 13.0), (1, -1.0),
-                                               (1, 161.0), (2, 0.0), (7, -300.0)])
+                                               (1, 161.0), (2, 0.0), (7, -300.0),
+                                               (7, 1e300)])
     def test_hostile_row_value(self, dataset_bytes, eval_with, capsys, column, value):
         # layer not integral or outside the wall, distance outside the layer,
-        # a zero duration, a temperature below absolute zero
+        # a zero duration, a temperature below absolute zero or far above
+        # any surface temperature
         header, payload = _split_file(dataset_bytes)
         rows = np.frombuffer(payload, dtype="<f8").reshape(header["points"], -1).copy()
         rows[4, column] = value
         assert eval_with(_join_file(header, rows.tobytes())) == 3
+        err = capsys.readouterr().err
+        assert "wall.tsd: " in err
         if column == 0 and value == 1.5:
-            assert "layer 1.5 is not an integer" in capsys.readouterr().err
+            assert "layer 1.5 is not an integer" in err
 
     def test_header_line_ends_within_one_mib(self, dataset_bytes, eval_with, capsys):
         assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT - 1)) == 0
@@ -527,6 +532,19 @@ class TestGenerate:
                        "--out", str(tmp_path / "w{id}.tsd")) == 2
         assert "shared 'wall_id'" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["grid.cfg", "w.tsd"]
+
+    @pytest.mark.parametrize("config", ["n = 1000000000", "num_layers = 1000000000",
+                                        "style = experiment\nsample_period = 1e-9"])
+    def test_oversized_wall_exit_2_before_allocating(self, tmp_path, capsys, config):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"seed = 3\n{config}\n")
+        start = time.perf_counter()
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path / "w.tsd")) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than the 268435456 allowed" in err
+        assert os.listdir(tmp_path) == ["huge.cfg"]
 
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

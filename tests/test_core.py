@@ -182,9 +182,10 @@ class TestReop:
     def test_scaling_properties(self, n, seed, alpha, c):
         # REOP(alpha T, T) = |alpha - 1|, and REOP is invariant to scaling
         # both operands by c; the prediction stays 1-50% off the truth so the
-        # difference p - t carries no cancellation error
+        # difference p - t carries no cancellation error, and c * p stays
+        # below MAX_TEMPERATURE_C, so every operand is a valid curve
         rng = np.random.default_rng(seed)
-        t = rng.uniform(20.0, 1500.0, size=(5, n))
+        t = rng.uniform(1.0, 66.0, size=(5, n))
         p = t * (1.0 + rng.choice([-1.0, 1.0], size=t.shape) * rng.uniform(0.01, 0.5, size=t.shape))
 
         def profile(temps):
@@ -251,6 +252,10 @@ class TestTypes:
             Curve(np.array([1.0, np.nan]), 1.0, 1)
         with pytest.raises(DomainError):
             Curve(np.array([1.0, -300.0]), 1.0, 1)
+        for value in (np.inf, -273.15, 1e4, 1e300):
+            with pytest.raises(DomainError):
+                Curve(np.array([1.0, value]), 1.0, 1)
+        Curve(np.array([-273.14, 9999.99]), 1.0, 1)  # inside the physical range
         with pytest.raises(DomainError):
             Curve(np.array([1.0, 2.0]), 0.0, 1)
         with pytest.raises(DomainError):

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoseer.cli import load_checkpoint, save_checkpoint
-from thermoseer.core import Curve, DomainError, MappingFeatures, NumericsError, ShapeError
+from thermoseer.core import (
+    Curve,
+    DomainError,
+    MappingFeatures,
+    NumericsError,
+    ProcessSettings,
+    ShapeError,
+)
 from thermoseer.mapping import (
     DROPOUT_RATE,
-    CurvePairSample,
+    CurvePairs,
     MappingModel,
     TrainConfig,
     _training_matrices,
@@ -19,6 +26,8 @@ from thermoseer.mapping import (
     param_count,
     train,
 )
+from thermoseer.pipeline import extract_curve_pairs
+from thermoseer.synthgen import SynthParams, generate_wall
 
 
 def zero_model(n):
@@ -52,13 +61,13 @@ def make_features(rng):
 
 
 def make_samples(rng, n, count):
-    samples = []
+    inputs, features, targets = [], [], []
     for _ in range(count):
-        inp = make_curve(rng, n)
-        target = Curve(inp.temps * rng.uniform(0.9, 1.1) + rng.normal(0, 5, n),
-                       inp.duration * 0.9, inp.curve_index)
-        samples.append(CurvePairSample(inp, make_features(rng), target))
-    return samples
+        inp = make_curve(rng, n).temps
+        targets.append(inp * rng.uniform(0.9, 1.1) + rng.normal(0, 5, n))
+        inputs.append(inp)
+        features.append(make_features(rng).as_array())
+    return CurvePairs(np.array(inputs), np.array(features), np.array(targets))
 
 
 class TestModelShape:
@@ -177,6 +186,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_raw(model, make_curve(rng, 13).temps, make_features(rng).as_array())
 
+    def test_output_beyond_the_physical_range_is_a_model_error(self):
+        rng = np.random.default_rng(6)
+        model = zero_model(10)
+        model.biases[-1][...] = 20.0  # adds 20,000 degC: finite, but no surface is that hot
+        with pytest.raises(NumericsError, match="mapping model predicts"):
+            forward_many(model, [make_curve(rng, 10)], [make_features(rng)])
+
     def test_forward_many_matches_loop(self):
         rng = np.random.default_rng(5)
         model = scaled_model(10, seed=7)
@@ -186,6 +202,53 @@ class TestForward:
         for c, f, got in zip(curves, feats, batched):
             want = forward_raw(model, c.temps, f.as_array())[0]
             np.testing.assert_allclose(got.temps, want, rtol=1e-12)
+
+
+class TestCurvePairs:
+    def test_rows_select_a_curve_pair_set(self):
+        pairs = make_samples(np.random.default_rng(31), 6, 10)
+        for rows, want in ((slice(2, 5), [2, 3, 4]), (slice(None, 4), [0, 1, 2, 3]),
+                           ([7, 0, 3], [7, 0, 3]), (np.array([9, 9]), [9, 9])):
+            picked = pairs[rows]
+            assert isinstance(picked, CurvePairs) and len(picked) == len(want)
+            for name in ("inputs", "features", "targets"):
+                np.testing.assert_array_equal(getattr(picked, name),
+                                              getattr(pairs, name)[want])
+        d_w, _, loss = loss_gradients(init_model(6, seed=1), pairs[:4])
+        assert np.isfinite(loss) and d_w[0].shape == (10, 18)
+
+    def test_arrays_are_read_only(self):
+        pairs = make_samples(np.random.default_rng(32), 4, 3)
+        with pytest.raises(ValueError):
+            pairs.targets[0, 0] = 500.0
+
+    @pytest.mark.parametrize("inputs, features, targets", [
+        ((3, 5), (3, 3), (3, 5)),
+        ((3, 5), (3, 4), (3, 6)),
+        ((3, 5), (2, 4), (2, 5)),
+        ((5,), (1, 4), (1, 5)),
+        ((3, 1), (3, 4), (3, 1)),
+    ])
+    def test_mismatched_shapes_rejected(self, inputs, features, targets):
+        with pytest.raises(ShapeError):
+            CurvePairs(np.full(inputs, 500.0), np.ones(features), np.full(targets, 400.0))
+
+    @pytest.mark.parametrize("array", ["inputs", "targets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -273.15, -300.0,
+                                       1e4, 1e300])
+    def test_temperature_outside_the_physical_range_rejected(self, array, value):
+        arrays = {"inputs": np.full((3, 5), 500.0), "features": np.ones((3, 4)),
+                  "targets": np.full((3, 5), 400.0)}
+        arrays[array][1, 2] = value
+        with pytest.raises(DomainError):
+            CurvePairs(**arrays)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_bad_feature_rejected(self, value):
+        features = np.ones((3, 4))
+        features[2, 1] = value
+        with pytest.raises(DomainError):
+            CurvePairs(np.full((3, 5), 500.0), features, np.full((3, 5), 400.0))
 
 
 class TestGradients:
@@ -264,17 +327,19 @@ class TestTrain:
         np.testing.assert_array_equal(tuned.feature_std, trained.feature_std)
 
     def test_mixed_n_rejected(self):
-        rng = np.random.default_rng(25)
-        samples = make_samples(rng, 8, 4) + make_samples(rng, 9, 1)
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 7,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        walls = [generate_wall(settings, SynthParams(seed=25), points_per_layer=2, n=n)
+                 for n in (8, 9)]
         with pytest.raises(ShapeError):
-            train(init_model(8, seed=0), samples, TrainConfig(epochs=1))
+            train(init_model(8, seed=0), extract_curve_pairs(walls), TrainConfig(epochs=1))
 
 
 def reference_train(model, samples, config):
     """The per-layer Adam loop the flat-vector training replaced: one moment
     pair per weight and bias array, updated block by block."""
     out = model.copy()
-    feats = np.stack([s.features.as_array() for s in samples])
+    feats = samples.features
     std = feats.std(axis=0)
     std[std < 1e-12] = 1.0
     out.feature_mean, out.feature_std, out.scaler_fitted = feats.mean(axis=0), std, True
@@ -292,7 +357,7 @@ def reference_train(model, samples, config):
         for lo in range(0, len(samples), config.batch_size):
             batch = order[lo:lo + config.batch_size]
             mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
-            batch_samples = [samples[i] for i in batch]
+            batch_samples = samples[batch]
             d_w, d_b, loss = loss_gradients(out, batch_samples, mask)
             sse += loss * batch.size
             step += 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from thermoseer.core import (
     Curve,
@@ -7,8 +8,10 @@ from thermoseer.core import (
     HorizonError,
     PairingError,
     PointId,
+    ProcessSettings,
     ProtocolError,
     Profile,
+    mapping_features,
 )
 from thermoseer.mapping import TrainConfig, init_model
 from thermoseer.pipeline import (
@@ -21,7 +24,8 @@ from thermoseer.pipeline import (
     render_field,
     run_benchmark,
 )
-from thermoseer.synthgen import SynthParams, generate_wall
+from thermoseer.preprocess import overlap_truncate
+from thermoseer.synthgen import SynthParams, generate_experiment_wall, generate_wall
 
 
 def zero_model(n):
@@ -237,9 +241,35 @@ class TestCurvePairs:
     def test_targets_are_truncated_upper_curves(self, wall):
         pairs = extract_curve_pairs(wall, layers=[5, 6])
         assert len(pairs) == 35
-        sample = pairs[0]
-        assert sample.target_partial.duration == sample.input_curve.duration
-        assert sample.features.dwell_of_source_layer == wall.schedule.for_layer(5)
+        lower, upper = wall.profiles_on(5)[0].curves[0], wall.profiles_on(6)[0].curves[0]
+        np.testing.assert_array_equal(pairs.targets[0],
+                                      overlap_truncate(upper, lower.duration).temps)
+        assert pairs.features[0, 1] == wall.schedule.for_layer(5)
+
+    @hsettings(max_examples=30, deadline=None)
+    @given(styles=st.lists(st.sampled_from(["simulation", "experiment"]),
+                           min_size=1, max_size=2),
+           n=st.integers(2, 12), points=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+    def test_rows_match_a_per_curve_oracle(self, styles, n, points, seed):
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 8,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        make = {"simulation": generate_wall, "experiment": generate_experiment_wall}
+        walls = [make[style](settings, SynthParams(seed=seed + w), points_per_layer=points, n=n)
+                 for w, style in enumerate(styles)]
+        pairs = extract_curve_pairs(walls)
+        row = 0
+        for wall in walls:
+            for layer in wall.layers()[:-1]:
+                feats = mapping_features(wall.settings, wall.schedule, layer).as_array()
+                for lower, upper in zip(wall.profiles_on(layer), wall.profiles_on(layer + 1)):
+                    for lo, up in zip(lower.curves, upper.curves):
+                        want = np.interp(np.linspace(0, lo.duration, n),
+                                         np.linspace(0, up.duration, n), up.temps)
+                        assert pairs.inputs[row].tobytes() == lo.temps.tobytes()
+                        assert pairs.features[row].tobytes() == feats.tobytes()
+                        assert pairs.targets[row].tobytes() == want.tobytes()
+                        row += 1
+        assert row == len(pairs) == len(walls) * 2 * points * 5
 
 
 class TestRunBenchmark:
