@@ -18,7 +18,7 @@ seeds produce byte-identical files.
 Exit codes live on the error classes (``ThermoseerError.exit_code``): 0 ok,
 2 config, 3 data (also a numeric failure such as a diverging training loss,
 and an unreadable or unwritable file), 4 checkpoint, 5 protocol, 6 horizon.
-``generate`` builds the walls of a multi-wall config one after another.
+``generate`` builds every wall of a multi-wall config before it writes any.
 """
 
 from __future__ import annotations
@@ -398,9 +398,12 @@ def cmd_generate(args) -> int:
                            f"config wall.{wall_id}")}
         plans.append((wall_id, values["wall_id"], _build_generation(values)))
 
-    for wall_id, record_id, (generator, settings, params, kwargs) in plans:
-        dataset = dataclasses.replace(generator(settings, params, **kwargs),
-                                      wall_id=record_id)
+    # every wall is generated before any is written, so a wall that fails
+    # leaves no file of the others behind
+    datasets = [(wall_id, dataclasses.replace(generator(settings, params, **kwargs),
+                                              wall_id=record_id))
+                for wall_id, record_id, (generator, settings, params, kwargs) in plans]
+    for wall_id, dataset in datasets:
         path = args.out.replace("{id}", str(wall_id))
         save_dataset(path, dataset)
         pairs = len(extract_curve_pairs(dataset))

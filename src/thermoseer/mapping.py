@@ -11,6 +11,11 @@ squared error loss over scaled temperatures.  The training set is one
 and overlap-truncated target curves, which every training function reads
 directly.
 
+The parameters are one float64 vector, and inference, checkpoints and the
+loss and gradient functions use it as float64.  :func:`train` computes in
+float32 on those float64 weights: activations, gradients and Adam's
+moments are float32, and only the weight update itself is float64.
+
 Everything is plain numpy with explicit seeds: identical seeds give
 bit-identical trained weights on one platform.
 """
@@ -36,6 +41,8 @@ from .core import (
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
 N_AFFINE_MAPS = 6
+# elements per Adam slice: one slice of each of its six buffers (~0.9 MB) stays in cache
+ADAM_BLOCK = 1 << 15
 
 
 def _hidden_widths(n: int) -> list[int]:
@@ -203,21 +210,23 @@ def _scale_features(model: MappingModel, features: np.ndarray) -> np.ndarray:
     return (features - model.feature_mean) / model.feature_std
 
 
-def _net_forward(model: MappingModel, x: np.ndarray,
+def _net_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
                  dropout_mask: np.ndarray | None = None):
     """Scaled network output plus the intermediate activations needed for
-    backpropagation.  ``x`` is (batch, N+4)."""
+    backpropagation.  ``x`` is (batch, N+4); the arithmetic runs in the
+    dtype of the weights and ``x`` (float64 for inference, float32 in
+    :func:`train`)."""
     pre, post = [], []
     h = x
     for l in range(N_AFFINE_MAPS - 1):
-        z = h @ model.weights[l] + model.biases[l]
+        z = h @ weights[l] + biases[l]
         h = np.maximum(z, 0.0)
         pre.append(z)
         post.append(h)
     if dropout_mask is not None:
         h = h * dropout_mask / (1.0 - DROPOUT_RATE)
         post[-1] = h
-    out = h @ model.weights[-1] + model.biases[-1]
+    out = h @ weights[-1] + biases[-1]
     return out, pre, post
 
 
@@ -247,7 +256,7 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(features))):
         raise DomainError("inputs must be finite")
     x = _assemble_input(model, temps, features)
-    out, _, _ = _net_forward(model, x)
+    out, _, _ = _net_forward(model.weights, model.biases, x)
     return out * TEMP_SCALE + temps
 
 
@@ -287,7 +296,7 @@ def _training_matrices(model: MappingModel, pairs: CurvePairs):
 def mse_loss(model: MappingModel, pairs: CurvePairs) -> float:
     """Training loss on scaled targets with dropout disabled."""
     x, r = _training_matrices(model, pairs)
-    out, _, _ = _net_forward(model, x)
+    out, _, _ = _net_forward(model.weights, model.biases, x)
     return float(np.mean((out - r) ** 2))
 
 
@@ -298,23 +307,23 @@ def loss_gradients(model: MappingModel, pairs: CurvePairs,
     gradients are views into one flat vector laid out like ``params``."""
     x, r = _training_matrices(model, pairs)
     d_weights, d_biases = _layer_views(np.empty_like(model.params), model.n)
-    loss = _backprop(model, x, r, dropout_mask, d_weights, d_biases)
+    loss = _backprop(model.weights, model.biases, x, r, dropout_mask, d_weights, d_biases)
     return d_weights, d_biases, loss
 
 
-def _backprop(model: MappingModel, x: np.ndarray, r: np.ndarray,
-              dropout_mask: np.ndarray | None,
+def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
+              r: np.ndarray, dropout_mask: np.ndarray | None,
               d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> float:
     """Writes the batch gradients into ``d_weights`` / ``d_biases`` and
-    returns the batch loss."""
-    out, pre, post = _net_forward(model, x, dropout_mask)
+    returns the batch loss, computed in the dtype of the arrays passed."""
+    out, pre, post = _net_forward(weights, biases, x, dropout_mask)
     diff = out - r
     loss = float(np.mean(diff ** 2))
 
     grad = (2.0 / diff.size) * diff
     np.matmul(post[-1].T, grad, out=d_weights[-1])
     grad.sum(axis=0, out=d_biases[-1])
-    grad = grad @ model.weights[-1].T
+    grad = grad @ weights[-1].T
     if dropout_mask is not None:
         grad = grad * dropout_mask / (1.0 - DROPOUT_RATE)
     for l in range(N_AFFINE_MAPS - 2, -1, -1):
@@ -323,7 +332,7 @@ def _backprop(model: MappingModel, x: np.ndarray, r: np.ndarray,
         np.matmul(below.T, grad, out=d_weights[l])
         grad.sum(axis=0, out=d_biases[l])
         if l > 0:
-            grad = grad @ model.weights[l].T
+            grad = grad @ weights[l].T
     return loss
 
 
@@ -336,9 +345,16 @@ def train(model: MappingModel, pairs: CurvePairs,
     shrinks by the decay ratio after each decay epoch.  Feature scaling
     statistics are fitted from the pairs unless the model already carries
     fitted statistics (as a pretrained model does), so fine-tuning a
-    pretrained model is this same procedure.  Returns the trained model and
-    the per-epoch loss history; a non-finite batch loss or trained weight
-    raises NumericsError.
+    pretrained model is this same procedure.
+
+    The forward and backward passes, the gradients and Adam's moments are
+    float32; the weights stay float64 (master weights), and each step's
+    float32 update is subtracted from them before a float32 shadow copy is
+    refreshed for the next batch.  The returned model is float64 like any
+    other, so checkpoints and inference do not change.  Returns the trained
+    model and the per-epoch loss history; a non-finite batch loss (which
+    float32 reaches above about 3.4e38) or trained weight raises
+    NumericsError.
     """
     if not len(pairs):
         raise DomainError("curve pairs must be nonempty")
@@ -355,18 +371,21 @@ def train(model: MappingModel, pairs: CurvePairs,
         out.feature_std = std
         out.scaler_fitted = True
 
-    x_all, r_all = _training_matrices(out, pairs)
+    x_all, r_all = (a.astype(np.float32) for a in _training_matrices(out, pairs))
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 
     params = out.params
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    shadow = params.astype(np.float32)
+    weights, biases = _layer_views(shadow, out.n)
+    m = np.zeros_like(shadow)
+    v = np.zeros_like(shadow)
     # the gradient buffer doubles as scratch once v has taken the step's
     # gradient; with `work` these are the only full-size temporaries
-    g = np.empty_like(params)
-    work = np.empty_like(params)
+    g = np.empty_like(shadow)
+    work = np.empty_like(shadow)
     d_weights, d_biases = _layer_views(g, out.n)
+    blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, params.size, ADAM_BLOCK)]
     step = 0
 
     loss_history: list[float] = []
@@ -383,7 +402,7 @@ def train(model: MappingModel, pairs: CurvePairs,
                 batch = order[lo:lo + config.batch_size]
                 xb, rb = x_all[batch], r_all[batch]
                 mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
-                loss = _backprop(out, xb, rb, mask, d_weights, d_biases)
+                loss = _backprop(weights, biases, xb, rb, mask, d_weights, d_biases)
                 if not math.isfinite(loss):
                     raise NumericsError(f"training diverged: batch loss {loss} is not "
                                         f"finite (epoch {epoch + 1}, lr {lr})")
@@ -392,14 +411,21 @@ def train(model: MappingModel, pairs: CurvePairs,
                 correct1 = 1.0 - config.beta1 ** step
                 correct2 = 1.0 - config.beta2 ** step
                 # params -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon),
-                # in place, in the same elementwise order as the unfused update
-                m *= config.beta1
-                m += np.multiply(g, 1.0 - config.beta1, out=work)
-                v *= config.beta2
-                v += np.multiply(np.square(g, out=g), 1.0 - config.beta2, out=g)
-                np.multiply(np.divide(m, correct1, out=work), lr, out=work)
-                np.add(np.sqrt(np.divide(v, correct2, out=g), out=g), config.epsilon, out=g)
-                params -= np.divide(work, g, out=work)
+                # in place, in the same elementwise order as the unfused update,
+                # one cache-sized block at a time; the float32 step goes onto
+                # the float64 weights, and the float32 copy the next batch
+                # reads is refreshed while the block is still in cache
+                for s in blocks:
+                    ms, vs, gs, ws = m[s], v[s], g[s], work[s]
+                    ms *= config.beta1
+                    ms += np.multiply(gs, 1.0 - config.beta1, out=ws)
+                    vs *= config.beta2
+                    vs += np.multiply(np.square(gs, out=gs), 1.0 - config.beta2, out=gs)
+                    np.multiply(np.divide(ms, correct1, out=ws), lr, out=ws)
+                    np.add(np.sqrt(np.divide(vs, correct2, out=gs), out=gs),
+                           config.epsilon, out=gs)
+                    params[s] -= np.divide(ws, gs, out=ws)
+                    shadow[s] = params[s]
             loss_history.append(sse / n_samples)
     if not np.isfinite(params).all():
         raise NumericsError("training produced non-finite weights")

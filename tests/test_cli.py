@@ -546,6 +546,15 @@ class TestGenerate:
         assert err.startswith("error: ") and "more than the 268435456 allowed" in err
         assert os.listdir(tmp_path) == ["huge.cfg"]
 
+    def test_oversized_later_wall_writes_no_file(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("seed = 3\nnum_layers = 12\npoints_per_layer = 2\nn = 20\n"
+                       "wall.1.travel_speed = 8\nwall.2.n = 1000000000\n")
+        assert run_cli("generate", "--config", str(cfg),
+                       "--out", str(tmp_path / "w{id}.tsd")) == 2
+        assert "more than the 268435456 allowed" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["grid.cfg"]
+
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("seed = 3\nwall.1.travel_speed = 8\nwall.2.travel_speed = 15\n")
@@ -603,6 +612,18 @@ class TestTrainPredictEvalField:
                            "--loss-csv", str(loss_csv), "--epochs", "3",
                            "--lr", "1e150") == 3
         assert "not finite" in capsys.readouterr().err
+        assert not ckpt.exists() and not loss_csv.exists()
+
+    def test_float32_overflow_exit_3_at_train(self, tmp_path, dataset_path, capsys):
+        # lr 1e3 drives the loss past the float32 range within three epochs, so
+        # training stops there instead of saving a model that predict rejects
+        ckpt, loss_csv = tmp_path / "model.ckpt", tmp_path / "loss.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--data", dataset_path, "--out", str(ckpt),
+                           "--loss-csv", str(loss_csv), "--epochs", "3",
+                           "--lr", "1e3") == 3
+        assert "batch loss inf is not finite" in capsys.readouterr().err
         assert not ckpt.exists() and not loss_csv.exists()
 
     def test_non_physical_model_output_is_a_model_error(self, tmp_path, dataset_path,

@@ -16,6 +16,7 @@ from thermoseer.mapping import (
     CurvePairs,
     MappingModel,
     TrainConfig,
+    _backprop,
     _training_matrices,
     forward_many,
     forward_raw,
@@ -335,20 +336,23 @@ class TestTrain:
             train(init_model(8, seed=0), extract_curve_pairs(walls), TrainConfig(epochs=1))
 
 
-def reference_train(model, samples, config):
-    """The per-layer Adam loop the flat-vector training replaced: one moment
-    pair per weight and bias array, updated block by block."""
+def reference_train(model, samples, config, dtype=np.float32):
+    """The per-layer Adam loop that flat, blocked training replaced: one
+    moment pair per weight and bias array, updated array by array.  With
+    float32 the gradients and moments are float32 and each float32 step is
+    subtracted from the float64 weights, as ``train`` does; with float64
+    every value is float64, as training was before it ran in float32."""
     out = model.copy()
     feats = samples.features
     std = feats.std(axis=0)
     std[std < 1e-12] = 1.0
     out.feature_mean, out.feature_std, out.scaler_fitted = feats.mean(axis=0), std, True
-    x_all, r_all = _training_matrices(out, samples)
+    x_all, r_all = (a.astype(dtype) for a in _training_matrices(out, samples))
     rng = np.random.default_rng(config.seed)
-    m_w = [np.zeros_like(w) for w in out.weights]
-    v_w = [np.zeros_like(w) for w in out.weights]
-    m_b = [np.zeros_like(b) for b in out.biases]
-    v_b = [np.zeros_like(b) for b in out.biases]
+    m_w = [np.zeros(w.shape, dtype) for w in out.weights]
+    v_w = [np.zeros(w.shape, dtype) for w in out.weights]
+    m_b = [np.zeros(b.shape, dtype) for b in out.biases]
+    v_b = [np.zeros(b.shape, dtype) for b in out.biases]
     step, history = 0, []
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
@@ -357,8 +361,11 @@ def reference_train(model, samples, config):
         for lo in range(0, len(samples), config.batch_size):
             batch = order[lo:lo + config.batch_size]
             mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
-            batch_samples = samples[batch]
-            d_w, d_b, loss = loss_gradients(out, batch_samples, mask)
+            weights = [w.astype(dtype) for w in out.weights]
+            biases = [b.astype(dtype) for b in out.biases]
+            d_w = [np.empty_like(w) for w in weights]
+            d_b = [np.empty_like(b) for b in biases]
+            loss = _backprop(weights, biases, x_all[batch], r_all[batch], mask, d_w, d_b)
             sse += loss * batch.size
             step += 1
             correct1 = 1.0 - config.beta1 ** step
@@ -378,7 +385,9 @@ def reference_train(model, samples, config):
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize("n, count, batch", [(6, 40, 16), (11, 23, 8)])
+    # (40, 50, 16): N = 40 has 299,320 parameters, so Adam runs over nine
+    # full blocks and a ragged tail, and 50 pairs leave a last batch of 2
+    @pytest.mark.parametrize("n, count, batch", [(6, 40, 16), (11, 23, 8), (40, 50, 16)])
     def test_bit_identical_to_per_layer_loop(self, n, count, batch):
         rng = np.random.default_rng(n)
         samples = make_samples(rng, n, count)
@@ -386,8 +395,23 @@ class TestFlatAdam:
                           lr_decay_epochs=(2, 4))
         got, got_history = train(init_model(n, seed=5), samples, cfg)
         want, want_history = reference_train(init_model(n, seed=5), samples, cfg)
+        assert got.params.dtype == np.float64
         assert got_history == want_history
         assert got.params.tobytes() == want.params.tobytes()
+
+    def test_close_to_float64_training(self):
+        # float32 rounds to about 6e-8 relative.  Over these 40 Adam steps the
+        # weights move by about 2.5e-2; allow 1e-5 on each (1% of one step of
+        # lr 1e-3) and 1e-5 relative on each epoch's loss, some 70 times the
+        # differences measured when this test was written (1e-6 and 1.4e-7)
+        rng = np.random.default_rng(40)
+        samples = make_samples(rng, 40, 50)
+        cfg = TrainConfig(epochs=10, batch_size=16, seed=3, lr_decay_epochs=(5,))
+        got, got_history = train(init_model(40, seed=5), samples, cfg)
+        want, want_history = reference_train(init_model(40, seed=5), samples, cfg,
+                                             dtype=np.float64)
+        np.testing.assert_allclose(got_history, want_history, rtol=1e-5)
+        np.testing.assert_allclose(got.params, want.params, rtol=0, atol=1e-5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self):
@@ -407,7 +431,11 @@ class TestLatency:
         curves = [make_curve(rng, 100, k=k % 5 + 1) for k in range(35)]
         feats = [make_features(rng) for _ in range(35)]
         forward_many(model, curves, feats)  # warm the BLAS path
-        t0 = time.perf_counter()
-        forward_many(model, curves, feats)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 0.01
+        # the best of five timed calls, as criterion 12 takes, so one busy
+        # moment on the host does not fail the budget
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            forward_many(model, curves, feats)
+            times.append(time.perf_counter() - t0)
+        assert min(times) < 0.01
