@@ -14,11 +14,10 @@ import numpy as np
 from thermoseer import (
     PointId,
     ProcessSettings,
-    Profile,
     SynthParams,
+    extract_curve_pairs,
     generate_wall,
-    overlap_truncate,
-    reop,
+    reop_rows,
 )
 
 settings = ProcessSettings.build(
@@ -48,14 +47,11 @@ for curve in prof.curves:
 # curve similarity between successive layers, the mapping model's premise
 print("\nmean REOP between curve k of layer i+1 (overlap-truncated) and layer i:")
 for layer in (1, 5, 10, 20, 30):
-    values = []
-    for low in wall.profiles_on(layer):
-        up = wall.profiles[PointId.from_distance(
-            layer + 1, low.point.axial_distance, settings.travel_speed)]
-        truncated = tuple(
-            overlap_truncate(up.curves[k], low.curves[k].duration) for k in range(5)
-        )
-        values.append(reop(Profile(up.point, truncated), low))
+    # a curve pair's target is curve k of layer i+1 truncated to the duration
+    # of its input, curve k of layer i; five rows make one point
+    pairs = extract_curve_pairs(wall, layers=[layer, layer + 1])
+    width = 5 * pairs.n
+    values = reop_rows(pairs.targets.reshape(-1, width), pairs.inputs.reshape(-1, width))
     print(f"  layers {layer:>2} -> {layer + 1:>2}: {np.mean(values):.4f}")
 
 try:

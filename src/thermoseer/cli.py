@@ -518,13 +518,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     predicted = load_dataset(args.pred)
     truth = load_dataset(args.truth)
-    pred_profiles = list(predicted.profiles.values())
-    truth_profiles = []
-    for prof in pred_profiles:
-        match = [p for p in truth.profiles_on(prof.point.layer)
-                 if abs(p.point.axial_distance - prof.point.axial_distance) < 1e-9]
-        truth_profiles.extend(match)
-    report = evaluate(pred_profiles, truth_profiles)
+    wanted = {(p.layer, p.place) for p in predicted.profiles}
+    report = evaluate(list(predicted.profiles.values()),
+                      [prof for p, prof in truth.profiles.items() if (p.layer, p.place) in wanted])
 
     doc = {"per_layer": {
         str(layer): {"count": s.count, "median": s.median, "max": s.maximum,

@@ -210,6 +210,13 @@ class PointId:
         return cls(layer=layer, axial_distance=axial_distance,
                    relative_delay=axial_distance / travel_speed)
 
+    @property
+    def place(self) -> float:
+        """The axial distance rounded to 1e-9 mm: points of one layer with
+        the same place are the same point, and points of successive layers
+        with the same place lie one above the other."""
+        return round(self.axial_distance, 9)
+
 
 @dataclass(frozen=True, eq=False)
 class Curve:
@@ -404,14 +411,20 @@ def mapping_features(
     )
 
 
+def reop_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Relative error of profile, row by row: the mean of |T_hat - T| / T
+    over each row of two (P, K) arrays, where a row holds one profile's
+    stacked (partial) curves."""
+    if predicted.shape != truth.shape or truth.ndim != 2:
+        raise ShapeError(f"REOP needs two (P, K) arrays, got {predicted.shape} and {truth.shape}")
+    if np.any(truth <= 0.0):
+        raise MetricError("REOP undefined: truth contains temperatures <= 0 degC")
+    return np.mean(np.abs(predicted - truth) / truth, axis=1)
+
+
 def reop(predicted: Profile, truth: Profile) -> float:
     """Relative error of profile: mean of |T_hat - T| / T over all 5N samples
-    of the five (partial) curves."""
-    if predicted.n != truth.n:
-        raise ShapeError(f"profiles disagree on N: {predicted.n} vs {truth.n}")
-    t = truth.stacked()
-    if np.any(t <= 0.0):
-        raise MetricError("REOP undefined: truth contains temperatures <= 0 degC")
-    p = predicted.stacked()
-    return float(np.mean(np.abs(p - t) / t))
+    of the five (partial) curves; the one-profile form of :func:`reop_rows`,
+    so profiles of different N raise ShapeError."""
+    return float(reop_rows(predicted.stacked()[np.newaxis], truth.stacked()[np.newaxis])[0])
 

@@ -6,8 +6,10 @@ decomposes the mapped profiles and trains the layer's ELM online; step 4
 reconstructs the profile of any requested point from its relative delay.
 The module also extracts the supervised curve pairs of one or more walls
 as one :class:`~thermoseer.mapping.CurvePairs`, renders full-layer
-temperature fields, scores predictions with the profile error metric, and
-runs the train/test benchmark protocols.
+temperature fields, scores predictions with the profile error metric
+(:func:`~thermoseer.core.reop_rows`, one array pass over all points), and
+runs the train/test benchmark protocols.  Points of two sets are the same
+point when they share a layer and a :attr:`~thermoseer.core.PointId.place`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .core import (
     DomainError,
     DwellSchedule,
     HorizonError,
-    MetricError,
     PairingError,
     PointId,
     ProcessSettings,
@@ -31,7 +32,7 @@ from .core import (
     ShapeError,
     WallDataset,
     mapping_features,
-    reop,
+    reop_rows,
 )
 from .mapping import (
     CurvePairs,
@@ -42,7 +43,7 @@ from .mapping import (
     init_model,
     train,
 )
-from .preprocess import overlap_truncate, overlap_truncate_rows
+from .preprocess import overlap_truncate_rows
 from .reconstruct import (
     DEFAULT_ENERGY_THRESHOLD,
     LayerReconstruction,
@@ -142,13 +143,14 @@ def predict_layer(model: MappingModel, dataset: WallDataset, layer: int,
 
 def predict_point(prediction: LayerPrediction, axial_distance: float,
                   settings: ProcessSettings) -> Profile:
-    """Profile of an arbitrary point on the predicted layer."""
+    """Profile of any point on the predicted layer, at exactly that distance."""
     if not 0.0 <= axial_distance <= settings.layer_length:
         raise DomainError(
             f"axial_distance {axial_distance} outside 0..{settings.layer_length}"
         )
-    delay = axial_distance / settings.travel_speed
-    return reconstruct_profile(prediction.reconstruction, delay)
+    point = PointId.from_distance(prediction.layer, axial_distance, settings.travel_speed)
+    return Profile(point, reconstruct_profile(prediction.reconstruction,
+                                              point.relative_delay).curves)
 
 
 def render_field(prediction: LayerPrediction, settings: ProcessSettings,
@@ -215,46 +217,56 @@ class EvaluationReport:
         return [r for _, r in self.per_point]
 
 
-def _summarize(values: list[float]) -> LayerSummary:
-    arr = np.asarray(values)
+def _summarize(values: np.ndarray) -> LayerSummary:
     return LayerSummary(
-        count=arr.size,
-        median=float(np.median(arr)),
-        maximum=float(np.max(arr)),
-        q1=float(np.percentile(arr, 25)),
-        q3=float(np.percentile(arr, 75)),
+        count=values.size,
+        median=float(np.median(values)),
+        maximum=float(np.max(values)),
+        q1=float(np.percentile(values, 25)),
+        q3=float(np.percentile(values, 75)),
     )
+
+
+def _curve_rows(profiles: list[Profile], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The profiles' curves as (5P, n) rows and their durations as 5P values,
+    in profile then curve order.  A profile whose N is not ``n`` raises
+    ShapeError."""
+    sizes = sorted({p.n for p in profiles} - {n})
+    if sizes:
+        raise ShapeError(f"profiles mix N: {n} and {sizes}")
+    return (np.array([c.temps for p in profiles for c in p.curves]).reshape(-1, n),
+            np.array([p.durations for p in profiles]).reshape(-1))
 
 
 def evaluate(predictions: list[Profile], truth: list[Profile]) -> EvaluationReport:
     """REOP of each predicted profile against its matching truth point.
 
-    Truth curves are overlap-truncated to the predicted partial durations
-    before scoring.  Point sets must match one-to-one.
+    Points match by layer and :attr:`~thermoseer.core.PointId.place`, and
+    the two point sets must match one-to-one.  Truth curves are
+    overlap-truncated to the predicted partial durations and N before
+    scoring.  Predictions of mixed N, or truth of mixed N, raise ShapeError.
     """
-    def key(p: Profile):
-        return (p.point.layer, round(p.point.axial_distance, 9))
-
-    pred_map = {key(p): p for p in predictions}
-    truth_map = {key(p): p for p in truth}
+    pred_map = {(p.point.layer, p.point.place): p for p in predictions}
+    truth_map = {(p.point.layer, p.point.place): p for p in truth}
     orphans = sorted(set(pred_map) ^ set(truth_map))
     if orphans:
         raise PairingError(f"unmatched points (layer, distance): {orphans}")
+    if not pred_map:
+        return EvaluationReport(per_point=[], per_layer={})
 
-    per_point = []
-    for k in sorted(pred_map):
-        pred, tru = pred_map[k], truth_map[k]
-        aligned = tuple(
-            overlap_truncate(tc, pc.duration, n=pc.n)
-            for pc, tc in zip(pred.curves, tru.curves)
-        )
-        per_point.append((pred.point, reop(pred, Profile(tru.point, aligned))))
-
-    per_layer: dict[int, list[float]] = {}
-    for point, value in per_point:
-        per_layer.setdefault(point.layer, []).append(value)
-    summaries = {layer: _summarize(vals) for layer, vals in sorted(per_layer.items())}
-    return EvaluationReport(per_point=per_point, per_layer=summaries)
+    keys = sorted(pred_map)
+    preds = [pred_map[k] for k in keys]
+    truths = [truth_map[k] for k in keys]
+    pred_rows, pred_durations = _curve_rows(preds, preds[0].n)
+    truth_rows, truth_durations = _curve_rows(truths, truths[0].n)
+    aligned = overlap_truncate_rows(truth_rows, truth_durations, pred_durations,
+                                    preds[0].n)
+    values = reop_rows(pred_rows.reshape(len(preds), -1), aligned.reshape(len(preds), -1))
+    layers = np.array([layer for layer, _ in keys])
+    return EvaluationReport(
+        per_point=[(p.point, v) for p, v in zip(preds, values.tolist())],
+        per_layer={layer: _summarize(values[layers == layer])
+                   for layer in sorted(set(layers.tolist()))})
 
 
 def extract_curve_pairs(walls: WallDataset | list[WallDataset],
@@ -280,23 +292,18 @@ def extract_curve_pairs(walls: WallDataset | list[WallDataset],
                          if i in available and (i + 1) in available and (i + 1) in allowed)
         for i in sources:
             feats = mapping_features(wall.settings, wall.schedule, i).as_array()
-            upper_by_d = {round(p.point.axial_distance, 9): p
-                          for p in wall.profiles_on(i + 1)}
+            upper_by_place = {p.point.place: p for p in wall.profiles_on(i + 1)}
             for low in wall.profiles_on(i):
-                up = upper_by_d.get(round(low.point.axial_distance, 9))
+                up = upper_by_place.get(low.point.place)
                 if up is not None:
                     lower.append(low)
                     upper.append(up)
                     features.append(feats)
 
-    def curves(profiles):
-        return np.array([c.temps for p in profiles for c in p.curves]).reshape(-1, n)
-
-    def durations(profiles):
-        return np.array([p.durations for p in profiles]).reshape(-1)
-
-    targets = overlap_truncate_rows(curves(upper), durations(upper), durations(lower), n)
-    return CurvePairs(curves(lower),
+    inputs, lower_durations = _curve_rows(lower, n)
+    upper_rows, upper_durations = _curve_rows(upper, n)
+    targets = overlap_truncate_rows(upper_rows, upper_durations, lower_durations, n)
+    return CurvePairs(inputs,
                       np.repeat(np.array(features).reshape(-1, 4), CURVES_PER_PROFILE, axis=0),
                       targets)
 
@@ -313,12 +320,8 @@ def mapped_pair_reops(model: MappingModel, pairs: CurvePairs) -> list[float]:
             f"need a multiple of {CURVES_PER_PROFILE} curve pairs, got {len(pairs)}"
         )
     preds = forward_raw(model, pairs.inputs, pairs.features)
-    targets = pairs.targets
-    if np.any(targets <= 0.0):
-        raise MetricError("REOP undefined: targets contain temperatures <= 0 degC")
-    rel = np.abs(preds - targets) / targets
-    per_profile = rel.reshape(-1, CURVES_PER_PROFILE * rel.shape[1]).mean(axis=1)
-    return [float(v) for v in per_profile]
+    width = CURVES_PER_PROFILE * pairs.n
+    return reop_rows(preds.reshape(-1, width), pairs.targets.reshape(-1, width)).tolist()
 
 
 @dataclass(eq=False)
@@ -373,9 +376,8 @@ def run_benchmark(train_data, test_data: WallDataset,
         if not measured or not truth:
             raise ProtocolError(f"insufficient profiles around test layer {layer}")
         inputs = measured[0::2]
-        held_out = [p for p in truth
-                    if p.point.axial_distance not in
-                    {q.point.axial_distance for q in inputs}] or truth
+        fed = {q.point.place for q in inputs}
+        held_out = [p for p in truth if p.point.place not in fed] or truth
 
         prediction = predict_next_layer(model, inputs, test_data.settings,
                                         test_data.schedule)
@@ -384,9 +386,7 @@ def run_benchmark(train_data, test_data: WallDataset,
         report = evaluate(recon_preds, held_out)
         per_layer[layer] = next(iter(report.per_layer.values()))
 
-        mapped_truth = [p for p in truth
-                        if any(p.point.axial_distance == q.point.axial_distance
-                               for q in inputs)]
+        mapped_truth = [p for p in truth if p.point.place in fed]
         if mapped_truth:
             mreport = evaluate(prediction.mapped_profiles, mapped_truth)
             mapped_per_layer[layer] = next(iter(mreport.per_layer.values()))

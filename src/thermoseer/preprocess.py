@@ -1,10 +1,10 @@
 """Raw trace to fixed-shape curve preprocessing.
 
 Experiment-style traces are split at sharp temperature rises.  Segments are
-resampled to a fixed number of evenly spaced values, and curves are
-overlap-truncated to align curve pairs of successive layers: many rows in
-one call (:func:`overlap_truncate_rows`) or one :class:`Curve` at a time.
-Interpolation is linear throughout.
+resampled to a fixed number of evenly spaced values.  Curves are
+overlap-truncated as rows of one array (:func:`overlap_truncate_rows`), both
+to build the curve pairs of successive layers and to align truth curves with
+a prediction's durations before scoring.  Interpolation is linear throughout.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def overlap_truncate_rows(upper: np.ndarray, upper_durations: np.ndarray,
     """Restrict each row of ``upper``, an evenly sampled curve over
     [0, upper_durations[i]], to its first ``lower_durations[i]`` seconds and
     resample it to ``n`` values; returns (rows, n).  This is the supervised
-    partial-curve target of curve pairs."""
+    partial-curve target of curve pairs, and the truth that a prediction of
+    those durations is scored against."""
     if not np.all(lower_durations > 0.0):
         raise DomainError(f"lower durations must be positive, got {lower_durations.min()!r}")
     if np.any(lower_durations > upper_durations + 1e-9):
@@ -108,15 +109,3 @@ def overlap_truncate_rows(upper: np.ndarray, upper_durations: np.ndarray,
     for row, grid, time, temps in zip(out, grids, times, upper):
         row[:] = np.interp(grid, time, temps)
     return out
-
-
-def overlap_truncate(upper: Curve, lower_duration: float,
-                     n: int | None = None) -> Curve:
-    """Restrict an upper-layer curve to its first ``lower_duration`` seconds
-    and resample it to ``n`` values (default: the curve's own ``n``): the
-    one-curve form of :func:`overlap_truncate_rows`."""
-    temps = overlap_truncate_rows(upper.temps[np.newaxis],
-                                  np.array([upper.duration]),
-                                  np.array([lower_duration], dtype=np.float64),
-                                  upper.n if n is None else n)
-    return Curve(temps[0], lower_duration, upper.curve_index)

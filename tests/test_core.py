@@ -19,6 +19,7 @@ from thermoseer.core import (
     deposition_time,
     mapping_features,
     reop,
+    reop_rows,
     wire_deposition_rate,
 )
 
@@ -219,6 +220,12 @@ class TestReop:
     def test_mixed_n_rejected(self):
         with pytest.raises(ShapeError):
             reop(constant_profile(10.0, n=20), constant_profile(10.0, n=21))
+
+    @pytest.mark.parametrize("shapes", [((5,), (5,)), ((2, 5), (3, 5)), ((1, 5), (2, 5))])
+    def test_rows_need_two_arrays_of_one_2d_shape(self, shapes):
+        # (1, 5) against (2, 5) would broadcast to two rows without the check
+        with pytest.raises(ShapeError):
+            reop_rows(np.full(shapes[0], 10.0), np.full(shapes[1], 20.0))
 
 
 class TestTypes:

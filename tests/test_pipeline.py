@@ -6,25 +6,29 @@ from thermoseer.core import (
     Curve,
     DomainError,
     HorizonError,
+    MetricError,
     PairingError,
     PointId,
     ProcessSettings,
     ProtocolError,
     Profile,
+    ShapeError,
     mapping_features,
+    reop,
 )
-from thermoseer.mapping import TrainConfig, init_model
+from thermoseer.mapping import CurvePairs, TrainConfig, init_model
 from thermoseer.pipeline import (
     ROOM_TEMPERATURE,
     evaluate,
     extract_curve_pairs,
+    mapped_pair_reops,
     predict_layer,
     predict_next_layer,
     predict_point,
     render_field,
     run_benchmark,
 )
-from thermoseer.preprocess import overlap_truncate
+from thermoseer.preprocess import overlap_truncate_rows
 from thermoseer.synthgen import SynthParams, generate_experiment_wall, generate_wall
 
 
@@ -128,6 +132,18 @@ class TestPredictPoint:
         prof = predict_point(pred, 47.3, wall.settings)
         assert len(prof.curves) == 5 and prof.n == 100
 
+    def test_returns_the_requested_distance(self):
+        # at 11 mm/s, d / 11 * 11 is not d for these distances
+        settings = ProcessSettings.build(11.0, 3.0, 160.0, 1.5, 12,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        small = generate_wall(settings, SynthParams(seed=3), points_per_layer=3, n=20)
+        pred = predict_layer(zero_model(20), small, 4)
+        for d in (60.0, 100.0, 120.0):
+            assert d / 11.0 * 11.0 != d
+            point = predict_point(pred, d, settings).point
+            assert point.axial_distance == d
+            assert point.relative_delay == d / 11.0
+
     def test_out_of_range_rejected(self, wall):
         pred = predict_next_layer(zero_model(100), wall.profiles_on(20),
                                   wall.settings, wall.schedule)
@@ -227,6 +243,70 @@ class TestEvaluate:
         report = evaluate([pred], [upper])
         assert report.reops()[0] < 0.15
 
+    @hsettings(max_examples=60, deadline=None)
+    @given(n_pred=st.integers(2, 12), n_truth=st.integers(2, 12),
+           points=st.lists(st.tuples(st.sampled_from([4, 9]), st.integers(0, 160)),
+                           min_size=1, max_size=8, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_a_per_curve_oracle(self, n_pred, n_truth, points, seed):
+        # points on two layers, truth N != prediction N, prediction durations
+        # no longer than the truth's, both lists shuffled
+        rng = np.random.default_rng(seed)
+
+        def profile(point, temps, durations):
+            return Profile(point, tuple(Curve(temps[k], durations[k], k + 1)
+                                        for k in range(5)))
+
+        preds, truth, want = [], [], {}
+        for layer, d in points:
+            point = PointId.from_distance(layer, float(d), 8.0)
+            t_dur = rng.uniform(5.0, 80.0, size=5)
+            p_dur = t_dur * np.where(rng.random(5) < 0.3, 1.0, rng.uniform(0.05, 1.0, size=5))
+            t_temps = rng.uniform(1.0, 1500.0, size=(5, n_truth))
+            p_temps = rng.uniform(1.0, 1500.0, size=(5, n_pred))
+            preds.append(profile(point, p_temps, p_dur))
+            truth.append(profile(point, t_temps, t_dur))
+            aligned = np.concatenate([
+                np.interp(np.linspace(0, p_dur[k], n_pred),
+                          np.linspace(0, t_dur[k], n_truth), t_temps[k])
+                for k in range(5)])
+            p = np.concatenate(p_temps)
+            want[(layer, float(d))] = np.mean(np.abs(p - aligned) / aligned)
+        rng.shuffle(preds)
+        rng.shuffle(truth)
+
+        report = evaluate(preds, truth)
+        got = [((p.layer, p.axial_distance), value) for p, value in report.per_point]
+        assert [key for key, _ in got] == sorted(want)
+        assert all(value == want[key] for key, value in got)
+        assert sorted(report.per_layer) == sorted({layer for layer, _ in points})
+
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_mixed_n_rejected(self, wall, side):
+        truth = wall.profiles_on(10)
+        other = Profile(truth[0].point, tuple(
+            Curve(c.temps[:50], c.duration, c.curve_index) for c in truth[0].curves))
+        mixed = [other] + truth[1:]
+        with pytest.raises(ShapeError):
+            evaluate(mixed, truth) if side == "predictions" else evaluate(truth, mixed)
+
+
+@pytest.mark.parametrize("path", ["reop", "evaluate", "mapped_pair_reops"])
+def test_zero_degree_truth_is_a_metric_error(path):
+    # 0 degC is a valid curve temperature, but REOP divides by the truth
+    n = 6
+    point = PointId.from_distance(3, 40.0, 8.0)
+    temps = np.full((5, n), 300.0)
+    temps[0, 0] = 0.0
+    truth = Profile(point, tuple(Curve(temps[k], 50.0, k + 1) for k in range(5)))
+    pred = Profile(point, tuple(Curve(np.full(n, 310.0), 50.0, k + 1) for k in range(5)))
+    pairs = CurvePairs(np.full((5, n), 310.0), np.ones((5, 4)), temps)
+    score = {"reop": lambda: reop(pred, truth),
+             "evaluate": lambda: evaluate([pred], [truth]),
+             "mapped_pair_reops": lambda: mapped_pair_reops(zero_model(n), pairs)}[path]
+    with pytest.raises(MetricError, match="<= 0 degC"):
+        score()
+
 
 class TestCurvePairs:
     def test_full_wall_pair_count(self, wall):
@@ -242,8 +322,10 @@ class TestCurvePairs:
         pairs = extract_curve_pairs(wall, layers=[5, 6])
         assert len(pairs) == 35
         lower, upper = wall.profiles_on(5)[0].curves[0], wall.profiles_on(6)[0].curves[0]
-        np.testing.assert_array_equal(pairs.targets[0],
-                                      overlap_truncate(upper, lower.duration).temps)
+        np.testing.assert_array_equal(
+            pairs.targets[0],
+            overlap_truncate_rows(upper.temps[np.newaxis], np.array([upper.duration]),
+                                  np.array([lower.duration]), upper.n)[0])
         assert pairs.features[0, 1] == wall.schedule.for_layer(5)
 
     @hsettings(max_examples=30, deadline=None)

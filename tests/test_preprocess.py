@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoseer.core import Curve, DomainError, PointId
-from thermoseer.preprocess import Segment, overlap_truncate, resample, split_experiment
+from thermoseer.preprocess import Segment, overlap_truncate_rows, resample, split_experiment
 from thermoseer.synthgen import (
     RawTrace,
     SynthParams,
@@ -104,30 +104,34 @@ class TestResample:
 class TestOverlapTruncate:
     def test_equal_durations_is_plain_resample(self):
         cur = Curve(np.linspace(900, 300, 30), 8.0, 1)
-        a = overlap_truncate(cur, 8.0, n=10)
+        a = overlap_truncate_rows(cur.temps[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
         b = resample(Segment(cur.times(), cur.temps), 10)
-        np.testing.assert_allclose(a.temps, b.temps, atol=1e-12)
+        np.testing.assert_allclose(a[0], b.temps, atol=1e-12)
 
     def test_half_ramp(self):
         cur = Curve(np.array([0.0, 100.0]), 10.0, 1)
-        c = overlap_truncate(cur, 5.0, n=6)
-        np.testing.assert_allclose(c.temps, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
-        assert c.duration == 5.0
+        c = overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([5.0]), 6)
+        np.testing.assert_allclose(c[0], [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+        # the row samples the first 5 s of the curve, endpoint included
+        np.testing.assert_array_equal(c[0], np.interp(np.linspace(0.0, 5.0, 6),
+                                                      cur.times(), cur.temps))
 
     def test_n_preserved(self):
         cur = Curve(np.linspace(1000, 250, 100), 20.0, 1)
-        for frac in (0.2, 0.5, 0.9):
-            assert overlap_truncate(cur, 20 * frac, n=33).n == 33
+        fracs = np.array([0.2, 0.5, 0.9])
+        rows = overlap_truncate_rows(np.tile(cur.temps, (3, 1)), np.full(3, 20.0),
+                                     20 * fracs, 33)
+        assert rows.shape == (3, 33)
 
     def test_accepts_curve(self):
         cur = Curve(np.linspace(0.0, 100.0, 11), 10.0, 2)
-        out = overlap_truncate(cur, 5.0)
-        assert out.n == 11
-        assert out.curve_index == 2
-        np.testing.assert_allclose(out.temps, np.linspace(0.0, 50.0, 11))
+        out = overlap_truncate_rows(cur.temps[np.newaxis], np.array([cur.duration]),
+                                    np.array([5.0]), cur.n)
+        assert out.shape == (1, 11)
+        np.testing.assert_allclose(out[0], np.linspace(0.0, 50.0, 11))
 
     def test_longer_than_upper_rejected(self):
         cur = Curve(np.linspace(0.0, 100.0, 11), 10.0, 1)
         with pytest.raises(DomainError):
-            overlap_truncate(cur, 11.0)
+            overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([11.0]), 11)
 

@@ -7,12 +7,11 @@ from thermoseer.core import (
     DomainError,
     PointId,
     ProcessSettings,
-    Profile,
     curve_duration,
     deposition_time,
-    reop,
+    reop_rows,
 )
-from thermoseer.preprocess import overlap_truncate
+from thermoseer.preprocess import overlap_truncate_rows
 from thermoseer.synthgen import (
     RawTrace,
     SynthParams,
@@ -117,16 +116,15 @@ class TestGenerateWall:
         # of each point pair: below 0.15 from layer 10 up, and its j-average
         # decreases with the layer.
         def layer_similarity(i):
-            vals = []
-            for low in wall.profiles_on(i):
-                up = wall.profiles[PointId.from_distance(
-                    i + 1, low.point.axial_distance, settings.travel_speed)]
-                trunc = tuple(
-                    overlap_truncate(up.curves[k], low.curves[k].duration)
-                    for k in range(5)
-                )
-                vals.append(reop(Profile(up.point, trunc), low))
-            return vals
+            lows = wall.profiles_on(i)
+            ups = [wall.profiles[PointId.from_distance(
+                i + 1, low.point.axial_distance, settings.travel_speed)] for low in lows]
+            trunc = overlap_truncate_rows(
+                np.array([c.temps for up in ups for c in up.curves]),
+                np.array([up.durations for up in ups]).reshape(-1),
+                np.array([low.durations for low in lows]).reshape(-1), wall.n)
+            return reop_rows(trunc.reshape(len(lows), -1),
+                             np.array([low.stacked() for low in lows]))
 
         averages = {}
         for i in range(10, 35):
