@@ -40,9 +40,10 @@ print(f"dwell schedule (s): layer 1 = {wall.schedule.for_layer(1):.1f}, "
 # one profile up close
 prof = wall.profiles[PointId.from_distance(10, 80.0, settings.travel_speed)]
 print("\npoint: layer 10, 80 mm from the layer start")
-for curve in prof.curves:
-    print(f"  curve {curve.curve_index}: duration {curve.duration:7.1f} s, "
-          f"peak {curve.temps.max():7.1f} degC, end {curve.temps[-1]:6.1f} degC")
+# a profile is one (5, N) block of temperatures plus the five curve durations
+for k, (temps, duration) in enumerate(zip(prof.temps, prof.durations), start=1):
+    print(f"  curve {k}: duration {duration:7.1f} s, "
+          f"peak {temps.max():7.1f} degC, end {temps[-1]:6.1f} degC")
 
 # curve similarity between successive layers, the mapping model's premise
 print("\nmean REOP between curve k of layer i+1 (overlap-truncated) and layer i:")
@@ -62,8 +63,8 @@ try:
 
     fig, axes = plt.subplots(1, 2, figsize=(11, 4))
     offsets = np.concatenate([[0.0], np.cumsum(prof.durations)])
-    for curve, start in zip(prof.curves, offsets):
-        axes[0].plot(start + curve.times(), curve.temps, lw=1.2)
+    for temps, duration, start in zip(prof.temps, prof.durations, offsets):
+        axes[0].plot(start + np.linspace(0.0, duration, prof.n), temps, lw=1.2)
     axes[0].set_xlabel("local time, s")
     axes[0].set_ylabel("temperature, degC")
     axes[0].set_title("five cycles of one point (layer 10, d=80 mm)")
@@ -71,8 +72,9 @@ try:
     low = wall.profiles[PointId.from_distance(10, 80.0, settings.travel_speed)]
     up = wall.profiles[PointId.from_distance(11, 80.0, settings.travel_speed)]
     k = 2
-    axes[1].plot(low.curves[k].times(), low.curves[k].temps, label="layer 10, curve 3")
-    axes[1].plot(up.curves[k].times(), up.curves[k].temps, "--", label="layer 11, curve 3")
+    for prof_k, style, label in ((low, "-", "layer 10, curve 3"), (up, "--", "layer 11, curve 3")):
+        axes[1].plot(np.linspace(0.0, prof_k.durations[k], prof_k.n), prof_k.temps[k],
+                     style, label=label)
     axes[1].set_xlabel("time since cycle start, s")
     axes[1].legend()
     axes[1].set_title("curve pair of successive layers")

@@ -39,12 +39,13 @@ def mapped_reop(layer):
     """Median REOP of single-step mapping onto the given layer."""
     lower = wall.profiles_on(layer - 1)
     truth = wall.profiles_on(layer)
-    feats = mapping_features(settings, wall.schedule, layer - 1)
-    preds = []
-    for prof in lower:
-        curves = forward_many(model, list(prof.curves), [feats] * 5)
-        point = PointId(layer, prof.point.axial_distance, prof.point.relative_delay)
-        preds.append(Profile(point, tuple(curves)))
+    # every curve of the layer below in one (5M, N) block, one feature row each
+    temps = np.concatenate([prof.temps for prof in lower])
+    feats = np.tile(mapping_features(settings, wall.schedule, layer - 1), (len(temps), 1))
+    mapped = forward_many(model, temps, feats).reshape(len(lower), 5, -1)
+    preds = [Profile(PointId(layer, prof.point.axial_distance, prof.point.relative_delay),
+                     block, prof.durations)
+             for prof, block in zip(lower, mapped)]
     report = evaluate(preds, truth)
     return float(np.median(report.reops()))
 

@@ -60,8 +60,8 @@ try:
     truth = held_out[1]
     pred = preds[1]
     fig, ax = plt.subplots(figsize=(7, 4))
-    ax.plot(truth.stacked(), label="oracle", lw=1.0)
-    ax.plot(pred.stacked(), "--", label="reconstruction", lw=1.0)
+    ax.plot(truth.temps.reshape(-1), label="oracle", lw=1.0)
+    ax.plot(pred.temps.reshape(-1), "--", label="reconstruction", lw=1.0)
     ax.set_xlabel("stacked sample index (5N)")
     ax.set_ylabel("temperature, degC")
     ax.set_title(f"held-out point at {truth.point.axial_distance:.0f} mm, layer {layer}")

@@ -40,7 +40,6 @@ from .core import (
     CURVES_PER_PROFILE,
     CheckpointError,
     ConfigError,
-    Curve,
     DomainError,
     DwellSchedule,
     PointId,
@@ -179,7 +178,7 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
     for row, prof in zip(rows, profiles):
         row[:2] = prof.point.layer, prof.point.axial_distance
         row[2:_ROW_HEAD] = prof.durations
-        row[_ROW_HEAD:] = prof.stacked()
+        row[_ROW_HEAD:] = prof.temps.reshape(-1)
     header = {
         "settings": dataclasses.asdict(dataset.settings),
         "schedule": list(dataset.schedule.dwell),
@@ -212,9 +211,8 @@ def load_dataset(path: str) -> WallDataset:
             point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
             if point in profiles:
                 raise DomainError(f"point {point} is listed twice")
-            temps = row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1)
-            profiles[point] = Profile(point, tuple(
-                Curve(temps[k], durations[k], k + 1) for k in range(CURVES_PER_PROFILE)))
+            profiles[point] = Profile(point, row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1),
+                                      durations)
         return WallDataset(settings, schedule, profiles, provenance, wall_id)
     except ThermoseerError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -1,8 +1,11 @@
 """Domain types and shared arithmetic for thin-wall thermal prediction.
 
 Everything downstream (generation, preprocessing, mapping, reconstruction,
-pipeline) speaks in these types.  Temperatures are degrees Celsius stored as
-float64 end to end; layers are indexed 1-based.
+pipeline) speaks in these types.  A point's temperature history is one
+:class:`Profile`: its first five print+dwell curves as one (5, N) array plus
+their five durations, so producers fill and consumers read that block
+directly; :class:`Curve` is the one-curve value of resampling.  Temperatures
+are degrees Celsius stored as float64 end to end; layers are indexed 1-based.
 """
 
 from __future__ import annotations
@@ -218,6 +221,25 @@ class PointId:
         return round(self.axial_distance, 9)
 
 
+def _frozen_curves(temps: np.ndarray, durations: tuple[float, ...],
+                   rows: tuple[int, ...]) -> np.ndarray:
+    """``temps`` as a read-only float64 array of shape ``rows + (N,)`` with
+    N >= 2, once every value lies inside the physical temperature range and
+    every duration is positive and finite."""
+    temps = np.ascontiguousarray(temps, dtype=np.float64)
+    if temps.ndim != len(rows) + 1 or temps.shape[:-1] != rows or temps.shape[-1] < 2:
+        shape = ", ".join([str(r) for r in rows] + ["N >= 2"])
+        raise ShapeError(f"curve temps must have shape ({shape}), got {temps.shape}")
+    if not in_temperature_range(temps):
+        raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
+                          f"and {MAX_TEMPERATURE_C:g} degC")
+    for duration in durations:
+        if not math.isfinite(duration) or duration <= 0.0:
+            raise DomainError(f"curve duration must be positive, got {duration!r}")
+    temps.flags.writeable = False
+    return temps
+
+
 @dataclass(frozen=True, eq=False)
 class Curve:
     """One print+dwell cycle of a point's temperature history, resampled to a
@@ -225,21 +247,9 @@ class Curve:
 
     temps: np.ndarray
     duration: float
-    curve_index: int
 
     def __post_init__(self) -> None:
-        temps = np.ascontiguousarray(self.temps, dtype=np.float64)
-        if temps.ndim != 1 or temps.size < 2:
-            raise ShapeError(f"curve temps must be a 1-D vector of >= 2 values, got shape {temps.shape}")
-        if not in_temperature_range(temps):
-            raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
-                              f"and {MAX_TEMPERATURE_C:g} degC")
-        if not math.isfinite(self.duration) or self.duration <= 0.0:
-            raise DomainError(f"curve duration must be positive, got {self.duration!r}")
-        if not 1 <= self.curve_index <= CURVES_PER_PROFILE:
-            raise DomainError(f"curve_index must be in 1..{CURVES_PER_PROFILE}, got {self.curve_index}")
-        temps.flags.writeable = False
-        object.__setattr__(self, "temps", temps)
+        object.__setattr__(self, "temps", _frozen_curves(self.temps, (self.duration,), ()))
 
     @property
     def n(self) -> int:
@@ -252,56 +262,32 @@ class Curve:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """The ordered first five curves of one point."""
+    """The first five curves of one point as one read-only (5, N) float64
+    block: row k of ``temps`` is curve k + 1, evenly sampled over [0,
+    durations[k]] seconds.  ``temps.reshape(-1)`` is the point's 5N column
+    of a layer's snapshot matrix."""
 
     point: PointId
-    curves: tuple[Curve, ...]
+    temps: np.ndarray
+    durations: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "curves", tuple(self.curves))
-        if len(self.curves) != CURVES_PER_PROFILE:
-            raise ShapeError(f"profile needs exactly {CURVES_PER_PROFILE} curves, got {len(self.curves)}")
-        indices = [c.curve_index for c in self.curves]
-        if indices != list(range(1, CURVES_PER_PROFILE + 1)):
-            raise ShapeError(f"curve indices must be 1..{CURVES_PER_PROFILE} in order, got {indices}")
-        sizes = {c.n for c in self.curves}
-        if len(sizes) != 1:
-            raise ShapeError(f"curves of one profile must share N, got sizes {sorted(sizes)}")
+        durations = tuple(float(d) for d in self.durations)
+        if len(durations) != CURVES_PER_PROFILE:
+            raise ShapeError(f"profile needs exactly {CURVES_PER_PROFILE} durations, "
+                             f"got {len(durations)}")
+        object.__setattr__(self, "temps",
+                           _frozen_curves(self.temps, durations, (CURVES_PER_PROFILE,)))
+        object.__setattr__(self, "durations", durations)
 
     @property
     def n(self) -> int:
-        return self.curves[0].n
+        return self.temps.shape[1]
 
     @property
-    def durations(self) -> tuple[float, ...]:
-        return tuple(c.duration for c in self.curves)
-
-    def stacked(self) -> np.ndarray:
-        """Concatenation [C1; C2; C3; C4; C5] as a 5N vector."""
-        return np.concatenate([c.temps for c in self.curves])
-
-
-@dataclass(frozen=True)
-class MappingFeatures:
-    """The four scalar inputs fed to the mapping model alongside a curve:
-    layer print time (s), dwell of the source layer (s), deposition rate
-    (mm^3/s), and relative height of the source layer (mm)."""
-
-    layer_print_time: float
-    dwell_of_source_layer: float
-    deposition_rate: float
-    relative_height: float
-
-    def __post_init__(self) -> None:
-        for name in ("layer_print_time", "dwell_of_source_layer",
-                     "deposition_rate", "relative_height"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be >= 0 and finite, got {v!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.layer_print_time, self.dwell_of_source_layer,
-                         self.deposition_rate, self.relative_height])
+    def curves(self) -> tuple[Curve, ...]:
+        """The five rows as :class:`Curve` values, built on each access."""
+        return tuple(Curve(t, d) for t, d in zip(self.temps, self.durations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,17 +384,16 @@ def mapping_features(
     settings: ProcessSettings,
     schedule: DwellSchedule,
     source_layer: int,
-) -> MappingFeatures:
-    """The four complementary mapping inputs for curves measured on
-    ``source_layer`` (the printed layer below the one being predicted)."""
+) -> np.ndarray:
+    """The four process features fed to the mapping model alongside every
+    curve measured on ``source_layer`` (the printed layer below the one
+    being predicted), as a (4,) array in this order: layer print time (s),
+    dwell of the source layer (s), deposition rate (mm^3/s) and relative
+    height of the source layer (mm)."""
     if not 1 <= source_layer <= settings.num_layers:
         raise DomainError(f"source_layer {source_layer} outside 1..{settings.num_layers}")
-    return MappingFeatures(
-        layer_print_time=settings.layer_print_time,
-        dwell_of_source_layer=schedule.for_layer(source_layer),
-        deposition_rate=settings.deposition_rate,
-        relative_height=source_layer * settings.layer_thickness,
-    )
+    return np.array([settings.layer_print_time, schedule.for_layer(source_layer),
+                     settings.deposition_rate, source_layer * settings.layer_thickness])
 
 
 def reop_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -426,5 +411,5 @@ def reop(predicted: Profile, truth: Profile) -> float:
     """Relative error of profile: mean of |T_hat - T| / T over all 5N samples
     of the five (partial) curves; the one-profile form of :func:`reop_rows`,
     so profiles of different N raise ShapeError."""
-    return float(reop_rows(predicted.stacked()[np.newaxis], truth.stacked()[np.newaxis])[0])
+    return float(reop_rows(predicted.temps.reshape(1, -1), truth.temps.reshape(1, -1))[0])
 

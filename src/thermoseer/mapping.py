@@ -11,6 +11,11 @@ squared error loss over scaled temperatures.  The training set is one
 and overlap-truncated target curves, which every training function reads
 directly.
 
+Inference is array in, array out: :func:`forward_raw` maps a (B, N) block
+of curves with its (B, 4) features to (B, N) predictions, and
+:func:`forward_many` is the same pass with the output's physical range
+checked, which is how a layer's five-curve profiles are mapped in one call.
+
 The parameters are one float64 vector, and inference, checkpoints and the
 loss and gradient functions use it as float64.  :func:`train` computes in
 float32 on those float64 weights: activations, gradients and Adam's
@@ -30,9 +35,7 @@ import numpy as np
 from .core import (
     ABSOLUTE_ZERO_C,
     MAX_TEMPERATURE_C,
-    Curve,
     DomainError,
-    MappingFeatures,
     NumericsError,
     ShapeError,
     in_temperature_range,
@@ -144,11 +147,13 @@ class TrainConfig:
 class CurvePairs:
     """Supervised curve pairs as three row-aligned, read-only float64
     arrays: row i holds a lower point's curve (``inputs``, P x N), the four
-    :class:`MappingFeatures` of its source layer (``features``, P x 4) and
-    the upper point's curve truncated to the overlap (``targets``, P x N).
+    process features of its source layer
+    (:func:`~thermoseer.core.mapping_features`; ``features``, P x 4) and the
+    upper point's curve truncated to the overlap (``targets``, P x N).
     ``len(pairs)`` is P; ``pairs[rows]`` (a slice or an index array) is the
-    CurvePairs of those rows.  Values are checked as a :class:`Curve` and
-    :class:`MappingFeatures` check theirs."""
+    CurvePairs of those rows.  Temperatures are checked as a
+    :class:`~thermoseer.core.Profile` checks its own; features must be
+    finite and >= 0."""
 
     inputs: np.ndarray
     features: np.ndarray
@@ -260,30 +265,21 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
     return out * TEMP_SCALE + temps
 
 
-def forward_many(model: MappingModel, curves: list[Curve],
-                 features: list[MappingFeatures]) -> list[Curve]:
-    """Batched inference over many curves in one matrix pass.  Output outside
-    the range a :class:`Curve` accepts (not finite, at or below absolute
-    zero, at or above MAX_TEMPERATURE_C) is the model's fault (say, a
-    diverged training run) and raises NumericsError."""
-    if len(curves) != len(features):
-        raise ShapeError("curves and features must pair up one-to-one")
-    if not curves:
-        return []
-    if any(c.n != model.n for c in curves):
-        raise ShapeError(f"all curves must have N={model.n}")
-    temps = np.stack([c.temps for c in curves])
-    feats = np.stack([f.as_array() for f in features])
+def forward_many(model: MappingModel, temps: np.ndarray,
+                 features: np.ndarray) -> np.ndarray:
+    """:func:`forward_raw` for inference that must stay physical: (B, N)
+    curve temperatures plus their (B, 4) features to (B, N) predicted
+    temperatures in degC, in one matrix pass.  Output outside the range a
+    :class:`~thermoseer.core.Profile` accepts (not finite, at or below
+    absolute zero, at or above MAX_TEMPERATURE_C) is the model's fault (say,
+    a diverged training run) and raises NumericsError."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        preds = forward_raw(model, temps, feats)
+        preds = forward_raw(model, temps, features)
     if not in_temperature_range(preds):
         raise NumericsError(f"the mapping model predicts non-finite temperatures or "
                             f"temperatures outside ({ABSOLUTE_ZERO_C}, "
                             f"{MAX_TEMPERATURE_C:g}) degC; retrain it")
-    return [
-        Curve(preds[i], curves[i].duration, curves[i].curve_index)
-        for i in range(len(curves))
-    ]
+    return preds
 
 
 def _training_matrices(model: MappingModel, pairs: CurvePairs):

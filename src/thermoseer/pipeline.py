@@ -15,7 +15,7 @@ point when they share a layer and a :attr:`~thermoseer.core.PointId.place`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,15 +101,12 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
         )
 
     start = time.perf_counter()
-    feats = mapping_features(settings, schedule, source)
-    flat_curves = [c for prof in measured for c in prof.curves]
-    flat_feats = [feats] * len(flat_curves)
-    predicted = forward_many(model, flat_curves, flat_feats)
-    mapped = []
-    for i, prof in enumerate(measured):
-        point = PointId(target, prof.point.axial_distance, prof.point.relative_delay)
-        curves = tuple(predicted[i * CURVES_PER_PROFILE:(i + 1) * CURVES_PER_PROFILE])
-        mapped.append(Profile(point, curves))
+    temps, _ = _curve_rows(measured, model.n)
+    feats = np.broadcast_to(mapping_features(settings, schedule, source), (len(temps), 4))
+    blocks = forward_many(model, temps, feats).reshape(len(measured), CURVES_PER_PROFILE, -1)
+    mapped = [Profile(PointId(target, prof.point.axial_distance, prof.point.relative_delay),
+                      block, prof.durations)
+              for prof, block in zip(measured, blocks)]
     t_map = time.perf_counter()
 
     recon = fit_layer(mapped, settings.travel_speed,
@@ -149,8 +146,8 @@ def predict_point(prediction: LayerPrediction, axial_distance: float,
             f"axial_distance {axial_distance} outside 0..{settings.layer_length}"
         )
     point = PointId.from_distance(prediction.layer, axial_distance, settings.travel_speed)
-    return Profile(point, reconstruct_profile(prediction.reconstruction,
-                                              point.relative_delay).curves)
+    return replace(reconstruct_profile(prediction.reconstruction, point.relative_delay),
+                   point=point)
 
 
 def render_field(prediction: LayerPrediction, settings: ProcessSettings,
@@ -229,25 +226,38 @@ def _summarize(values: np.ndarray) -> LayerSummary:
 
 def _curve_rows(profiles: list[Profile], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The profiles' curves as (5P, n) rows and their durations as 5P values,
-    in profile then curve order.  A profile whose N is not ``n`` raises
-    ShapeError."""
+    in profile then curve order; no profiles give (0, n) rows.  A profile
+    whose N is not ``n`` raises ShapeError."""
     sizes = sorted({p.n for p in profiles} - {n})
     if sizes:
-        raise ShapeError(f"profiles mix N: {n} and {sizes}")
-    return (np.array([c.temps for p in profiles for c in p.curves]).reshape(-1, n),
+        raise ShapeError(f"profiles have N {sizes}, expected {n}")
+    return (np.array([p.temps for p in profiles]).reshape(-1, n),
             np.array([p.durations for p in profiles]).reshape(-1))
+
+
+def _by_place(profiles: list[Profile], role: str) -> dict[tuple[int, float], Profile]:
+    """Profiles keyed by (layer, place); a point named twice raises
+    PairingError."""
+    keyed = {}
+    for p in profiles:
+        key = (p.point.layer, p.point.place)
+        if key in keyed:
+            raise PairingError(f"the {role} name the point (layer, distance) {key} twice")
+        keyed[key] = p
+    return keyed
 
 
 def evaluate(predictions: list[Profile], truth: list[Profile]) -> EvaluationReport:
     """REOP of each predicted profile against its matching truth point.
 
     Points match by layer and :attr:`~thermoseer.core.PointId.place`, and
-    the two point sets must match one-to-one.  Truth curves are
+    the two point sets must match one-to-one: a point missing from either
+    list, or named twice in one, raises PairingError.  Truth curves are
     overlap-truncated to the predicted partial durations and N before
     scoring.  Predictions of mixed N, or truth of mixed N, raise ShapeError.
     """
-    pred_map = {(p.point.layer, p.point.place): p for p in predictions}
-    truth_map = {(p.point.layer, p.point.place): p for p in truth}
+    pred_map = _by_place(predictions, "predictions")
+    truth_map = _by_place(truth, "truth profiles")
     orphans = sorted(set(pred_map) ^ set(truth_map))
     if orphans:
         raise PairingError(f"unmatched points (layer, distance): {orphans}")
@@ -291,7 +301,7 @@ def extract_curve_pairs(walls: WallDataset | list[WallDataset],
         sources = sorted(i for i in allowed
                          if i in available and (i + 1) in available and (i + 1) in allowed)
         for i in sources:
-            feats = mapping_features(wall.settings, wall.schedule, i).as_array()
+            feats = mapping_features(wall.settings, wall.schedule, i)
             upper_by_place = {p.point.place: p for p in wall.profiles_on(i + 1)}
             for low in wall.profiles_on(i):
                 up = upper_by_place.get(low.point.place)

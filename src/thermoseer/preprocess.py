@@ -77,7 +77,7 @@ def split_experiment(trace: RawTrace, rise_threshold: float = 50.0) -> list[Segm
     return segments
 
 
-def resample(segment: Segment, n: int, curve_index: int = 1) -> Curve:
+def resample(segment: Segment, n: int) -> Curve:
     """Evenly resample a segment to ``n`` temperatures over [0, duration] with
     linear interpolation; the segment endpoints are preserved exactly."""
     if len(segment) < 2:
@@ -88,7 +88,7 @@ def resample(segment: Segment, n: int, curve_index: int = 1) -> Curve:
         raise DomainError("segment duration is degenerate")
     grid = np.linspace(segment.times[0], segment.times[-1], n)
     temps = np.interp(grid, segment.times, segment.temps)
-    return Curve(temps, segment.duration, curve_index)
+    return Curve(temps, segment.duration)
 
 
 def overlap_truncate_rows(upper: np.ndarray, upper_durations: np.ndarray,

@@ -19,7 +19,6 @@ from numpy.typing import ArrayLike
 
 from .core import (
     CURVES_PER_PROFILE,
-    Curve,
     DomainError,
     NumericsError,
     PointId,
@@ -118,7 +117,7 @@ def build_profile_matrix(profiles: list[Profile]) -> tuple[np.ndarray, np.ndarra
     if len(sizes) != 1:
         raise ShapeError(f"profiles disagree on N: {sorted(sizes)}")
     ordered = sorted(profiles, key=lambda p: p.point.relative_delay)
-    matrix = np.column_stack([p.stacked() for p in ordered])
+    matrix = np.column_stack([p.temps.reshape(-1) for p in ordered])
     if matrix.shape[0] <= matrix.shape[1]:
         raise ShapeError(
             f"snapshot matrix must be tall (5N > M), got {matrix.shape}"
@@ -228,13 +227,7 @@ def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike) -> np.nda
 
 def reconstruct_profile(recon: LayerReconstruction, delay: float) -> Profile:
     """Temperature profile of an arbitrary point on the layer: the one
-    stacked column of :func:`reconstruct_stacked`, unstacked into five
-    curves."""
+    stacked column of :func:`reconstruct_stacked` as a (5, N) block."""
     stacked = reconstruct_stacked(recon, [delay])[:, 0]
-    n = recon.n
     point = PointId(recon.layer, delay * recon.travel_speed, delay)
-    curves = tuple(
-        Curve(stacked[k * n:(k + 1) * n], recon.durations[k], k + 1)
-        for k in range(CURVES_PER_PROFILE)
-    )
-    return Profile(point, curves)
+    return Profile(point, stacked.reshape(CURVES_PER_PROFILE, recon.n), recon.durations)

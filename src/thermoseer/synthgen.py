@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     CURVES_PER_PROFILE,
     ConfigError,
-    Curve,
     DomainError,
     DwellSchedule,
     PointId,
@@ -286,18 +285,18 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
 
     profiles = {}
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
+        durations = [curve_duration(schedule, settings, layer, k)
+                     for k in range(1, CURVES_PER_PROFILE + 1)]
         for j, d in enumerate(distances, start=1):
             point = PointId.from_distance(layer, d, settings.travel_speed)
             rng = np.random.default_rng((params.seed, layer, j)) if params.noise_sd > 0 else None
-            curves = []
-            for k in range(1, CURVES_PER_PROFILE + 1):
-                duration = curve_duration(schedule, settings, layer, k)
-                temps = analytic_curve(params, settings, schedule, point, k,
-                                       np.linspace(0.0, duration, n))
+            temps = np.empty((CURVES_PER_PROFILE, n))
+            for k, (row, duration) in enumerate(zip(temps, durations), start=1):
+                row[:] = analytic_curve(params, settings, schedule, point, k,
+                                        np.linspace(0.0, duration, n))
                 if rng is not None:
-                    temps = temps + rng.normal(0.0, params.noise_sd, size=n)
-                curves.append(Curve(temps, duration, k))
-            profiles[point] = Profile(point, tuple(curves))
+                    row += rng.normal(0.0, params.noise_sd, size=n)
+            profiles[point] = Profile(point, temps, durations)
 
     provenance = {
         "kind": "synthetic",
@@ -361,11 +360,9 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                 )
             # first segment is the pre-deposition stub; the next five are curves
             point = PointId.from_distance(layer, d, settings.travel_speed)
-            curves = tuple(
-                resample(segments[k], n, curve_index=k)
-                for k in range(1, CURVES_PER_PROFILE + 1)
-            )
-            profiles[point] = Profile(point, curves)
+            curves = [resample(segments[k], n) for k in range(1, CURVES_PER_PROFILE + 1)]
+            profiles[point] = Profile(point, np.array([c.temps for c in curves]),
+                                      [c.duration for c in curves])
 
     provenance = {
         "kind": "synthetic",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermoseer.core import Curve, DwellSchedule, PointId, ProcessSettings, Profile
+from thermoseer.core import DwellSchedule, PointId, ProcessSettings, Profile
 
 
 @pytest.fixture
@@ -30,15 +30,10 @@ def constant_profile(value, n=20, layer=3, distance=40.0, travel_speed=8.0, dura
     if durations is None:
         durations = [50.0 + 2.0 * k for k in range(5)]
     point = PointId.from_distance(layer, distance, travel_speed)
-    curves = tuple(
-        Curve(np.full(n, float(value)), durations[k], k + 1) for k in range(5)
-    )
-    return Profile(point, curves)
+    return Profile(point, np.full((5, n), float(value)), durations)
 
 
 def random_positive_profile(rng, n=20, layer=3, distance=40.0, low=100.0, high=1500.0):
     point = PointId.from_distance(layer, distance, 8.0)
-    curves = tuple(
-        Curve(rng.uniform(low, high, size=n), 50.0 + 2.0 * k, k + 1) for k in range(5)
-    )
-    return Profile(point, curves)
+    return Profile(point, rng.uniform(low, high, size=(5, n)),
+                   [50.0 + 2.0 * k for k in range(5)])

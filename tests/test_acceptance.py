@@ -17,7 +17,6 @@ from scipy.stats import spearmanr
 
 from thermoseer.cli import main as cli_main, save_dataset
 from thermoseer.core import (
-    Curve,
     DwellSchedule,
     PointId,
     ProcessSettings,
@@ -27,7 +26,6 @@ from thermoseer.core import (
 )
 from thermoseer.mapping import (
     CurvePairs,
-    MappingFeatures,
     TrainConfig,
     forward_many,
     init_model,
@@ -111,10 +109,10 @@ class TestCriterion02ResidualIdentity:
             w[:] = 0.0
         model.scaler_fitted = True
         rng = np.random.default_rng(n)
-        curve = Curve(rng.uniform(150, 1400, n), 60.0, 1)
-        feats = MappingFeatures(20.5, 120.0, 52.8, 15.0)
-        out = forward_many(model, [curve], [feats])[0]
-        assert np.array_equal(out.temps, curve.temps)
+        curve = rng.uniform(150, 1400, (1, n))
+        feats = np.array([[20.5, 120.0, 52.8, 15.0]])
+        out = forward_many(model, curve, feats)
+        assert np.array_equal(out, curve)
         _pass(f"2 residual identity (N={n})")
 
 
@@ -167,7 +165,7 @@ class TestCriterion04LearningRateSchedule:
     def test_recorded_lr(self):
         rng = np.random.default_rng(3)
         inputs = np.array([rng.uniform(150, 1400, 2) for _ in range(4)])
-        features = np.tile(MappingFeatures(20.5, 120.0, 52.8, 15.0).as_array(), (4, 1))
+        features = np.tile([20.5, 120.0, 52.8, 15.0], (4, 1))
         samples = CurvePairs(inputs, features, inputs * 1.01)
         model, _ = train(init_model(2, seed=0), samples,
                          TrainConfig(epochs=401, batch_size=4, seed=0))
@@ -244,13 +242,10 @@ class TestCriterion08ReopAlgebra:
         rng = np.random.default_rng(8)
         for _ in range(100):
             point = PointId.from_distance(3, 40.0, 8.0)
-            curves = tuple(Curve(rng.uniform(50, 1500, 25), 50.0 + k, k + 1)
-                           for k in range(5))
-            truth = Profile(point, curves)
+            durations = [50.0 + k for k in range(5)]
+            truth = Profile(point, rng.uniform(50, 1500, (5, 25)), durations)
             for alpha in (0.5, 1.0, 1.1, 2.0):
-                pred = Profile(point, tuple(
-                    Curve(c.temps * alpha, c.duration, c.curve_index)
-                    for c in curves))
+                pred = Profile(point, truth.temps * alpha, durations)
                 assert reop(pred, truth) == pytest.approx(abs(alpha - 1.0), abs=1e-12)
         _pass("8 REOP scaling algebra (100 profiles x 4 scales)")
 
@@ -344,8 +339,8 @@ class TestCriterion12Latency:
         assert map_best < 0.01
         assert recon_best < 0.02
 
-        curves = [c for prof in measured for c in prof.curves]
-        feats = [MappingFeatures(20.5, 160.0, 52.8, 45.0)] * len(curves)
+        curves = np.concatenate([prof.temps for prof in measured])
+        feats = np.tile([20.5, 160.0, 52.8, 45.0], (len(curves), 1))
         assert len(curves) == 35
         forward_many(model, curves, feats)  # warm-up
         times = []

@@ -12,7 +12,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 import thermoseer
-from thermoseer import cli
+from thermoseer import cli, core
 from thermoseer.cli import (
     _atomic_write,
     load_checkpoint,
@@ -22,9 +22,9 @@ from thermoseer.cli import (
     save_dataset,
 )
 from thermoseer.mapping import TrainConfig, init_model, param_count, train
-from thermoseer.pipeline import extract_curve_pairs
+from thermoseer.pipeline import evaluate, extract_curve_pairs, predict_layer, predict_point
 from thermoseer.synthgen import SynthParams, generate_wall
-from thermoseer.core import ProcessSettings
+from thermoseer.core import DwellSchedule, PointId, ProcessSettings, Profile, WallDataset
 
 
 SMALL_CONFIG = """\
@@ -69,9 +69,8 @@ class TestDatasetRoundTrip:
         assert loaded.n == small_wall.n
         for point, prof in small_wall.profiles.items():
             got = loaded.profiles[point]
-            for ca, cb in zip(prof.curves, got.curves):
-                np.testing.assert_array_equal(ca.temps, cb.temps)
-                assert ca.duration == cb.duration
+            np.testing.assert_array_equal(got.temps, prof.temps)
+            assert got.durations == prof.durations
 
     def test_header_schema(self, tmp_path, small_wall):
         path = tmp_path / "wall.tsd"
@@ -97,12 +96,69 @@ class TestDatasetRoundTrip:
         for row, prof in zip(rows, ordered):
             assert (row[0], row[1]) == (prof.point.layer, prof.point.axial_distance)
             assert tuple(row[2:7]) == prof.durations
-            np.testing.assert_array_equal(row[7:], prof.stacked())
+            np.testing.assert_array_equal(row[7:], prof.temps.reshape(-1))
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(2, 6), points=st.integers(1, 4))
+    def test_blocks_and_durations_round_trip_bit_for_bit(self, roundtrip_dir, data,
+                                                         n, points):
+        # any value a Profile accepts, from just above absolute zero to just
+        # below MAX_TEMPERATURE_C and from subnormal to huge durations
+        temp = st.floats(core.ABSOLUTE_ZERO_C, core.MAX_TEMPERATURE_C,
+                         exclude_min=True, exclude_max=True)
+        duration = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        profiles = {}
+        for j in range(points):
+            point = PointId.from_distance(j % 3 + 1, 10.0 * j, settings.travel_speed)
+            temps = data.draw(st.lists(temp, min_size=5 * n, max_size=5 * n))
+            durations = data.draw(st.lists(duration, min_size=5, max_size=5))
+            profiles[point] = Profile(point, np.reshape(temps, (5, n)), durations)
+        path = str(roundtrip_dir / "wall.tsd")
+        save_dataset(path, WallDataset(settings, DwellSchedule((30.0,) * 12), profiles))
+        loaded = load_dataset(path)
+        assert loaded.profiles.keys() == profiles.keys()
+        for point, prof in profiles.items():
+            got = loaded.profiles[point]
+            assert got.temps.tobytes() == prof.temps.tobytes()
+            assert np.array(got.durations).tobytes() == np.array(prof.durations).tobytes()
 
     def test_layers_load_as_integers(self, tmp_path, small_wall):
         path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
         assert all(type(point.layer) is int for point in load_dataset(str(path)).profiles)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+class TestOnlinePath:
+    def test_builds_no_curve(self, tmp_path, small_wall, monkeypatch):
+        # file to score, a profile stays one (5, N) block: the online path
+        # never takes it apart into per-curve objects
+        path = str(tmp_path / "wall.tsd")
+        save_dataset(path, small_wall)
+        model = init_model(small_wall.n, seed=0)
+        model.params[:] = 0.0  # the identity map keeps every prediction in range
+        built = []
+        post_init = core.Curve.__post_init__
+
+        def counting(curve):
+            built.append(curve)
+            post_init(curve)
+
+        monkeypatch.setattr(core.Curve, "__post_init__", counting)
+        wall = load_dataset(path)
+        prediction = predict_layer(model, wall, 7)
+        truth = wall.profiles_on(7)
+        preds = [predict_point(prediction, p.point.axial_distance, wall.settings)
+                 for p in truth]
+        assert len(evaluate(preds, truth).per_point) == 3
+        assert built == []
+        assert len(truth[0].curves) == 5 and len(built) == 5  # the counter counts
 
 
 class TestCheckpointRoundTrip:

@@ -127,16 +127,18 @@ class TestCurveDuration:
 class TestMappingFeatures:
     def test_simulation_one_row(self, settings, schedule):
         f = mapping_features(settings, schedule, 10)
-        assert f.layer_print_time == 20.5
-        assert f.dwell_of_source_layer == schedule.for_layer(10)
-        assert f.deposition_rate == 52.8
-        assert f.relative_height == pytest.approx(15.0)
+        assert f.shape == (4,)
+        layer_print_time, dwell_of_source_layer, deposition_rate, relative_height = f
+        assert layer_print_time == 20.5
+        assert dwell_of_source_layer == schedule.for_layer(10)
+        assert deposition_rate == 52.8
+        assert relative_height == pytest.approx(15.0)
 
     def test_first_layer_height(self, schedule):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 2.0, 40, layer_print_time=20.5,
                                   deposition_rate=70.4)
         f = mapping_features(s, schedule, 1)
-        assert f.relative_height == pytest.approx(2.0)
+        assert f[3] == pytest.approx(2.0)  # relative height
 
     def test_wire_deposition_rate_experiment_one(self):
         # WFR 3 m/min, 1.2 mm wire: published table value 56.52 mm^3/s
@@ -157,9 +159,7 @@ class TestReop:
     def test_scaled_value(self):
         rng = np.random.default_rng(3)
         truth = random_positive_profile(rng)
-        pred = Profile(truth.point, tuple(
-            Curve(c.temps * 1.1, c.duration, c.curve_index) for c in truth.curves
-        ))
+        pred = Profile(truth.point, truth.temps * 1.1, truth.durations)
         assert reop(pred, truth) == pytest.approx(0.1, abs=1e-12)
 
     def test_constant_offset(self):
@@ -172,9 +172,7 @@ class TestReop:
         for _ in range(25):
             truth = random_positive_profile(rng)
             for alpha in (0.5, 1.0, 1.1, 2.0):
-                pred = Profile(truth.point, tuple(
-                    Curve(c.temps * alpha, c.duration, c.curve_index) for c in truth.curves
-                ))
+                pred = Profile(truth.point, truth.temps * alpha, truth.durations)
                 assert reop(pred, truth) == pytest.approx(abs(alpha - 1.0), abs=1e-12)
 
     @hypothesis.settings(max_examples=100, deadline=None)
@@ -191,7 +189,7 @@ class TestReop:
 
         def profile(temps):
             point = PointId.from_distance(3, 40.0, 8.0)
-            return Profile(point, tuple(Curve(temps[k], 50.0, k + 1) for k in range(5)))
+            return Profile(point, temps, (50.0,) * 5)
 
         assert abs(reop(profile(alpha * t), profile(t)) - abs(alpha - 1.0)) <= 1e-12
         base = reop(profile(p), profile(t))
@@ -203,12 +201,8 @@ class TestReop:
         pred = random_positive_profile(rng)
         base = reop(pred, truth)
         perm = rng.permutation(truth.n)
-        truth2 = Profile(truth.point, tuple(
-            Curve(c.temps[perm], c.duration, c.curve_index) for c in truth.curves
-        ))
-        pred2 = Profile(pred.point, tuple(
-            Curve(c.temps[perm], c.duration, c.curve_index) for c in pred.curves
-        ))
+        truth2 = Profile(truth.point, truth.temps[:, perm], truth.durations)
+        pred2 = Profile(pred.point, pred.temps[:, perm], pred.durations)
         assert reop(pred2, truth2) == pytest.approx(base, rel=1e-12)
 
     def test_truth_must_be_positive(self):
@@ -250,34 +244,49 @@ class TestTypes:
         good = constant_profile(300.0, layer=2, distance=40.0, travel_speed=8.0)
         WallDataset(settings, schedule, {good.point: good})
         bad_point = PointId(layer=2, axial_distance=40.0, relative_delay=4.0)
-        bad = Profile(bad_point, good.curves)
+        bad = Profile(bad_point, good.temps, good.durations)
         with pytest.raises(DomainError, match="relative_delay"):
             WallDataset(settings, schedule, {bad_point: bad})
 
     def test_curve_rejects_bad_values(self):
-        with pytest.raises(DomainError):
-            Curve(np.array([1.0, np.nan]), 1.0, 1)
-        with pytest.raises(DomainError):
-            Curve(np.array([1.0, -300.0]), 1.0, 1)
-        for value in (np.inf, -273.15, 1e4, 1e300):
+        # a Curve is one row, a Profile five rows with one duration each;
+        # both check their values the same way
+        pt = PointId.from_distance(1, 10.0, 8.0)
+        kinds = (lambda temps, d: Curve(temps, d),
+                 lambda temps, d: Profile(pt, np.tile(temps, (5, 1)), (1.0,) * 4 + (d,)))
+        for make in kinds:
             with pytest.raises(DomainError):
-                Curve(np.array([1.0, value]), 1.0, 1)
-        Curve(np.array([-273.14, 9999.99]), 1.0, 1)  # inside the physical range
-        with pytest.raises(DomainError):
-            Curve(np.array([1.0, 2.0]), 0.0, 1)
-        with pytest.raises(DomainError):
-            Curve(np.array([1.0, 2.0]), 1.0, 6)
+                make(np.array([1.0, np.nan]), 1.0)
+            with pytest.raises(DomainError):
+                make(np.array([1.0, -300.0]), 1.0)
+            for value in (np.inf, -np.inf, -273.15, 1e4, 1e300):
+                with pytest.raises(DomainError):
+                    make(np.array([1.0, value]), 1.0)
+            make(np.array([-273.14, 9999.99]), 1.0)  # inside the physical range
+            for duration in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(DomainError):
+                    make(np.array([1.0, 2.0]), duration)
+            with pytest.raises(ShapeError):  # N < 2
+                make(np.array([1.0]), 1.0)
+        for temps in (np.full(2, 300.0), np.full((4, 2), 300.0), np.full((6, 2), 300.0),
+                      np.full((5, 2, 1), 300.0), np.full((5, 1), 300.0), np.full((5, 0), 300.0)):
+            with pytest.raises(ShapeError):
+                Profile(pt, temps, (1.0,) * 5)
+        for durations in ((1.0,) * 4, (1.0,) * 6):
+            with pytest.raises(ShapeError):
+                Profile(pt, np.full((5, 2), 300.0), durations)
+        with pytest.raises(ShapeError):
+            Curve(np.full((1, 2), 300.0), 1.0)
 
     def test_curve_is_immutable(self):
-        c = Curve(np.array([1.0, 2.0]), 1.0, 1)
+        c = Curve(np.array([1.0, 2.0]), 1.0)
         with pytest.raises(ValueError):
             c.temps[0] = 5.0
-
-    def test_profile_requires_ordered_indices(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        curves = [Curve(np.array([1.0, 2.0]), 1.0, k) for k in (1, 2, 3, 4, 4)]
-        with pytest.raises(ShapeError):
-            Profile(pt, tuple(curves))
+        p = Profile(PointId.from_distance(1, 10.0, 8.0), np.full((5, 2), 300.0), [1.0] * 5)
+        with pytest.raises(ValueError):
+            p.temps[0, 0] = 5.0
+        assert p.durations == (1.0,) * 5 and p.n == 2
+        assert [c.duration for c in p.curves] == [1.0] * 5
 
     def test_dataset_rejects_mixed_n(self, settings, schedule):
         a = constant_profile(300.0, n=20, layer=2, distance=20.0)

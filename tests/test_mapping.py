@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from thermoseer.cli import load_checkpoint, save_checkpoint
 from thermoseer.core import (
-    Curve,
     DomainError,
-    MappingFeatures,
     NumericsError,
     ProcessSettings,
     ShapeError,
@@ -48,26 +46,23 @@ def scaled_model(n, seed):
     return model
 
 
-def make_curve(rng, n, duration=60.0, k=1, low=150.0, high=1400.0):
-    return Curve(rng.uniform(low, high, size=n), duration, k)
+def make_curves(rng, n, count=1, low=150.0, high=1400.0):
+    return rng.uniform(low, high, size=(count, n))
 
 
-def make_features(rng):
-    return MappingFeatures(
-        layer_print_time=float(rng.uniform(10, 21)),
-        dwell_of_source_layer=float(rng.uniform(30, 300)),
-        deposition_rate=float(rng.uniform(50, 115)),
-        relative_height=float(rng.uniform(1.5, 60)),
-    )
+def make_features(rng, count=1):
+    # layer print time, source-layer dwell, deposition rate, relative height
+    return np.array([[rng.uniform(10, 21), rng.uniform(30, 300), rng.uniform(50, 115),
+                      rng.uniform(1.5, 60)] for _ in range(count)])
 
 
 def make_samples(rng, n, count):
     inputs, features, targets = [], [], []
     for _ in range(count):
-        inp = make_curve(rng, n).temps
+        inp = make_curves(rng, n)[0]
         targets.append(inp * rng.uniform(0.9, 1.1) + rng.normal(0, 5, n))
         inputs.append(inp)
-        features.append(make_features(rng).as_array())
+        features.append(make_features(rng)[0])
     return CurvePairs(np.array(inputs), np.array(features), np.array(targets))
 
 
@@ -145,7 +140,7 @@ class TestFlatParams:
         rng = np.random.default_rng(seed)
         model = zero_model(n)
         temps = rng.uniform(150.0, 1400.0, size=(batch, n))
-        feats = np.stack([make_features(rng).as_array() for _ in range(batch)])
+        feats = make_features(rng, batch)
         np.testing.assert_array_equal(forward_raw(model, temps, feats), temps)
 
     def test_copy_owns_its_params(self):
@@ -166,15 +161,13 @@ class TestForward:
     def test_residual_identity_with_zero_weights(self, n):
         rng = np.random.default_rng(1)
         model = zero_model(n)
-        curve = make_curve(rng, n)
-        out = forward_many(model, [curve], [make_features(rng)])[0]
-        np.testing.assert_array_equal(out.temps, curve.temps)
-        assert out.duration == curve.duration
+        temps = make_curves(rng, n, 3)
+        np.testing.assert_array_equal(forward_many(model, temps, make_features(rng, 3)), temps)
 
     def test_inference_deterministic(self):
         rng = np.random.default_rng(2)
         model = scaled_model(12, seed=3)
-        temps, feats = make_curve(rng, 12).temps, make_features(rng).as_array()
+        temps, feats = make_curves(rng, 12), make_features(rng)
         a = forward_raw(model, temps, feats)
         b = forward_raw(model, temps, feats)
         np.testing.assert_array_equal(a, b)
@@ -183,26 +176,29 @@ class TestForward:
         rng = np.random.default_rng(4)
         model = scaled_model(12, seed=3)
         with pytest.raises(ShapeError):
-            forward_many(model, [make_curve(rng, 13)], [make_features(rng)])
+            forward_many(model, make_curves(rng, 13), make_features(rng))
         with pytest.raises(ShapeError):
-            forward_raw(model, make_curve(rng, 13).temps, make_features(rng).as_array())
+            forward_raw(model, make_curves(rng, 13), make_features(rng))
+        with pytest.raises(ShapeError):  # features must pair up with the curves
+            forward_many(model, make_curves(rng, 12, 3), make_features(rng, 2))
 
     def test_output_beyond_the_physical_range_is_a_model_error(self):
         rng = np.random.default_rng(6)
         model = zero_model(10)
         model.biases[-1][...] = 20.0  # adds 20,000 degC: finite, but no surface is that hot
         with pytest.raises(NumericsError, match="mapping model predicts"):
-            forward_many(model, [make_curve(rng, 10)], [make_features(rng)])
+            forward_many(model, make_curves(rng, 10), make_features(rng))
 
     def test_forward_many_matches_loop(self):
         rng = np.random.default_rng(5)
         model = scaled_model(10, seed=7)
-        curves = [make_curve(rng, 10, k=k % 5 + 1) for k in range(8)]
-        feats = [make_features(rng) for _ in range(8)]
+        curves, feats = make_curves(rng, 10, 8), make_features(rng, 8)
         batched = forward_many(model, curves, feats)
+        assert batched.shape == (8, 10)
         for c, f, got in zip(curves, feats, batched):
-            want = forward_raw(model, c.temps, f.as_array())[0]
-            np.testing.assert_allclose(got.temps, want, rtol=1e-12)
+            want = forward_raw(model, c, f)[0]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert forward_many(model, curves[:0], feats[:0]).shape == (0, 10)
 
 
 class TestCurvePairs:
@@ -428,8 +424,7 @@ class TestLatency:
 
         rng = np.random.default_rng(51)
         model = scaled_model(100, seed=1)
-        curves = [make_curve(rng, 100, k=k % 5 + 1) for k in range(35)]
-        feats = [make_features(rng) for _ in range(35)]
+        curves, feats = make_curves(rng, 100, 35), make_features(rng, 35)
         forward_many(model, curves, feats)  # warm the BLAS path
         # the best of five timed calls, as criterion 12 takes, so one busy
         # moment on the host does not fail the budget

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from thermoseer.core import (
-    Curve,
     DomainError,
     HorizonError,
     MetricError,
@@ -60,7 +59,7 @@ class TestPredictNextLayer:
         assert pred.layer == 13
         assert len(pred.mapped_profiles) == 7
         for got, src in zip(pred.mapped_profiles, measured):
-            np.testing.assert_array_equal(got.stacked(), src.stacked())
+            np.testing.assert_array_equal(got.temps, src.temps)
             assert got.point.layer == 13
             assert got.durations == src.durations
 
@@ -94,7 +93,7 @@ class TestPredictNextLayer:
         b = predict_next_layer(zero_model(100), wall.profiles_on(8),
                                wall.settings, wall.schedule)
         for pa, pb in zip(a.mapped_profiles, b.mapped_profiles):
-            np.testing.assert_array_equal(pa.stacked(), pb.stacked())
+            np.testing.assert_array_equal(pa.temps, pb.temps)
 
 
 class TestPredictPoint:
@@ -106,8 +105,7 @@ class TestPredictPoint:
                                   energy_threshold=1.0)
         mapped = pred.mapped_profiles[2]
         got = predict_point(pred, mapped.point.axial_distance, wall.settings)
-        rel = np.linalg.norm(got.stacked() - mapped.stacked()) \
-            / np.linalg.norm(mapped.stacked())
+        rel = np.linalg.norm(got.temps - mapped.temps) / np.linalg.norm(mapped.temps)
         assert rel < 1e-5
 
     def test_training_position_within_truncation_error_at_default(self, wall):
@@ -115,8 +113,7 @@ class TestPredictPoint:
                                   wall.settings, wall.schedule)
         mapped = pred.mapped_profiles[2]
         got = predict_point(pred, mapped.point.axial_distance, wall.settings)
-        rel = np.linalg.norm(got.stacked() - mapped.stacked()) \
-            / np.linalg.norm(mapped.stacked())
+        rel = np.linalg.norm(got.temps - mapped.temps) / np.linalg.norm(mapped.temps)
         assert rel < 0.01
 
     def test_delay_arithmetic(self, wall):
@@ -130,7 +127,7 @@ class TestPredictPoint:
         pred = predict_next_layer(zero_model(100), wall.profiles_on(20),
                                   wall.settings, wall.schedule)
         prof = predict_point(pred, 47.3, wall.settings)
-        assert len(prof.curves) == 5 and prof.n == 100
+        assert prof.temps.shape == (5, 100) and prof.n == 100
 
     def test_returns_the_requested_distance(self):
         # at 11 mm/s, d / 11 * 11 is not d for these distances
@@ -207,9 +204,7 @@ class TestEvaluate:
     def test_one_scaled_profile(self, wall):
         truth = wall.profiles_on(10)
         preds = list(truth)
-        scaled = Profile(truth[0].point, tuple(
-            Curve(c.temps * 1.02, c.duration, c.curve_index) for c in truth[0].curves
-        ))
+        scaled = Profile(truth[0].point, truth[0].temps * 1.02, truth[0].durations)
         preds[0] = scaled
         report = evaluate(preds, truth)
         values = dict((p.axial_distance, r) for p, r in report.per_point)
@@ -219,12 +214,8 @@ class TestEvaluate:
 
     def test_median_is_sorted_middle(self, wall):
         truth = wall.profiles_on(10)
-        preds = [
-            Profile(p.point, tuple(
-                Curve(c.temps * (1.0 + 0.01 * j), c.duration, c.curve_index)
-                for c in p.curves))
-            for j, p in enumerate(truth)
-        ]
+        preds = [Profile(p.point, p.temps * (1.0 + 0.01 * j), p.durations)
+                 for j, p in enumerate(truth)]
         report = evaluate(preds, truth)
         values = sorted(report.reops())
         assert report.per_layer[10].median == pytest.approx(values[len(values) // 2])
@@ -234,12 +225,20 @@ class TestEvaluate:
         with pytest.raises(PairingError):
             evaluate(truth[:-1], truth)
 
+    @pytest.mark.parametrize("side", ["predictions", "truth"])
+    def test_point_named_twice_rejected(self, wall, side):
+        # the later entry would replace the earlier one and score one point less
+        a, b, c = wall.profiles_on(10)[:3]
+        twice, once = [a, a, b, c], [a, b, c]
+        with pytest.raises(PairingError, match=rf"\(10, {a.point.place}\) twice"):
+            evaluate(twice, once) if side == "predictions" else evaluate(once, twice)
+
     def test_truncates_truth_to_prediction_duration(self, wall):
         # a prediction carrying the lower layer's shorter durations scores
         # against truth truncated to the same horizon
         lower = wall.profiles_on(10)[0]
         upper = wall.profiles_on(11)[0]
-        pred = Profile(upper.point, lower.curves)
+        pred = Profile(upper.point, lower.temps, lower.durations)
         report = evaluate([pred], [upper])
         assert report.reops()[0] < 0.15
 
@@ -252,11 +251,6 @@ class TestEvaluate:
         # points on two layers, truth N != prediction N, prediction durations
         # no longer than the truth's, both lists shuffled
         rng = np.random.default_rng(seed)
-
-        def profile(point, temps, durations):
-            return Profile(point, tuple(Curve(temps[k], durations[k], k + 1)
-                                        for k in range(5)))
-
         preds, truth, want = [], [], {}
         for layer, d in points:
             point = PointId.from_distance(layer, float(d), 8.0)
@@ -264,8 +258,8 @@ class TestEvaluate:
             p_dur = t_dur * np.where(rng.random(5) < 0.3, 1.0, rng.uniform(0.05, 1.0, size=5))
             t_temps = rng.uniform(1.0, 1500.0, size=(5, n_truth))
             p_temps = rng.uniform(1.0, 1500.0, size=(5, n_pred))
-            preds.append(profile(point, p_temps, p_dur))
-            truth.append(profile(point, t_temps, t_dur))
+            preds.append(Profile(point, p_temps, p_dur))
+            truth.append(Profile(point, t_temps, t_dur))
             aligned = np.concatenate([
                 np.interp(np.linspace(0, p_dur[k], n_pred),
                           np.linspace(0, t_dur[k], n_truth), t_temps[k])
@@ -284,8 +278,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("side", ["predictions", "truth"])
     def test_mixed_n_rejected(self, wall, side):
         truth = wall.profiles_on(10)
-        other = Profile(truth[0].point, tuple(
-            Curve(c.temps[:50], c.duration, c.curve_index) for c in truth[0].curves))
+        other = Profile(truth[0].point, truth[0].temps[:, :50], truth[0].durations)
         mixed = [other] + truth[1:]
         with pytest.raises(ShapeError):
             evaluate(mixed, truth) if side == "predictions" else evaluate(truth, mixed)
@@ -298,8 +291,8 @@ def test_zero_degree_truth_is_a_metric_error(path):
     point = PointId.from_distance(3, 40.0, 8.0)
     temps = np.full((5, n), 300.0)
     temps[0, 0] = 0.0
-    truth = Profile(point, tuple(Curve(temps[k], 50.0, k + 1) for k in range(5)))
-    pred = Profile(point, tuple(Curve(np.full(n, 310.0), 50.0, k + 1) for k in range(5)))
+    truth = Profile(point, temps, (50.0,) * 5)
+    pred = Profile(point, np.full((5, n), 310.0), (50.0,) * 5)
     pairs = CurvePairs(np.full((5, n), 310.0), np.ones((5, 4)), temps)
     score = {"reop": lambda: reop(pred, truth),
              "evaluate": lambda: evaluate([pred], [truth]),
@@ -321,11 +314,11 @@ class TestCurvePairs:
     def test_targets_are_truncated_upper_curves(self, wall):
         pairs = extract_curve_pairs(wall, layers=[5, 6])
         assert len(pairs) == 35
-        lower, upper = wall.profiles_on(5)[0].curves[0], wall.profiles_on(6)[0].curves[0]
+        lower, upper = wall.profiles_on(5)[0], wall.profiles_on(6)[0]
         np.testing.assert_array_equal(
             pairs.targets[0],
-            overlap_truncate_rows(upper.temps[np.newaxis], np.array([upper.duration]),
-                                  np.array([lower.duration]), upper.n)[0])
+            overlap_truncate_rows(upper.temps[:1], np.array(upper.durations[:1]),
+                                  np.array(lower.durations[:1]), upper.n)[0])
         assert pairs.features[0, 1] == wall.schedule.for_layer(5)
 
     @hsettings(max_examples=30, deadline=None)
@@ -342,12 +335,13 @@ class TestCurvePairs:
         row = 0
         for wall in walls:
             for layer in wall.layers()[:-1]:
-                feats = mapping_features(wall.settings, wall.schedule, layer).as_array()
+                feats = mapping_features(wall.settings, wall.schedule, layer)
                 for lower, upper in zip(wall.profiles_on(layer), wall.profiles_on(layer + 1)):
-                    for lo, up in zip(lower.curves, upper.curves):
-                        want = np.interp(np.linspace(0, lo.duration, n),
-                                         np.linspace(0, up.duration, n), up.temps)
-                        assert pairs.inputs[row].tobytes() == lo.temps.tobytes()
+                    for lo, lo_dur, up, up_dur in zip(lower.temps, lower.durations,
+                                                      upper.temps, upper.durations):
+                        want = np.interp(np.linspace(0, lo_dur, n),
+                                         np.linspace(0, up_dur, n), up)
+                        assert pairs.inputs[row].tobytes() == lo.tobytes()
                         assert pairs.features[row].tobytes() == feats.tobytes()
                         assert pairs.targets[row].tobytes() == want.tobytes()
                         row += 1

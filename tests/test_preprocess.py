@@ -103,13 +103,13 @@ class TestResample:
 
 class TestOverlapTruncate:
     def test_equal_durations_is_plain_resample(self):
-        cur = Curve(np.linspace(900, 300, 30), 8.0, 1)
+        cur = Curve(np.linspace(900, 300, 30), 8.0)
         a = overlap_truncate_rows(cur.temps[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
         b = resample(Segment(cur.times(), cur.temps), 10)
         np.testing.assert_allclose(a[0], b.temps, atol=1e-12)
 
     def test_half_ramp(self):
-        cur = Curve(np.array([0.0, 100.0]), 10.0, 1)
+        cur = Curve(np.array([0.0, 100.0]), 10.0)
         c = overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([5.0]), 6)
         np.testing.assert_allclose(c[0], [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         # the row samples the first 5 s of the curve, endpoint included
@@ -117,21 +117,21 @@ class TestOverlapTruncate:
                                                       cur.times(), cur.temps))
 
     def test_n_preserved(self):
-        cur = Curve(np.linspace(1000, 250, 100), 20.0, 1)
+        cur = Curve(np.linspace(1000, 250, 100), 20.0)
         fracs = np.array([0.2, 0.5, 0.9])
         rows = overlap_truncate_rows(np.tile(cur.temps, (3, 1)), np.full(3, 20.0),
                                      20 * fracs, 33)
         assert rows.shape == (3, 33)
 
     def test_accepts_curve(self):
-        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0, 2)
+        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0)
         out = overlap_truncate_rows(cur.temps[np.newaxis], np.array([cur.duration]),
                                     np.array([5.0]), cur.n)
         assert out.shape == (1, 11)
         np.testing.assert_allclose(out[0], np.linspace(0.0, 50.0, 11))
 
     def test_longer_than_upper_rejected(self):
-        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0, 1)
+        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0)
         with pytest.raises(DomainError):
             overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([11.0]), 11)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoseer.core import Curve, DomainError, PointId, Profile, ShapeError, reop
+from thermoseer.core import DomainError, PointId, Profile, ShapeError, reop
 from thermoseer.reconstruct import (
     ElmModel,
     build_profile_matrix,
@@ -25,10 +25,7 @@ def affine_profile(d, n=100, layer=8, travel_speed=8.0, base=400.0, slope=30.0):
     delay = d / travel_speed
     stacked = base * shape_a + slope * delay * (1.0 + shape_b)
     point = PointId.from_distance(layer, d, travel_speed)
-    curves = tuple(
-        Curve(stacked[k * n:(k + 1) * n], 50.0 + 2 * k, k + 1) for k in range(5)
-    )
-    return Profile(point, curves)
+    return Profile(point, stacked.reshape(5, n), [50.0 + 2 * k for k in range(5)])
 
 
 def layer_profiles(count, n=100, layer=8, travel_speed=8.0, base=400.0, slope=30.0):
@@ -46,7 +43,7 @@ class TestProfileMatrix:
         profiles = layer_profiles(5)
         matrix, delays = build_profile_matrix(list(reversed(profiles)))
         assert np.all(np.diff(delays) > 0)
-        np.testing.assert_array_equal(matrix[:, 0], profiles[0].stacked())
+        np.testing.assert_array_equal(matrix[:, 0], profiles[0].temps.reshape(-1))
 
     def test_column_unstacks_to_curves(self):
         profiles = layer_profiles(4, n=20)
@@ -54,11 +51,11 @@ class TestProfileMatrix:
         prof = profiles[2]
         for k in range(5):
             np.testing.assert_array_equal(
-                matrix[k * 20:(k + 1) * 20, 2], prof.curves[k].temps)
+                matrix[k * 20:(k + 1) * 20, 2], prof.temps[k])
 
     def test_duplicated_profile_is_rank_one(self):
         prof = layer_profiles(1)[0]
-        other = Profile(PointId.from_distance(8, 40.0, 8.0), prof.curves)
+        other = Profile(PointId.from_distance(8, 40.0, 8.0), prof.temps, prof.durations)
         matrix, _ = build_profile_matrix([prof, other])
         assert np.linalg.matrix_rank(matrix) == 1
 
@@ -232,8 +229,7 @@ class TestReconstructProfile:
         assert recon.m_star <= 5
         for prof in profiles:
             got = reconstruct_profile(recon, prof.point.relative_delay)
-            rel = np.linalg.norm(got.stacked() - prof.stacked()) \
-                / np.linalg.norm(prof.stacked())
+            rel = np.linalg.norm(got.temps - prof.temps) / np.linalg.norm(prof.temps)
             assert rel < 1e-8
 
     def test_linear_field_interior_delay(self):
@@ -250,7 +246,7 @@ class TestReconstructProfile:
     def test_output_shape_contract(self):
         recon = fit_layer(layer_profiles(6, n=40), travel_speed=8.0, seed=1)
         prof = reconstruct_profile(recon, 9.37)
-        assert len(prof.curves) == 5
+        assert prof.temps.shape == (5, 40)
         assert prof.n == 40
         assert prof.point.axial_distance == pytest.approx(9.37 * 8.0)
 

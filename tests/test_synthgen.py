@@ -75,13 +75,13 @@ class TestGenerateWall:
     def test_curve_start_is_the_deposition_peak(self, settings, params, wall):
         prof = wall.profiles_on(12)[3]
         peak = deposition_peak(params, settings, 12, prof.point.relative_delay)
-        assert prof.curves[0].temps[0] == pytest.approx(peak, abs=1.0)
+        assert prof.temps[0, 0] == pytest.approx(peak, abs=1.0)
 
     def test_durations_match_duration_law(self, settings, wall):
         for layer in (1, 10, 35):
             for prof in wall.profiles_on(layer):
-                for k, c in enumerate(prof.curves, start=1):
-                    assert c.duration == curve_duration(wall.schedule, settings, layer, k)
+                for k, duration in enumerate(prof.durations, start=1):
+                    assert duration == curve_duration(wall.schedule, settings, layer, k)
 
     def test_same_layer_points_share_durations(self, wall):
         rows = wall.profiles_on(7)
@@ -90,7 +90,7 @@ class TestGenerateWall:
     def test_cycle_continuity(self, wall):
         for prof in (wall.profiles_on(1)[0], wall.profiles_on(20)[4]):
             for k in range(4):
-                gap = abs(prof.curves[k].temps[-1] - prof.curves[k + 1].temps[0])
+                gap = abs(prof.temps[k, -1] - prof.temps[k + 1, 0])
                 assert gap < 1.0
 
     def test_end_of_dwell_near_interpass_target(self, settings, params, wall):
@@ -108,8 +108,7 @@ class TestGenerateWall:
         a = generate_wall(settings, params, points_per_layer=3, n=40)
         b = generate_wall(settings, params, points_per_layer=3, n=40)
         for pt in a.profiles:
-            for ca, cb in zip(a.profiles[pt].curves, b.profiles[pt].curves):
-                np.testing.assert_array_equal(ca.temps, cb.temps)
+            np.testing.assert_array_equal(a.profiles[pt].temps, b.profiles[pt].temps)
 
     def test_curve_similarity_bounded_and_shrinking(self, settings, wall):
         # REOP between the overlap-truncated upper curve and the lower curve
@@ -120,11 +119,11 @@ class TestGenerateWall:
             ups = [wall.profiles[PointId.from_distance(
                 i + 1, low.point.axial_distance, settings.travel_speed)] for low in lows]
             trunc = overlap_truncate_rows(
-                np.array([c.temps for up in ups for c in up.curves]),
+                np.concatenate([up.temps for up in ups]),
                 np.array([up.durations for up in ups]).reshape(-1),
                 np.array([low.durations for low in lows]).reshape(-1), wall.n)
             return reop_rows(trunc.reshape(len(lows), -1),
-                             np.array([low.stacked() for low in lows]))
+                             np.array([low.temps.reshape(-1) for low in lows]))
 
         averages = {}
         for i in range(10, 35):
@@ -217,25 +216,22 @@ class TestExperimentWall:
         assert ds.layers() == list(range(1, 8))
         for prof in ds.profiles.values():
             assert prof.n == 60
-            stacked = prof.stacked()
-            assert stacked.max() <= 1000.0
-            assert stacked.min() >= 150.0
+            assert prof.temps.max() <= 1000.0
+            assert prof.temps.min() >= 150.0
         # first curve's deposition peak is clipped to the pyrometer band
-        first = ds.profiles_on(3)[0].curves[0]
-        assert first.temps[0] == pytest.approx(1000.0)
+        assert ds.profiles_on(3)[0].temps[0, 0] == pytest.approx(1000.0)
 
     def test_durations_close_to_duration_law(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
         ds = generate_experiment_wall(s, params, points_per_layer=3, n=60)
         for prof in ds.profiles_on(2):
-            for k, c in enumerate(prof.curves, start=1):
+            for k, duration in enumerate(prof.durations, start=1):
                 want = curve_duration(ds.schedule, s, 2, k)
-                assert c.duration == pytest.approx(want, abs=3.0)
+                assert duration == pytest.approx(want, abs=3.0)
 
     def test_deterministic(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
         a = generate_experiment_wall(s, params, points_per_layer=2, n=40)
         b = generate_experiment_wall(s, params, points_per_layer=2, n=40)
         for pt in a.profiles:
-            for ca, cb in zip(a.profiles[pt].curves, b.profiles[pt].curves):
-                np.testing.assert_array_equal(ca.temps, cb.temps)
+            np.testing.assert_array_equal(a.profiles[pt].temps, b.profiles[pt].temps)
