@@ -43,7 +43,7 @@ print(f"retained bases m* = {m_star} (99% energy criterion)")
 
 t0 = time.perf_counter()
 recon = fit_layer(inputs, settings.travel_speed, seed=0)
-preds = [reconstruct_profile(recon, p.point.relative_delay) for p in held_out]
+preds = [reconstruct_profile(recon, p.point) for p in held_out]
 elapsed = time.perf_counter() - t0
 print(f"\nbuild + ELM train + {len(preds)} reconstructions: {elapsed * 1e3:.2f} ms")
 

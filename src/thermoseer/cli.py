@@ -552,8 +552,11 @@ def cmd_field(args) -> int:
         raise ConfigError("--times lists no time values")
 
     prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
-    frames = [render_field(prediction, dataset.settings, dataset.schedule, t,
-                           n_positions=args.positions) for t in times]
+    try:
+        frames = [render_field(prediction, dataset.settings, dataset.schedule, t,
+                               n_positions=args.positions) for t in times]
+    except DomainError as exc:  # a bad --times or --positions value
+        raise ConfigError(str(exc)) from exc
 
     _write_csv(args.out, ["local_time_s", "position_mm", "temp_c", "interior"],
                ([repr(frame.local_time), repr(float(pos)), repr(float(temp)), int(inner)]

@@ -14,8 +14,9 @@ point when they share a layer and a :attr:`~thermoseer.core.PointId.place`.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .reconstruct import (
     reconstruct_profile,
     reconstruct_stacked,
 )
+from .synthgen import MAX_WALL_VALUES
 
 ROOM_TEMPERATURE = 25.0
 
@@ -145,9 +147,9 @@ def predict_point(prediction: LayerPrediction, axial_distance: float,
         raise DomainError(
             f"axial_distance {axial_distance} outside 0..{settings.layer_length}"
         )
-    point = PointId.from_distance(prediction.layer, axial_distance, settings.travel_speed)
-    return replace(reconstruct_profile(prediction.reconstruction, point.relative_delay),
-                   point=point)
+    return reconstruct_profile(
+        prediction.reconstruction,
+        PointId.from_distance(prediction.layer, axial_distance, settings.travel_speed))
 
 
 def render_field(prediction: LayerPrediction, settings: ProcessSettings,
@@ -156,13 +158,29 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     """Layer temperature field at a local time (seconds since the layer's
     print start).  Positions not yet reached by the nozzle hold room
     temperature; printed positions are evaluated on their reconstructed
-    partial curves, located by cumulative curve durations."""
-    if local_time < 0.0:
-        raise DomainError(f"local_time must be >= 0, got {local_time}")
+    partial curves, located by cumulative curve durations.
+
+    A frame is one array pass over all printed positions, with the same
+    arithmetic as one ``np.interp`` call per position, so it gives the same
+    bits; it holds about 8·N·P floats for P printed positions.  A non-finite
+    ``local_time``, fewer than two positions, or a frame of more than
+    ``MAX_WALL_VALUES`` curve values (5·N per position) raise DomainError
+    before anything is allocated; a time past the five-curve horizon raises
+    HorizonError."""
+    if not math.isfinite(local_time) or local_time < 0.0:
+        raise DomainError(f"local_time must be finite and >= 0, got {local_time}")
     if n_positions < 2:
         raise DomainError(f"n_positions must be >= 2, got {n_positions}")
 
     recon = prediction.reconstruction
+    n = recon.n
+    if CURVES_PER_PROFILE * n * n_positions > MAX_WALL_VALUES:
+        raise DomainError(
+            f"a frame of {n_positions} positions needs about "
+            f"{CURVES_PER_PROFILE * n * n_positions:.3g} curve values, more than the "
+            f"{MAX_WALL_VALUES} allowed; ask for fewer positions"
+        )
+
     bounds = np.concatenate([[0.0], np.cumsum(recon.durations)])
     horizon = bounds[-1]
     if local_time > horizon:
@@ -182,15 +200,21 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
 
     delays = deposit_times[printed]
     stacked = reconstruct_stacked(recon, delays)  # (5N, P)
-    n = recon.n
     elapsed = local_time - delays
-    values = np.empty(delays.size)
-    for i, tau in enumerate(elapsed):
-        k = min(int(np.searchsorted(bounds, tau, side="right")) - 1,
-                CURVES_PER_PROFILE - 1)
-        grid = np.linspace(0.0, recon.durations[k], n)
-        values[i] = np.interp(tau - bounds[k], grid, stacked[k * n:(k + 1) * n, i])
-    temps[printed] = values
+    k = np.minimum(np.searchsorted(bounds, elapsed, side="right") - 1,
+                   CURVES_PER_PROFILE - 1)
+    x = elapsed - bounds[k]
+    rows = np.arange(delays.size)
+    grids = np.linspace(0.0, recon.durations, n, axis=-1)[k]  # (P, N)
+    curves = stacked.T.reshape(-1, CURVES_PER_PROFILE, n)[rows, k]  # (P, N)
+    # np.interp's rule: grid[j] <= x < grid[j + 1], its slope formula, the
+    # sample itself on a grid point, the last sample at or past the grid end
+    j = np.count_nonzero(grids <= x[:, None], axis=1) - 1
+    jj = np.minimum(j, n - 2)
+    x0, x1 = grids[rows, jj], grids[rows, jj + 1]
+    f0, f1 = curves[rows, jj], curves[rows, jj + 1]
+    values = np.where(x == x0, f0, (f1 - f0) / (x1 - x0) * (x - x0) + f0)
+    temps[printed] = np.where(j == n - 1, curves[:, -1], values)
     return FieldFrame(local_time, positions, temps, interior)
 
 

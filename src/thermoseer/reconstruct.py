@@ -225,9 +225,13 @@ def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike) -> np.nda
     return recon.basis @ elm_predict(recon.elm, delays).T
 
 
-def reconstruct_profile(recon: LayerReconstruction, delay: float) -> Profile:
+def reconstruct_profile(recon: LayerReconstruction, point: PointId) -> Profile:
     """Temperature profile of an arbitrary point on the layer: the one
-    stacked column of :func:`reconstruct_stacked` as a (5, N) block."""
-    stacked = reconstruct_stacked(recon, [delay])[:, 0]
-    point = PointId(recon.layer, delay * recon.travel_speed, delay)
+    stacked column of :func:`reconstruct_stacked` at ``point.relative_delay``
+    as a (5, N) block, returned under ``point`` itself.  A point on another
+    layer raises DomainError."""
+    if point.layer != recon.layer:
+        raise DomainError(f"point is on layer {point.layer}, the reconstruction "
+                          f"on layer {recon.layer}")
+    stacked = reconstruct_stacked(recon, [point.relative_delay])[:, 0]
     return Profile(point, stacked.reshape(CURVES_PER_PROFILE, recon.n), recon.durations)

@@ -731,6 +731,23 @@ class TestTrainPredictEvalField:
         assert code == 6
         assert "maximum representable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--times", "nan"), ("--times", "inf"), ("--times", "-1"),
+        ("--positions", "1"), ("--positions", "1000000000")])
+    def test_bad_field_option_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys,
+                                                    option, value):
+        ckpt = str(tmp_path / "model.json")
+        run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0")
+        capsys.readouterr()
+        argv = {"--times": "5.0", "--positions": "160", option: value}
+        out = tmp_path / "f.csv"
+        assert run_cli("field", "--ckpt", ckpt, "--data", dataset_path, "--layer", "6",
+                       "--times", argv["--times"], "--positions", argv["--positions"],
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_mixed_n_exit_3(self, tmp_path, small_wall):
         settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
                                          layer_print_time=20.5, deposition_rate=52.8)

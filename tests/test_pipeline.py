@@ -28,6 +28,7 @@ from thermoseer.pipeline import (
     run_benchmark,
 )
 from thermoseer.preprocess import overlap_truncate_rows
+from thermoseer.reconstruct import reconstruct_stacked
 from thermoseer.synthgen import SynthParams, generate_experiment_wall, generate_wall
 
 
@@ -147,6 +148,20 @@ class TestPredictPoint:
         with pytest.raises(DomainError):
             predict_point(pred, 161.0, wall.settings)
 
+    def test_builds_one_profile(self, wall, monkeypatch):
+        pred = predict_next_layer(zero_model(100), wall.profiles_on(20),
+                                  wall.settings, wall.schedule)
+        built = []
+        post_init = Profile.__post_init__
+
+        def counting(profile):
+            built.append(profile)
+            post_init(profile)
+
+        monkeypatch.setattr(Profile, "__post_init__", counting)
+        prof = predict_point(pred, 47.3, wall.settings)
+        assert built == [prof]
+
 
 @pytest.fixture(scope="module")
 def pred(wall):
@@ -192,6 +207,60 @@ class TestRenderField:
         render_field(pred, wall.settings, wall.schedule, limit - 1.0)
         with pytest.raises(HorizonError, match="maximum representable"):
             render_field(pred, wall.settings, wall.schedule, limit + 0.1)
+
+    @pytest.mark.parametrize("local_time", [float("nan"), float("inf"), -1.0])
+    def test_bad_local_time_rejected(self, wall, pred, local_time):
+        with pytest.raises(DomainError, match="local_time"):
+            render_field(pred, wall.settings, wall.schedule, local_time)
+
+    @pytest.mark.parametrize("n_positions", [1, 10**9])
+    def test_bad_position_count_rejected_before_allocating(self, wall, pred, n_positions):
+        with pytest.raises(DomainError, match="positions"):
+            render_field(pred, wall.settings, wall.schedule, 5.0, n_positions=n_positions)
+
+
+def _reference_frame(prediction, settings, local_time, n_positions):
+    """The per-position loop render_field ran before its array pass: one
+    np.linspace grid and one np.interp call per printed position."""
+    recon = prediction.reconstruction
+    bounds = np.concatenate([[0.0], np.cumsum(recon.durations)])
+    positions = np.linspace(0.0, settings.layer_length, n_positions)
+    temps = np.full(n_positions, ROOM_TEMPERATURE)
+    deposit_times = positions / settings.travel_speed
+    printed = local_time >= deposit_times
+    if not np.any(printed):
+        return temps
+    delays = deposit_times[printed]
+    stacked = reconstruct_stacked(recon, delays)
+    n = recon.n
+    values = np.empty(delays.size)
+    for i, tau in enumerate(local_time - delays):
+        k = min(int(np.searchsorted(bounds, tau, side="right")) - 1, 4)
+        grid = np.linspace(0.0, recon.durations[k], n)
+        values[i] = np.interp(tau - bounds[k], grid, stacked[k * n:(k + 1) * n, i])
+    temps[printed] = values
+    return temps
+
+
+class TestRenderFieldMatchesLoop:
+    @pytest.mark.parametrize("n_positions", [2, 7, 160, 1000])
+    def test_bit_identical_at_boundaries_and_interior(self, wall, pred, n_positions):
+        boundaries = np.cumsum(pred.reconstruction.durations)  # the last is the horizon
+        times = [0.0, *boundaries, *np.linspace(0.0, boundaries[-1], 27)[1:-1]]
+        for t in times:
+            frame = render_field(pred, wall.settings, wall.schedule, t,
+                                 n_positions=n_positions)
+            assert np.array_equal(frame.temps,
+                                  _reference_frame(pred, wall.settings, t, n_positions)), t
+
+    @given(data=st.data(), n_positions=st.sampled_from([2, 7, 160, 1000]))
+    @hsettings(max_examples=60, deadline=None)
+    def test_bit_identical_at_any_time(self, wall, pred, data, n_positions):
+        horizon = float(np.cumsum(pred.reconstruction.durations)[-1])
+        t = data.draw(st.floats(0.0, horizon), label="local_time")
+        frame = render_field(pred, wall.settings, wall.schedule, t, n_positions=n_positions)
+        assert np.array_equal(frame.temps,
+                              _reference_frame(pred, wall.settings, t, n_positions))
 
 
 class TestEvaluate:

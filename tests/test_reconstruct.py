@@ -14,6 +14,7 @@ from thermoseer.reconstruct import (
     fit_layer,
     pod_decompose,
     reconstruct_profile,
+    reconstruct_stacked,
 )
 
 
@@ -228,7 +229,7 @@ class TestReconstructProfile:
         recon = fit_layer(profiles, travel_speed=8.0, energy_threshold=1.0, seed=2)
         assert recon.m_star <= 5
         for prof in profiles:
-            got = reconstruct_profile(recon, prof.point.relative_delay)
+            got = reconstruct_profile(recon, prof.point)
             rel = np.linalg.norm(got.temps - prof.temps) / np.linalg.norm(prof.temps)
             assert rel < 1e-8
 
@@ -240,21 +241,29 @@ class TestReconstructProfile:
         assert recon.m_star == 2
         for d in (30.0, 50.0, 70.0, 90.0):
             want = affine_profile(d)
-            got = reconstruct_profile(recon, want.point.relative_delay)
+            got = reconstruct_profile(recon, want.point)
             assert reop(got, want) < 0.01
 
     def test_output_shape_contract(self):
         recon = fit_layer(layer_profiles(6, n=40), travel_speed=8.0, seed=1)
-        prof = reconstruct_profile(recon, 9.37)
+        point = PointId(recon.layer, 9.37 * 8.0, 9.37)
+        prof = reconstruct_profile(recon, point)
         assert prof.temps.shape == (5, 40)
         assert prof.n == 40
-        assert prof.point.axial_distance == pytest.approx(9.37 * 8.0)
+        assert prof.point is point
+        np.testing.assert_array_equal(prof.temps.reshape(-1),
+                                      reconstruct_stacked(recon, [9.37])[:, 0])
+
+    def test_point_on_another_layer_rejected(self):
+        recon = fit_layer(layer_profiles(6, n=40), travel_speed=8.0, seed=1)
+        with pytest.raises(DomainError, match="layer 9"):
+            reconstruct_profile(recon, PointId(recon.layer + 1, 40.0, 5.0))
 
     def test_end_to_end_timing_budget(self):
         profiles = layer_profiles(7)
         t0 = time.perf_counter()
         recon = fit_layer(profiles, travel_speed=8.0, seed=0)
         for delay in (3.0, 9.0, 15.0):
-            reconstruct_profile(recon, delay)
+            reconstruct_profile(recon, PointId(recon.layer, delay * 8.0, delay))
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.02
