@@ -314,6 +314,13 @@ def _field_types(cls) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+def _seed(text: str) -> int:
+    """A seed option or config value: an int >= 0, as numpy's generators need."""
+    if int(text) < 0:
+        raise ValueError(f"a seed must be >= 0, got {text!r}")
+    return int(text)
+
+
 # keyword arguments of generate_wall; generate_experiment_wall takes these too
 _WALL_KEYS = {"points_per_layer": int, "spacing_mm": float, "n": int}
 _EXPERIMENT_KEYS = {"jitter_mm": float, "sample_period": float, "rise_threshold": float}
@@ -321,7 +328,7 @@ _GENERATE_KEYS = {
     "style": str, "wall_id": int,
     **_WALL_KEYS,
     **_field_types(ProcessSettings),
-    **_field_types(SynthParams),
+    **_field_types(SynthParams), "seed": _seed,
     **_EXPERIMENT_KEYS,
 }
 
@@ -416,8 +423,8 @@ def cmd_generate(args) -> int:
 
 # config keys of train/finetune; each is also a flag (--batch-size for batch_size)
 _TRAIN_KEYS = {
-    "epochs": int, "batch_size": int, "lr": float, "seed": int,
-    "init_seed": int, "layers": str, "data": str, "out": str, "loss_csv": str,
+    "epochs": int, "batch_size": int, "lr": float, "seed": _seed,
+    "init_seed": _seed, "layers": str, "data": str, "out": str, "loss_csv": str,
 }
 
 
@@ -453,9 +460,13 @@ def _load_training_data(paths, layer_spec):
 
 
 def _train_config(values) -> TrainConfig:
-    """``lr`` sets ``initial_lr``; a field whose key is not given keeps its default."""
+    """``lr`` sets ``initial_lr``; a field whose key is not given keeps its
+    default, and a value TrainConfig refuses is an option error."""
     fields = {"epochs": "epochs", "batch_size": "batch_size", "lr": "initial_lr", "seed": "seed"}
-    return TrainConfig(**{fields[key]: values[key] for key in fields if key in values})
+    try:
+        return TrainConfig(**{fields[key]: values[key] for key in fields if key in values})
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_train(args) -> int:
@@ -465,6 +476,7 @@ def cmd_train(args) -> int:
     for key in ("out", "data"):
         if key not in values:
             raise ConfigError(f"{args.command}: give --{key} or a {key!r} config key")
+    config = _train_config(values)
     paths = values["data"]
     if isinstance(paths, str):
         paths = paths.split(",")
@@ -474,7 +486,6 @@ def cmd_train(args) -> int:
         model, verb = load_checkpoint(args.ckpt), "fine-tuned"
     else:
         model, verb = init_model(datasets[0].n, seed=values.get("init_seed", 0)), "trained"
-    config = _train_config(values)
     trained, history = train(model, pairs, config)
     save_checkpoint(values["out"], trained)
     if "loss_csv" in values:
@@ -599,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--out", required=True, help="predicted-profiles dataset path")
     p.add_argument("--timing", help="timing JSON path")
-    p.add_argument("--seed", type=int, default=0, help="online ELM seed")
+    p.add_argument("--seed", type=_seed, default=0, help="online ELM seed")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predicted profiles against truth")
@@ -616,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated local times, s")
     p.add_argument("--out", required=True, help="field CSV path")
     p.add_argument("--positions", type=int, default=160)
-    p.add_argument("--seed", type=int, default=0, help="online ELM seed")
+    p.add_argument("--seed", type=_seed, default=0, help="online ELM seed")
     p.set_defaults(func=cmd_field)
 
     return parser

@@ -4,8 +4,9 @@ Everything downstream (generation, preprocessing, mapping, reconstruction,
 pipeline) speaks in these types.  A point's temperature history is one
 :class:`Profile`: its first five print+dwell curves as one (5, N) array plus
 their five durations, so producers fill and consumers read that block
-directly; :class:`Curve` is the one-curve value of resampling.  Temperatures
-are degrees Celsius stored as float64 end to end; layers are indexed 1-based.
+directly; :class:`Curve` is only the row value :attr:`Profile.curves` builds.
+Temperatures are degrees Celsius stored as float64 end to end; layers are
+indexed 1-based.
 """
 
 from __future__ import annotations
@@ -250,14 +251,6 @@ class Curve:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "temps", _frozen_curves(self.temps, (self.duration,), ()))
-
-    @property
-    def n(self) -> int:
-        return self.temps.size
-
-    def times(self) -> np.ndarray:
-        """The curve's own even local-time grid over [0, duration]."""
-        return np.linspace(0.0, self.duration, self.n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,8 +133,8 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.initial_lr <= 0.0:
-            raise DomainError(f"initial_lr must be positive, got {self.initial_lr}")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise DomainError(f"initial_lr must be positive and finite, got {self.initial_lr}")
 
     def lr_at(self, epoch_index: int) -> float:
         """Learning rate used during the 0-indexed epoch: the initial rate

@@ -111,8 +111,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
               for prof, block in zip(measured, blocks)]
     t_map = time.perf_counter()
 
-    recon = fit_layer(mapped, settings.travel_speed,
-                      energy_threshold=energy_threshold, seed=recon_seed)
+    recon = fit_layer(mapped, energy_threshold=energy_threshold, seed=recon_seed)
     t_done = time.perf_counter()
     return LayerPrediction(
         layer=target,

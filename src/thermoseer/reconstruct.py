@@ -175,7 +175,6 @@ class LayerReconstruction:
     elm: ElmModel
     layer: int
     durations: tuple[float, ...]
-    travel_speed: float
     delay_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
@@ -200,8 +199,7 @@ class LayerReconstruction:
         return self.basis.shape[0] // CURVES_PER_PROFILE
 
 
-def fit_layer(profiles: list[Profile], travel_speed: float,
-              energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
+def fit_layer(profiles: list[Profile], energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
               seed: int = 0) -> LayerReconstruction:
     """Decompose a layer's profiles and train its delay-to-coefficients ELM."""
     matrix, delays = build_profile_matrix(profiles)
@@ -214,7 +212,6 @@ def fit_layer(profiles: list[Profile], travel_speed: float,
         elm=elm,
         layer=profiles[0].point.layer,
         durations=reference.durations,
-        travel_speed=travel_speed,
         delay_range=(float(delays[0]), float(delays[-1])),
     )
 

@@ -174,8 +174,9 @@ def build_schedule(params: SynthParams, settings: ProcessSettings) -> DwellSched
 
 def _cycle_constants(params: SynthParams, settings: ProcessSettings,
                      schedule: DwellSchedule, point: PointId):
-    """Per-cycle (amplitude, re-heat amplitude, duration) triples plus the
-    point's cooling constant, chained so cycles join continuously."""
+    """A (3, 5) array of per-cycle amplitudes, re-heat amplitudes and
+    durations, chained so cycles join continuously, plus the point's cooling
+    constant."""
     tau = cooling_tau(params, settings, point.layer, point.relative_delay)
     amp = deposition_peak(params, settings, point.layer,
                           point.relative_delay) - params.ambient
@@ -187,16 +188,18 @@ def _cycle_constants(params: SynthParams, settings: ProcessSettings,
         out.append((amp, reheat, duration))
         # next cycle starts at this cycle's re-heat peak
         amp = amp * math.exp(-duration / tau) + reheat
-    return out, tau
+    return np.array(out).T, tau
 
 
 def analytic_curve(params: SynthParams, settings: ProcessSettings,
-                   schedule: DwellSchedule, point: PointId, curve_index: int,
+                   schedule: DwellSchedule, point: PointId, curve_index: int | np.ndarray,
                    local_times: np.ndarray) -> np.ndarray:
     """Noise-free oracle temperatures of curve ``curve_index`` of ``point``
-    at the given local times (s since the cycle start)."""
+    at the given local times (s since the cycle start).  ``curve_index`` is
+    1-based, an int or an int array that broadcasts against
+    ``local_times``."""
     cycles, tau = _cycle_constants(params, settings, schedule, point)
-    amp, reheat, duration = cycles[curve_index - 1]
+    amp, reheat, duration = cycles[:, np.asarray(curve_index) - 1]
     t = np.asarray(local_times, dtype=np.float64)
     return params.ambient + amp * np.exp(-t / tau) \
         + reheat * np.exp((t - duration) / params.reheat_tau)
@@ -209,25 +212,20 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     preceded by ``lead_in`` seconds of ambient readings before deposition."""
     if sample_period <= 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
-    cycles, tau = _cycle_constants(params, settings, schedule, point)
-    durations = [c[2] for c in cycles]
+    durations = _cycle_constants(params, settings, schedule, point)[0][2]
     total = float(sum(durations))
     start = deposition_time(schedule, settings, point.layer, point.axial_distance)
 
     n_lead = int(round(lead_in / sample_period))
     n_span = int(math.ceil(total / sample_period))
     offsets = (np.arange(-n_lead, n_span + 1)) * sample_period
-    temps = np.empty_like(offsets)
-    temps[:n_lead] = params.ambient
 
     bounds = np.concatenate([[0.0], np.cumsum(durations)])
     local = offsets[n_lead:]
-    for k in range(CURVES_PER_PROFILE):
-        lo, hi = bounds[k], bounds[k + 1]
-        # last cycle keeps the final samples that overrun the exact span
-        sel = (local >= lo) & ((local < hi) | (k == CURVES_PER_PROFILE - 1))
-        temps[n_lead:][sel] = analytic_curve(
-            params, settings, schedule, point, k + 1, local[sel] - lo)
+    # each sample's cycle; the last keeps the final samples that overrun the span
+    k = np.minimum(np.searchsorted(bounds, local, side="right") - 1, CURVES_PER_PROFILE - 1)
+    temps = np.concatenate([np.full(n_lead, params.ambient), analytic_curve(
+        params, settings, schedule, point, k + 1, local - bounds[k])])
     return RawTrace(times=start + offsets, temps=temps, point=point,
                     sample_period=sample_period)
 
@@ -246,6 +244,8 @@ def emulate_pyrometer(trace: RawTrace, noise_sd: float = 0.0, seed: int = 0) -> 
 
 def _point_distances(settings: ProcessSettings, points_per_layer: int,
                      spacing_mm: float | None) -> list[float]:
+    if settings.num_layers < 6:
+        raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
     if points_per_layer < 2:
         raise DomainError(f"points_per_layer must be >= 2, got {points_per_layer}")
     if spacing_mm is None:
@@ -278,25 +278,22 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
     analytic profiles of evenly spaced interior points on every layer that
     admits five curves.  A wall too large to hold (see MAX_WALL_VALUES)
     raises ConfigError before anything is allocated."""
-    if settings.num_layers < 6:
-        raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
     _refuse_oversized(settings, points_per_layer, n)
     distances = _point_distances(settings, points_per_layer, spacing_mm)
     schedule = build_schedule(params, settings)
 
+    curve_indices = np.arange(1, CURVES_PER_PROFILE + 1)[:, np.newaxis]
     profiles = {}
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
         durations = [curve_duration(schedule, settings, layer, k)
                      for k in range(1, CURVES_PER_PROFILE + 1)]
+        grids = np.linspace(0.0, durations, n, axis=-1)
         for j, d in enumerate(distances, start=1):
             point = PointId.from_distance(layer, d, settings.travel_speed)
-            rng = np.random.default_rng((params.seed, layer, j)) if params.noise_sd > 0 else None
-            temps = np.empty((CURVES_PER_PROFILE, n))
-            for k, (row, duration) in enumerate(zip(temps, durations), start=1):
-                row[:] = analytic_curve(params, settings, schedule, point, k,
-                                        np.linspace(0.0, duration, n))
-                if rng is not None:
-                    row += rng.normal(0.0, params.noise_sd, size=n)
+            temps = analytic_curve(params, settings, schedule, point, curve_indices, grids)
+            if params.noise_sd > 0:
+                temps += np.random.default_rng((params.seed, layer, j)).normal(
+                    0.0, params.noise_sd, size=temps.shape)
             profiles[point] = Profile(point, temps, durations)
 
     provenance = {
@@ -325,8 +322,6 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     trace is built."""
     from .preprocess import resample, split_experiment
 
-    if settings.num_layers < 6:
-        raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
     if sample_period <= 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
     _refuse_oversized(settings, points_per_layer, n)
@@ -353,17 +348,15 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                                 lead_in=EXPERIMENT_LEAD_IN_S)
             seen = emulate_pyrometer(trace, noise_sd=params.noise_sd,
                                      seed=int(rng.integers(2 ** 31)))
-            segments = split_experiment(seen, rise_threshold)
-            if len(segments) < CURVES_PER_PROFILE + 1:
+            cuts = split_experiment(seen, rise_threshold)
+            if cuts.size < CURVES_PER_PROFILE + 2:
                 raise DomainError(
                     f"expected at least {CURVES_PER_PROFILE + 1} segments from the "
-                    f"pyrometer trace of layer {layer} point {j}, got {len(segments)}"
+                    f"pyrometer trace of layer {layer} point {j}, got {cuts.size - 1}"
                 )
             # first segment is the pre-deposition stub; the next five are curves
             point = PointId.from_distance(layer, d, settings.travel_speed)
-            curves = [resample(segments[k], n) for k in range(1, CURVES_PER_PROFILE + 1)]
-            profiles[point] = Profile(point, np.array([c.temps for c in curves]),
-                                      [c.duration for c in curves])
+            profiles[point] = Profile(point, *resample(seen, cuts[1:CURVES_PER_PROFILE + 2], n))
 
     provenance = {
         "kind": "synthetic",

@@ -540,6 +540,16 @@ class TestGenerate:
         assert run_cli("generate", "--config", str(cfg),
                        "--out", str(tmp_path / "x.tsd")) == 2
 
+    @pytest.mark.parametrize("config", ["seed = -1", "seed = 1\nwall.1.seed = -1",
+                                        "seed = -1\nstyle = experiment"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, config):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x.tsd"
+        cfg.write_text(f"num_layers = 8\nn = 10\npoints_per_layer = 2\n{config}\n")
+        assert run_cli("generate", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("seed = 1\nbogus_key = 5\n")
@@ -747,6 +757,40 @@ class TestTrainPredictEvalField:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", "--seed -1"), ("train", "--init-seed -1"),
+        ("finetune", "--seed -1"), ("finetune", "--init-seed -1"),
+        ("train", "config: seed = -1"), ("train", "config: init_seed = -1"),
+        ("predict", "--seed -1"), ("field", "--seed -1"),
+        ("train", "--lr nan"), ("train", "--lr inf"), ("finetune", "--lr nan"),
+        ("train", "config: lr = inf"), ("train", "--batch-size 0"), ("train", "--epochs -1")])
+    def test_bad_option_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys,
+                                              command, extra):
+        # a bad flag (argparse) or config value stops the command before any
+        # work, with exit 2 and no traceback
+        ckpt = str(tmp_path / "model.ckpt")
+        assert run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0") == 0
+        capsys.readouterr()
+        out, loss_csv, cfg = tmp_path / "out", tmp_path / "loss.csv", tmp_path / "train.cfg"
+        if extra.startswith("config: "):
+            cfg.write_text(extra.removeprefix("config: ") + "\n")
+            extra = f"--config {cfg}"
+        argv = {
+            "train": ["--data", dataset_path, "--epochs", "1", "--loss-csv", str(loss_csv)],
+            "finetune": ["--ckpt", ckpt, "--data", dataset_path, "--epochs", "1",
+                         "--loss-csv", str(loss_csv)],
+            "predict": ["--ckpt", ckpt, "--data", dataset_path, "--layer", "6"],
+            "field": ["--ckpt", ckpt, "--data", dataset_path, "--layer", "6", "--times", "5"],
+        }[command]
+        try:
+            code = run_cli(command, *argv, "--out", str(out), *extra.split())
+        except SystemExit as exc:  # argparse refuses a flag's value
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists() and not loss_csv.exists()
 
     def test_mixed_n_exit_3(self, tmp_path, small_wall):
         settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,

@@ -1,8 +1,10 @@
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from thermoseer.core import Curve, DomainError, PointId
-from thermoseer.preprocess import Segment, overlap_truncate_rows, resample, split_experiment
+from thermoseer.preprocess import overlap_truncate_rows, resample, split_experiment
 from thermoseer.synthgen import (
     RawTrace,
     SynthParams,
@@ -18,43 +20,52 @@ def make_trace(temps, dt=1.0, layer=1, d=10.0):
     return RawTrace(np.arange(temps.size) * dt, temps, pt, dt)
 
 
+def whole(trace):
+    """The cut indices of a trace kept as one segment."""
+    return np.array([0, trace.times.size])
+
+
 class TestSplitExperiment:
     def test_monotone_cooling_single_segment(self):
         trace = make_trace(np.linspace(900.0, 200.0, 50))
-        assert len(split_experiment(trace, 100.0)) == 1
+        cuts = split_experiment(trace, 100.0)
+        np.testing.assert_array_equal(cuts, [0, 50])
+        assert cuts.dtype.kind == "i"
 
     def test_two_step_ups_three_segments(self):
         temps = np.concatenate([np.linspace(500, 400, 10),
                                 [720.0] + list(np.linspace(700, 500, 9)),
                                 [810.0] + list(np.linspace(800, 600, 9))])
-        segs = split_experiment(make_trace(temps), 100.0)
-        assert len(segs) == 3
-        assert [len(s) for s in segs] == [10, 10, 10]
+        cuts = split_experiment(make_trace(temps), 100.0)
+        assert cuts.size - 1 == 3
+        assert list(np.diff(cuts)) == [10, 10, 10]
 
     def test_threshold_above_all_diffs(self):
         temps = np.concatenate([np.linspace(500, 400, 10), [450.0, 430.0]])
-        assert len(split_experiment(make_trace(temps), 1000.0)) == 1
+        assert split_experiment(make_trace(temps), 1000.0).size - 1 == 1
 
     def test_consecutive_steep_samples_are_one_rise(self):
         # a ramp of three successive +200 steps is one rise event
         temps = np.array([300.0, 290, 280, 480, 680, 880, 870, 860])
-        segs = split_experiment(make_trace(temps), 100.0)
-        assert len(segs) == 2
-        assert len(segs[0]) == 3
+        cuts = split_experiment(make_trace(temps), 100.0)
+        np.testing.assert_array_equal(cuts, [0, 3, 8])
 
     def test_segments_rezeroed(self):
+        # each segment is resampled on its own clock: durations count from
+        # the segment's first sample, which is the block row's first value
         temps = np.array([300.0, 290, 600, 590, 580])
-        segs = split_experiment(make_trace(temps), 100.0)
-        for seg in segs:
-            assert seg.times[0] == 0.0
+        trace = make_trace(temps)
+        cuts = split_experiment(trace, 100.0)
+        block, durations = resample(trace, cuts, 3)
+        np.testing.assert_array_equal(durations, [1.0, 2.0])
+        np.testing.assert_array_equal(block[:, 0], temps[cuts[:-1]])
 
     def test_noise_notched_rise_is_one_event(self):
         # a rise whose middle difference dips below the threshold still cuts
         # only once: the second run starts within the refractory separation
         temps = np.array([300.0, 295, 290, 420, 510, 650, 780, 775, 770, 765])
-        segs = split_experiment(make_trace(temps), 100.0)
-        assert len(segs) == 2
-        assert len(segs[0]) == 3
+        cuts = split_experiment(make_trace(temps), 100.0)
+        np.testing.assert_array_equal(cuts, [0, 3, 10])
 
     def test_counts_deposition_events_on_pyrometer_trace(self, settings):
         # one rise per visible deposition event: the first deposition plus the
@@ -64,49 +75,77 @@ class TestSplitExperiment:
         pt = PointId.from_distance(4, 60.0, settings.travel_speed)
         trace = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=5.0)
         seen = emulate_pyrometer(trace, noise_sd=2.0, seed=5)
-        segs = split_experiment(seen, 50.0)
+        cuts = split_experiment(seen, 50.0)
         # six visible deposition events: the point's own deposition plus the
         # five re-heat arcs of the layers above it
-        assert len(segs) - 1 == 6
+        assert cuts.size - 2 == 6
+
+    def test_rejects_nonpositive_threshold(self):
+        with pytest.raises(DomainError):
+            split_experiment(make_trace([1.0, 2.0]), 0.0)
 
 
 class TestResample:
     def test_constant(self):
-        seg = Segment(np.arange(5.0), np.full(5, 321.0))
-        c = resample(seg, 7)
-        np.testing.assert_array_equal(c.temps, np.full(7, 321.0))
-        assert c.duration == 4.0
+        trace = make_trace(np.full(5, 321.0))
+        block, durations = resample(trace, whole(trace), 7)
+        np.testing.assert_array_equal(block, np.full((1, 7), 321.0))
+        assert durations[0] == 4.0
 
     def test_linear_ramp_hand_values(self):
-        seg = Segment(np.array([0.0, 4.0]), np.array([100.0, 200.0]))
-        c = resample(seg, 5)
-        np.testing.assert_allclose(c.temps, [100.0, 125.0, 150.0, 175.0, 200.0])
+        trace = make_trace([100.0, 200.0], dt=4.0)
+        block, _ = resample(trace, whole(trace), 5)
+        np.testing.assert_allclose(block[0], [100.0, 125.0, 150.0, 175.0, 200.0])
 
     def test_identity_on_even_input(self):
         rng = np.random.default_rng(0)
         temps = rng.uniform(200, 900, 50)
-        seg = Segment(np.linspace(0.0, 10.0, 50), temps)
-        c = resample(seg, 50)
-        np.testing.assert_allclose(c.temps, temps, atol=1e-12)
+        trace = make_trace(temps, dt=10.0 / 49)
+        block, _ = resample(trace, whole(trace), 50)
+        np.testing.assert_allclose(block[0], temps, atol=1e-12)
 
     def test_endpoints_exact(self):
-        seg = Segment(np.array([0.0, 1.0, 3.0]), np.array([700.0, 500.0, 450.0]))
-        c = resample(seg, 9)
-        assert c.temps[0] == 700.0 and c.temps[-1] == 450.0
+        trace = make_trace([700.0, 500.0, 450.0])
+        block, _ = resample(trace, whole(trace), 9)
+        assert block[0, 0] == 700.0 and block[0, -1] == 450.0
 
     def test_errors(self):
+        with pytest.raises(DomainError):  # a one-sample segment
+            resample(make_trace([1.0, 2.0, 3.0]), np.array([0, 1, 3]), 5)
         with pytest.raises(DomainError):
-            resample(Segment(np.array([0.0]), np.array([1.0])), 5)
-        with pytest.raises(DomainError):
-            resample(Segment(np.array([0.0, 1.0]), np.array([1.0, 2.0])), 1)
+            resample(make_trace([1.0, 2.0]), np.array([0, 2]), 1)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(data=st.data(), dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+                      n=st.integers(2, 40))
+    def test_rows_equal_per_segment_interp(self, data, dt, n):
+        # a trace of cooling runs, each begun by a sharp rise, split and
+        # resampled in one call, matches one np.interp per segment bit for bit
+        runs = data.draw(st.lists(st.integers(2, 60), min_size=1, max_size=7), label="runs")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        temps = [np.array([300.0, 299.0])]
+        for r in runs:
+            start = temps[-1][-1] + rng.uniform(60.0, 400.0)
+            temps.append(start - np.cumsum(rng.uniform(0.0, 5.0, r)))
+        temps = np.concatenate(temps)
+        trace = make_trace(temps, dt=dt)
+        cuts = split_experiment(trace, 50.0)
+        block, durations = resample(trace, cuts, n)
+        assert block.shape == (cuts.size - 1, n) and durations.shape == (cuts.size - 1,)
+        for row, duration, lo, hi in zip(block, durations, cuts[:-1], cuts[1:]):
+            times = trace.times[lo:hi] - trace.times[lo]
+            want = np.interp(np.linspace(times[0], times[-1], n), times, trace.temps[lo:hi])
+            assert np.array_equal(row, want)
+            assert duration == times[-1] - times[0]
 
 
 class TestOverlapTruncate:
     def test_equal_durations_is_plain_resample(self):
         cur = Curve(np.linspace(900, 300, 30), 8.0)
         a = overlap_truncate_rows(cur.temps[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
-        b = resample(Segment(cur.times(), cur.temps), 10)
-        np.testing.assert_allclose(a[0], b.temps, atol=1e-12)
+        trace = make_trace(cur.temps, dt=8.0 / 29)
+        b, _ = resample(trace, whole(trace), 10)
+        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
 
     def test_half_ramp(self):
         cur = Curve(np.array([0.0, 100.0]), 10.0)
@@ -114,7 +153,7 @@ class TestOverlapTruncate:
         np.testing.assert_allclose(c[0], [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         # the row samples the first 5 s of the curve, endpoint included
         np.testing.assert_array_equal(c[0], np.interp(np.linspace(0.0, 5.0, 6),
-                                                      cur.times(), cur.temps))
+                                                      np.linspace(0.0, 10.0, 2), cur.temps))
 
     def test_n_preserved(self):
         cur = Curve(np.linspace(1000, 250, 100), 20.0)
@@ -126,7 +165,7 @@ class TestOverlapTruncate:
     def test_accepts_curve(self):
         cur = Curve(np.linspace(0.0, 100.0, 11), 10.0)
         out = overlap_truncate_rows(cur.temps[np.newaxis], np.array([cur.duration]),
-                                    np.array([5.0]), cur.n)
+                                    np.array([5.0]), cur.temps.size)
         assert out.shape == (1, 11)
         np.testing.assert_allclose(out[0], np.linspace(0.0, 50.0, 11))
 

@@ -226,7 +226,7 @@ class TestElm:
 class TestReconstructProfile:
     def test_training_point_reproduced_with_full_basis(self):
         profiles = layer_profiles(5)
-        recon = fit_layer(profiles, travel_speed=8.0, energy_threshold=1.0, seed=2)
+        recon = fit_layer(profiles, energy_threshold=1.0, seed=2)
         assert recon.m_star <= 5
         for prof in profiles:
             got = reconstruct_profile(recon, prof.point)
@@ -237,7 +237,7 @@ class TestReconstructProfile:
         # the affine family has rank exactly two; retaining its full effective
         # rank leaves only the ELM's delay interpolation as the error source
         profiles = layer_profiles(5)  # training points at 20..100 mm
-        recon = fit_layer(profiles, travel_speed=8.0, energy_threshold=1.0, seed=3)
+        recon = fit_layer(profiles, energy_threshold=1.0, seed=3)
         assert recon.m_star == 2
         for d in (30.0, 50.0, 70.0, 90.0):
             want = affine_profile(d)
@@ -245,7 +245,7 @@ class TestReconstructProfile:
             assert reop(got, want) < 0.01
 
     def test_output_shape_contract(self):
-        recon = fit_layer(layer_profiles(6, n=40), travel_speed=8.0, seed=1)
+        recon = fit_layer(layer_profiles(6, n=40), seed=1)
         point = PointId(recon.layer, 9.37 * 8.0, 9.37)
         prof = reconstruct_profile(recon, point)
         assert prof.temps.shape == (5, 40)
@@ -255,14 +255,14 @@ class TestReconstructProfile:
                                       reconstruct_stacked(recon, [9.37])[:, 0])
 
     def test_point_on_another_layer_rejected(self):
-        recon = fit_layer(layer_profiles(6, n=40), travel_speed=8.0, seed=1)
+        recon = fit_layer(layer_profiles(6, n=40), seed=1)
         with pytest.raises(DomainError, match="layer 9"):
             reconstruct_profile(recon, PointId(recon.layer + 1, 40.0, 5.0))
 
     def test_end_to_end_timing_budget(self):
         profiles = layer_profiles(7)
         t0 = time.perf_counter()
-        recon = fit_layer(profiles, travel_speed=8.0, seed=0)
+        recon = fit_layer(profiles, seed=0)
         for delay in (3.0, 9.0, 15.0):
             reconstruct_profile(recon, PointId(recon.layer, delay * 8.0, delay))
         elapsed = time.perf_counter() - t0

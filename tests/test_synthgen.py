@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from thermoseer import core
 from thermoseer.core import (
+    CURVES_PER_PROFILE,
     DomainError,
     PointId,
     ProcessSettings,
@@ -104,6 +106,21 @@ class TestGenerateWall:
                                   np.array([local]))[0]
             assert abs(temp - settings.interpass_target) <= 10.0
 
+    def test_equals_per_curve_oracle_and_noise(self, settings):
+        # one oracle call and one (5, n) noise draw per point give the bits of
+        # five per-curve calls and five n-value draws from the same stream
+        params = SynthParams(seed=9, noise_sd=1.5)
+        s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 10, deposition_rate=52.8)
+        ds = generate_wall(s, params, points_per_layer=3, n=30)
+        for layer in ds.layers():
+            for j, prof in enumerate(ds.profiles_on(layer), start=1):
+                rng = np.random.default_rng((params.seed, layer, j))
+                for k, (row, duration) in enumerate(zip(prof.temps, prof.durations), start=1):
+                    want = analytic_curve(params, s, ds.schedule, prof.point, k,
+                                          np.linspace(0.0, duration, 30))
+                    want += rng.normal(0.0, params.noise_sd, size=30)
+                    assert np.array_equal(row, want)
+
     def test_deterministic(self, settings, params):
         a = generate_wall(settings, params, points_per_layer=3, n=40)
         b = generate_wall(settings, params, points_per_layer=3, n=40)
@@ -165,7 +182,39 @@ class TestEmulatePyrometer:
         np.testing.assert_array_equal(a.temps, b.temps)
 
 
+def _reference_trace(params, settings, schedule, point, sample_period, lead_in):
+    """The masked loop point_trace ran before its one oracle call: one
+    analytic_curve call per cycle on the samples inside that cycle's window."""
+    durations = [curve_duration(schedule, settings, point.layer, k)
+                 for k in range(1, CURVES_PER_PROFILE + 1)]
+    n_lead = int(round(lead_in / sample_period))
+    n_span = int(math.ceil(float(sum(durations)) / sample_period))
+    offsets = (np.arange(-n_lead, n_span + 1)) * sample_period
+    temps = np.empty_like(offsets)
+    temps[:n_lead] = params.ambient
+    bounds = np.concatenate([[0.0], np.cumsum(durations)])
+    local = offsets[n_lead:]
+    for k in range(CURVES_PER_PROFILE):
+        lo, hi = bounds[k], bounds[k + 1]
+        sel = (local >= lo) & ((local < hi) | (k == CURVES_PER_PROFILE - 1))
+        temps[n_lead:][sel] = analytic_curve(params, settings, schedule, point, k + 1,
+                                             local[sel] - lo)
+    return temps
+
+
 class TestPointTrace:
+    @pytest.mark.parametrize("reheat_tau", [2.0, 0.7])
+    @pytest.mark.parametrize("layer, d, sample_period, lead_in", [
+        (1, 10.0, 0.1, 0.0), (4, 60.0, 0.5, 5.0), (9, 150.0, 0.25, 2.0),
+        (12, 80.0, 0.37, 0.0), (30, 0.0, 1.0, 3.0)])
+    def test_equals_masked_loop(self, settings, reheat_tau, layer, d, sample_period, lead_in):
+        params = SynthParams(seed=3, reheat_tau=reheat_tau)
+        sched = build_schedule(params, settings)
+        pt = PointId.from_distance(layer, d, settings.travel_speed)
+        trace = point_trace(params, settings, sched, pt, sample_period, lead_in)
+        want = _reference_trace(params, settings, sched, pt, sample_period, lead_in)
+        assert np.array_equal(trace.temps, want)
+
     def test_spans_five_cycles(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
@@ -228,6 +277,23 @@ class TestExperimentWall:
             for k, duration in enumerate(prof.durations, start=1):
                 want = curve_duration(ds.schedule, s, 2, k)
                 assert duration == pytest.approx(want, abs=3.0)
+
+    def test_builds_no_curve(self, params, monkeypatch):
+        # a point's five curves go from the trace to its (5, N) block in one
+        # resampling call, never through per-curve objects
+        s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
+        built = []
+        post_init = core.Curve.__post_init__
+
+        def counting(curve):
+            built.append(curve)
+            post_init(curve)
+
+        monkeypatch.setattr(core.Curve, "__post_init__", counting)
+        ds = generate_experiment_wall(s, params, points_per_layer=3, n=40)
+        assert len(ds.profiles) == 21 and built == []
+        first = next(iter(ds.profiles.values()))
+        assert len(first.curves) == 5 and len(built) == 5  # the counter counts
 
     def test_deterministic(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
