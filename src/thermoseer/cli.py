@@ -315,10 +315,15 @@ def _field_types(cls) -> dict[str, type]:
 
 
 def _seed(text: str) -> int:
-    """A seed option or config value: an int >= 0, as numpy's generators need."""
-    if int(text) < 0:
-        raise ValueError(f"a seed must be >= 0, got {text!r}")
-    return int(text)
+    """A seed option or config value: an int >= 0, as numpy's generators need.
+    Raises ArgumentTypeError, whose message argparse prints as it stands."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {text!r}")
+    return seed
 
 
 # keyword arguments of generate_wall; generate_experiment_wall takes these too
@@ -340,7 +345,7 @@ def _typed(table: dict[str, str], types: dict[str, type], context: str) -> dict:
             raise ConfigError(f"{context}: unknown key {key!r}")
         try:
             out[key] = types[key](raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{context}: key {key!r}: {exc}") from exc
     return out
 

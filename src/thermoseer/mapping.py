@@ -17,9 +17,10 @@ of curves with its (B, 4) features to (B, N) predictions, and
 checked, which is how a layer's five-curve profiles are mapped in one call.
 
 The parameters are one float64 vector, and inference, checkpoints and the
-loss and gradient functions use it as float64.  :func:`train` computes in
-float32 on those float64 weights: activations, gradients and Adam's
-moments are float32, and only the weight update itself is float64.
+loss and gradient functions use it as float64.  :func:`train` keeps one
+float32 store of the weights instead: activations, gradients, Adam's
+moments and the weights it updates in place are all float32, and the
+trained weights become a float64 ``params`` vector once, at the end.
 
 Everything is plain numpy with explicit seeds: identical seeds give
 bit-identical trained weights on one platform.
@@ -44,7 +45,7 @@ from .core import (
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
 N_AFFINE_MAPS = 6
-# elements per Adam slice: one slice of each of its six buffers (~0.9 MB) stays in cache
+# elements per Adam slice: one slice of each of its five buffers (~0.6 MB) stays in cache
 ADAM_BLOCK = 1 << 15
 
 
@@ -103,15 +104,6 @@ class MappingModel:
     def __post_init__(self) -> None:
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         self.weights, self.biases = _layer_views(self.params, self.n)
-
-    def copy(self) -> "MappingModel":
-        return replace(
-            self,
-            params=self.params.copy(),
-            feature_mean=self.feature_mean.copy(),
-            feature_std=self.feature_std.copy(),
-            training_meta=dict(self.training_meta),
-        )
 
 
 @dataclass(frozen=True)
@@ -217,22 +209,22 @@ def _scale_features(model: MappingModel, features: np.ndarray) -> np.ndarray:
 
 def _net_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
                  dropout_mask: np.ndarray | None = None):
-    """Scaled network output plus the intermediate activations needed for
-    backpropagation.  ``x`` is (batch, N+4); the arithmetic runs in the
+    """Scaled network output plus each hidden layer's activation, which
+    backpropagation needs.  ``x`` is (batch, N+4); the arithmetic runs in the
     dtype of the weights and ``x`` (float64 for inference, float32 in
     :func:`train`)."""
-    pre, post = [], []
+    post = []
     h = x
     for l in range(N_AFFINE_MAPS - 1):
-        z = h @ weights[l] + biases[l]
-        h = np.maximum(z, 0.0)
-        pre.append(z)
+        h = h @ weights[l]
+        h += biases[l]
+        np.maximum(h, 0.0, out=h)
         post.append(h)
     if dropout_mask is not None:
-        h = h * dropout_mask / (1.0 - DROPOUT_RATE)
-        post[-1] = h
+        h *= dropout_mask
+        h /= 1.0 - DROPOUT_RATE
     out = h @ weights[-1] + biases[-1]
-    return out, pre, post
+    return out, post
 
 
 def _assemble_input(model: MappingModel, temps: np.ndarray,
@@ -261,7 +253,7 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(features))):
         raise DomainError("inputs must be finite")
     x = _assemble_input(model, temps, features)
-    out, _, _ = _net_forward(model.weights, model.biases, x)
+    out, _ = _net_forward(model.weights, model.biases, x)
     return out * TEMP_SCALE + temps
 
 
@@ -292,7 +284,7 @@ def _training_matrices(model: MappingModel, pairs: CurvePairs):
 def mse_loss(model: MappingModel, pairs: CurvePairs) -> float:
     """Training loss on scaled targets with dropout disabled."""
     x, r = _training_matrices(model, pairs)
-    out, _, _ = _net_forward(model.weights, model.biases, x)
+    out, _ = _net_forward(model.weights, model.biases, x)
     return float(np.mean((out - r) ** 2))
 
 
@@ -312,7 +304,7 @@ def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
               d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> float:
     """Writes the batch gradients into ``d_weights`` / ``d_biases`` and
     returns the batch loss, computed in the dtype of the arrays passed."""
-    out, pre, post = _net_forward(weights, biases, x, dropout_mask)
+    out, post = _net_forward(weights, biases, x, dropout_mask)
     diff = out - r
     loss = float(np.mean(diff ** 2))
 
@@ -321,9 +313,12 @@ def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
     grad.sum(axis=0, out=d_biases[-1])
     grad = grad @ weights[-1].T
     if dropout_mask is not None:
-        grad = grad * dropout_mask / (1.0 - DROPOUT_RATE)
+        grad *= dropout_mask
+        grad /= 1.0 - DROPOUT_RATE
     for l in range(N_AFFINE_MAPS - 2, -1, -1):
-        grad = grad * (pre[l] > 0.0)
+        # a ReLU output is > 0 exactly where its input was; where dropout
+        # zeroed it, the gradient is already zero
+        grad *= post[l] > 0.0
         below = post[l - 1] if l > 0 else x
         np.matmul(below.T, grad, out=d_weights[l])
         grad.sum(axis=0, out=d_biases[l])
@@ -343,13 +338,13 @@ def train(model: MappingModel, pairs: CurvePairs,
     fitted statistics (as a pretrained model does), so fine-tuning a
     pretrained model is this same procedure.
 
-    The forward and backward passes, the gradients and Adam's moments are
-    float32; the weights stay float64 (master weights), and each step's
-    float32 update is subtracted from them before a float32 shadow copy is
-    refreshed for the next batch.  The returned model is float64 like any
-    other, so checkpoints and inference do not change.  Returns the trained
-    model and the per-epoch loss history; a non-finite batch loss (which
-    float32 reaches above about 3.4e38) or trained weight raises
+    Training keeps one float32 store of the weights: the forward and
+    backward passes read views of it, and Adam, whose gradients and moments
+    are float32 too, updates it in place.  The trained weights come back as
+    the float64 ``params`` of a new model, so checkpoints and inference do
+    not change; the input model is neither copied nor written.  Returns the
+    trained model and the per-epoch loss history; a non-finite batch loss
+    (which float32 reaches above about 3.4e38) or trained weight raises
     NumericsError.
     """
     if not len(pairs):
@@ -359,29 +354,26 @@ def train(model: MappingModel, pairs: CurvePairs,
     if config.epochs == 0:
         return model, []
 
-    out = model.copy()
-    if not out.scaler_fitted:
+    if not model.scaler_fitted:
         std = pairs.features.std(axis=0)
         std[std < 1e-12] = 1.0
-        out.feature_mean = pairs.features.mean(axis=0)
-        out.feature_std = std
-        out.scaler_fitted = True
+        model = replace(model, feature_mean=pairs.features.mean(axis=0), feature_std=std,
+                        scaler_fitted=True)
 
-    x_all, r_all = (a.astype(np.float32) for a in _training_matrices(out, pairs))
+    x_all, r_all = (a.astype(np.float32) for a in _training_matrices(model, pairs))
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 
-    params = out.params
-    shadow = params.astype(np.float32)
-    weights, biases = _layer_views(shadow, out.n)
-    m = np.zeros_like(shadow)
-    v = np.zeros_like(shadow)
+    w = model.params.astype(np.float32)
+    weights, biases = _layer_views(w, model.n)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
     # the gradient buffer doubles as scratch once v has taken the step's
-    # gradient; with `work` these are the only full-size temporaries
-    g = np.empty_like(shadow)
-    work = np.empty_like(shadow)
-    d_weights, d_biases = _layer_views(g, out.n)
-    blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, params.size, ADAM_BLOCK)]
+    # gradient; m's update needs one block of its own
+    g = np.empty_like(w)
+    scratch = np.empty(ADAM_BLOCK, dtype=np.float32)
+    d_weights, d_biases = _layer_views(g, model.n)
+    blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, w.size, ADAM_BLOCK)]
     step = 0
 
     loss_history: list[float] = []
@@ -397,38 +389,35 @@ def train(model: MappingModel, pairs: CurvePairs,
             for lo in range(0, n_samples, config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 xb, rb = x_all[batch], r_all[batch]
-                mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
+                mask = rng.random((batch.size, 3 * model.n)) >= DROPOUT_RATE
                 loss = _backprop(weights, biases, xb, rb, mask, d_weights, d_biases)
                 if not math.isfinite(loss):
                     raise NumericsError(f"training diverged: batch loss {loss} is not "
                                         f"finite (epoch {epoch + 1}, lr {lr})")
                 sse += loss * batch.size
                 step += 1
-                correct1 = 1.0 - config.beta1 ** step
-                correct2 = 1.0 - config.beta2 ** step
-                # params -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon),
-                # in place, in the same elementwise order as the unfused update,
-                # one cache-sized block at a time; the float32 step goes onto
-                # the float64 weights, and the float32 copy the next batch
-                # reads is refreshed while the block is still in cache
+                # Adam in Kingma and Ba's cheaper form, the bias corrections
+                # folded into the step size and epsilon:
+                # w -= alpha * (m / (sqrt(v) + eps_hat)), in place, one
+                # cache-sized block at a time
+                root2 = math.sqrt(1.0 - config.beta2 ** step)
+                alpha = lr * root2 / (1.0 - config.beta1 ** step)
+                eps_hat = config.epsilon * root2
                 for s in blocks:
-                    ms, vs, gs, ws = m[s], v[s], g[s], work[s]
+                    ms, vs, gs, ws = m[s], v[s], g[s], w[s]
                     ms *= config.beta1
-                    ms += np.multiply(gs, 1.0 - config.beta1, out=ws)
+                    ms += np.multiply(gs, 1.0 - config.beta1, out=scratch[:gs.size])
                     vs *= config.beta2
                     vs += np.multiply(np.square(gs, out=gs), 1.0 - config.beta2, out=gs)
-                    np.multiply(np.divide(ms, correct1, out=ws), lr, out=ws)
-                    np.add(np.sqrt(np.divide(vs, correct2, out=gs), out=gs),
-                           config.epsilon, out=gs)
-                    params[s] -= np.divide(ws, gs, out=ws)
-                    shadow[s] = params[s]
+                    np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
+                    ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
             loss_history.append(sse / n_samples)
+    params = w.astype(np.float64)
     if not np.isfinite(params).all():
         raise NumericsError("training produced non-finite weights")
 
-    out.training_meta = {
+    return replace(model, params=params, training_meta={
         "epochs_run": config.epochs,
         "final_loss": loss_history[-1],
         "lr_history": lr_history,
-    }
-    return out, loss_history
+    }), loss_history

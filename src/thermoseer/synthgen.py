@@ -75,6 +75,8 @@ class SynthParams:
             raise DomainError(f"reheat_decay must lie in (0, 1), got {self.reheat_decay!r}")
         if self.noise_sd < 0.0:
             raise DomainError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         if self.peak_base <= self.ambient:
             raise DomainError("peak_base must exceed ambient")
         if not 0.0 <= self.substrate_chill < 1.0:

@@ -773,6 +773,7 @@ class TestTrainPredictEvalField:
         assert run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0") == 0
         capsys.readouterr()
         out, loss_csv, cfg = tmp_path / "out", tmp_path / "loss.csv", tmp_path / "train.cfg"
+        negative_seed = "seed" in extra
         if extra.startswith("config: "):
             cfg.write_text(extra.removeprefix("config: ") + "\n")
             extra = f"--config {cfg}"
@@ -790,6 +791,8 @@ class TestTrainPredictEvalField:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+        if negative_seed:  # the rule, not the converter's name
+            assert "a seed must be >= 0, got '-1'" in err and "invalid" not in err
         assert not out.exists() and not loss_csv.exists()
 
     def test_mixed_n_exit_3(self, tmp_path, small_wall):

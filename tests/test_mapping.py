@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,13 +145,6 @@ class TestFlatParams:
         temps = rng.uniform(150.0, 1400.0, size=(batch, n))
         feats = make_features(rng, batch)
         np.testing.assert_array_equal(forward_raw(model, temps, feats), temps)
-
-    def test_copy_owns_its_params(self):
-        model = init_model(6, seed=2)
-        twin = model.copy()
-        assert not np.shares_memory(twin.params, model.params)
-        assert all(np.shares_memory(w, twin.params) for w in twin.weights)
-        np.testing.assert_array_equal(twin.params, model.params)
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ShapeError):
@@ -309,8 +305,34 @@ class TestTrain:
         a, ha = train(init_model(8, seed=4), samples, cfg)
         b, hb = train(init_model(8, seed=4), samples, cfg)
         assert ha == hb
-        for wa, wb in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(wa, wb)
+        assert a.params.tobytes() == b.params.tobytes()
+
+    def test_trained_weights_are_one_float32_store(self):
+        # the float64 params are built from float32 weights
+        rng = np.random.default_rng(27)
+        trained, _ = train(init_model(8, seed=4), make_samples(rng, 8, 32),
+                           TrainConfig(epochs=3, batch_size=8, seed=9))
+        assert trained.params.dtype == np.float64
+        np.testing.assert_array_equal(
+            trained.params.astype(np.float32).astype(np.float64), trained.params)
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_input_model_is_not_written(self, fitted):
+        rng = np.random.default_rng(28)
+        samples = make_samples(rng, 8, 32)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=9)
+        model = init_model(8, seed=4)
+        if fitted:  # a pretrained model, as fine-tuning starts from
+            model, _ = train(model, samples, cfg)
+            model.params.flags.writeable = False
+        def state(m):
+            return (m.params.tobytes(), m.feature_mean.tobytes(), m.feature_std.tobytes(),
+                    m.params.flags.writeable, m.scaler_fitted)
+        before = state(model)
+        tuned, _ = train(model, make_samples(rng, 8, 16), cfg)
+        assert state(model) == before
+        assert not np.shares_memory(tuned.params, model.params)
+        assert tuned.params.tobytes() != model.params.tobytes()
 
     def test_scaler_fitted_once(self):
         rng = np.random.default_rng(24)
@@ -334,21 +356,24 @@ class TestTrain:
 
 def reference_train(model, samples, config, dtype=np.float32):
     """The per-layer Adam loop that flat, blocked training replaced: one
-    moment pair per weight and bias array, updated array by array.  With
-    float32 the gradients and moments are float32 and each float32 step is
-    subtracted from the float64 weights, as ``train`` does; with float64
-    every value is float64, as training was before it ran in float32."""
-    out = model.copy()
+    master copy and one moment pair per weight and bias array, updated array
+    by array with Adam's bias corrections folded into the step size and
+    epsilon (Kingma and Ba).  With float32 the masters, gradients and moments
+    are float32, as in ``train``; with float64 every value is float64, as
+    training was before it ran in float32."""
     feats = samples.features
     std = feats.std(axis=0)
     std[std < 1e-12] = 1.0
-    out.feature_mean, out.feature_std, out.scaler_fitted = feats.mean(axis=0), std, True
+    out = dataclasses.replace(model, feature_mean=feats.mean(axis=0), feature_std=std,
+                              scaler_fitted=True)
     x_all, r_all = (a.astype(dtype) for a in _training_matrices(out, samples))
     rng = np.random.default_rng(config.seed)
-    m_w = [np.zeros(w.shape, dtype) for w in out.weights]
-    v_w = [np.zeros(w.shape, dtype) for w in out.weights]
-    m_b = [np.zeros(b.shape, dtype) for b in out.biases]
-    v_b = [np.zeros(b.shape, dtype) for b in out.biases]
+    weights = [w.astype(dtype) for w in out.weights]
+    biases = [b.astype(dtype) for b in out.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
     step, history = 0, []
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
@@ -357,27 +382,27 @@ def reference_train(model, samples, config, dtype=np.float32):
         for lo in range(0, len(samples), config.batch_size):
             batch = order[lo:lo + config.batch_size]
             mask = rng.random((batch.size, 3 * out.n)) >= DROPOUT_RATE
-            weights = [w.astype(dtype) for w in out.weights]
-            biases = [b.astype(dtype) for b in out.biases]
             d_w = [np.empty_like(w) for w in weights]
             d_b = [np.empty_like(b) for b in biases]
             loss = _backprop(weights, biases, x_all[batch], r_all[batch], mask, d_w, d_b)
             sse += loss * batch.size
             step += 1
-            correct1 = 1.0 - config.beta1 ** step
-            correct2 = 1.0 - config.beta2 ** step
+            root2 = math.sqrt(1.0 - config.beta2 ** step)
+            alpha = lr * root2 / (1.0 - config.beta1 ** step)
+            eps_hat = config.epsilon * root2
             for l in range(6):
                 for grads, params, ms, vs in (
-                    (d_w[l], out.weights[l], m_w[l], v_w[l]),
-                    (d_b[l], out.biases[l], m_b[l], v_b[l]),
+                    (d_w[l], weights[l], m_w[l], v_w[l]),
+                    (d_b[l], biases[l], m_b[l], v_b[l]),
                 ):
                     ms *= config.beta1
                     ms += (1.0 - config.beta1) * grads
                     vs *= config.beta2
                     vs += (1.0 - config.beta2) * grads ** 2
-                    params -= lr * (ms / correct1) / (np.sqrt(vs / correct2) + config.epsilon)
+                    params -= alpha * (ms / (np.sqrt(vs) + eps_hat))
         history.append(sse / len(samples))
-    return out, history
+    params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    return dataclasses.replace(out, params=params.astype(np.float64)), history
 
 
 class TestFlatAdam:

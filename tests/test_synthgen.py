@@ -156,6 +156,10 @@ class TestGenerateWall:
         with pytest.raises(DomainError):
             generate_wall(small, params, points_per_layer=7)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            SynthParams(seed=-1, noise_sd=1.0)
+
     def test_rejects_overflowing_spacing(self, settings, params):
         with pytest.raises(DomainError):
             generate_wall(settings, params, points_per_layer=9, spacing_mm=20.0)
