@@ -4,8 +4,14 @@
 Measured profiles of the printed layer feed the pretrained mapping model;
 the mapped profiles are decomposed and an ELM is trained online; the wall's
 whole next layer is then available as reconstructed profiles or as rendered
-temperature-field frames, all well inside the 0.1 s budget.
+temperature-field frames, all well inside the 0.1 s budget.  The model is
+served as the CLI serves it: saved to a checkpoint and loaded back, with
+the float32 weights training produced.
 """
+
+import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from thermoseer import (
     render_field,
     train,
 )
+from thermoseer.cli import load_checkpoint, save_checkpoint
 
 settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40,
                                  layer_print_time=20.5, deposition_rate=52.8)
@@ -32,6 +39,16 @@ pairs = extract_curve_pairs(wall, layers=list(range(1, 31)))
 model, history = train(init_model(100, seed=0), pairs,
                        TrainConfig(epochs=60, batch_size=256, seed=0))
 print(f"  {len(pairs)} pairs, final loss {history[-1]:.2e}")
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.ckpt")
+    save_checkpoint(path, model)
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        payload = len(fh.read())
+    model = load_checkpoint(path)
+print(f"  checkpoint payload: {payload:,} bytes of {json.loads(header_line)['dtype']} "
+      f"({model.params.size:,} parameters, loaded as {model.params.dtype})")
 
 target = 31
 predict_layer(model, wall, target)  # warm the linear-algebra paths once

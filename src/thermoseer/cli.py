@@ -7,13 +7,15 @@ and ``field`` (layer temperature-field CSV).
 
 Datasets (format version 2) and checkpoints (format version 3) share one
 container: a UTF-8 JSON header line ended by ``\\n`` within the first MiB,
-then one raw blob of little-endian float64 values whose count the header
-implies.  A dataset row holds one point (layer, axial distance, five curve
-durations, five curves); the checkpoint blob is the mapping net's parameter
-vector.  Nothing that follows from the rest of a file is stored.  Files are
-recognised by content, not by extension.  All writes are whole-file atomic
-(fsynced unique temp file then rename) and byte-stable: identical inputs and
-seeds produce byte-identical files.
+then one raw blob of little-endian floats whose dtype (``<f8`` or ``<f4``)
+the header names and whose count it implies.  A dataset row holds one point
+(layer, axial distance, five curve durations, five curves) in ``<f8``; the
+checkpoint blob is the mapping net's parameter vector in its own dtype,
+``<f4`` for a trained model and ``<f8`` for an untrained one.  Nothing that
+follows from the rest of a file is stored.  Files are recognised by content,
+not by extension.  All writes are whole-file atomic (fsynced unique temp
+file then rename) and byte-stable: identical inputs and seeds produce
+byte-identical files.
 
 Exit codes live on the error classes (``ThermoseerError.exit_code``): 0 ok,
 2 config, 3 data (also a numeric failure such as a diverging training loss,
@@ -51,14 +53,14 @@ from .core import (
 )
 from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
 from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
-from .synthgen import SynthParams, generate_experiment_wall, generate_wall
+from .synthgen import MAX_WALL_VALUES, SynthParams, generate_experiment_wall, generate_wall
 
-PAYLOAD_DTYPE = "<f8"
 HEADER_LINE_LIMIT = 1 << 20  # a header line's "\n" comes within this many bytes
-# kind of file -> (format name, version, error class of a malformed file)
+# kind of file -> (format name, version, error class of a malformed file,
+# payload dtypes it may hold)
 _CONTAINERS = {
-    "dataset": ("thermoseer-dataset", 2, DomainError),
-    "checkpoint": ("thermoseer-ckpt", 3, CheckpointError),
+    "dataset": ("thermoseer-dataset", 2, DomainError, ("<f8",)),
+    "checkpoint": ("thermoseer-ckpt", 3, CheckpointError, ("<f4", "<f8")),
 }
 
 
@@ -100,7 +102,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 # --------------------------------------------------------------------------
-# file container: one JSON header line plus one raw float64 payload
+# file container: one JSON header line plus one raw float payload
 
 
 def _header_key(table: dict, key: str, kind, path: str, error=CheckpointError):
@@ -113,25 +115,30 @@ def _header_key(table: dict, key: str, kind, path: str, error=CheckpointError):
 
 
 def _write_container(path: str, kind: str, header: dict, values: np.ndarray) -> None:
-    """One UTF-8 JSON header line (``format``, ``version`` and ``dtype`` of
-    ``kind``, then ``header``) ended by ``\\n``, then ``values`` as raw
-    little-endian float64.  A header that :func:`_read_container` would
-    reject for its length is refused, so every written file reads back."""
-    fmt, version, error = _CONTAINERS[kind]
-    line = json.dumps({"format": fmt, "version": version, "dtype": PAYLOAD_DTYPE,
+    """One UTF-8 JSON header line (``format`` and ``version`` of ``kind``,
+    the little-endian ``dtype`` of ``values``, then ``header``) ended by
+    ``\\n``, then ``values`` as raw little-endian floats of that dtype.  A
+    dtype ``kind`` does not hold, or a header that :func:`_read_container`
+    would reject for its length, is refused, so every written file reads
+    back."""
+    fmt, version, error, dtypes = _CONTAINERS[kind]
+    dtype = values.dtype.newbyteorder("<").str
+    if dtype not in dtypes:
+        raise error(f"{path}: a {kind} payload is one of {dtypes}, got {dtype}")
+    line = json.dumps({"format": fmt, "version": version, "dtype": dtype,
                        **header}).encode("utf-8")
     if len(line) >= HEADER_LINE_LIMIT:
         raise error(f"{path}: {kind} header of {len(line)} bytes exceeds "
                     f"{HEADER_LINE_LIMIT - 1}")
-    _atomic_write(path, line + b"\n" + values.astype(PAYLOAD_DTYPE, copy=False).tobytes())
+    _atomic_write(path, line + b"\n" + values.astype(dtype, copy=False).tobytes())
 
 
 def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
     """``(header, values)`` of a file :func:`_write_container` wrote, where
     ``shape_of(header)`` is the payload shape the header implies; ``values``
-    is an aligned, writable, finite float64 array.  Every malformed file
-    raises the error class of ``kind``."""
-    fmt, version, error = _CONTAINERS[kind]
+    is an aligned, writable, finite array of the header's dtype in native
+    byte order.  Every malformed file raises the error class of ``kind``."""
+    fmt, version, error, dtypes = _CONTAINERS[kind]
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.find(b"\n", 0, HEADER_LINE_LIMIT)
@@ -145,15 +152,17 @@ def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
         raise error(f"{path}: not a {fmt} file")
     if header.get("version") != version:
         raise error(f"{path}: unsupported {kind} version {header.get('version')}")
-    if _header_key(header, "dtype", str, path, error) != PAYLOAD_DTYPE:
-        raise error(f"{path}: dtype must be {PAYLOAD_DTYPE!r}, got {header['dtype']!r}")
+    dtype = _header_key(header, "dtype", str, path, error)
+    if dtype not in dtypes:
+        raise error(f"{path}: a {kind} dtype is one of {dtypes}, got {dtype!r}")
+    dtype = np.dtype(dtype)
     shape = shape_of(header)
     payload = memoryview(data)[end + 1:]
-    if min(shape) < 0 or len(payload) != 8 * math.prod(shape):
+    if min(shape) < 0 or len(payload) != dtype.itemsize * math.prod(shape):
         raise error(f"{path}: payload holds {len(payload)} bytes, the header "
-                    f"implies {PAYLOAD_DTYPE} values of shape {shape}")
+                    f"implies {dtype.str} values of shape {shape}")
     # astype copies into an aligned, writable, native-order array
-    values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).astype(np.float64).reshape(shape)
+    values = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(shape)
     if not np.all(np.isfinite(values)):
         raise error(f"{path}: payload holds non-finite values")
     return header, values
@@ -229,9 +238,10 @@ def save_checkpoint(path: str, model: MappingModel) -> None:
     The header holds ``n``, ``layer_widths``, ``param_count``, ``scaler``
     (``feature_mean``, ``feature_std``, ``fitted``), ``seeds`` and
     ``training_meta``.  The payload is the ``param_count`` values of ``w1,
-    b1, ..., w6, b6`` back to back; each weight matrix is row-major, so
-    entry [i, j] (input i to output j) sits at offset i * fan_out + j within
-    its block."""
+    b1, ..., w6, b6`` back to back, in the dtype of ``model.params``
+    (``<f4`` for a trained model, ``<f8`` for an untrained one); each weight
+    matrix is row-major, so entry [i, j] (input i to output j) sits at
+    offset i * fan_out + j within its block."""
     header = {
         "n": model.n,
         "layer_widths": layer_dims(model.n)[1:],
@@ -260,7 +270,8 @@ def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
 
 def load_checkpoint(path: str) -> MappingModel:
     """Read a version-3 checkpoint (see :func:`save_checkpoint`).  The
-    payload becomes the model's writable float64 ``params`` vector; every
+    payload becomes the model's writable ``params`` vector, bit for bit in
+    the file's dtype (float32 for ``<f4``, float64 for ``<f8``); every
     malformed file raises CheckpointError."""
     header, flat = _read_container(
         path, "checkpoint", lambda header: (_header_key(header, "param_count", int, path),))
@@ -566,6 +577,12 @@ def cmd_field(args) -> int:
         raise ConfigError(f"--times expects comma-separated seconds, got {args.times!r}")
     if not times:
         raise ConfigError("--times lists no time values")
+    # the frames and their CSV are held in memory together
+    values = len(times) * CURVES_PER_PROFILE * model.n * args.positions
+    if values > MAX_WALL_VALUES:
+        raise ConfigError(f"{len(times)} frames of {args.positions} positions need about "
+                          f"{values:.3g} curve values, more than the {MAX_WALL_VALUES} "
+                          f"allowed; ask for fewer times or positions")
 
     prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
     try:

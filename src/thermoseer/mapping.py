@@ -16,11 +16,13 @@ of curves with its (B, 4) features to (B, N) predictions, and
 :func:`forward_many` is the same pass with the output's physical range
 checked, which is how a layer's five-curve profiles are mapped in one call.
 
-The parameters are one float64 vector, and inference, checkpoints and the
-loss and gradient functions use it as float64.  :func:`train` keeps one
-float32 store of the weights instead: activations, gradients, Adam's
-moments and the weights it updates in place are all float32, and the
-trained weights become a float64 ``params`` vector once, at the end.
+The parameters are one vector, float32 or float64.  :func:`train` keeps
+one float32 store of the weights: activations, gradients, Adam's moments
+and the weights it updates in place are all float32, and that store is the
+trained model's ``params``.  Inference and checkpoints use the parameters
+in their own dtype, so a trained model is served in float32, while
+:func:`init_model` gives float64 parameters.  The loss and gradient
+functions compute in float64 for every model.
 
 Everything is plain numpy with explicit seeds: identical seeds give
 bit-identical trained weights on one platform.
@@ -82,8 +84,9 @@ def _layer_views(params: np.ndarray, n: int) -> tuple[list[np.ndarray], list[np.
 
 @dataclass(eq=False)
 class MappingModel:
-    """All weights and biases of the six affine maps in one float64 vector
-    ``params``, plus input scaling statistics.
+    """All weights and biases of the six affine maps in one vector
+    ``params``, plus input scaling statistics.  ``params`` is float32 when
+    given as float32 (a trained model's store) and float64 otherwise.
 
     ``weights[l]`` and ``biases[l]`` are views into ``params``; weight
     ``weights[l][i, j]`` connects input ``i`` of map ``l`` to its output
@@ -102,7 +105,8 @@ class MappingModel:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        dtype = np.float32 if np.asarray(self.params).dtype == np.float32 else np.float64
+        self.params = np.ascontiguousarray(self.params, dtype=dtype)
         self.weights, self.biases = _layer_views(self.params, self.n)
 
 
@@ -211,8 +215,7 @@ def _net_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndar
                  dropout_mask: np.ndarray | None = None):
     """Scaled network output plus each hidden layer's activation, which
     backpropagation needs.  ``x`` is (batch, N+4); the arithmetic runs in the
-    dtype of the weights and ``x`` (float64 for inference, float32 in
-    :func:`train`)."""
+    dtype of the weights and ``x``."""
     post = []
     h = x
     for l in range(N_AFFINE_MAPS - 1):
@@ -239,6 +242,12 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
     """Batched inference on plain arrays: (B, N) curve temperatures plus
     (B, 4) features to (B, N) predicted temperatures in degC.
 
+    The network runs in the dtype of ``model.params``: the float64 input is
+    cast once, as :func:`train` casts it, and the network's output is
+    widened to float64 before it is scaled and added to ``temps``, so a
+    zero-weight model is the identity in either dtype and a float64 model
+    computes in float64 throughout.
+
     No physical-range validation is applied to the output, so this is the
     path for scoring a model that may still predict nonsense (for example a
     simulation-trained model applied to clamped pyrometer curves before
@@ -252,9 +261,9 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
         )
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(features))):
         raise DomainError("inputs must be finite")
-    x = _assemble_input(model, temps, features)
+    x = _assemble_input(model, temps, features).astype(model.params.dtype, copy=False)
     out, _ = _net_forward(model.weights, model.biases, x)
-    return out * TEMP_SCALE + temps
+    return out.astype(np.float64, copy=False) * TEMP_SCALE + temps
 
 
 def forward_many(model: MappingModel, temps: np.ndarray,
@@ -282,20 +291,25 @@ def _training_matrices(model: MappingModel, pairs: CurvePairs):
 
 
 def mse_loss(model: MappingModel, pairs: CurvePairs) -> float:
-    """Training loss on scaled targets with dropout disabled."""
+    """Training loss on scaled targets with dropout disabled, computed in
+    float64 whatever the dtype of the parameters."""
     x, r = _training_matrices(model, pairs)
-    out, _ = _net_forward(model.weights, model.biases, x)
+    weights, biases = _layer_views(model.params.astype(np.float64, copy=False), model.n)
+    out, _ = _net_forward(weights, biases, x)
     return float(np.mean((out - r) ** 2))
 
 
 def loss_gradients(model: MappingModel, pairs: CurvePairs,
                    dropout_mask: np.ndarray | None = None):
     """Analytic gradients of the batch MSE with respect to every weight and
-    bias, via backpropagation.  Returns (weight grads, bias grads, loss); the
-    gradients are views into one flat vector laid out like ``params``."""
+    bias, via backpropagation, computed in float64 whatever the dtype of the
+    parameters.  Returns (weight grads, bias grads, loss); the gradients are
+    views into one flat float64 vector laid out like ``params``."""
     x, r = _training_matrices(model, pairs)
-    d_weights, d_biases = _layer_views(np.empty_like(model.params), model.n)
-    loss = _backprop(model.weights, model.biases, x, r, dropout_mask, d_weights, d_biases)
+    params = model.params.astype(np.float64, copy=False)
+    weights, biases = _layer_views(params, model.n)
+    d_weights, d_biases = _layer_views(np.empty_like(params), model.n)
+    loss = _backprop(weights, biases, x, r, dropout_mask, d_weights, d_biases)
     return d_weights, d_biases, loss
 
 
@@ -338,14 +352,14 @@ def train(model: MappingModel, pairs: CurvePairs,
     fitted statistics (as a pretrained model does), so fine-tuning a
     pretrained model is this same procedure.
 
-    Training keeps one float32 store of the weights: the forward and
-    backward passes read views of it, and Adam, whose gradients and moments
-    are float32 too, updates it in place.  The trained weights come back as
-    the float64 ``params`` of a new model, so checkpoints and inference do
-    not change; the input model is neither copied nor written.  Returns the
-    trained model and the per-epoch loss history; a non-finite batch loss
-    (which float32 reaches above about 3.4e38) or trained weight raises
-    NumericsError.
+    Training keeps one float32 store of the weights, built from the input
+    model's parameters: the forward and backward passes read views of it,
+    and Adam, whose gradients and moments are float32 too, updates it in
+    place.  That store is the float32 ``params`` of the returned model, and
+    inference and checkpoints use it as it is; the input model is neither
+    copied nor written.  Returns the trained model and the per-epoch loss
+    history; a non-finite batch loss (which float32 reaches above about
+    3.4e38) or trained weight raises NumericsError.
     """
     if not len(pairs):
         raise DomainError("curve pairs must be nonempty")
@@ -412,11 +426,10 @@ def train(model: MappingModel, pairs: CurvePairs,
                     np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
                     ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
             loss_history.append(sse / n_samples)
-    params = w.astype(np.float64)
-    if not np.isfinite(params).all():
+    if not np.isfinite(w).all():
         raise NumericsError("training produced non-finite weights")
 
-    return replace(model, params=params, training_meta={
+    return replace(model, params=w, training_meta={
         "epochs_run": config.epochs,
         "final_loss": loss_history[-1],
         "lr_history": lr_history,

@@ -161,7 +161,8 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
 
     A frame is one array pass over all printed positions, with the same
     arithmetic as one ``np.interp`` call per position, so it gives the same
-    bits; it holds about 8·N·P floats for P printed positions.  A non-finite
+    bits; it holds about 5·N·P floats for P printed positions, the
+    reconstructed curves, plus a few values per position.  A non-finite
     ``local_time``, fewer than two positions, or a frame of more than
     ``MAX_WALL_VALUES`` curve values (5·N per position) raise DomainError
     before anything is allocated; a time past the five-curve horizon raises
@@ -203,17 +204,19 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     k = np.minimum(np.searchsorted(bounds, elapsed, side="right") - 1,
                    CURVES_PER_PROFILE - 1)
     x = elapsed - bounds[k]
-    rows = np.arange(delays.size)
-    grids = np.linspace(0.0, recon.durations, n, axis=-1)[k]  # (P, N)
-    curves = stacked.T.reshape(-1, CURVES_PER_PROFILE, n)[rows, k]  # (P, N)
+    grids = np.linspace(0.0, recon.durations, n, axis=-1)  # (5, N)
     # np.interp's rule: grid[j] <= x < grid[j + 1], its slope formula, the
     # sample itself on a grid point, the last sample at or past the grid end
-    j = np.count_nonzero(grids <= x[:, None], axis=1) - 1
+    j = np.empty(delays.size, dtype=np.intp)
+    for curve, grid in enumerate(grids):
+        on_curve = k == curve
+        j[on_curve] = np.searchsorted(grid, x[on_curve], side="right") - 1
     jj = np.minimum(j, n - 2)
-    x0, x1 = grids[rows, jj], grids[rows, jj + 1]
-    f0, f1 = curves[rows, jj], curves[rows, jj + 1]
+    x0, x1 = grids[k, jj], grids[k, jj + 1]
+    rows, cols = k * n + jj, np.arange(delays.size)  # sample jj of curve k in stacked
+    f0, f1 = stacked[rows, cols], stacked[rows + 1, cols]
     values = np.where(x == x0, f0, (f1 - f0) / (x1 - x0) * (x - x0) + f0)
-    temps[printed] = np.where(j == n - 1, curves[:, -1], values)
+    temps[printed] = np.where(j == n - 1, stacked[k * n + n - 1, cols], values)
     return FieldFrame(local_time, positions, temps, interior)
 
 

@@ -212,13 +212,34 @@ class TestCheckpointRoundTrip:
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
         for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
-            assert got.dtype == np.float64 and got.flags.writeable
+            assert got.dtype == np.float32 and got.flags.writeable
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(loaded.feature_mean, model.feature_mean)
         np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
         assert loaded.scaler_fitted is True
         assert loaded.seed == 5
         assert loaded.training_meta == model.training_meta
+
+    def test_trained_n100_checkpoint_is_float32(self, tmp_path):
+        # a trained model's checkpoint holds its float32 store as it is; an
+        # untrained one keeps its float64 parameters
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 7,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        pairs = extract_curve_pairs(generate_wall(settings, SynthParams(seed=3),
+                                                  points_per_layer=2, n=100))
+        for epochs, dtype, size in ((1, "<f4", 4), (0, "<f8", 8)):
+            model, _ = train(init_model(100, seed=5), pairs,
+                             TrainConfig(epochs=epochs, batch_size=16, seed=2))
+            path = tmp_path / f"model{epochs}.ckpt"
+            save_checkpoint(str(path), model)
+            data = path.read_bytes()
+            header, payload = _split_file(data)
+            assert header["dtype"] == dtype
+            assert len(data) == data.index(b"\n") + 1 + size * 1_864_300
+            loaded = load_checkpoint(str(path))
+            assert loaded.params.dtype == np.dtype(dtype).newbyteorder("=")
+            assert loaded.params.flags.writeable
+            assert loaded.params.tobytes() == model.params.tobytes() == payload
 
 
 def _split_file(data: bytes):
@@ -260,6 +281,18 @@ def _v1_document(model) -> bytes:
 def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     save_checkpoint(str(path), init_model(8, seed=3))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint_bytes(tmp_path_factory):
+    settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                     layer_print_time=20.5, deposition_rate=52.8)
+    wall = generate_wall(settings, SynthParams(seed=7), points_per_layer=3, n=40)
+    model, _ = train(init_model(40, seed=5), extract_curve_pairs(wall),
+                     TrainConfig(epochs=1, batch_size=32, seed=2))
+    path = tmp_path_factory.mktemp("ckpt32") / "model.ckpt"
+    save_checkpoint(str(path), model)
     return path.read_bytes()
 
 
@@ -307,10 +340,18 @@ class TestMalformedCheckpointExit4:
 
     @pytest.mark.parametrize("key, value", [("n", "8"), ("n", 8.0), ("param_count", True),
                                             ("dtype", "<f4"), ("dtype", ">f8"),
-                                            ("scaler", [])])
+                                            ("scaler", []), ("dtype", ">f4")])
     def test_mistyped_key_or_other_dtype(self, checkpoint_bytes, predict_with, key, value):
         header, payload = _split_file(checkpoint_bytes)
         header[key] = value
+        assert predict_with(_join_file(header, payload)) == 4
+
+    @pytest.mark.parametrize("dtype", ["<f8", ">f4", "<f2", "float32"])
+    def test_float32_payload_under_another_dtype(self, trained_checkpoint_bytes, predict_with,
+                                                 dtype):
+        header, payload = _split_file(trained_checkpoint_bytes)
+        assert header["dtype"] == "<f4" and predict_with(trained_checkpoint_bytes) != 4
+        header["dtype"] = dtype
         assert predict_with(_join_file(header, payload)) == 4
 
     def test_header_not_utf8_or_not_json(self, checkpoint_bytes, predict_with):
@@ -450,6 +491,14 @@ class TestMalformedDatasetExit3:
         assert "wall.tsd: " in err
         if column == 0 and value == 1.5:
             assert "layer 1.5 is not an integer" in err
+
+    def test_float32_payload_exit_3(self, dataset_bytes, eval_with, capsys):
+        # datasets hold float64 only, even where a float32 payload would fit
+        header, payload = _split_file(dataset_bytes)
+        header["dtype"] = "<f4"
+        rows = np.frombuffer(payload, dtype="<f8").astype("<f4")
+        assert eval_with(_join_file(header, rows.tobytes())) == 3
+        assert "a dataset dtype is one of ('<f8',), got '<f4'" in capsys.readouterr().err
 
     def test_header_line_ends_within_one_mib(self, dataset_bytes, eval_with, capsys):
         assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT - 1)) == 0
@@ -756,6 +805,21 @@ class TestTrainPredictEvalField:
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_too_many_frames_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys):
+        # 8,389 frames of 160 positions at N = 40 hold 268,448,000 curve values,
+        # just over MAX_WALL_VALUES, though each frame alone is far below it
+        ckpt = str(tmp_path / "model.json")
+        run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0")
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        start = time.perf_counter()
+        assert run_cli("field", "--ckpt", ckpt, "--data", dataset_path, "--layer", "6",
+                       "--times", ",".join(["5.0"] * 8389), "--out", str(out)) == 2
+        assert time.perf_counter() - start < 5.0  # refused before any frame is rendered
+        err = capsys.readouterr().err
+        assert err.startswith("error: 8389 frames of 160 positions") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [

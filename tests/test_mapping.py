@@ -197,6 +197,65 @@ class TestForward:
         assert forward_many(model, curves[:0], feats[:0]).shape == (0, 10)
 
 
+def reference_forward(model, temps, features):
+    """forward_raw as it ran when every model was float64: the affine chain
+    in float64, the residual added to the input curves."""
+    h = np.concatenate([temps / 1000.0, (features - model.feature_mean) / model.feature_std],
+                       axis=-1)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    return (h @ model.weights[-1] + model.biases[-1]) * 1000.0 + temps
+
+
+def trained_model(n, seed):
+    rng = np.random.default_rng(seed)
+    model, _ = train(init_model(n, seed=seed), make_samples(rng, n, 32),
+                     TrainConfig(epochs=2, batch_size=8, seed=seed))
+    return model
+
+
+class TestFloat32Model:
+    def test_float64_model_keeps_its_bits(self):
+        # an N = 100 batch of 35, as one layer's map runs online
+        rng = np.random.default_rng(2024)
+        model = init_model(100, seed=1)
+        temps, feats = make_curves(rng, 100, 35), make_features(rng, 35)
+        assert model.params.dtype == np.float64
+        assert (forward_raw(model, temps, feats).tobytes()
+                == reference_forward(model, temps, feats).tobytes())
+
+    def test_trained_model_maps_in_float32(self):
+        rng = np.random.default_rng(71)
+        model = trained_model(10, seed=7)
+        wide = dataclasses.replace(model, params=model.params.astype(np.float64))
+        temps, feats = make_curves(rng, 10, 6), make_features(rng, 6)
+        got, want = forward_raw(model, temps, feats), forward_raw(wide, temps, feats)
+        assert model.params.dtype == np.float32 and got.dtype == np.float64
+        assert not np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("batch", [1, 35])
+    def test_zero_weight_identity_in_float32(self, batch):
+        rng = np.random.default_rng(72)
+        model = zero_model(12)
+        model = dataclasses.replace(model, params=model.params.astype(np.float32))
+        temps = make_curves(rng, 12, batch)
+        np.testing.assert_array_equal(forward_raw(model, temps, make_features(rng, batch)),
+                                      temps)
+
+    def test_loss_and_gradients_are_those_of_the_float64_copy(self):
+        model = trained_model(8, seed=9)
+        wide = dataclasses.replace(model, params=model.params.astype(np.float64))
+        pairs = make_samples(np.random.default_rng(73), 8, 12)
+        d_w, d_b, loss = loss_gradients(model, pairs)
+        want_w, want_b, want_loss = loss_gradients(wide, pairs)
+        assert loss == want_loss == mse_loss(model, pairs) == mse_loss(wide, pairs)
+        for got, want in zip(d_w + d_b, want_w + want_b):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert model.params.dtype == np.float32  # widened per call, not in place
+
+
 class TestCurvePairs:
     def test_rows_select_a_curve_pair_set(self):
         pairs = make_samples(np.random.default_rng(31), 6, 10)
@@ -308,11 +367,11 @@ class TestTrain:
         assert a.params.tobytes() == b.params.tobytes()
 
     def test_trained_weights_are_one_float32_store(self):
-        # the float64 params are built from float32 weights
+        # the trained params are the float32 store training updated
         rng = np.random.default_rng(27)
         trained, _ = train(init_model(8, seed=4), make_samples(rng, 8, 32),
                            TrainConfig(epochs=3, batch_size=8, seed=9))
-        assert trained.params.dtype == np.float64
+        assert trained.params.dtype == np.float32
         np.testing.assert_array_equal(
             trained.params.astype(np.float32).astype(np.float64), trained.params)
 
@@ -360,7 +419,8 @@ def reference_train(model, samples, config, dtype=np.float32):
     by array with Adam's bias corrections folded into the step size and
     epsilon (Kingma and Ba).  With float32 the masters, gradients and moments
     are float32, as in ``train``; with float64 every value is float64, as
-    training was before it ran in float32."""
+    training was before it ran in float32.  The returned params are in the
+    training dtype."""
     feats = samples.features
     std = feats.std(axis=0)
     std[std < 1e-12] = 1.0
@@ -402,7 +462,7 @@ def reference_train(model, samples, config, dtype=np.float32):
                     params -= alpha * (ms / (np.sqrt(vs) + eps_hat))
         history.append(sse / len(samples))
     params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
-    return dataclasses.replace(out, params=params.astype(np.float64)), history
+    return dataclasses.replace(out, params=params), history
 
 
 class TestFlatAdam:
@@ -416,7 +476,7 @@ class TestFlatAdam:
                           lr_decay_epochs=(2, 4))
         got, got_history = train(init_model(n, seed=5), samples, cfg)
         want, want_history = reference_train(init_model(n, seed=5), samples, cfg)
-        assert got.params.dtype == np.float64
+        assert got.params.dtype == want.params.dtype == np.float32
         assert got_history == want_history
         assert got.params.tobytes() == want.params.tobytes()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -15,7 +17,7 @@ from thermoseer.core import (
     mapping_features,
     reop,
 )
-from thermoseer.mapping import CurvePairs, TrainConfig, init_model
+from thermoseer.mapping import CurvePairs, TrainConfig, forward_raw, init_model, train
 from thermoseer.pipeline import (
     ROOM_TEMPERATURE,
     evaluate,
@@ -50,6 +52,29 @@ def wall(request):
         deposition_rate=52.8, interpass_target=200.0, num_layers=40,
     )
     return generate_wall(settings, SynthParams(seed=42), points_per_layer=7, n=100)
+
+
+@pytest.fixture(scope="module")
+def trained(wall):
+    """A 2-epoch model of the canonical wall's layers 1-30, with the float32
+    parameters training leaves."""
+    model, _ = train(init_model(100, seed=0),
+                     extract_curve_pairs(wall, layers=list(range(1, 31))),
+                     TrainConfig(epochs=2, batch_size=256, seed=0))
+    return model
+
+
+class TestFloat32Inference:
+    def test_within_a_millidegree_of_float64_inference(self, wall, trained):
+        # the same weights widened to float64 map every curve of the wall
+        # (1,190) to within 2.6e-4 degC of the float32 pass, as measured when
+        # this test was written
+        pairs = extract_curve_pairs(wall)
+        wide = dataclasses.replace(trained, params=trained.params.astype(np.float64))
+        got = forward_raw(trained, pairs.inputs, pairs.features)
+        assert trained.params.dtype == np.float32
+        np.testing.assert_allclose(got, forward_raw(wide, pairs.inputs, pairs.features),
+                                   rtol=0, atol=1e-3)
 
 
 class TestPredictNextLayer:
@@ -252,6 +277,15 @@ class TestRenderFieldMatchesLoop:
                                  n_positions=n_positions)
             assert np.array_equal(frame.temps,
                                   _reference_frame(pred, wall.settings, t, n_positions)), t
+
+    @pytest.mark.parametrize("layer", [2, 20, 35])
+    def test_bit_identical_for_a_trained_model(self, wall, trained, layer):
+        pred = predict_layer(trained, wall, layer)
+        boundaries = np.cumsum(pred.reconstruction.durations)
+        for t in [0.0, *boundaries, *np.linspace(0.0, boundaries[-1], 27)[1:-1]]:
+            frame = render_field(pred, wall.settings, wall.schedule, t)
+            assert np.array_equal(frame.temps,
+                                  _reference_frame(pred, wall.settings, t, 160)), t
 
     @given(data=st.data(), n_positions=st.sampled_from([2, 7, 160, 1000]))
     @hsettings(max_examples=60, deadline=None)
