@@ -26,6 +26,7 @@ and an unreadable or unwritable file), 4 checkpoint, 5 protocol, 6 horizon.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -68,19 +69,18 @@ _CONTAINERS = {
 # atomic file writes
 
 
-def _atomic_write(path: str, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (``str`` is written as UTF-8) in one
-    step: write a uniquely named temp file beside the target, fsync it, then
-    rename it over the target.  The temp file is removed if any step fails.
-    It is created with mode 0o666 less the umask, as ``open(path, "w")``
-    would create the target."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+@contextlib.contextmanager
+def _atomic_file(path: str) -> typing.Iterator[typing.BinaryIO]:
+    """A binary file that replaces ``path`` in one step when the block ends:
+    writes go to a uniquely named temp file beside the target, which is
+    fsynced, then renamed over the target.  The temp file is removed if the
+    block or any step fails.  It is created with mode 0o666 less the umask,
+    as ``open(path, "w")`` would create the target."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -92,13 +92,23 @@ def _atomic_write(path: str, data: bytes | str) -> None:
         raise
 
 
+def _atomic_write(path: str, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (``str`` is written as UTF-8) in one
+    step, through :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """One CSV file with ``\\n`` line ends, written atomically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    """One UTF-8 CSV file with ``\\n`` line ends, written atomically.  Rows
+    are written as ``rows`` yields them, so a generator's rows are never all
+    held at once."""
+    with _atomic_file(path) as fh:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text.detach()  # flushes into fh, which _atomic_file syncs and closes
 
 
 # --------------------------------------------------------------------------
@@ -577,7 +587,7 @@ def cmd_field(args) -> int:
         raise ConfigError(f"--times expects comma-separated seconds, got {args.times!r}")
     if not times:
         raise ConfigError("--times lists no time values")
-    # the frames and their CSV are held in memory together
+    # bounds the frames' total work and the size of their CSV
     values = len(times) * CURVES_PER_PROFILE * model.n * args.positions
     if values > MAX_WALL_VALUES:
         raise ConfigError(f"{len(times)} frames of {args.positions} positions need about "
@@ -585,17 +595,21 @@ def cmd_field(args) -> int:
                           f"allowed; ask for fewer times or positions")
 
     prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
-    try:
-        frames = [render_field(prediction, dataset.settings, dataset.schedule, t,
-                               n_positions=args.positions) for t in times]
-    except DomainError as exc:  # a bad --times or --positions value
-        raise ConfigError(str(exc)) from exc
 
-    _write_csv(args.out, ["local_time_s", "position_mm", "temp_c", "interior"],
-               ([repr(frame.local_time), repr(float(pos)), repr(float(temp)), int(inner)]
-                for frame in frames
-                for pos, temp, inner in zip(frame.positions, frame.temps, frame.interior)))
-    print(f"rendered {len(frames)} field frame(s) of layer {args.layer} -> {args.out}")
+    def rows():
+        # one frame at a time: each is rendered after the last one's rows are
+        # written, and a frame that fails leaves no file
+        for t in times:
+            try:
+                frame = render_field(prediction, dataset.settings, dataset.schedule, t,
+                                     n_positions=args.positions)
+            except DomainError as exc:  # a bad --times or --positions value
+                raise ConfigError(str(exc)) from exc
+            for pos, temp, inner in zip(frame.positions, frame.temps, frame.interior):
+                yield [repr(frame.local_time), repr(float(pos)), repr(float(temp)), int(inner)]
+
+    _write_csv(args.out, ["local_time_s", "position_mm", "temp_c", "interior"], rows())
+    print(f"rendered {len(times)} field frame(s) of layer {args.layer} -> {args.out}")
     return 0
 
 

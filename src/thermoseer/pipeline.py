@@ -161,11 +161,13 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
 
     A frame is one array pass over all printed positions, with the same
     arithmetic as one ``np.interp`` call per position, so it gives the same
-    bits; it holds about 5·N·P floats for P printed positions, the
-    reconstructed curves, plus a few values per position.  A non-finite
-    ``local_time``, fewer than two positions, or a frame of more than
-    ``MAX_WALL_VALUES`` curve values (5·N per position) raise DomainError
-    before anything is allocated; a time past the five-curve horizon raises
+    bits.  Each position reads three samples of its reconstructed curves,
+    the two around its time and the curve's last one, and only those are
+    reconstructed; a frame holds about ``n_hidden`` (the ELM's hidden
+    matrix) plus a few floats per position.  A non-finite ``local_time``,
+    fewer than two positions, or a frame of more than ``MAX_WALL_VALUES``
+    values (max(5·N, n_hidden) per position) raise DomainError before
+    anything is allocated; a time past the five-curve horizon raises
     HorizonError."""
     if not math.isfinite(local_time) or local_time < 0.0:
         raise DomainError(f"local_time must be finite and >= 0, got {local_time}")
@@ -174,11 +176,13 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
 
     recon = prediction.reconstruction
     n = recon.n
-    if CURVES_PER_PROFILE * n * n_positions > MAX_WALL_VALUES:
+    # the ELM's (P, n_hidden) hidden matrix outgrows 5·N values per position
+    # when N is small
+    held = n_positions * max(CURVES_PER_PROFILE * n, recon.elm.hidden_weights.size)
+    if held > MAX_WALL_VALUES:
         raise DomainError(
-            f"a frame of {n_positions} positions needs about "
-            f"{CURVES_PER_PROFILE * n * n_positions:.3g} curve values, more than the "
-            f"{MAX_WALL_VALUES} allowed; ask for fewer positions"
+            f"a frame of {n_positions} positions needs about {held:.3g} values, "
+            f"more than the {MAX_WALL_VALUES} allowed; ask for fewer positions"
         )
 
     bounds = np.concatenate([[0.0], np.cumsum(recon.durations)])
@@ -199,7 +203,6 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
         return FieldFrame(local_time, positions, temps, interior)
 
     delays = deposit_times[printed]
-    stacked = reconstruct_stacked(recon, delays)  # (5N, P)
     elapsed = local_time - delays
     k = np.minimum(np.searchsorted(bounds, elapsed, side="right") - 1,
                    CURVES_PER_PROFILE - 1)
@@ -213,10 +216,11 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
         j[on_curve] = np.searchsorted(grid, x[on_curve], side="right") - 1
     jj = np.minimum(j, n - 2)
     x0, x1 = grids[k, jj], grids[k, jj + 1]
-    rows, cols = k * n + jj, np.arange(delays.size)  # sample jj of curve k in stacked
-    f0, f1 = stacked[rows, cols], stacked[rows + 1, cols]
+    first = k * n  # row of curve k's first sample in the stacked 5N-vector
+    f0, f1, last = reconstruct_stacked(
+        recon, delays, np.stack([first + jj, first + jj + 1, first + n - 1]))
     values = np.where(x == x0, f0, (f1 - f0) / (x1 - x0) * (x - x0) + f0)
-    temps[printed] = np.where(j == n - 1, stacked[k * n + n - 1, cols], values)
+    temps[printed] = np.where(j == n - 1, last, values)
     return FieldFrame(local_time, positions, temps, interior)
 
 

@@ -54,8 +54,12 @@ class ElmModel:
 
 
 def _hidden_matrix(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
+    """The (len(delays), n_hidden) ReLU activations, built in place in one
+    array of that size."""
     x = (delays - elm.delay_mean) / elm.delay_std
-    return np.maximum(np.outer(x, elm.hidden_weights) + elm.hidden_biases, 0.0)
+    h = np.outer(x, elm.hidden_weights)
+    h += elm.hidden_biases
+    return np.maximum(h, 0.0, out=h)
 
 
 def elm_train(delays: np.ndarray, coefficients: np.ndarray,
@@ -216,10 +220,21 @@ def fit_layer(profiles: list[Profile], energy_threshold: float = DEFAULT_ENERGY_
     )
 
 
-def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike) -> np.ndarray:
-    """Stacked 5N-vectors for many delays at once, one column per delay: the
-    reduced basis times the ELM's coefficient estimates."""
-    return recon.basis @ elm_predict(recon.elm, delays).T
+def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike,
+                        rows: np.ndarray | None = None) -> np.ndarray:
+    """Stacked 5N-vectors for P delays at once: the reduced basis times the
+    ELM's coefficient estimates, summed mode by mode in mode order.
+
+    Without ``rows`` the result is the (5N, P) block, one column per delay.
+    With an (R, P) integer array it is the (R, P) array of
+    ``block[rows[r, p], p]``, computed from the gathered basis rows alone;
+    both forms give the same bits."""
+    coef = elm_predict(recon.elm, delays)  # (P, m_star)
+    basis = recon.basis[:, None, :] if rows is None else recon.basis[rows]
+    out = basis[..., 0] * coef[:, 0]
+    for i in range(1, recon.m_star):
+        out += basis[..., i] * coef[:, i]
+    return out
 
 
 def reconstruct_profile(recon: LayerReconstruction, point: PointId) -> Profile:

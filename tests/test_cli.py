@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -821,6 +822,44 @@ class TestTrainPredictEvalField:
         err = capsys.readouterr().err
         assert err.startswith("error: 8389 frames of 160 positions") and "Traceback" not in err
         assert not out.exists()
+
+    def test_field_memory_does_not_grow_with_frames(self, tmp_path, dataset_path, capsys):
+        # frames are rendered and written one at a time, so the peak does not
+        # grow with the number of times, as a CSV held whole in memory would
+        ckpt = str(tmp_path / "model.json")
+        run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0")
+        peaks = []
+        for count in (10, 100):
+            times = ",".join(repr(float(t)) for t in np.linspace(0.0, 20.0, count))
+            tracemalloc.start()
+            try:
+                assert run_cli("field", "--ckpt", ckpt, "--data", dataset_path,
+                               "--layer", "6", "--times", times, "--positions", "1000",
+                               "--out", str(tmp_path / f"f{count}.csv")) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows = (tmp_path / "f100.csv").read_text().splitlines()
+        assert len(rows) == 1 + 100 * 1000 and rows[-1].startswith("20.0,160.0,")
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_field_bound_counts_the_elm_hidden_matrix(self, tmp_path, capsys):
+        # at N = 2 the 3,000,000 positions need 30 million curve values, under
+        # the bound, but a 128-wide hidden matrix of about 3 GB
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        data, ckpt = str(tmp_path / "tiny.tsd"), str(tmp_path / "model.ckpt")
+        save_dataset(data, generate_wall(settings, SynthParams(seed=7), points_per_layer=3,
+                                         n=2))
+        assert run_cli("train", "--data", data, "--out", ckpt, "--epochs", "0") == 0
+        capsys.readouterr()
+        out = tmp_path / "f.csv"
+        assert run_cli("field", "--ckpt", ckpt, "--data", data, "--layer", "6",
+                       "--times", "5.0", "--positions", "3000000", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a frame of 3000000 positions") and "Traceback" not in err
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "tiny.tsd"]
 
     @pytest.mark.parametrize("command, extra", [
         ("train", "--seed -1"), ("train", "--init-seed -1"),

@@ -55,6 +55,14 @@ def wall(request):
 
 
 @pytest.fixture(scope="module")
+def noisy_wall(wall):
+    """The canonical wall with 1 degC sensor noise, whose layers keep six or
+    seven modes at energy thresholds near 1."""
+    return generate_wall(wall.settings, SynthParams(seed=42, noise_sd=1.0),
+                         points_per_layer=7, n=100)
+
+
+@pytest.fixture(scope="module")
 def trained(wall):
     """A 2-epoch model of the canonical wall's layers 1-30, with the float32
     parameters training leaves."""
@@ -243,6 +251,17 @@ class TestRenderField:
         with pytest.raises(DomainError, match="positions"):
             render_field(pred, wall.settings, wall.schedule, 5.0, n_positions=n_positions)
 
+    def test_bound_counts_the_elm_hidden_matrix(self):
+        # at N = 2 a position needs 10 curve values but 128 hidden-matrix
+        # values: 3,000,000 positions (about 3 GB) are refused before allocating
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        tiny = generate_wall(settings, SynthParams(seed=3), points_per_layer=3, n=2)
+        pred = predict_layer(zero_model(2), tiny, 4)
+        assert pred.reconstruction.elm.hidden_weights.size == 128
+        with pytest.raises(DomainError, match="3000000 positions"):
+            render_field(pred, settings, tiny.schedule, 5.0, n_positions=3_000_000)
+
 
 def _reference_frame(prediction, settings, local_time, n_positions):
     """The per-position loop render_field ran before its array pass: one
@@ -286,6 +305,20 @@ class TestRenderFieldMatchesLoop:
             frame = render_field(pred, wall.settings, wall.schedule, t)
             assert np.array_equal(frame.temps,
                                   _reference_frame(pred, wall.settings, t, 160)), t
+
+    @pytest.mark.parametrize("energy_threshold, m_star", [(0.999999, 6), (1.0, 7)])
+    def test_bit_identical_with_several_modes(self, noisy_wall, energy_threshold, m_star):
+        pred = predict_next_layer(zero_model(100), noisy_wall.profiles_on(30),
+                                  noisy_wall.settings, noisy_wall.schedule,
+                                  energy_threshold=energy_threshold)
+        assert pred.reconstruction.m_star == m_star
+        boundaries = np.cumsum(pred.reconstruction.durations)
+        for n_positions in (2, 7, 160, 1000):
+            for t in [0.0, *boundaries, *np.linspace(0.0, boundaries[-1], 27)[1:-1]]:
+                frame = render_field(pred, noisy_wall.settings, noisy_wall.schedule, t,
+                                     n_positions=n_positions)
+                want = _reference_frame(pred, noisy_wall.settings, t, n_positions)
+                assert np.array_equal(frame.temps, want), (n_positions, t)
 
     @given(data=st.data(), n_positions=st.sampled_from([2, 7, 160, 1000]))
     @hsettings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermoseer.core import DomainError, PointId, Profile, ShapeError, reop
 from thermoseer.reconstruct import (
     ElmModel,
+    LayerReconstruction,
     build_profile_matrix,
     elm_predict,
     elm_train,
@@ -221,6 +222,28 @@ class TestElm:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             elm_train(np.array([1.0, 2.0]), np.array([[np.inf], [1.0]]))
+
+
+class TestReconstructStacked:
+    @hypothesis.given(m_star=st.integers(1, 7), n=st.integers(2, 40),
+                      n_delays=st.integers(1, 1000), n_rows=st.integers(1, 4),
+                      seed=st.integers(0, 2**32 - 1))
+    @hypothesis.settings(max_examples=60, deadline=None)
+    def test_gathered_rows_equal_the_block_bit_for_bit(self, m_star, n, n_delays,
+                                                        n_rows, seed):
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(5 * n, m_star)))[0]
+        train_delays = np.sort(rng.uniform(0.0, 20.0, size=m_star + 1))
+        elm = elm_train(train_delays, rng.normal(0.0, 500.0, size=(m_star + 1, m_star)),
+                        seed=seed % 7)
+        recon = LayerReconstruction(basis, np.sort(rng.uniform(1.0, 9.0, m_star))[::-1],
+                                    elm, layer=3, durations=(5.0,) * 5)
+        delays = rng.uniform(-5.0, 25.0, size=n_delays)
+        rows = rng.integers(0, 5 * n, size=(n_rows, n_delays))
+        got = reconstruct_stacked(recon, delays, rows)
+        assert got.shape == rows.shape
+        assert np.array_equal(got, reconstruct_stacked(recon, delays)[rows,
+                                                                      np.arange(n_delays)])
 
 
 class TestReconstructProfile:
