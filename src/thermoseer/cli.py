@@ -140,7 +140,10 @@ def _write_container(path: str, kind: str, header: dict, values: np.ndarray) -> 
     if len(line) >= HEADER_LINE_LIMIT:
         raise error(f"{path}: {kind} header of {len(line)} bytes exceeds "
                     f"{HEADER_LINE_LIMIT - 1}")
-    _atomic_write(path, line + b"\n" + values.astype(dtype, copy=False).tobytes())
+    payload = np.ascontiguousarray(values, dtype=dtype)
+    with _atomic_file(path) as fh:
+        fh.write(line + b"\n")
+        fh.write(payload)  # the array's own buffer, not a copy
 
 
 def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
@@ -465,15 +468,19 @@ def _merge_train_options(args):
     return values
 
 
-def _parse_layer_range(spec: str) -> list[int]:
+def _parse_layer_range(spec: str) -> range:
+    """Layers START to END inclusive; a range holds its bounds, not its
+    layers, so any END costs the same."""
     try:
         lo, hi = spec.split(":")
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise ConfigError(f"--layers expects START:END, got {spec!r}")
+    if lo < 1:
+        raise ConfigError(f"--layers START must be >= 1 (layers count from 1), got {spec!r}")
     if hi < lo:
         raise ConfigError(f"--layers range is empty: {spec!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _load_training_data(paths, layer_spec):

@@ -47,6 +47,10 @@ from .core import (
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
 N_AFFINE_MAPS = 6
+LR_DECAY_RATIO = 0.5  # learning-rate factor at each of TrainConfig.lr_decay_epochs
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 # elements per Adam slice: one slice of each of its five buffers (~0.6 MB) stays in cache
 ADAM_BLOCK = 1 << 15
 
@@ -117,11 +121,7 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 256
     initial_lr: float = 0.001
-    lr_decay_ratio: float = 0.5
     lr_decay_epochs: tuple[int, ...] = (100, 200, 300, 400)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -134,9 +134,10 @@ class TrainConfig:
 
     def lr_at(self, epoch_index: int) -> float:
         """Learning rate used during the 0-indexed epoch: the initial rate
-        shrunk once for every decay epoch already completed."""
+        shrunk by LR_DECAY_RATIO once for every decay epoch already
+        completed."""
         decays = sum(1 for d in self.lr_decay_epochs if d <= epoch_index)
-        return self.initial_lr * self.lr_decay_ratio ** decays
+        return self.initial_lr * LR_DECAY_RATIO ** decays
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,15 +415,15 @@ def train(model: MappingModel, pairs: CurvePairs,
                 # folded into the step size and epsilon:
                 # w -= alpha * (m / (sqrt(v) + eps_hat)), in place, one
                 # cache-sized block at a time
-                root2 = math.sqrt(1.0 - config.beta2 ** step)
-                alpha = lr * root2 / (1.0 - config.beta1 ** step)
-                eps_hat = config.epsilon * root2
+                root2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
+                alpha = lr * root2 / (1.0 - ADAM_BETA1 ** step)
+                eps_hat = ADAM_EPSILON * root2
                 for s in blocks:
                     ms, vs, gs, ws = m[s], v[s], g[s], w[s]
-                    ms *= config.beta1
-                    ms += np.multiply(gs, 1.0 - config.beta1, out=scratch[:gs.size])
-                    vs *= config.beta2
-                    vs += np.multiply(np.square(gs, out=gs), 1.0 - config.beta2, out=gs)
+                    ms *= ADAM_BETA1
+                    ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=scratch[:gs.size])
+                    vs *= ADAM_BETA2
+                    vs += np.multiply(np.square(gs, out=gs), 1.0 - ADAM_BETA2, out=gs)
                     np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
                     ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
             loss_history.append(sse / n_samples)

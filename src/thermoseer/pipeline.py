@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,8 +190,8 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     horizon = bounds[-1]
     if local_time > horizon:
         raise HorizonError(
-            f"local_time {local_time:.3f} s is beyond the five-curve horizon; "
-            f"the maximum representable local time is {horizon:.3f} s"
+            f"local_time {local_time:.6g} s is beyond the five-curve horizon; "
+            f"the maximum representable local time is {horizon:.6g} s"
         )
 
     positions = np.linspace(0.0, settings.layer_length, n_positions)
@@ -310,10 +311,11 @@ def evaluate(predictions: list[Profile], truth: list[Profile]) -> EvaluationRepo
 
 
 def extract_curve_pairs(walls: WallDataset | list[WallDataset],
-                        layers: list[int] | None = None) -> CurvePairs:
+                        layers: Collection[int] | None = None) -> CurvePairs:
     """Supervised curve pairs of one wall or a list of walls, from every layer
     transition whose endpoints both carry profiles (restricted to
-    transitions inside ``layers`` when given).
+    transitions whose endpoints are both in ``layers`` when given; only a
+    wall's own layers are looked up, so a ``range`` of any length is cheap).
 
     Rows come out ordered by wall, then source layer, then point (by axial
     distance), then curve index, so every consecutive run of five rows is
@@ -327,9 +329,8 @@ def extract_curve_pairs(walls: WallDataset | list[WallDataset],
     lower, upper, features = [], [], []
     for wall in walls:
         available = set(wall.layers())
-        allowed = available if layers is None else set(layers)
-        sources = sorted(i for i in allowed
-                         if i in available and (i + 1) in available and (i + 1) in allowed)
+        sources = sorted(i for i in available if (i + 1) in available and (
+            layers is None or (i in layers and (i + 1) in layers)))
         for i in sources:
             feats = mapping_features(wall.settings, wall.schedule, i)
             upper_by_place = {p.point.place: p for p in wall.profiles_on(i + 1)}

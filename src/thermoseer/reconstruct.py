@@ -172,10 +172,9 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
 
 @dataclass(eq=False)
 class LayerReconstruction:
-    """Reduced basis, singular values, and the trained ELM of one layer."""
+    """Reduced basis and the trained ELM of one layer."""
 
     basis: np.ndarray
-    singular_values: np.ndarray
     elm: ElmModel
     layer: int
     durations: tuple[float, ...]
@@ -189,8 +188,6 @@ class LayerReconstruction:
         gram = self.basis.T @ self.basis
         if np.max(np.abs(gram - np.eye(self.m_star))) > 1e-10:
             raise NumericsError("reduced basis columns are not orthonormal to 1e-10")
-        if np.any(np.diff(self.singular_values) > 1e-12):
-            raise DomainError("singular values must be sorted nonincreasing")
         if len(self.durations) != CURVES_PER_PROFILE:
             raise ShapeError("need one duration per curve")
 
@@ -207,12 +204,11 @@ def fit_layer(profiles: list[Profile], energy_threshold: float = DEFAULT_ENERGY_
               seed: int = 0) -> LayerReconstruction:
     """Decompose a layer's profiles and train its delay-to-coefficients ELM."""
     matrix, delays = build_profile_matrix(profiles)
-    basis, rows, _, singular_values = pod_decompose(matrix, energy_threshold)
+    basis, rows, _, _ = pod_decompose(matrix, energy_threshold)
     elm = elm_train(delays, rows, seed=seed)
     reference = min(profiles, key=lambda p: p.point.relative_delay)
     return LayerReconstruction(
         basis=basis,
-        singular_values=singular_values,
         elm=elm,
         layer=profiles[0].point.layer,
         durations=reference.durations,

@@ -5,8 +5,11 @@ cooling law plus an exponential re-heat approach, with per-layer dwell times
 solved so each layer returns to the interpass target before the next one is
 deposited.  Curves of successive layers are similar by construction and the
 similarity grows with height, which is the structure the mapping model
-learns.  A pyrometer emulator (clamping plus noise) produces
-experiment-style raw traces from the same oracle.
+learns.  Experiment-style walls come from raw traces of the same oracle:
+a raw trace is two equal-length arrays, ``(times, temps)`` from
+:func:`point_trace`, whose temperatures the pyrometer emulator (noise plus
+clamping) turns into readings that :mod:`thermoseer.preprocess` splits into
+curves.
 
 No claim of physical fidelity is made; every constant lives in
 :class:`SynthParams` so the oracle is fully specified by its parameters and
@@ -20,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import preprocess
 from .core import (
     CURVES_PER_PROFILE,
     ConfigError,
@@ -28,7 +32,6 @@ from .core import (
     PointId,
     ProcessSettings,
     Profile,
-    ShapeError,
     WallDataset,
     curve_duration,
     deposition_time,
@@ -87,32 +90,6 @@ class SynthParams:
                      "delay_gain", "delay_tau_gain"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class RawTrace:
-    """Unsegmented temperature history of one point on a fixed-period global
-    time grid."""
-
-    times: np.ndarray
-    temps: np.ndarray
-    point: PointId
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=np.float64)
-        temps = np.ascontiguousarray(self.temps, dtype=np.float64)
-        if times.shape != temps.shape or times.ndim != 1 or times.size < 2:
-            raise ShapeError("times and temps must be equal-length 1-D vectors")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(temps))):
-            raise DomainError("trace contains non-finite values")
-        steps = np.diff(times)
-        if np.any(steps <= 0.0) or np.any(np.abs(steps - self.sample_period) > 1e-9):
-            raise DomainError("trace times must increase at the fixed sample period")
-        times.flags.writeable = False
-        temps.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "temps", temps)
 
 
 def _delay_fraction(settings: ProcessSettings, relative_delay: float) -> float:
@@ -209,9 +186,11 @@ def analytic_curve(params: SynthParams, settings: ProcessSettings,
 
 def point_trace(params: SynthParams, settings: ProcessSettings,
                 schedule: DwellSchedule, point: PointId,
-                sample_period: float = 0.1, lead_in: float = 0.0) -> RawTrace:
-    """Global-time raw trace of one point spanning its five cycles, optionally
-    preceded by ``lead_in`` seconds of ambient readings before deposition."""
+                sample_period: float = 0.1,
+                lead_in: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, temps)`` of one point's raw trace: global times every
+    ``sample_period`` seconds spanning its five cycles, optionally preceded
+    by ``lead_in`` seconds of ambient readings before deposition."""
     if sample_period <= 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
     durations = _cycle_constants(params, settings, schedule, point)[0][2]
@@ -228,20 +207,17 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     k = np.minimum(np.searchsorted(bounds, local, side="right") - 1, CURVES_PER_PROFILE - 1)
     temps = np.concatenate([np.full(n_lead, params.ambient), analytic_curve(
         params, settings, schedule, point, k + 1, local - bounds[k])])
-    return RawTrace(times=start + offsets, temps=temps, point=point,
-                    sample_period=sample_period)
+    return start + offsets, temps
 
 
-def emulate_pyrometer(trace: RawTrace, noise_sd: float = 0.0, seed: int = 0) -> RawTrace:
-    """Pyrometer view of a trace: additive zero-mean Gaussian noise followed
-    by clamping to the instrument band [PYROMETER_CLAMP_LOW,
-    PYROMETER_CLAMP_HIGH]."""
-    temps = trace.temps.copy()
+def emulate_pyrometer(temps: np.ndarray, noise_sd: float = 0.0, seed: int = 0) -> np.ndarray:
+    """Pyrometer view of a trace's temperatures, as a new float64 array:
+    additive zero-mean Gaussian noise followed by clamping to the
+    instrument band [PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH]."""
+    seen = np.array(temps, dtype=np.float64)
     if noise_sd > 0.0:
-        temps += np.random.default_rng(seed).normal(0.0, noise_sd, size=temps.shape)
-    np.clip(temps, PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH, out=temps)
-    return RawTrace(times=trace.times, temps=temps, point=trace.point,
-                    sample_period=trace.sample_period)
+        seen += np.random.default_rng(seed).normal(0.0, noise_sd, size=seen.shape)
+    return np.clip(seen, PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH, out=seen)
 
 
 def _point_distances(settings: ProcessSettings, points_per_layer: int,
@@ -322,8 +298,6 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     identities keep the nominal locations.  A wall whose curves and raw
     traces together exceed MAX_WALL_VALUES raises ConfigError before any
     trace is built."""
-    from .preprocess import resample, split_experiment
-
     if sample_period <= 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
     _refuse_oversized(settings, points_per_layer, n)
@@ -345,12 +319,13 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
             true_d = float(np.clip(d + rng.uniform(-jitter_mm, jitter_mm),
                                    0.0, settings.layer_length))
             true_point = PointId.from_distance(layer, true_d, settings.travel_speed)
-            trace = point_trace(params, settings, schedule, true_point,
-                                sample_period=sample_period,
-                                lead_in=EXPERIMENT_LEAD_IN_S)
-            seen = emulate_pyrometer(trace, noise_sd=params.noise_sd,
+            times, temps = point_trace(params, settings, schedule, true_point,
+                                       sample_period=sample_period,
+                                       lead_in=EXPERIMENT_LEAD_IN_S)
+            seen = emulate_pyrometer(temps, noise_sd=params.noise_sd,
                                      seed=int(rng.integers(2 ** 31)))
-            cuts = split_experiment(seen, rise_threshold)
+            # through the module, so a wrapper set on its attributes sees the calls
+            cuts = preprocess.split_experiment(seen, sample_period, rise_threshold)
             if cuts.size < CURVES_PER_PROFILE + 2:
                 raise DomainError(
                     f"expected at least {CURVES_PER_PROFILE + 1} segments from the "
@@ -358,7 +333,8 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                 )
             # first segment is the pre-deposition stub; the next five are curves
             point = PointId.from_distance(layer, d, settings.travel_speed)
-            profiles[point] = Profile(point, *resample(seen, cuts[1:CURVES_PER_PROFILE + 2], n))
+            profiles[point] = Profile(point, *preprocess.resample(
+                times, seen, cuts[1:CURVES_PER_PROFILE + 2], n))
 
     provenance = {
         "kind": "synthetic",

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import os
+import resource
 import stat
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -220,6 +223,24 @@ class TestCheckpointRoundTrip:
         assert loaded.scaler_fitted is True
         assert loaded.seed == 5
         assert loaded.training_meta == model.training_meta
+
+    def test_save_copies_no_payload(self, tmp_path):
+        # the header line and then the array's own buffer go to the file, so
+        # saving peaks far below the 7.11 MiB float32 payload at N = 100
+        model = init_model(100, seed=3)
+        model = dataclasses.replace(model, params=model.params.astype(np.float32))
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(path), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params.nbytes / 8, peak
+        data = path.read_bytes()
+        header_line = data[:data.index(b"\n") + 1]
+        assert json.loads(header_line)["dtype"] == "<f4"
+        assert data[len(header_line):] == model.params.astype("<f4").tobytes()
 
     def test_trained_n100_checkpoint_is_float32(self, tmp_path):
         # a trained model's checkpoint holds its float32 store as it is; an
@@ -790,6 +811,49 @@ class TestTrainPredictEvalField:
                        "--out", str(tmp_path / "f.csv"))
         assert code == 6
         assert "maximum representable" in capsys.readouterr().err
+
+    def test_field_horizon_message_is_bounded(self, tmp_path, dataset_path, capsys):
+        ckpt = str(tmp_path / "model.json")
+        run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0")
+        capsys.readouterr()
+        code = run_cli("field", "--ckpt", ckpt, "--data", dataset_path,
+                       "--layer", "6", "--times", "1e308",
+                       "--out", str(tmp_path / "f.csv"))
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "maximum representable" in err and len(err) < 200, err
+
+    @pytest.mark.parametrize("spec", ["-3:2", "0:0", "0:5", "5:4"])
+    def test_bad_layer_range_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys,
+                                                   spec):
+        ckpt = tmp_path / "model.ckpt"
+        assert run_cli("train", "--data", dataset_path, "--out", str(ckpt),
+                       f"--layers={spec}", "--epochs", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --layers") and "Traceback" not in err
+        assert not ckpt.exists()
+
+    def test_huge_layer_range_costs_its_bounds_only(self, tmp_path, dataset_path):
+        # the wall's profiled layers end at 7: 5:1000000000 trains on the pairs
+        # of 5:7, in a child whose address space is capped at 1 GiB (a list of
+        # the range's billion layers would need about 8 GB)
+        argv = ["train", "--data", dataset_path, "--epochs", "1", "--batch-size", "8"]
+        want = tmp_path / "want.ckpt"
+        assert run_cli(*argv, "--layers", "5:7", "--out", str(want)) == 0
+        got = tmp_path / "got.ckpt"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(thermoseer.__file__))]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        limit = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from thermoseer.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             *argv, "--layers", "5:1000000000", "--out", str(got)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 0, done.stderr
+        assert "trained on 30 curve pairs" in done.stdout  # 5->6 and 6->7, 3 points
+        assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("option, value", [
         ("--times", "nan"), ("--times", "inf"), ("--times", "-1"),

@@ -13,6 +13,9 @@ from thermoseer.core import (
     ShapeError,
 )
 from thermoseer.mapping import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     DROPOUT_RATE,
     CurvePairs,
     MappingModel,
@@ -447,18 +450,18 @@ def reference_train(model, samples, config, dtype=np.float32):
             loss = _backprop(weights, biases, x_all[batch], r_all[batch], mask, d_w, d_b)
             sse += loss * batch.size
             step += 1
-            root2 = math.sqrt(1.0 - config.beta2 ** step)
-            alpha = lr * root2 / (1.0 - config.beta1 ** step)
-            eps_hat = config.epsilon * root2
+            root2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
+            alpha = lr * root2 / (1.0 - ADAM_BETA1 ** step)
+            eps_hat = ADAM_EPSILON * root2
             for l in range(6):
                 for grads, params, ms, vs in (
                     (d_w[l], weights[l], m_w[l], v_w[l]),
                     (d_b[l], biases[l], m_b[l], v_b[l]),
                 ):
-                    ms *= config.beta1
-                    ms += (1.0 - config.beta1) * grads
-                    vs *= config.beta2
-                    vs += (1.0 - config.beta2) * grads ** 2
+                    ms *= ADAM_BETA1
+                    ms += (1.0 - ADAM_BETA1) * grads
+                    vs *= ADAM_BETA2
+                    vs += (1.0 - ADAM_BETA2) * grads ** 2
                     params -= alpha * (ms / (np.sqrt(vs) + eps_hat))
         history.append(sse / len(samples))
     params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])

@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoseer.core import Curve, DomainError, PointId
+from thermoseer.core import Curve, DomainError, PointId, ShapeError
 from thermoseer.preprocess import overlap_truncate_rows, resample, split_experiment
 from thermoseer.synthgen import (
-    RawTrace,
     SynthParams,
     build_schedule,
     emulate_pyrometer,
@@ -14,21 +13,21 @@ from thermoseer.synthgen import (
 )
 
 
-def make_trace(temps, dt=1.0, layer=1, d=10.0):
+def make_trace(temps, dt=1.0):
+    """``(times, temps)`` of a trace read every ``dt`` seconds."""
     temps = np.asarray(temps, dtype=float)
-    pt = PointId.from_distance(layer, d, 8.0)
-    return RawTrace(np.arange(temps.size) * dt, temps, pt, dt)
+    return np.arange(temps.size) * dt, temps
 
 
 def whole(trace):
     """The cut indices of a trace kept as one segment."""
-    return np.array([0, trace.times.size])
+    return np.array([0, trace[0].size])
 
 
 class TestSplitExperiment:
     def test_monotone_cooling_single_segment(self):
-        trace = make_trace(np.linspace(900.0, 200.0, 50))
-        cuts = split_experiment(trace, 100.0)
+        _, temps = make_trace(np.linspace(900.0, 200.0, 50))
+        cuts = split_experiment(temps, 1.0, 100.0)
         np.testing.assert_array_equal(cuts, [0, 50])
         assert cuts.dtype.kind == "i"
 
@@ -36,27 +35,26 @@ class TestSplitExperiment:
         temps = np.concatenate([np.linspace(500, 400, 10),
                                 [720.0] + list(np.linspace(700, 500, 9)),
                                 [810.0] + list(np.linspace(800, 600, 9))])
-        cuts = split_experiment(make_trace(temps), 100.0)
+        cuts = split_experiment(temps, 1.0, 100.0)
         assert cuts.size - 1 == 3
         assert list(np.diff(cuts)) == [10, 10, 10]
 
     def test_threshold_above_all_diffs(self):
         temps = np.concatenate([np.linspace(500, 400, 10), [450.0, 430.0]])
-        assert split_experiment(make_trace(temps), 1000.0).size - 1 == 1
+        assert split_experiment(temps, 1.0, 1000.0).size - 1 == 1
 
     def test_consecutive_steep_samples_are_one_rise(self):
         # a ramp of three successive +200 steps is one rise event
         temps = np.array([300.0, 290, 280, 480, 680, 880, 870, 860])
-        cuts = split_experiment(make_trace(temps), 100.0)
+        cuts = split_experiment(temps, 1.0, 100.0)
         np.testing.assert_array_equal(cuts, [0, 3, 8])
 
     def test_segments_rezeroed(self):
         # each segment is resampled on its own clock: durations count from
         # the segment's first sample, which is the block row's first value
         temps = np.array([300.0, 290, 600, 590, 580])
-        trace = make_trace(temps)
-        cuts = split_experiment(trace, 100.0)
-        block, durations = resample(trace, cuts, 3)
+        cuts = split_experiment(temps, 1.0, 100.0)
+        block, durations = resample(*make_trace(temps), cuts, 3)
         np.testing.assert_array_equal(durations, [1.0, 2.0])
         np.testing.assert_array_equal(block[:, 0], temps[cuts[:-1]])
 
@@ -64,7 +62,7 @@ class TestSplitExperiment:
         # a rise whose middle difference dips below the threshold still cuts
         # only once: the second run starts within the refractory separation
         temps = np.array([300.0, 295, 290, 420, 510, 650, 780, 775, 770, 765])
-        cuts = split_experiment(make_trace(temps), 100.0)
+        cuts = split_experiment(temps, 1.0, 100.0)
         np.testing.assert_array_equal(cuts, [0, 3, 10])
 
     def test_counts_deposition_events_on_pyrometer_trace(self, settings):
@@ -73,47 +71,54 @@ class TestSplitExperiment:
         params = SynthParams(seed=1)
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(4, 60.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=5.0)
-        seen = emulate_pyrometer(trace, noise_sd=2.0, seed=5)
-        cuts = split_experiment(seen, 50.0)
+        _, temps = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=5.0)
+        seen = emulate_pyrometer(temps, noise_sd=2.0, seed=5)
+        cuts = split_experiment(seen, 0.5, 50.0)
         # six visible deposition events: the point's own deposition plus the
         # five re-heat arcs of the layers above it
         assert cuts.size - 2 == 6
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(DomainError):
-            split_experiment(make_trace([1.0, 2.0]), 0.0)
+            split_experiment(np.array([1.0, 2.0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("sample_period", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_sample_period(self, sample_period):
+        with pytest.raises(DomainError):
+            split_experiment(np.array([1.0, 200.0, 190.0]), sample_period, 50.0)
 
 
 class TestResample:
     def test_constant(self):
         trace = make_trace(np.full(5, 321.0))
-        block, durations = resample(trace, whole(trace), 7)
+        block, durations = resample(*trace, whole(trace), 7)
         np.testing.assert_array_equal(block, np.full((1, 7), 321.0))
         assert durations[0] == 4.0
 
     def test_linear_ramp_hand_values(self):
         trace = make_trace([100.0, 200.0], dt=4.0)
-        block, _ = resample(trace, whole(trace), 5)
+        block, _ = resample(*trace, whole(trace), 5)
         np.testing.assert_allclose(block[0], [100.0, 125.0, 150.0, 175.0, 200.0])
 
     def test_identity_on_even_input(self):
         rng = np.random.default_rng(0)
         temps = rng.uniform(200, 900, 50)
         trace = make_trace(temps, dt=10.0 / 49)
-        block, _ = resample(trace, whole(trace), 50)
+        block, _ = resample(*trace, whole(trace), 50)
         np.testing.assert_allclose(block[0], temps, atol=1e-12)
 
     def test_endpoints_exact(self):
         trace = make_trace([700.0, 500.0, 450.0])
-        block, _ = resample(trace, whole(trace), 9)
+        block, _ = resample(*trace, whole(trace), 9)
         assert block[0, 0] == 700.0 and block[0, -1] == 450.0
 
     def test_errors(self):
         with pytest.raises(DomainError):  # a one-sample segment
-            resample(make_trace([1.0, 2.0, 3.0]), np.array([0, 1, 3]), 5)
+            resample(*make_trace([1.0, 2.0, 3.0]), np.array([0, 1, 3]), 5)
         with pytest.raises(DomainError):
-            resample(make_trace([1.0, 2.0]), np.array([0, 2]), 1)
+            resample(*make_trace([1.0, 2.0]), np.array([0, 2]), 1)
+        with pytest.raises(ShapeError):  # times and temps of different lengths
+            resample(np.arange(4.0), np.array([1.0, 2.0, 3.0]), np.array([0, 3]), 5)
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(data=st.data(), dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
@@ -128,15 +133,15 @@ class TestResample:
             start = temps[-1][-1] + rng.uniform(60.0, 400.0)
             temps.append(start - np.cumsum(rng.uniform(0.0, 5.0, r)))
         temps = np.concatenate(temps)
-        trace = make_trace(temps, dt=dt)
-        cuts = split_experiment(trace, 50.0)
-        block, durations = resample(trace, cuts, n)
+        times, temps = make_trace(temps, dt=dt)
+        cuts = split_experiment(temps, dt, 50.0)
+        block, durations = resample(times, temps, cuts, n)
         assert block.shape == (cuts.size - 1, n) and durations.shape == (cuts.size - 1,)
         for row, duration, lo, hi in zip(block, durations, cuts[:-1], cuts[1:]):
-            times = trace.times[lo:hi] - trace.times[lo]
-            want = np.interp(np.linspace(times[0], times[-1], n), times, trace.temps[lo:hi])
+            local = times[lo:hi] - times[lo]
+            want = np.interp(np.linspace(local[0], local[-1], n), local, temps[lo:hi])
             assert np.array_equal(row, want)
-            assert duration == times[-1] - times[0]
+            assert duration == local[-1] - local[0]
 
 
 class TestOverlapTruncate:
@@ -144,7 +149,7 @@ class TestOverlapTruncate:
         cur = Curve(np.linspace(900, 300, 30), 8.0)
         a = overlap_truncate_rows(cur.temps[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
         trace = make_trace(cur.temps, dt=8.0 / 29)
-        b, _ = resample(trace, whole(trace), 10)
+        b, _ = resample(*trace, whole(trace), 10)
         np.testing.assert_allclose(a[0], b[0], atol=1e-12)
 
     def test_half_ramp(self):

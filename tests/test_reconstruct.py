@@ -236,8 +236,7 @@ class TestReconstructStacked:
         train_delays = np.sort(rng.uniform(0.0, 20.0, size=m_star + 1))
         elm = elm_train(train_delays, rng.normal(0.0, 500.0, size=(m_star + 1, m_star)),
                         seed=seed % 7)
-        recon = LayerReconstruction(basis, np.sort(rng.uniform(1.0, 9.0, m_star))[::-1],
-                                    elm, layer=3, durations=(5.0,) * 5)
+        recon = LayerReconstruction(basis, elm, layer=3, durations=(5.0,) * 5)
         delays = rng.uniform(-5.0, 25.0, size=n_delays)
         rows = rng.integers(0, 5 * n, size=(n_rows, n_delays))
         got = reconstruct_stacked(recon, delays, rows)

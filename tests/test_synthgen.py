@@ -15,7 +15,6 @@ from thermoseer.core import (
 )
 from thermoseer.preprocess import overlap_truncate_rows
 from thermoseer.synthgen import (
-    RawTrace,
     SynthParams,
     analytic_curve,
     build_schedule,
@@ -167,23 +166,22 @@ class TestGenerateWall:
 
 class TestEmulatePyrometer:
     def test_inside_band_unchanged(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        trace = RawTrace(np.arange(10) * 0.1, np.full(10, 500.0), pt, 0.1)
-        out = emulate_pyrometer(trace, noise_sd=0.0)
-        np.testing.assert_array_equal(out.temps, trace.temps)
+        temps = np.full(10, 500.0)
+        out = emulate_pyrometer(temps, noise_sd=0.0)
+        np.testing.assert_array_equal(out, temps)
+        assert out is not temps
 
     def test_clamps_both_bounds(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        trace = RawTrace(np.arange(3) * 0.1, np.array([1450.0, 500.0, 25.0]), pt, 0.1)
-        out = emulate_pyrometer(trace, noise_sd=0.0)
-        np.testing.assert_allclose(out.temps, [1000.0, 500.0, 150.0])
+        temps = np.array([1450.0, 500.0, 25.0])
+        out = emulate_pyrometer(temps, noise_sd=0.0)
+        np.testing.assert_allclose(out, [1000.0, 500.0, 150.0])
+        np.testing.assert_array_equal(temps, [1450.0, 500.0, 25.0])  # input untouched
 
     def test_deterministic_given_seed(self):
-        pt = PointId.from_distance(1, 10.0, 8.0)
-        trace = RawTrace(np.arange(50) * 0.1, np.full(50, 500.0), pt, 0.1)
-        a = emulate_pyrometer(trace, noise_sd=5.0, seed=9)
-        b = emulate_pyrometer(trace, noise_sd=5.0, seed=9)
-        np.testing.assert_array_equal(a.temps, b.temps)
+        temps = np.full(50, 500.0)
+        a = emulate_pyrometer(temps, noise_sd=5.0, seed=9)
+        b = emulate_pyrometer(temps, noise_sd=5.0, seed=9)
+        np.testing.assert_array_equal(a, b)
 
 
 def _reference_trace(params, settings, schedule, point, sample_period, lead_in):
@@ -215,25 +213,26 @@ class TestPointTrace:
         params = SynthParams(seed=3, reheat_tau=reheat_tau)
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(layer, d, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period, lead_in)
+        _, temps = point_trace(params, settings, sched, pt, sample_period, lead_in)
         want = _reference_trace(params, settings, sched, pt, sample_period, lead_in)
-        assert np.array_equal(trace.temps, want)
+        assert np.array_equal(temps, want)
 
     def test_spans_five_cycles(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.5)
+        times, temps = point_trace(params, settings, sched, pt, sample_period=0.5)
         total = sum(curve_duration(sched, settings, 3, k) for k in range(1, 6))
-        start = trace.times[0]
-        assert trace.times[-1] - start >= total - 1e-9
+        assert times.shape == temps.shape
+        np.testing.assert_allclose(np.diff(times), 0.5, rtol=0, atol=1e-9)
+        assert times[-1] - times[0] >= total - 1e-9
 
     def test_lead_in_is_ambient(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=3.0)
-        assert np.all(trace.temps[:6] == params.ambient)
+        _, temps = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=3.0)
+        assert np.all(temps[:6] == params.ambient)
         # deposition jump right after the lead-in
-        assert trace.temps[6] > 1000.0
+        assert temps[6] > 1000.0
 
     def test_first_boundary_hand_value(self, settings):
         # layer 1, d = 80 mm at 8 mm/s: deposition at 10 s
@@ -241,8 +240,8 @@ class TestPointTrace:
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(1, 80.0, settings.travel_speed)
         assert deposition_time(sched, settings, 1, 80.0) == pytest.approx(10.0)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
-        assert trace.times[0] == pytest.approx(10.0)
+        times, _ = point_trace(params, settings, sched, pt, sample_period=0.1)
+        assert times[0] == pytest.approx(10.0)
 
     def test_matches_analytic_curves_at_sample_times(self, settings):
         # each sample inside the k-th window between successive deposition
@@ -250,16 +249,15 @@ class TestPointTrace:
         params = SynthParams()
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(6, 100.0, settings.travel_speed)
-        trace = point_trace(params, settings, sched, pt, sample_period=0.1)
-        assert trace.times[0] == deposition_time(sched, settings, 6, 100.0)
+        times, temps = point_trace(params, settings, sched, pt, sample_period=0.1)
+        assert times[0] == deposition_time(sched, settings, 6, 100.0)
         for k in range(1, 6):
             lo = deposition_time(sched, settings, pt.layer + k - 1, pt.axial_distance)
             hi = deposition_time(sched, settings, pt.layer + k, pt.axial_distance)
-            inside = (trace.times > lo + 1e-9) & (trace.times < hi - 1e-9)
+            inside = (times > lo + 1e-9) & (times < hi - 1e-9)
             assert inside.sum() >= (hi - lo) / 0.1 - 2
-            want = analytic_curve(params, settings, sched, pt, k,
-                                  trace.times[inside] - lo)
-            np.testing.assert_allclose(trace.temps[inside], want, rtol=0, atol=1e-9)
+            want = analytic_curve(params, settings, sched, pt, k, times[inside] - lo)
+            np.testing.assert_allclose(temps[inside], want, rtol=0, atol=1e-9)
 
 
 class TestExperimentWall:
