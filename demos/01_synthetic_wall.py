@@ -12,7 +12,6 @@ model later learns.
 import numpy as np
 
 from thermoseer import (
-    PointId,
     ProcessSettings,
     SynthParams,
     extract_curve_pairs,
@@ -37,8 +36,9 @@ print(f"dwell schedule (s): layer 1 = {wall.schedule.for_layer(1):.1f}, "
       f"layer 20 = {wall.schedule.for_layer(20):.1f}, "
       f"layer 40 = {wall.schedule.for_layer(40):.1f}")
 
-# one profile up close
-prof = wall.profiles[PointId.from_distance(10, 80.0, settings.travel_speed)]
+# one profile up close: a layer's profiles run by axial distance, so the
+# fourth of its seven points, 20 mm apart, sits at 80 mm
+prof = wall.profiles_on(10)[3]
 print("\npoint: layer 10, 80 mm from the layer start")
 # a profile is one (5, N) block of temperatures plus the five curve durations
 for k, (temps, duration) in enumerate(zip(prof.temps, prof.durations), start=1):
@@ -69,8 +69,7 @@ try:
     axes[0].set_ylabel("temperature, degC")
     axes[0].set_title("five cycles of one point (layer 10, d=80 mm)")
 
-    low = wall.profiles[PointId.from_distance(10, 80.0, settings.travel_speed)]
-    up = wall.profiles[PointId.from_distance(11, 80.0, settings.travel_speed)]
+    low, up = prof, wall.profiles_on(11)[3]
     k = 2
     for prof_k, style, label in ((low, "-", "layer 10, curve 3"), (up, "--", "layer 11, curve 3")):
         axes[1].plot(np.linspace(0.0, prof_k.durations[k], prof_k.n), prof_k.temps[k],

@@ -191,13 +191,12 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
     """Format version 2 of the shared container (:func:`_write_container`).
     The header holds ``settings``, ``schedule``, ``provenance``, ``wall_id``,
     ``n`` and ``points``.  The payload holds one row of ``7 + 5 * n`` values
-    per point, ordered by (layer, axial distance): ``layer, d_mm``, the five
-    curve durations, then the five curves' temperatures.  What follows from
-    these (relative delay, place on the layer, mapping features) is not
-    stored."""
-    profiles = [prof for layer in dataset.layers() for prof in dataset.profiles_on(layer)]
-    rows = np.empty((len(profiles), _ROW_HEAD + CURVES_PER_PROFILE * dataset.n))
-    for row, prof in zip(rows, profiles):
+    per point, in the order of ``dataset.profiles`` (by layer, then axial
+    distance): ``layer, d_mm``, the five curve durations, then the five
+    curves' temperatures.  What follows from these (relative delay, place on
+    the layer, mapping features) is not stored."""
+    rows = np.empty((len(dataset.profiles), _ROW_HEAD + CURVES_PER_PROFILE * dataset.n))
+    for row, prof in zip(rows, dataset.profiles):
         row[:2] = prof.point.layer, prof.point.axial_distance
         row[2:_ROW_HEAD] = prof.durations
         row[_ROW_HEAD:] = prof.temps.reshape(-1)
@@ -207,7 +206,7 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
         "provenance": dataset.provenance,
         "wall_id": dataset.wall_id,
         "n": dataset.n,
-        "points": len(profiles),
+        "points": len(rows),
     }
     _write_container(path, "dataset", header, rows)
 
@@ -215,7 +214,7 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
 def load_dataset(path: str) -> WallDataset:
     """Read a version-2 dataset (see :func:`save_dataset`); every malformed
     file raises a data error (exit code 3) whose message names the file,
-    also one that lists a point twice."""
+    also one that lists a point twice (:class:`WallDataset` refuses it)."""
     header, rows = _read_container(path, "dataset", lambda header: (
         _header_key(header, "points", int, path, DomainError),
         _ROW_HEAD + CURVES_PER_PROFILE * _header_key(header, "n", int, path, DomainError)))
@@ -225,16 +224,14 @@ def load_dataset(path: str) -> WallDataset:
         # a missing or unknown settings key is a TypeError
         settings = ProcessSettings(**header["settings"])
         schedule = DwellSchedule(tuple(header["schedule"]))
-        profiles = {}
+        profiles = []
         for row in rows:
             layer, d_mm, *durations = row[:_ROW_HEAD].tolist()
             if layer != int(layer):
                 raise DomainError(f"layer {layer!r} is not an integer")
             point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
-            if point in profiles:
-                raise DomainError(f"point {point} is listed twice")
-            profiles[point] = Profile(point, row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1),
-                                      durations)
+            profiles.append(Profile(point, row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1),
+                                    durations))
         return WallDataset(settings, schedule, profiles, provenance, wall_id)
     except ThermoseerError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
@@ -538,8 +535,7 @@ def cmd_predict(args) -> int:
     dataset = load_dataset(args.data)
     prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
     predicted = WallDataset(
-        dataset.settings, dataset.schedule,
-        {p.point: p for p in prediction.mapped_profiles},
+        dataset.settings, dataset.schedule, prediction.mapped_profiles,
         {"kind": "prediction", "source": args.data, "layer": args.layer,
          "checkpoint": args.ckpt},
         wall_id=dataset.wall_id,
@@ -560,9 +556,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     predicted = load_dataset(args.pred)
     truth = load_dataset(args.truth)
-    wanted = {(p.layer, p.place) for p in predicted.profiles}
-    report = evaluate(list(predicted.profiles.values()),
-                      [prof for p, prof in truth.profiles.items() if (p.layer, p.place) in wanted])
+    wanted = {(p.point.layer, p.point.place) for p in predicted.profiles}
+    report = evaluate(predicted.profiles, [p for p in truth.profiles
+                                           if (p.point.layer, p.point.place) in wanted])
 
     doc = {"per_layer": {
         str(layer): {"count": s.count, "median": s.median, "max": s.maximum,

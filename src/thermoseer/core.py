@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -285,12 +286,17 @@ class Profile:
 
 @dataclass(frozen=True, eq=False)
 class WallDataset:
-    """All profiles of one generated or loaded thin wall; ``wall_id`` names
-    the wall in the records of its dataset file."""
+    """All profiles of one generated or loaded thin wall, each point once;
+    ``wall_id`` names the wall in the records of its dataset file.
+
+    ``profiles`` may be given as any iterable of :class:`Profile`; it is
+    stored as one tuple ordered by layer, then :attr:`PointId.place`.  Two
+    profiles on one layer with the same place are the same point, listed
+    twice, and raise DomainError."""
 
     settings: ProcessSettings
     schedule: DwellSchedule
-    profiles: dict[PointId, Profile]
+    profiles: tuple[Profile, ...]
     provenance: dict = field(default_factory=dict)
     wall_id: int = 1
 
@@ -300,12 +306,20 @@ class WallDataset:
                 "schedule has %d entries for %d layers"
                 % (len(self.schedule), self.settings.num_layers)
             )
-        if not self.profiles:
+        # each key is computed once: the sort and the same-point check share it
+        keyed = sorted((((p.point.layer, p.point.place), p) for p in self.profiles),
+                       key=itemgetter(0))
+        if not keyed:
             raise ShapeError("dataset holds no profiles")
-        sizes = {p.n for p in self.profiles.values()}
+        sizes = {p.n for _, p in keyed}
         if len(sizes) != 1:
             raise ShapeError(f"all profiles must share N, got sizes {sorted(sizes)}")
-        for point in self.profiles:
+        previous = None
+        for key, prof in keyed:
+            if key == previous:
+                raise DomainError(f"point (layer {key[0]}, distance {key[1]}) is listed twice")
+            previous = key
+            point = prof.point
             if not 1 <= point.layer <= self.settings.num_layers:
                 raise DomainError(f"point layer {point.layer} outside 1..{self.settings.num_layers}")
             if point.axial_distance > self.settings.layer_length + 1e-9:
@@ -319,18 +333,18 @@ class WallDataset:
                     f"relative_delay {point.relative_delay} inconsistent with travel speed "
                     f"(expected {expected})"
                 )
+        object.__setattr__(self, "profiles", tuple(p for _, p in keyed))
 
     @property
     def n(self) -> int:
-        return next(iter(self.profiles.values())).n
+        return self.profiles[0].n
 
     def layers(self) -> list[int]:
-        return sorted({p.layer for p in self.profiles})
+        return sorted({p.point.layer for p in self.profiles})
 
     def profiles_on(self, layer: int) -> list[Profile]:
         """Profiles of one layer ordered by axial distance."""
-        rows = [prof for pt, prof in self.profiles.items() if pt.layer == layer]
-        return sorted(rows, key=lambda prof: prof.point.axial_distance)
+        return [p for p in self.profiles if p.point.layer == layer]
 
 
 def deposition_time(

@@ -32,8 +32,8 @@ def split_experiment(temps: np.ndarray, sample_period: float,
     deposition event (noise can briefly dip a rise below the threshold; true
     rises are at least one print cycle apart).  A trace with no rise comes
     back as the one segment ``[0, temps.size]``."""
-    if rise_threshold <= 0.0:
-        raise DomainError(f"rise_threshold must be positive, got {rise_threshold!r}")
+    if not 0.0 < rise_threshold < np.inf:
+        raise DomainError(f"rise_threshold must be positive and finite, got {rise_threshold!r}")
     if not sample_period > 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
     steep = np.diff(temps) > rise_threshold

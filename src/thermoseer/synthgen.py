@@ -19,7 +19,7 @@ seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.cool_tau0 <= 0.0 or self.reheat_tau <= 0.0:
             raise DomainError("cooling and re-heat time constants must be positive")
         if not 0.0 < self.reheat_decay < 1.0:
@@ -228,7 +232,7 @@ def _point_distances(settings: ProcessSettings, points_per_layer: int,
         raise DomainError(f"points_per_layer must be >= 2, got {points_per_layer}")
     if spacing_mm is None:
         spacing_mm = settings.layer_length / (points_per_layer + 1)
-    if spacing_mm <= 0.0 or points_per_layer * spacing_mm >= settings.layer_length:
+    if not (spacing_mm > 0.0 and points_per_layer * spacing_mm < settings.layer_length):
         raise DomainError(
             f"{points_per_layer} points at {spacing_mm} mm spacing do not fit "
             f"inside a {settings.layer_length} mm layer"
@@ -238,9 +242,12 @@ def _point_distances(settings: ProcessSettings, points_per_layer: int,
 
 def _refuse_oversized(settings: ProcessSettings, points_per_layer: int, n: int,
                       trace_values: float = 0.0) -> None:
-    """ConfigError when a wall needs more than MAX_WALL_VALUES float64 values:
-    7 + 5n per profiled point (its layer, distance, five durations and five
-    curves, as in its dataset row) plus ``trace_values``."""
+    """DomainError when ``n`` < 2; ConfigError when a wall needs more than
+    MAX_WALL_VALUES float64 values: 7 + 5n per profiled point (its layer,
+    distance, five durations and five curves, as in its dataset row) plus
+    ``trace_values``."""
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     points = (settings.num_layers - CURVES_PER_PROFILE) * points_per_layer
     values = points * (2 + CURVES_PER_PROFILE * (1 + n)) + trace_values
     if values > MAX_WALL_VALUES:
@@ -261,7 +268,7 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
     schedule = build_schedule(params, settings)
 
     curve_indices = np.arange(1, CURVES_PER_PROFILE + 1)[:, np.newaxis]
-    profiles = {}
+    profiles = []
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
         durations = [curve_duration(schedule, settings, layer, k)
                      for k in range(1, CURVES_PER_PROFILE + 1)]
@@ -272,7 +279,7 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
             if params.noise_sd > 0:
                 temps += np.random.default_rng((params.seed, layer, j)).normal(
                     0.0, params.noise_sd, size=temps.shape)
-            profiles[point] = Profile(point, temps, durations)
+            profiles.append(Profile(point, temps, durations))
 
     provenance = {
         "kind": "synthetic",
@@ -298,8 +305,10 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     identities keep the nominal locations.  A wall whose curves and raw
     traces together exceed MAX_WALL_VALUES raises ConfigError before any
     trace is built."""
-    if sample_period <= 0.0:
-        raise DomainError(f"sample_period must be positive, got {sample_period!r}")
+    if not 0.0 < sample_period < math.inf:
+        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
+    if not 0.0 <= jitter_mm < math.inf:
+        raise DomainError(f"jitter_mm must be >= 0 and finite, got {jitter_mm!r}")
     _refuse_oversized(settings, points_per_layer, n)
     if params.noise_sd <= 0.0:
         params = replace(params, noise_sd=2.0)
@@ -312,7 +321,7 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     _refuse_oversized(settings, points_per_layer, n,
                       points_per_layer * trace_s / sample_period)
 
-    profiles = {}
+    profiles = []
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
         for j, d in enumerate(distances, start=1):
             rng = np.random.default_rng((params.seed, layer, j))
@@ -333,8 +342,8 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
                 )
             # first segment is the pre-deposition stub; the next five are curves
             point = PointId.from_distance(layer, d, settings.travel_speed)
-            profiles[point] = Profile(point, *preprocess.resample(
-                times, seen, cuts[1:CURVES_PER_PROFILE + 2], n))
+            profiles.append(Profile(point, *preprocess.resample(
+                times, seen, cuts[1:CURVES_PER_PROFILE + 2], n)))
 
     provenance = {
         "kind": "synthetic",

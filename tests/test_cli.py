@@ -71,8 +71,8 @@ class TestDatasetRoundTrip:
         save_dataset(str(path), small_wall)
         loaded = load_dataset(str(path))
         assert loaded.n == small_wall.n
-        for point, prof in small_wall.profiles.items():
-            got = loaded.profiles[point]
+        for got, prof in zip(loaded.profiles, small_wall.profiles, strict=True):
+            assert got.point == prof.point
             np.testing.assert_array_equal(got.temps, prof.temps)
             assert got.durations == prof.durations
 
@@ -96,8 +96,7 @@ class TestDatasetRoundTrip:
         save_dataset(str(path), small_wall)
         _, payload = _split_file(path.read_bytes())
         rows = np.frombuffer(payload, dtype="<f8").reshape(21, 7 + 5 * 40)
-        ordered = [p for layer in small_wall.layers() for p in small_wall.profiles_on(layer)]
-        for row, prof in zip(rows, ordered):
+        for row, prof in zip(rows, small_wall.profiles, strict=True):
             assert (row[0], row[1]) == (prof.point.layer, prof.point.axial_distance)
             assert tuple(row[2:7]) == prof.durations
             np.testing.assert_array_equal(row[7:], prof.temps.reshape(-1))
@@ -113,25 +112,25 @@ class TestDatasetRoundTrip:
         duration = st.floats(0.0, exclude_min=True, allow_infinity=False)
         settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
                                          layer_print_time=20.5, deposition_rate=52.8)
-        profiles = {}
+        profiles = []
         for j in range(points):
             point = PointId.from_distance(j % 3 + 1, 10.0 * j, settings.travel_speed)
             temps = data.draw(st.lists(temp, min_size=5 * n, max_size=5 * n))
             durations = data.draw(st.lists(duration, min_size=5, max_size=5))
-            profiles[point] = Profile(point, np.reshape(temps, (5, n)), durations)
+            profiles.append(Profile(point, np.reshape(temps, (5, n)), durations))
         path = str(roundtrip_dir / "wall.tsd")
         save_dataset(path, WallDataset(settings, DwellSchedule((30.0,) * 12), profiles))
         loaded = load_dataset(path)
-        assert loaded.profiles.keys() == profiles.keys()
-        for point, prof in profiles.items():
-            got = loaded.profiles[point]
+        profiles.sort(key=lambda p: (p.point.layer, p.point.place))
+        for got, prof in zip(loaded.profiles, profiles, strict=True):
+            assert got.point == prof.point
             assert got.temps.tobytes() == prof.temps.tobytes()
             assert np.array(got.durations).tobytes() == np.array(prof.durations).tobytes()
 
     def test_layers_load_as_integers(self, tmp_path, small_wall):
         path = tmp_path / "wall.tsd"
         save_dataset(str(path), small_wall)
-        assert all(type(point.layer) is int for point in load_dataset(str(path)).profiles)
+        assert all(type(p.point.layer) is int for p in load_dataset(str(path)).profiles)
 
 
 @pytest.fixture(scope="module")
@@ -440,14 +439,17 @@ def eval_with(tmp_path_factory):
     return run
 
 
-def _duplicate_row(data: bytes, index: int) -> bytes:
+def _duplicate_row(data: bytes, index: int, shift_mm: float = 0.0) -> bytes:
     """``data`` with payload row ``index`` (modulo the row count) written
-    twice and the header's point count raised to match."""
+    twice, the copy's ``d_mm`` moved by ``shift_mm``, and the header's point
+    count raised to match."""
     header, payload = _split_file(data)
-    width = 8 * (7 + 5 * header["n"])
-    at = (index % header["points"] + 1) * width
+    rows = np.frombuffer(payload, dtype="<f8").reshape(header["points"], -1)
+    at = index % header["points"]
+    copy = rows[at].copy()
+    copy[1] += shift_mm
     header["points"] += 1
-    return _join_file(header, payload[:at] + payload[at - width:])
+    return _join_file(header, np.insert(rows, at + 1, copy, axis=0).tobytes())
 
 
 class TestMalformedDatasetExit3:
@@ -455,6 +457,23 @@ class TestMalformedDatasetExit3:
         assert eval_with(dataset_bytes) == 0
         assert eval_with(_duplicate_row(dataset_bytes, 5)) == 3
         assert "listed twice" in capsys.readouterr().err
+
+    def test_point_moved_by_a_picometre_is_listed_twice(self, dataset_bytes, tmp_path,
+                                                         capsys):
+        # the copy's place (d_mm rounded to 1e-9 mm) is its original's: the
+        # same point on layer 5, which predicting layer 6 reads
+        data, ckpt = tmp_path / "wall.tsd", str(tmp_path / "m.ckpt")
+        data.write_bytes(_duplicate_row(dataset_bytes, 13, shift_mm=1e-12))
+        save_checkpoint(ckpt, init_model(40, seed=0))
+        for argv in (["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+                      "--epochs", "1", "--batch-size", "32"],
+                     ["predict", "--ckpt", ckpt, "--data", str(data), "--layer", "6",
+                      "--out", str(tmp_path / "p.tsd")],
+                     ["eval", "--pred", str(data), "--truth", str(data),
+                      "--out", str(tmp_path / "r.json")]):
+            assert run_cli(*argv) == 3
+            assert "listed twice" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "wall.tsd"]
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(kind=st.sampled_from(["cut", "flip", "duplicate"]),
@@ -691,6 +710,20 @@ class TestGenerate:
                        "--out", str(tmp_path / "w{id}.tsd")) == 2
         assert "more than the 268435456 allowed" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["grid.cfg"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("key", [key for key, kind in cli._GENERATE_KEYS.items()
+                                     if kind in (int, float)])
+    def test_number_key_sweep_exits_0_2_or_3(self, tmp_path, key, value):
+        table = {"seed": "7", "num_layers": "12", "points_per_layer": "3", "n": "8"}
+        if key in cli._EXPERIMENT_KEYS:
+            table["style"] = "experiment"
+        table[key] = value
+        cfg, out = tmp_path / "w.cfg", tmp_path / "w.tsd"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in table.items()))
+        code = run_cli("generate", "--config", str(cfg), "--out", str(out))
+        assert code in ((2, 3) if value in ("nan", "inf", "-inf") else (0, 2, 3))
+        assert code == 0 or os.listdir(tmp_path) == ["w.cfg"]
 
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

@@ -242,11 +242,11 @@ class TestTypes:
 
     def test_point_delay_consistency_enforced_by_dataset(self, settings, schedule):
         good = constant_profile(300.0, layer=2, distance=40.0, travel_speed=8.0)
-        WallDataset(settings, schedule, {good.point: good})
+        WallDataset(settings, schedule, [good])
         bad_point = PointId(layer=2, axial_distance=40.0, relative_delay=4.0)
         bad = Profile(bad_point, good.temps, good.durations)
         with pytest.raises(DomainError, match="relative_delay"):
-            WallDataset(settings, schedule, {bad_point: bad})
+            WallDataset(settings, schedule, [bad])
 
     def test_curve_rejects_bad_values(self):
         # a Curve is one row, a Profile five rows with one duration each;
@@ -292,11 +292,33 @@ class TestTypes:
         a = constant_profile(300.0, n=20, layer=2, distance=20.0)
         b = constant_profile(300.0, n=21, layer=2, distance=40.0)
         with pytest.raises(ShapeError):
-            WallDataset(settings, schedule, {a.point: a, b.point: b})
+            WallDataset(settings, schedule, [a, b])
 
     def test_dataset_profiles_on_sorted(self, settings, schedule):
         a = constant_profile(300.0, layer=2, distance=60.0)
         b = constant_profile(300.0, layer=2, distance=20.0)
-        ds = WallDataset(settings, schedule, {a.point: a, b.point: b})
+        ds = WallDataset(settings, schedule, [a, b])
         rows = ds.profiles_on(2)
         assert [p.point.axial_distance for p in rows] == [20.0, 60.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dataset_orders_profiles_by_layer_then_place(self, settings, schedule, seed):
+        made = [constant_profile(300.0, layer=layer, distance=distance)
+                for layer in (1, 2, 7) for distance in (0.0, 20.0, 20.0 + 1e-6, 140.0)]
+        given = [made[i] for i in np.random.default_rng(seed).permutation(len(made))]
+        ds = WallDataset(settings, schedule, iter(given))
+        assert type(ds.profiles) is tuple
+        assert [(p.point.layer, p.point.axial_distance) for p in ds.profiles] == \
+            [(p.point.layer, p.point.axial_distance) for p in made]
+        assert ds.layers() == [1, 2, 7] and ds.profiles_on(7) == list(ds.profiles[8:])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12])
+    def test_dataset_refuses_a_point_listed_twice(self, settings, schedule, offset):
+        # one layer, one place (PointId.place): the same point, whatever
+        # order the two come in and whatever else the wall holds
+        a = constant_profile(300.0, layer=4, distance=40.0)
+        b = constant_profile(310.0, layer=4, distance=40.0 + offset)
+        others = [constant_profile(300.0, layer=layer, distance=40.0) for layer in (3, 5)]
+        for given in ([a, b], [b, *others, a]):
+            with pytest.raises(DomainError, match="listed twice"):
+                WallDataset(settings, schedule, given)

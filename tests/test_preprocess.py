@@ -79,8 +79,10 @@ class TestSplitExperiment:
         assert cuts.size - 2 == 6
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(DomainError):
-            split_experiment(np.array([1.0, 2.0]), 1.0, 0.0)
+        # a threshold no difference can exceed finds no rise either
+        for threshold in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="rise_threshold"):
+                split_experiment(np.array([1.0, 2.0]), 1.0, threshold)
 
     @pytest.mark.parametrize("sample_period", [0.0, -0.5, float("nan")])
     def test_rejects_nonpositive_sample_period(self, sample_period):

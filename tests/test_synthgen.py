@@ -123,8 +123,9 @@ class TestGenerateWall:
     def test_deterministic(self, settings, params):
         a = generate_wall(settings, params, points_per_layer=3, n=40)
         b = generate_wall(settings, params, points_per_layer=3, n=40)
-        for pt in a.profiles:
-            np.testing.assert_array_equal(a.profiles[pt].temps, b.profiles[pt].temps)
+        for pa, pb in zip(a.profiles, b.profiles, strict=True):
+            assert pa.point == pb.point
+            np.testing.assert_array_equal(pa.temps, pb.temps)
 
     def test_curve_similarity_bounded_and_shrinking(self, settings, wall):
         # REOP between the overlap-truncated upper curve and the lower curve
@@ -132,8 +133,8 @@ class TestGenerateWall:
         # decreases with the layer.
         def layer_similarity(i):
             lows = wall.profiles_on(i)
-            ups = [wall.profiles[PointId.from_distance(
-                i + 1, low.point.axial_distance, settings.travel_speed)] for low in lows]
+            ups = wall.profiles_on(i + 1)
+            assert [up.point.place for up in ups] == [low.point.place for low in lows]
             trunc = overlap_truncate_rows(
                 np.concatenate([up.temps for up in ups]),
                 np.array([up.durations for up in ups]).reshape(-1),
@@ -160,8 +161,9 @@ class TestGenerateWall:
             SynthParams(seed=-1, noise_sd=1.0)
 
     def test_rejects_overflowing_spacing(self, settings, params):
-        with pytest.raises(DomainError):
-            generate_wall(settings, params, points_per_layer=9, spacing_mm=20.0)
+        for spacing in (20.0, 0.0, float("nan")):
+            with pytest.raises(DomainError, match="do not fit"):
+                generate_wall(settings, params, points_per_layer=9, spacing_mm=spacing)
 
 
 class TestEmulatePyrometer:
@@ -265,7 +267,7 @@ class TestExperimentWall:
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
         ds = generate_experiment_wall(s, params, points_per_layer=3, n=60)
         assert ds.layers() == list(range(1, 8))
-        for prof in ds.profiles.values():
+        for prof in ds.profiles:
             assert prof.n == 60
             assert prof.temps.max() <= 1000.0
             assert prof.temps.min() >= 150.0
@@ -294,12 +296,13 @@ class TestExperimentWall:
         monkeypatch.setattr(core.Curve, "__post_init__", counting)
         ds = generate_experiment_wall(s, params, points_per_layer=3, n=40)
         assert len(ds.profiles) == 21 and built == []
-        first = next(iter(ds.profiles.values()))
+        first = ds.profiles[0]
         assert len(first.curves) == 5 and len(built) == 5  # the counter counts
 
     def test_deterministic(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
         a = generate_experiment_wall(s, params, points_per_layer=2, n=40)
         b = generate_experiment_wall(s, params, points_per_layer=2, n=40)
-        for pt in a.profiles:
-            np.testing.assert_array_equal(a.profiles[pt].temps, b.profiles[pt].temps)
+        for pa, pb in zip(a.profiles, b.profiles, strict=True):
+            assert pa.point == pb.point
+            np.testing.assert_array_equal(pa.temps, pb.temps)
