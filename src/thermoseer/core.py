@@ -77,8 +77,11 @@ class CheckpointError(ThermoseerError, ValueError):
 
 def in_temperature_range(temps: np.ndarray) -> bool:
     """Whether every value lies strictly between ABSOLUTE_ZERO_C and
-    MAX_TEMPERATURE_C; a NaN or an infinity does not."""
-    return bool(np.all((temps > ABSOLUTE_ZERO_C) & (temps < MAX_TEMPERATURE_C)))
+    MAX_TEMPERATURE_C; a NaN or an infinity does not, and an empty array
+    passes.  Two reductions and no temporaries: a NaN makes both the
+    minimum and the maximum NaN, which fails either comparison."""
+    return temps.size == 0 or bool(ABSOLUTE_ZERO_C < temps.min()
+                                   and temps.max() < MAX_TEMPERATURE_C)
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -186,7 +186,7 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
             f"more than the {MAX_WALL_VALUES} allowed; ask for fewer positions"
         )
 
-    bounds = np.concatenate([[0.0], np.cumsum(recon.durations)])
+    bounds, grids = recon.bounds, recon.grids  # (6,) and (5, N)
     horizon = bounds[-1]
     if local_time > horizon:
         raise HorizonError(
@@ -200,21 +200,22 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     printed = local_time >= deposit_times
     lo, hi = recon.delay_range
     interior = printed & (deposit_times >= lo) & (deposit_times <= hi)
-    if not np.any(printed):
+    if not printed.any():
         return FieldFrame(local_time, positions, temps, interior)
 
     delays = deposit_times[printed]
     elapsed = local_time - delays
-    k = np.minimum(np.searchsorted(bounds, elapsed, side="right") - 1,
+    k = np.minimum(bounds.searchsorted(elapsed, side="right") - 1,
                    CURVES_PER_PROFILE - 1)
     x = elapsed - bounds[k]
-    grids = np.linspace(0.0, recon.durations, n, axis=-1)  # (5, N)
     # np.interp's rule: grid[j] <= x < grid[j + 1], its slope formula, the
     # sample itself on a grid point, the last sample at or past the grid end
     j = np.empty(delays.size, dtype=np.intp)
-    for curve, grid in enumerate(grids):
+    # positions come in deposit order, so their curve k never rises: the
+    # curves in use are k[-1]..k[0]
+    for curve in range(k[-1], k[0] + 1):
         on_curve = k == curve
-        j[on_curve] = np.searchsorted(grid, x[on_curve], side="right") - 1
+        j[on_curve] = grids[curve].searchsorted(x[on_curve], side="right") - 1
     jj = np.minimum(j, n - 2)
     x0, x1 = grids[k, jj], grids[k, jj + 1]
     first = k * n  # row of curve k's first sample in the stacked 5N-vector

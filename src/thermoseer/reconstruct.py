@@ -12,7 +12,9 @@ across layers; the ELM is cheap enough to retrain online per layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,6 +30,8 @@ from .core import (
 
 DEFAULT_ENERGY_THRESHOLD = 0.99
 DEFAULT_HIDDEN_NODES = 128
+# (n_hidden, seed) keys whose frozen hidden layers stay drawn
+_HIDDEN_LAYERS_KEPT = 8
 
 
 @dataclass(eq=False)
@@ -57,15 +61,30 @@ def _hidden_matrix(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
     """The (len(delays), n_hidden) ReLU activations, built in place in one
     array of that size."""
     x = (delays - elm.delay_mean) / elm.delay_std
-    h = np.outer(x, elm.hidden_weights)
+    h = x[:, None] * elm.hidden_weights
     h += elm.hidden_biases
     return np.maximum(h, 0.0, out=h)
+
+
+@lru_cache(maxsize=_HIDDEN_LAYERS_KEPT, typed=True)
+def _hidden_layer(n_hidden: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only hidden weights and biases, drawn uniform on [-1, 1] from
+    ``default_rng(seed)`` in that order; every ELM with this key shares
+    them."""
+    rng = np.random.default_rng(seed)
+    omega = rng.uniform(-1.0, 1.0, size=n_hidden)
+    bias = rng.uniform(-1.0, 1.0, size=n_hidden)
+    omega.flags.writeable = bias.flags.writeable = False
+    return omega, bias
 
 
 def elm_train(delays: np.ndarray, coefficients: np.ndarray,
               n_hidden: int = DEFAULT_HIDDEN_NODES, seed: int = 0) -> ElmModel:
     """Fit the output weights by least squares; hidden weights and biases are
-    drawn uniform on [-1, 1] from the seed and frozen.
+    drawn uniform on [-1, 1] from the seed and frozen.  They are drawn once
+    per (n_hidden, seed) and shared, read-only, by every ELM trained with
+    that pair.  The delays are standardised by their mean and (population)
+    standard deviation, summed as ``np.mean``/``np.std`` sum them.
 
     The solve is the SVD-based minimum-norm least squares, which stays
     well-posed for rank-deficient hidden matrices (the normal regime,
@@ -80,16 +99,15 @@ def elm_train(delays: np.ndarray, coefficients: np.ndarray,
         raise ShapeError(
             f"coefficients must be ({delays.size}, m_star), got {coefficients.shape}"
         )
-    if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(coefficients))):
+    if not (np.isfinite(delays).all() and np.isfinite(coefficients).all()):
         raise DomainError("delays and coefficients must be finite")
     if n_hidden < 1:
         raise DomainError(f"n_hidden must be >= 1, got {n_hidden}")
 
-    rng = np.random.default_rng(seed)
-    omega = rng.uniform(-1.0, 1.0, size=n_hidden)
-    bias = rng.uniform(-1.0, 1.0, size=n_hidden)
-    mean = float(delays.mean())
-    std = float(delays.std())
+    omega, bias = _hidden_layer(n_hidden, seed)
+    mean = float(delays.sum() / delays.size)
+    deviations = delays - mean
+    std = math.sqrt((deviations * deviations).sum() / delays.size)
     if std < 1e-12:
         std = 1.0
 
@@ -104,7 +122,7 @@ def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
     """Basis-coefficient rows (len(delays), m_star) in one pass; a scalar
     delay gives one row."""
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
-    if not np.all(np.isfinite(delays)):
+    if not np.isfinite(delays).all():
         raise DomainError("delays must be finite")
     return _hidden_matrix(elm, delays) @ elm.output_weights
 
@@ -141,7 +159,7 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ShapeError(f"snapshot matrix must be 2-D, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise DomainError("snapshot matrix must be finite")
     if not 0.0 < energy_threshold <= 1.0:
         raise DomainError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
@@ -172,7 +190,13 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
 
 @dataclass(eq=False)
 class LayerReconstruction:
-    """Reduced basis and the trained ELM of one layer."""
+    """Reduced basis and the trained ELM of one layer.
+
+    Its frame geometry is computed once, on first read, and is read-only:
+    ``bounds``, the six curve bounds (0 followed by the cumulative
+    durations, the last the five-curve horizon), and ``grids``, the (5, N)
+    sample times of each curve.  A layer that is never rendered never
+    builds them."""
 
     basis: np.ndarray
     elm: ElmModel
@@ -186,7 +210,7 @@ class LayerReconstruction:
         if self.basis.shape[0] % CURVES_PER_PROFILE != 0:
             raise ShapeError("basis row count must be a multiple of 5")
         gram = self.basis.T @ self.basis
-        if np.max(np.abs(gram - np.eye(self.m_star))) > 1e-10:
+        if np.abs(gram - np.eye(self.m_star)).max() > 1e-10:
             raise NumericsError("reduced basis columns are not orthonormal to 1e-10")
         if len(self.durations) != CURVES_PER_PROFILE:
             raise ShapeError("need one duration per curve")
@@ -198,6 +222,18 @@ class LayerReconstruction:
     @property
     def n(self) -> int:
         return self.basis.shape[0] // CURVES_PER_PROFILE
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        bounds = np.cumsum((0.0, *self.durations))
+        bounds.flags.writeable = False
+        return bounds
+
+    @cached_property
+    def grids(self) -> np.ndarray:
+        grids = np.linspace(0.0, self.durations, self.n, axis=-1)
+        grids.flags.writeable = False
+        return grids
 
 
 def fit_layer(profiles: list[Profile], energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,

@@ -149,10 +149,21 @@ def solve_dwell(params: SynthParams, settings: ProcessSettings, layer: int) -> f
 
 
 def build_schedule(params: SynthParams, settings: ProcessSettings) -> DwellSchedule:
-    """Per-layer dwell schedule from :func:`solve_dwell`."""
-    return DwellSchedule(tuple(
-        solve_dwell(params, settings, i) for i in range(1, settings.num_layers + 1)
-    ))
+    """Per-layer dwell schedule from :func:`solve_dwell`.  A dwell that does
+    not come out finite (a cooling time constant too large for a float)
+    raises DomainError naming the layer and the cooling constants."""
+    dwell = []
+    for layer in range(1, settings.num_layers + 1):
+        seconds = solve_dwell(params, settings, layer)
+        if not math.isfinite(seconds):
+            raise DomainError(
+                f"the dwell after layer {layer} is {seconds!r} s: the SynthParams "
+                f"cooling constants cool_tau0 = {params.cool_tau0!r}, cool_height_gain "
+                f"= {params.cool_height_gain!r} and delay_tau_gain = "
+                f"{params.delay_tau_gain!r} give a cooling time constant that does not "
+                f"fit a float")
+        dwell.append(seconds)
+    return DwellSchedule(tuple(dwell))
 
 
 def _cycle_constants(params: SynthParams, settings: ProcessSettings,
@@ -195,8 +206,8 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     """``(times, temps)`` of one point's raw trace: global times every
     ``sample_period`` seconds spanning its five cycles, optionally preceded
     by ``lead_in`` seconds of ambient readings before deposition."""
-    if sample_period <= 0.0:
-        raise DomainError(f"sample_period must be positive, got {sample_period!r}")
+    if not 0.0 < sample_period < math.inf:
+        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
     durations = _cycle_constants(params, settings, schedule, point)[0][2]
     total = float(sum(durations))
     start = deposition_time(schedule, settings, point.layer, point.axial_distance)
@@ -307,8 +318,11 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     trace is built."""
     if not 0.0 < sample_period < math.inf:
         raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
-    if not 0.0 <= jitter_mm < math.inf:
-        raise DomainError(f"jitter_mm must be >= 0 and finite, got {jitter_mm!r}")
+    # a wider jitter lands ever more points clipped onto a layer end, and near
+    # 1e308 the uniform draw overflows
+    if not 0.0 <= jitter_mm <= settings.layer_length:
+        raise DomainError(f"jitter_mm must lie in [0, layer_length = "
+                          f"{settings.layer_length!r}] mm, got {jitter_mm!r}")
     _refuse_oversized(settings, points_per_layer, n)
     if params.noise_sd <= 0.0:
         params = replace(params, noise_sd=2.0)

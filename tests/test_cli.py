@@ -725,6 +725,17 @@ class TestGenerate:
         assert code in ((2, 3) if value in ("nan", "inf", "-inf") else (0, 2, 3))
         assert code == 0 or os.listdir(tmp_path) == ["w.cfg"]
 
+    @pytest.mark.parametrize("jitter", ["1e308", "161"])
+    def test_jitter_beyond_the_layer_exit_3(self, tmp_path, capsys, jitter):
+        # layer_length is 160 mm; 1e308 overflows the jitter draw's range
+        cfg, out = tmp_path / "w.cfg", tmp_path / "w.tsd"
+        cfg.write_text("seed = 7\nnum_layers = 12\npoints_per_layer = 3\nn = 8\n"
+                       f"style = experiment\njitter_mm = {jitter}\n")
+        assert run_cli("generate", "--config", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "jitter_mm" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["w.cfg"]
+
     def test_multi_wall_needs_placeholder(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("seed = 3\nwall.1.travel_speed = 8\nwall.2.travel_speed = 15\n")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from thermoseer.core import (
+    ABSOLUTE_ZERO_C,
+    MAX_TEMPERATURE_C,
     Curve,
     DomainError,
     DwellSchedule,
@@ -17,6 +19,7 @@ from thermoseer.core import (
     WallDataset,
     curve_duration,
     deposition_time,
+    in_temperature_range,
     mapping_features,
     reop,
     reop_rows,
@@ -220,6 +223,26 @@ class TestReop:
         # (1, 5) against (2, 5) would broadcast to two rows without the check
         with pytest.raises(ShapeError):
             reop_rows(np.full(shapes[0], 10.0), np.full(shapes[1], 20.0))
+
+
+_EDGE_TEMPERATURES = (math.nan, math.inf, -math.inf, ABSOLUTE_ZERO_C, MAX_TEMPERATURE_C,
+                      math.nextafter(ABSOLUTE_ZERO_C, math.inf),
+                      math.nextafter(MAX_TEMPERATURE_C, -math.inf), 0.0, -0.0, 25.0)
+
+
+class TestTemperatureRange:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(values=st.lists(st.one_of(st.sampled_from(_EDGE_TEMPERATURES),
+                                                st.floats(-1e5, 1e5)), max_size=40),
+                      rows=st.sampled_from([None, 1, 2, 5]))
+    @hypothesis.example(values=[], rows=None)
+    @hypothesis.example(values=[], rows=5)
+    def test_agrees_with_the_elementwise_expression(self, values, rows):
+        temps = np.array(values, dtype=np.float64)
+        if rows is not None and temps.size % rows == 0:
+            temps = temps.reshape(rows, -1)
+        want = bool(np.all((temps > ABSOLUTE_ZERO_C) & (temps < MAX_TEMPERATURE_C)))
+        assert in_temperature_range(temps) is want
 
 
 class TestTypes:

@@ -223,6 +223,52 @@ class TestElm:
         with pytest.raises(DomainError):
             elm_train(np.array([1.0, 2.0]), np.array([[np.inf], [1.0]]))
 
+    # each key must give its own draw, so a cache keyed on less than
+    # (n_hidden, seed) fails one of these
+    @pytest.mark.parametrize("n_hidden, seed", [(128, 0), (128, 11), (16, 11), (16, 5)])
+    def test_hidden_layer_drawn_once_per_seed_and_read_only(self, n_hidden, seed):
+        delays = np.linspace(1.0, 10.0, 6)
+        a = elm_train(delays, np.ones((6, 2)), n_hidden=n_hidden, seed=seed)
+        b = elm_train(delays + 1.0, np.zeros((6, 3)), n_hidden=n_hidden, seed=seed)
+        rng = np.random.default_rng(seed)
+        omega = rng.uniform(-1.0, 1.0, size=n_hidden)
+        bias = rng.uniform(-1.0, 1.0, size=n_hidden)
+        assert a.hidden_weights.tobytes() == omega.tobytes()
+        assert a.hidden_biases.tobytes() == bias.tobytes()
+        assert b.hidden_weights is a.hidden_weights and b.hidden_biases is a.hidden_biases
+        for array in (a.hidden_weights, a.hidden_biases):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 17, 100])
+    def test_delay_moments_equal_numpy_bit_for_bit(self, m):
+        # the sizes cross numpy's 8-element pairwise-summation block
+        rng = np.random.default_rng(m)
+        for scale in (1e-3, 1.0, 37.0, 1e6):
+            delays = rng.uniform(0.0, scale, size=m)
+            elm = elm_train(delays, np.ones((m, 1)), n_hidden=8)
+            assert elm.delay_mean == float(np.mean(delays))
+            assert elm.delay_std == float(np.std(delays))
+
+
+class TestFrameGeometry:
+    @pytest.mark.parametrize("n", [2, 3, 40, 100])
+    @pytest.mark.parametrize("durations", [(5.0,) * 5, (50.0, 52.0, 54.0, 56.0, 58.0),
+                                           (0.1, 1e3, 0.7, 33.3, 1.0 / 3.0)])
+    def test_bounds_and_grids_equal_their_formulas(self, n, durations):
+        basis = np.linalg.qr(np.random.default_rng(n).normal(size=(5 * n, 1)))[0]
+        elm = elm_train(np.array([1.0, 2.0]), np.ones((2, 1)), n_hidden=8)
+        recon = LayerReconstruction(basis, elm, layer=3, durations=durations)
+        bounds = np.concatenate([[0.0], np.cumsum(durations)])
+        grids = np.linspace(0.0, durations, n, axis=-1)
+        assert recon.bounds.tobytes() == bounds.tobytes()
+        assert recon.grids.shape == (5, n) and recon.grids.tobytes() == grids.tobytes()
+        for k in range(5):
+            assert recon.grids[k].tobytes() == np.linspace(0.0, durations[k], n).tobytes()
+        assert recon.bounds is recon.bounds and recon.grids is recon.grids
+        assert not (recon.bounds.flags.writeable or recon.grids.flags.writeable)
+
 
 class TestReconstructStacked:
     @hypothesis.given(m_star=st.integers(1, 7), n=st.integers(2, 40),

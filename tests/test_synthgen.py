@@ -65,6 +65,11 @@ class TestSolveDwell:
         with pytest.raises(DomainError):
             solve_dwell(SynthParams(ambient=25.0), s, 1)
 
+    def test_oversized_cooling_constant_named(self, settings):
+        # the cooling time constant overflows to inf, and so would the dwell
+        with pytest.raises(DomainError, match=r"after layer \d+ .*cool_tau0 = 1e\+308"):
+            build_schedule(SynthParams(cool_tau0=1e308), settings)
+
 
 class TestGenerateWall:
     def test_layers_and_point_placement(self, settings, wall):
@@ -219,6 +224,14 @@ class TestPointTrace:
         want = _reference_trace(params, settings, sched, pt, sample_period, lead_in)
         assert np.array_equal(temps, want)
 
+    @pytest.mark.parametrize("sample_period", [math.nan, math.inf, 0.0, -0.5])
+    def test_rejects_a_period_that_is_not_positive_and_finite(self, settings, params,
+                                                             sample_period):
+        sched = build_schedule(params, settings)
+        pt = PointId.from_distance(3, 40.0, settings.travel_speed)
+        with pytest.raises(DomainError, match="sample_period"):
+            point_trace(params, settings, sched, pt, sample_period=sample_period)
+
     def test_spans_five_cycles(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
@@ -298,6 +311,17 @@ class TestExperimentWall:
         assert len(ds.profiles) == 21 and built == []
         first = ds.profiles[0]
         assert len(first.curves) == 5 and len(built) == 5  # the counter counts
+
+    @pytest.mark.parametrize("jitter_mm", [1e308, 161.0, math.inf, math.nan, -1.0])
+    def test_rejects_a_jitter_outside_the_layer(self, params, jitter_mm):
+        s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
+        with pytest.raises(DomainError, match="jitter_mm"):
+            generate_experiment_wall(s, params, points_per_layer=3, n=8, jitter_mm=jitter_mm)
+
+    def test_jitter_of_a_whole_layer_accepted(self, params):
+        s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
+        ds = generate_experiment_wall(s, params, points_per_layer=3, n=8, jitter_mm=160.0)
+        assert ds.layers() == list(range(1, 8))
 
     def test_deterministic(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
