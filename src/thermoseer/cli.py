@@ -53,7 +53,13 @@ from .core import (
     WallDataset,
 )
 from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
-from .pipeline import evaluate, extract_curve_pairs, predict_layer, render_field
+from .pipeline import (
+    count_curve_pairs,
+    evaluate,
+    extract_curve_pairs,
+    predict_layer,
+    render_field,
+)
 from .synthgen import MAX_WALL_VALUES, SynthParams, generate_experiment_wall, generate_wall
 
 HEADER_LINE_LIMIT = 1 << 20  # a header line's "\n" comes within this many bytes
@@ -149,8 +155,10 @@ def _write_container(path: str, kind: str, header: dict, values: np.ndarray) -> 
 def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
     """``(header, values)`` of a file :func:`_write_container` wrote, where
     ``shape_of(header)`` is the payload shape the header implies; ``values``
-    is an aligned, writable, finite array of the header's dtype in native
-    byte order.  Every malformed file raises the error class of ``kind``."""
+    is an aligned, writable array of the header's dtype in native byte
+    order.  Every malformed container raises the error class of ``kind``;
+    the values themselves are checked by the types the caller builds from
+    them."""
     fmt, version, error, dtypes = _CONTAINERS[kind]
     with open(path, "rb") as fh:
         data = fh.read()
@@ -176,8 +184,6 @@ def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
                     f"implies {dtype.str} values of shape {shape}")
     # astype copies into an aligned, writable, native-order array
     values = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(shape)
-    if not np.all(np.isfinite(values)):
-        raise error(f"{path}: payload holds non-finite values")
     return header, values
 
 
@@ -227,7 +233,7 @@ def load_dataset(path: str) -> WallDataset:
         profiles = []
         for row in rows:
             layer, d_mm, *durations = row[:_ROW_HEAD].tolist()
-            if layer != int(layer):
+            if not layer.is_integer():
                 raise DomainError(f"layer {layer!r} is not an integer")
             point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
             profiles.append(Profile(point, row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1),
@@ -268,21 +274,21 @@ def save_checkpoint(path: str, model: MappingModel) -> None:
 
 
 def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
-    """A list of four finite floats from the scaler block."""
+    """A list of four floats from the scaler block."""
     value = _header_key(table, key, list, path)
     if len(value) != 4 or not all(isinstance(v, float) for v in value):
         raise CheckpointError(f"{path}: scaler {key!r} must hold 4 floats")
-    vector = np.array(value, dtype=np.float64)
-    if not np.all(np.isfinite(vector)):
-        raise CheckpointError(f"{path}: scaler {key!r} is not finite")
-    return vector
+    return np.array(value, dtype=np.float64)
 
 
 def load_checkpoint(path: str) -> MappingModel:
     """Read a version-3 checkpoint (see :func:`save_checkpoint`).  The
     payload becomes the model's writable ``params`` vector, bit for bit in
     the file's dtype (float32 for ``<f4``, float64 for ``<f8``); every
-    malformed file raises CheckpointError."""
+    malformed file raises CheckpointError, also one whose values
+    :class:`~thermoseer.mapping.MappingModel` refuses (a non-finite
+    parameter, a scaler that is not finite or a ``feature_std`` that is not
+    positive)."""
     header, flat = _read_container(
         path, "checkpoint", lambda header: (_header_key(header, "param_count", int, path),))
     n = _header_key(header, "n", int, path)
@@ -291,21 +297,19 @@ def load_checkpoint(path: str) -> MappingModel:
     if _header_key(header, "layer_widths", list, path) != layer_dims(n)[1:]:
         raise CheckpointError(f"{path}: layer widths do not match N={n}")
     scaler = _header_key(header, "scaler", dict, path)
-    feature_mean = _header_vector(scaler, "feature_mean", path)
-    feature_std = _header_vector(scaler, "feature_std", path)
-    if not np.all(feature_std > 0.0):
-        raise CheckpointError(f"{path}: scaler feature_std must be positive")
     try:
         return MappingModel(
             n=n,
             params=flat,
-            feature_mean=feature_mean,
-            feature_std=feature_std,
+            feature_mean=_header_vector(scaler, "feature_mean", path),
+            feature_std=_header_vector(scaler, "feature_std", path),
             scaler_fitted=_header_key(scaler, "fitted", bool, path),
             seed=_header_key(_header_key(header, "seeds", dict, path), "init", int, path),
             training_meta=_header_key(header, "training_meta", dict, path),
         )
-    except ShapeError as exc:  # param_count does not fit N
+    # ShapeError: param_count does not fit N; DomainError: a non-finite
+    # value or a feature_std that is not positive
+    except (ShapeError, DomainError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
 
@@ -437,9 +441,9 @@ def cmd_generate(args) -> int:
     for wall_id, dataset in datasets:
         path = args.out.replace("{id}", str(wall_id))
         save_dataset(path, dataset)
-        pairs = len(extract_curve_pairs(dataset))
         print(f"wall {wall_id}: {len(dataset.layers())} profiled layers, "
-              f"{len(dataset.profiles)} points, {pairs} curve pairs -> {path}")
+              f"{len(dataset.profiles)} points, {count_curve_pairs(dataset)} curve pairs "
+              f"-> {path}")
     print(f"{len(plans)} wall(s) written")
     return 0
 

@@ -226,11 +226,25 @@ class PointId:
         return round(self.axial_distance, 9)
 
 
-def _frozen_curves(temps: np.ndarray, durations: tuple[float, ...],
-                   rows: tuple[int, ...]) -> np.ndarray:
+def curve_durations(durations, count: int = CURVES_PER_PROFILE) -> tuple[float, ...]:
+    """``durations`` as a tuple of floats: the durations of a profile's
+    five curves (``count`` of them; a :class:`Curve` has one).  Another
+    count raises ShapeError, and a duration that is not positive and finite
+    DomainError.  :class:`Profile` and
+    :class:`~thermoseer.reconstruct.LayerReconstruction` both hold their
+    durations through this rule."""
+    durations = tuple(float(d) for d in durations)
+    if len(durations) != count:
+        raise ShapeError(f"need exactly {count} curve durations, got {len(durations)}")
+    for duration in durations:
+        if not 0.0 < duration < math.inf:
+            raise DomainError(f"curve duration must be positive, got {duration!r}")
+    return durations
+
+
+def _frozen_curves(temps: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
     """``temps`` as a read-only float64 array of shape ``rows + (N,)`` with
-    N >= 2, once every value lies inside the physical temperature range and
-    every duration is positive and finite."""
+    N >= 2, once every value lies inside the physical temperature range."""
     temps = np.ascontiguousarray(temps, dtype=np.float64)
     if temps.ndim != len(rows) + 1 or temps.shape[:-1] != rows or temps.shape[-1] < 2:
         shape = ", ".join([str(r) for r in rows] + ["N >= 2"])
@@ -238,9 +252,6 @@ def _frozen_curves(temps: np.ndarray, durations: tuple[float, ...],
     if not in_temperature_range(temps):
         raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
                           f"and {MAX_TEMPERATURE_C:g} degC")
-    for duration in durations:
-        if not math.isfinite(duration) or duration <= 0.0:
-            raise DomainError(f"curve duration must be positive, got {duration!r}")
     temps.flags.writeable = False
     return temps
 
@@ -254,7 +265,8 @@ class Curve:
     duration: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "temps", _frozen_curves(self.temps, (self.duration,), ()))
+        curve_durations((self.duration,), count=1)
+        object.__setattr__(self, "temps", _frozen_curves(self.temps, ()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +281,8 @@ class Profile:
     durations: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        durations = tuple(float(d) for d in self.durations)
-        if len(durations) != CURVES_PER_PROFILE:
-            raise ShapeError(f"profile needs exactly {CURVES_PER_PROFILE} durations, "
-                             f"got {len(durations)}")
-        object.__setattr__(self, "temps",
-                           _frozen_curves(self.temps, durations, (CURVES_PER_PROFILE,)))
-        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "durations", curve_durations(self.durations))
+        object.__setattr__(self, "temps", _frozen_curves(self.temps, (CURVES_PER_PROFILE,)))
 
     @property
     def n(self) -> int:

@@ -31,7 +31,7 @@ bit-identical trained weights on one platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +96,12 @@ class MappingModel:
     ``weights[l][i, j]`` connects input ``i`` of map ``l`` to its output
     ``j``.  A model is treated as immutable once returned by
     :func:`init_model` or :func:`train`.
+
+    The model checks what it holds when it is built: a ``params`` vector
+    that does not fit ``n``, or a ``feature_mean`` or ``feature_std`` that
+    is not four values, raises ShapeError; a non-finite parameter, a
+    non-finite ``feature_mean`` or a ``feature_std`` that is not positive
+    and finite raises DomainError.
     """
 
     n: int
@@ -112,6 +118,18 @@ class MappingModel:
         dtype = np.float32 if np.asarray(self.params).dtype == np.float32 else np.float64
         self.params = np.ascontiguousarray(self.params, dtype=dtype)
         self.weights, self.biases = _layer_views(self.params, self.n)
+        self.feature_mean = np.asarray(self.feature_mean, dtype=np.float64)
+        self.feature_std = np.asarray(self.feature_std, dtype=np.float64)
+        if self.feature_mean.shape != (4,) or self.feature_std.shape != (4,):
+            raise ShapeError(f"feature_mean and feature_std must have shape (4,), got "
+                             f"{self.feature_mean.shape} and {self.feature_std.shape}")
+        if not np.isfinite(self.params).all():
+            raise DomainError("model parameters must be finite")
+        if not np.isfinite(self.feature_mean).all():
+            raise DomainError(f"feature_mean must be finite, got {self.feature_mean}")
+        if not ((self.feature_std > 0.0).all() and np.isfinite(self.feature_std).all()):
+            raise DomainError(f"feature_std must be positive and finite, "
+                              f"got {self.feature_std}")
 
 
 @dataclass(frozen=True)
@@ -189,27 +207,17 @@ def init_model(n: int, seed: int = 0) -> MappingModel:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    model = MappingModel(
-        n=n,
-        params=np.zeros(_param_size(n)),
-        feature_mean=np.zeros(4),
-        feature_std=np.ones(4),
-        scaler_fitted=False,
-        seed=seed,
-    )
-    for w in model.weights:
+    params = np.zeros(_param_size(n))
+    for w in _layer_views(params, n)[0]:
         bound = np.sqrt(1.0 / w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return model
+    return MappingModel(n=n, params=params, feature_mean=np.zeros(4),
+                        feature_std=np.ones(4), scaler_fitted=False, seed=seed)
 
 
 def param_count(model: MappingModel) -> int:
     """Exact number of scalar weights and biases."""
     return model.params.size
-
-
-def _scale_features(model: MappingModel, features: np.ndarray) -> np.ndarray:
-    return (features - model.feature_mean) / model.feature_std
 
 
 def _net_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
@@ -231,10 +239,10 @@ def _net_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndar
     return out, post
 
 
-def _assemble_input(model: MappingModel, temps: np.ndarray,
-                    features: np.ndarray) -> np.ndarray:
+def _assemble_input(temps: np.ndarray, features: np.ndarray,
+                    feature_mean: np.ndarray, feature_std: np.ndarray) -> np.ndarray:
     return np.concatenate(
-        [temps / TEMP_SCALE, _scale_features(model, features)], axis=-1
+        [temps / TEMP_SCALE, (features - feature_mean) / feature_std], axis=-1
     )
 
 
@@ -262,7 +270,8 @@ def forward_raw(model: MappingModel, temps: np.ndarray,
         )
     if not (np.all(np.isfinite(temps)) and np.all(np.isfinite(features))):
         raise DomainError("inputs must be finite")
-    x = _assemble_input(model, temps, features).astype(model.params.dtype, copy=False)
+    x = _assemble_input(temps, features, model.feature_mean,
+                        model.feature_std).astype(model.params.dtype, copy=False)
     out, _ = _net_forward(model.weights, model.biases, x)
     return out.astype(np.float64, copy=False) * TEMP_SCALE + temps
 
@@ -284,8 +293,9 @@ def forward_many(model: MappingModel, temps: np.ndarray,
     return preds
 
 
-def _training_matrices(model: MappingModel, pairs: CurvePairs):
-    x = _assemble_input(model, pairs.inputs, pairs.features)
+def _training_matrices(pairs: CurvePairs, feature_mean: np.ndarray,
+                       feature_std: np.ndarray):
+    x = _assemble_input(pairs.inputs, pairs.features, feature_mean, feature_std)
     # regression target of the network: the scaled residual correction
     r = (pairs.targets - pairs.inputs) / TEMP_SCALE
     return x, r
@@ -294,7 +304,7 @@ def _training_matrices(model: MappingModel, pairs: CurvePairs):
 def mse_loss(model: MappingModel, pairs: CurvePairs) -> float:
     """Training loss on scaled targets with dropout disabled, computed in
     float64 whatever the dtype of the parameters."""
-    x, r = _training_matrices(model, pairs)
+    x, r = _training_matrices(pairs, model.feature_mean, model.feature_std)
     weights, biases = _layer_views(model.params.astype(np.float64, copy=False), model.n)
     out, _ = _net_forward(weights, biases, x)
     return float(np.mean((out - r) ** 2))
@@ -306,7 +316,7 @@ def loss_gradients(model: MappingModel, pairs: CurvePairs,
     bias, via backpropagation, computed in float64 whatever the dtype of the
     parameters.  Returns (weight grads, bias grads, loss); the gradients are
     views into one flat float64 vector laid out like ``params``."""
-    x, r = _training_matrices(model, pairs)
+    x, r = _training_matrices(pairs, model.feature_mean, model.feature_std)
     params = model.params.astype(np.float64, copy=False)
     weights, biases = _layer_views(params, model.n)
     d_weights, d_biases = _layer_views(np.empty_like(params), model.n)
@@ -360,7 +370,8 @@ def train(model: MappingModel, pairs: CurvePairs,
     inference and checkpoints use it as it is; the input model is neither
     copied nor written.  Returns the trained model and the per-epoch loss
     history; a non-finite batch loss (which float32 reaches above about
-    3.4e38) or trained weight raises NumericsError.
+    3.4e38) raises NumericsError, and so does a trained model that
+    :class:`MappingModel` refuses (a non-finite weight).
     """
     if not len(pairs):
         raise DomainError("curve pairs must be nonempty")
@@ -369,13 +380,13 @@ def train(model: MappingModel, pairs: CurvePairs,
     if config.epochs == 0:
         return model, []
 
-    if not model.scaler_fitted:
-        std = pairs.features.std(axis=0)
+    if model.scaler_fitted:
+        mean, std = model.feature_mean, model.feature_std
+    else:
+        mean, std = pairs.features.mean(axis=0), pairs.features.std(axis=0)
         std[std < 1e-12] = 1.0
-        model = replace(model, feature_mean=pairs.features.mean(axis=0), feature_std=std,
-                        scaler_fitted=True)
 
-    x_all, r_all = (a.astype(np.float32) for a in _training_matrices(model, pairs))
+    x_all, r_all = (a.astype(np.float32) for a in _training_matrices(pairs, mean, std))
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 
@@ -427,11 +438,12 @@ def train(model: MappingModel, pairs: CurvePairs,
                     np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
                     ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
             loss_history.append(sse / n_samples)
-    if not np.isfinite(w).all():
-        raise NumericsError("training produced non-finite weights")
 
-    return replace(model, params=w, training_meta={
-        "epochs_run": config.epochs,
-        "final_loss": loss_history[-1],
-        "lr_history": lr_history,
-    }), loss_history
+    meta = {"epochs_run": config.epochs, "final_loss": loss_history[-1],
+            "lr_history": lr_history}
+    try:
+        trained = MappingModel(n=model.n, params=w, feature_mean=mean, feature_std=std,
+                               scaler_fitted=True, seed=model.seed, training_meta=meta)
+    except DomainError as exc:
+        raise NumericsError(f"training produced an unusable model: {exc}") from exc
+    return trained, loss_history

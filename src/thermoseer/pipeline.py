@@ -311,6 +311,27 @@ def evaluate(predictions: list[Profile], truth: list[Profile]) -> EvaluationRepo
                    for layer in sorted(set(layers.tolist()))})
 
 
+def _matched_points(wall: WallDataset, layers: Collection[int] | None):
+    """``(i, lower, upper)`` for every source layer ``i`` of the wall, in
+    ascending order, whose transition to ``i + 1`` has profiles at both ends
+    (and both ends in ``layers`` when given): ``lower`` lists the profiles
+    of layer ``i`` in axial order that have a profile of the same place on
+    layer ``i + 1``, and ``upper`` those profiles, row-aligned."""
+    available = set(wall.layers())
+    sources = sorted(i for i in available if (i + 1) in available and (
+        layers is None or (i in layers and (i + 1) in layers)))
+    for i in sources:
+        upper_by_place = {p.point.place: p for p in wall.profiles_on(i + 1)}
+        lower = [p for p in wall.profiles_on(i) if p.point.place in upper_by_place]
+        yield i, lower, [upper_by_place[p.point.place] for p in lower]
+
+
+def count_curve_pairs(wall: WallDataset) -> int:
+    """``len(extract_curve_pairs(wall))``, counted from the matched points
+    alone: five curve pairs per point with a partner one layer up."""
+    return CURVES_PER_PROFILE * sum(len(lower) for _, lower, _ in _matched_points(wall, None))
+
+
 def extract_curve_pairs(walls: WallDataset | list[WallDataset],
                         layers: Collection[int] | None = None) -> CurvePairs:
     """Supervised curve pairs of one wall or a list of walls, from every layer
@@ -329,18 +350,10 @@ def extract_curve_pairs(walls: WallDataset | list[WallDataset],
 
     lower, upper, features = [], [], []
     for wall in walls:
-        available = set(wall.layers())
-        sources = sorted(i for i in available if (i + 1) in available and (
-            layers is None or (i in layers and (i + 1) in layers)))
-        for i in sources:
-            feats = mapping_features(wall.settings, wall.schedule, i)
-            upper_by_place = {p.point.place: p for p in wall.profiles_on(i + 1)}
-            for low in wall.profiles_on(i):
-                up = upper_by_place.get(low.point.place)
-                if up is not None:
-                    lower.append(low)
-                    upper.append(up)
-                    features.append(feats)
+        for i, low, up in _matched_points(wall, layers):
+            lower += low
+            upper += up
+            features += [mapping_features(wall.settings, wall.schedule, i)] * len(low)
 
     inputs, lower_durations = _curve_rows(lower, n)
     upper_rows, upper_durations = _curve_rows(upper, n)

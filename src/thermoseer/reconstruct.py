@@ -26,6 +26,7 @@ from .core import (
     PointId,
     Profile,
     ShapeError,
+    curve_durations,
 )
 
 DEFAULT_ENERGY_THRESHOLD = 0.99
@@ -34,12 +35,17 @@ DEFAULT_HIDDEN_NODES = 128
 _HIDDEN_LAYERS_KEPT = 8
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ElmModel:
     """Single-hidden-layer network with frozen random hidden parameters and
     least-squares output weights.  Input dimension is 1 (the relative delay);
     with n_hidden hidden nodes and m_star outputs the parameter count is
-    exactly n_hidden * (2 + m_star)."""
+    exactly n_hidden * (2 + m_star).
+
+    The model checks what it holds when it is built: arrays whose sizes
+    disagree raise ShapeError; a non-finite weight or bias, a non-finite
+    ``delay_mean`` or a ``delay_std`` that is not positive and finite raise
+    DomainError."""
 
     hidden_weights: np.ndarray
     hidden_biases: np.ndarray
@@ -51,18 +57,24 @@ class ElmModel:
         nh = self.hidden_weights.size
         if self.hidden_biases.shape != (nh,):
             raise ShapeError("hidden weights and biases must have equal length")
-        if self.output_weights.shape[0] != nh:
+        if self.output_weights.ndim != 2 or self.output_weights.shape[0] != nh:
             raise ShapeError(
                 f"output weights must have {nh} rows, got {self.output_weights.shape}"
             )
+        if not (np.isfinite(self.hidden_weights).all() and np.isfinite(self.hidden_biases).all()
+                and np.isfinite(self.output_weights).all()):
+            raise DomainError("ELM weights and biases must be finite")
+        if not (math.isfinite(self.delay_mean) and 0.0 < self.delay_std < math.inf):
+            raise DomainError(f"ELM delay mean must be finite and its std positive and "
+                              f"finite, got {self.delay_mean!r} and {self.delay_std!r}")
 
 
-def _hidden_matrix(elm: ElmModel, delays: np.ndarray) -> np.ndarray:
-    """The (len(delays), n_hidden) ReLU activations, built in place in one
-    array of that size."""
-    x = (delays - elm.delay_mean) / elm.delay_std
-    h = x[:, None] * elm.hidden_weights
-    h += elm.hidden_biases
+def _hidden_matrix(x: np.ndarray, hidden_weights: np.ndarray,
+                   hidden_biases: np.ndarray) -> np.ndarray:
+    """The (len(x), n_hidden) ReLU activations of standardised delays ``x``,
+    built in place in one array of that size."""
+    h = x[:, None] * hidden_weights
+    h += hidden_biases
     return np.maximum(h, 0.0, out=h)
 
 
@@ -111,11 +123,8 @@ def elm_train(delays: np.ndarray, coefficients: np.ndarray,
     if std < 1e-12:
         std = 1.0
 
-    elm = ElmModel(omega, bias, np.zeros((n_hidden, coefficients.shape[1])),
-                   mean, std)
-    h = _hidden_matrix(elm, delays)
-    elm.output_weights = np.linalg.lstsq(h, coefficients, rcond=None)[0]
-    return elm
+    h = _hidden_matrix(deviations / std, omega, bias)
+    return ElmModel(omega, bias, np.linalg.lstsq(h, coefficients, rcond=None)[0], mean, std)
 
 
 def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
@@ -124,7 +133,8 @@ def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not np.isfinite(delays).all():
         raise DomainError("delays must be finite")
-    return _hidden_matrix(elm, delays) @ elm.output_weights
+    x = (delays - elm.delay_mean) / elm.delay_std
+    return _hidden_matrix(x, elm.hidden_weights, elm.hidden_biases) @ elm.output_weights
 
 
 def build_profile_matrix(profiles: list[Profile]) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +198,18 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
     return basis, rows, m_star, s
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LayerReconstruction:
     """Reduced basis and the trained ELM of one layer.
+
+    The layer checks what it holds when it is built: a basis that is not a
+    5N x m_star matrix (m_star >= 1), or an ELM that does not predict
+    m_star coefficients, raises ShapeError, and a basis whose
+    columns are not orthonormal to 1e-10 (a NaN or an infinity included)
+    NumericsError; ``durations`` must pass
+    :func:`~thermoseer.core.curve_durations`, the rule a
+    :class:`~thermoseer.core.Profile` holds its durations by, and
+    ``delay_range`` must be finite with ``lo <= hi`` (DomainError).
 
     Its frame geometry is computed once, on first read, and is read-only:
     ``bounds``, the six curve bounds (0 followed by the cumulative
@@ -205,15 +224,24 @@ class LayerReconstruction:
     delay_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.basis.ndim != 2:
+        if self.basis.ndim != 2 or self.basis.shape[1] < 1:
             raise ShapeError(f"basis must be 5N x m_star, got {self.basis.shape}")
         if self.basis.shape[0] % CURVES_PER_PROFILE != 0:
             raise ShapeError("basis row count must be a multiple of 5")
-        gram = self.basis.T @ self.basis
-        if np.abs(gram - np.eye(self.m_star)).max() > 1e-10:
+        if self.elm.output_weights.shape[1] != self.m_star:
+            raise ShapeError(f"the ELM predicts {self.elm.output_weights.shape[1]} "
+                             f"coefficients for a basis of {self.m_star} columns")
+        # an infinity makes NaNs in the Gram matrix, which the test below
+        # refuses, so numpy's warnings would only repeat the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.basis.T @ self.basis
+        if not np.abs(gram - np.eye(self.m_star)).max() <= 1e-10:
             raise NumericsError("reduced basis columns are not orthonormal to 1e-10")
-        if len(self.durations) != CURVES_PER_PROFILE:
-            raise ShapeError("need one duration per curve")
+        object.__setattr__(self, "durations", curve_durations(self.durations))
+        lo, hi = self.delay_range
+        if not -math.inf < lo <= hi < math.inf:
+            raise DomainError(f"delay_range must be finite with lo <= hi, "
+                              f"got {self.delay_range!r}")
 
     @property
     def m_star(self) -> int:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import resource
 import stat
@@ -384,8 +385,14 @@ class TestMalformedCheckpointExit4:
 
     # explicit ids keep the names these cases had before checkpoint version 3
     @pytest.mark.parametrize("key, value", [("feature_std", [1.0, 1.0, 1.0, 0.0]),
-                                            ("feature_mean", [0.0, 0.0, 0.0, 10 ** 400])],
-                             ids=["feature_std-value2", "feature_mean-value3"])
+                                            ("feature_mean", [0.0, 0.0, 0.0, 10 ** 400]),
+                                            ("feature_mean", [0.0, 0.0, 0.0, math.nan]),
+                                            ("feature_mean", [0.0, 0.0, 0.0, math.inf]),
+                                            ("feature_std", [1.0, 1.0, 1.0, math.nan]),
+                                            ("feature_std", [1.0, 1.0, 1.0, math.inf])],
+                             ids=["feature_std-value2", "feature_mean-value3",
+                                  "feature_mean-NaN", "feature_mean-Infinity",
+                                  "feature_std-NaN", "feature_std-Infinity"])
     def test_bad_scaler(self, checkpoint_bytes, predict_with, key, value):
         header, payload = _split_file(checkpoint_bytes)
         header["scaler"][key] = value
@@ -519,7 +526,8 @@ class TestMalformedDatasetExit3:
 
     @pytest.mark.parametrize("column, value", [(0, 1.5), (0, 0.0), (0, 13.0), (1, -1.0),
                                                (1, 161.0), (2, 0.0), (7, -300.0),
-                                               (7, 1e300)])
+                                               (7, 1e300)] + [
+        (column, value) for column in (0, 1, 2, 7) for value in (math.nan, math.inf, -math.inf)])
     def test_hostile_row_value(self, dataset_bytes, eval_with, capsys, column, value):
         # layer not integral or outside the wall, distance outside the layer,
         # a zero duration, a temperature below absolute zero or far above
@@ -623,6 +631,39 @@ class TestGenerate:
         run_cli("generate", "--config", config_path, "--out", str(a))
         run_cli("generate", "--config", config_path, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_blas_thread_count_keeps_walls_and_mapping_within_atol(self, tmp_path):
+        # byte-identical files hold for one BLAS thread setting: across 1 and 2
+        # OpenBLAS threads the generated wall keeps its bytes, while training's
+        # float32 matmuls may round differently, so the mapped temperatures
+        # are held to the 1e-3 degC of a float32 model against its float64 copy
+        cfg = tmp_path / "wall.cfg"
+        cfg.write_text("seed = 7\nnum_layers = 10\npoints_per_layer = 4\nn = 100\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(thermoseer.__file__))]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            for argv in (["generate", "--config", str(cfg), "--out", str(out / "wall.tsd")],
+                         ["train", "--data", str(out / "wall.tsd"), "--epochs", "1",
+                          "--out", str(out / "model.ckpt")],
+                         ["predict", "--ckpt", str(out / "model.ckpt"), "--data",
+                          str(out / "wall.tsd"), "--layer", "5", "--out",
+                          str(out / "pred.tsd")]):
+                done = subprocess.run(
+                    [sys.executable, "-c", "import sys; from thermoseer.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", *argv],
+                    env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                    text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+        assert (tmp_path / "1" / "wall.tsd").read_bytes() == \
+            (tmp_path / "2" / "wall.tsd").read_bytes()
+        one, two = (load_dataset(str(tmp_path / t / "pred.tsd")).profiles for t in "12")
+        assert len(one) == len(two) == 4
+        for a, b in zip(one, two):
+            assert a.point == b.point
+            np.testing.assert_allclose(a.temps, b.temps, rtol=0, atol=1e-3)
 
     def test_missing_seed_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from thermoseer.core import (
     NumericsError,
     ProcessSettings,
     ShapeError,
+    ThermoseerError,
 )
 from thermoseer.mapping import (
     ADAM_BETA1,
@@ -153,6 +155,57 @@ class TestFlatParams:
         with pytest.raises(ShapeError):
             MappingModel(n=4, params=np.zeros(10), feature_mean=np.zeros(4),
                          feature_std=np.ones(4), scaler_fitted=False, seed=0)
+
+
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+
+
+def _model_fields(model):
+    return {"n": model.n, "params": model.params.copy(),
+            "feature_mean": model.feature_mean.copy(), "feature_std": model.feature_std.copy(),
+            "scaler_fitted": model.scaler_fitted, "seed": model.seed}
+
+
+class TestModelInvariants:
+    # a model that holds a NaN weight or a zero feature_std would score every
+    # pair as a NaN REOP; it is refused when it is built
+    @pytest.mark.parametrize("field, value", [("params", math.nan), ("feature_std", 0.0)])
+    def test_nan_weight_or_zero_feature_std_refused(self, field, value):
+        fields = _model_fields(scaled_model(4, seed=1))
+        fields[field][-1] = value
+        with pytest.raises(DomainError, match=field.replace("params", "parameters")):
+            MappingModel(**fields)
+
+    def test_non_finite_trained_weights_raise_numerics_error(self):
+        # one step at lr 1e39 moves weights past the float32 maximum while the
+        # step's own loss is still finite
+        samples = make_samples(np.random.default_rng(61), 8, 4)
+        with pytest.raises(NumericsError, match="parameters must be finite"):
+            train(init_model(8, seed=1), samples,
+                  TrainConfig(epochs=1, batch_size=64, initial_lr=1e39))
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(["n", "params", "feature_mean", "feature_std", "seed"]),
+           value=st.sampled_from(BAD_NUMBERS), index=st.integers(0, 2 ** 16))
+    def test_bad_number_refused_or_harmless(self, field, value, index):
+        # one numeric field (one entry of an array) set to NaN, +-inf, 0 or
+        # -1: building the model either raises a package error or gives a
+        # model whose outputs are finite, with no numpy warning
+        fields = _model_fields(scaled_model(4, seed=1))
+        if isinstance(fields[field], np.ndarray):
+            fields[field][index % fields[field].size] = value
+        else:
+            fields[field] = value
+        rng = np.random.default_rng(index)
+        temps, feats = make_curves(rng, 4, 3), make_features(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                model = MappingModel(**fields)
+            except ThermoseerError:
+                return
+            out = forward_raw(model, temps, feats)
+        assert np.isfinite(out).all()
 
 
 class TestForward:
@@ -429,7 +482,8 @@ def reference_train(model, samples, config, dtype=np.float32):
     std[std < 1e-12] = 1.0
     out = dataclasses.replace(model, feature_mean=feats.mean(axis=0), feature_std=std,
                               scaler_fitted=True)
-    x_all, r_all = (a.astype(dtype) for a in _training_matrices(out, samples))
+    x_all, r_all = (a.astype(dtype) for a in _training_matrices(samples, out.feature_mean,
+                                                                 out.feature_std))
     rng = np.random.default_rng(config.seed)
     weights = [w.astype(dtype) for w in out.weights]
     biases = [b.astype(dtype) for b in out.biases]

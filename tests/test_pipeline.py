@@ -14,12 +14,14 @@ from thermoseer.core import (
     ProtocolError,
     Profile,
     ShapeError,
+    WallDataset,
     mapping_features,
     reop,
 )
 from thermoseer.mapping import CurvePairs, TrainConfig, forward_raw, init_model, train
 from thermoseer.pipeline import (
     ROOM_TEMPERATURE,
+    count_curve_pairs,
     evaluate,
     extract_curve_pairs,
     mapped_pair_reops,
@@ -441,6 +443,16 @@ class TestCurvePairs:
     def test_full_wall_pair_count(self, wall):
         # 34 usable transitions x 7 points x 5 curves
         assert len(extract_curve_pairs(wall)) == 1190
+
+    def test_count_is_the_extracted_length(self, wall):
+        # a point dropped from layer 9 leaves its layer-8 partner unmatched
+        # and takes its own pairs to layer 10 with it
+        dropped = wall.profiles_on(9)[3]
+        sparse = WallDataset(wall.settings, wall.schedule,
+                             [p for p in wall.profiles if p is not dropped])
+        for w in (wall, sparse):
+            assert count_curve_pairs(w) == len(extract_curve_pairs(w))
+        assert count_curve_pairs(sparse) == 1190 - 2 * 5
 
     def test_training_split_count(self, wall):
         # transitions inside layers 1..30: sources 1..29

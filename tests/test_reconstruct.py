@@ -1,11 +1,21 @@
+import math
 import time
+import warnings
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoseer.core import DomainError, PointId, Profile, ShapeError, reop
+from thermoseer.core import (
+    DomainError,
+    NumericsError,
+    PointId,
+    Profile,
+    ShapeError,
+    ThermoseerError,
+    reop,
+)
 from thermoseer.reconstruct import (
     ElmModel,
     LayerReconstruction,
@@ -335,3 +345,89 @@ class TestReconstructProfile:
             reconstruct_profile(recon, PointId(recon.layer, delay * 8.0, delay))
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.02
+
+
+def _layer_parts(n=4, m_star=2):
+    """An orthonormal (5n, m_star) basis and an ELM predicting m_star
+    coefficients from delays in [1, 4]."""
+    rng = np.random.default_rng(23)
+    basis = np.linalg.qr(rng.normal(size=(5 * n, m_star)))[0]
+    elm = elm_train(np.array([1.0, 2.0, 4.0]), rng.normal(0.0, 100.0, size=(3, m_star)),
+                    n_hidden=8)
+    return basis, elm
+
+
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+
+
+class TestModelInvariants:
+    def test_nan_basis_refused(self):
+        _, elm = _layer_parts(m_star=1)
+        with pytest.raises(NumericsError, match="orthonormal"):
+            LayerReconstruction(np.full((10, 1), np.nan), elm, 3, (1.0,) * 5)
+
+    @pytest.mark.parametrize("durations, delay_range", [
+        ((-1.0, 0.0, math.nan, 1.0, 1.0), (math.nan, -math.inf)),
+        ((-1.0, 0.0, math.nan, 1.0, 1.0), (1.0, 4.0)),
+        ((1.0,) * 5, (math.nan, -math.inf)),
+        ((1.0,) * 5, (4.0, 1.0))])
+    def test_bad_durations_or_delay_range_refused(self, durations, delay_range):
+        basis, elm = _layer_parts()
+        with pytest.raises(DomainError):
+            LayerReconstruction(basis, elm, 3, durations, delay_range)
+
+    def test_elm_of_another_width_refused(self):
+        basis, _ = _layer_parts(m_star=2)
+        _, elm = _layer_parts(m_star=3)
+        with pytest.raises(ShapeError):
+            LayerReconstruction(basis, elm, 3, (1.0,) * 5)
+
+    @pytest.mark.parametrize("field, value", [("output_weights", math.nan),
+                                              ("delay_std", 0.0)])
+    def test_nan_output_weights_or_zero_delay_std_refused(self, field, value):
+        _, elm = _layer_parts()
+        fields = {"hidden_weights": elm.hidden_weights, "hidden_biases": elm.hidden_biases,
+                  "output_weights": elm.output_weights.copy(),
+                  "delay_mean": elm.delay_mean, "delay_std": elm.delay_std}
+        if field == "output_weights":
+            fields[field][0, 0] = value
+        else:
+            fields[field] = value
+        with pytest.raises(DomainError):
+            ElmModel(**fields)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(field=st.sampled_from(
+        ["hidden_weights", "hidden_biases", "output_weights", "delay_mean", "delay_std",
+         "basis", "layer", "durations", "delay_range"]),
+        value=st.sampled_from(BAD_NUMBERS), index=st.integers(0, 2 ** 16))
+    def test_bad_number_refused_or_harmless(self, field, value, index):
+        # one numeric field (one entry of an array or tuple) set to NaN,
+        # +-inf, 0 or -1: building the ELM, then the layer, either raises a
+        # package error or gives finite outputs, with no numpy warning
+        basis, elm = _layer_parts()
+        elm_fields = {"hidden_weights": elm.hidden_weights.copy(),
+                      "hidden_biases": elm.hidden_biases.copy(),
+                      "output_weights": elm.output_weights.copy(),
+                      "delay_mean": elm.delay_mean, "delay_std": elm.delay_std}
+        layer_fields = {"basis": basis, "layer": 3,
+                        "durations": np.array([5.0, 6.0, 7.0, 8.0, 9.0]),
+                        "delay_range": np.array([1.0, 4.0])}
+        fields = elm_fields if field in elm_fields else layer_fields
+        if isinstance(fields[field], np.ndarray):
+            fields[field].flat[index % fields[field].size] = value
+        else:
+            fields[field] = value
+        for key in ("durations", "delay_range"):
+            layer_fields[key] = tuple(layer_fields[key].tolist())
+        delays = np.array([0.0, 1.0, 2.5, 4.0, 6.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                built = ElmModel(**elm_fields)
+                recon = LayerReconstruction(elm=built, **layer_fields)
+            except ThermoseerError:
+                return
+            outputs = (elm_predict(built, delays), reconstruct_stacked(recon, delays),
+                       recon.bounds, recon.grids)
+        assert all(np.isfinite(out).all() for out in outputs)
