@@ -5,12 +5,13 @@ Subcommands: ``generate`` (synthetic wall datasets), ``train`` / ``finetune``
 yet-to-print layer plus timing), ``eval`` (REOP report plus boxplot CSV),
 and ``field`` (layer temperature-field CSV).
 
-Datasets (format version 2) and checkpoints (format version 3) share one
+Datasets (format version 2) and checkpoints (format version 4) share one
 container: a UTF-8 JSON header line ended by ``\\n`` within the first MiB,
 then one raw blob of little-endian floats whose dtype (``<f8`` or ``<f4``)
 the header names and whose count it implies.  A dataset row holds one point
-(layer, axial distance, five curve durations, five curves) in ``<f8``; the
-checkpoint blob is the mapping net's parameter vector in its own dtype,
+(layer, axial distance, five curve durations, five curves) in ``<f8``.  A
+checkpoint header holds the mapping model's own fields under their own
+names, and its blob is the model's parameter vector in its own dtype,
 ``<f4`` for a trained model and ``<f8`` for an untrained one.  Nothing that
 follows from the rest of a file is stored.  Files are recognised by content,
 not by extension.  All writes are whole-file atomic (fsynced unique temp
@@ -52,7 +53,7 @@ from .core import (
     ThermoseerError,
     WallDataset,
 )
-from .mapping import MappingModel, TrainConfig, init_model, layer_dims, param_count, train
+from .mapping import MappingModel, TrainConfig, init_model, param_size, train
 from .pipeline import (
     count_curve_pairs,
     evaluate,
@@ -67,7 +68,7 @@ HEADER_LINE_LIMIT = 1 << 20  # a header line's "\n" comes within this many bytes
 # payload dtypes it may hold)
 _CONTAINERS = {
     "dataset": ("thermoseer-dataset", 2, DomainError, ("<f8",)),
-    "checkpoint": ("thermoseer-ckpt", 3, CheckpointError, ("<f4", "<f8")),
+    "checkpoint": ("thermoseer-ckpt", 4, CheckpointError, ("<f4", "<f8")),
 }
 
 
@@ -121,10 +122,20 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # file container: one JSON header line plus one raw float payload
 
 
+def _field_types(cls) -> dict[str, type]:
+    """The type of each argument of a dataclass's constructor."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
 def _header_key(table: dict, key: str, kind, path: str, error=CheckpointError):
     """``table[key]`` if it is an instance of ``kind`` (never a bool unless
-    ``kind`` is bool), else ``error``."""
+    ``kind`` is bool), else ``error``.  An array is stored as a list of
+    floats and comes back as a float64 array."""
     value = table.get(key)
+    if kind is np.ndarray and isinstance(value, list) and all(isinstance(v, float)
+                                                              for v in value):
+        return np.array(value)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise error(f"{path}: header key {key!r} is missing or mistyped")
     return value
@@ -249,66 +260,40 @@ def load_dataset(path: str) -> WallDataset:
 # checkpoint format
 
 
+# MappingModel's constructor arguments other than its parameters
+_CHECKPOINT_KEYS = {key: kind for key, kind in _field_types(MappingModel).items()
+                    if key != "params"}
+
+
 def save_checkpoint(path: str, model: MappingModel) -> None:
-    """Format version 3 of the shared container (:func:`_write_container`).
-    The header holds ``n``, ``layer_widths``, ``param_count``, ``scaler``
-    (``feature_mean``, ``feature_std``, ``fitted``), ``seeds`` and
-    ``training_meta``.  The payload is the ``param_count`` values of ``w1,
-    b1, ..., w6, b6`` back to back, in the dtype of ``model.params``
-    (``<f4`` for a trained model, ``<f8`` for an untrained one); each weight
-    matrix is row-major, so entry [i, j] (input i to output j) sits at
-    offset i * fan_out + j within its block."""
-    header = {
-        "n": model.n,
-        "layer_widths": layer_dims(model.n)[1:],
-        "param_count": param_count(model),
-        "scaler": {
-            "feature_mean": model.feature_mean.tolist(),
-            "feature_std": model.feature_std.tolist(),
-            "fitted": model.scaler_fitted,
-        },
-        "seeds": {"init": model.seed},
-        "training_meta": model.training_meta,
-    }
+    """Format version 4 of the shared container (:func:`_write_container`).
+    The header holds the model's constructor arguments other than
+    ``params``, under their own names: ``n``, ``feature_mean`` and
+    ``feature_std`` (four floats each), ``scaler_fitted``, ``seed`` and
+    ``training_meta``.  The payload is ``model.params``, the
+    :func:`~thermoseer.mapping.param_size` values of ``w1, b1, ..., w6, b6``
+    back to back, in its own dtype (``<f4`` for a trained model, ``<f8`` for
+    an untrained one); each weight matrix is row-major, so entry [i, j]
+    (input i to output j) sits at offset i * fan_out + j within its block."""
+    header = {key: getattr(model, key) for key in _CHECKPOINT_KEYS}
+    header = {key: value.tolist() if isinstance(value, np.ndarray) else value
+              for key, value in header.items()}
     _write_container(path, "checkpoint", header, model.params)
 
 
-def _header_vector(table: dict, key: str, path: str) -> np.ndarray:
-    """A list of four floats from the scaler block."""
-    value = _header_key(table, key, list, path)
-    if len(value) != 4 or not all(isinstance(v, float) for v in value):
-        raise CheckpointError(f"{path}: scaler {key!r} must hold 4 floats")
-    return np.array(value, dtype=np.float64)
-
-
 def load_checkpoint(path: str) -> MappingModel:
-    """Read a version-3 checkpoint (see :func:`save_checkpoint`).  The
+    """Read a version-4 checkpoint (see :func:`save_checkpoint`).  The
     payload becomes the model's writable ``params`` vector, bit for bit in
     the file's dtype (float32 for ``<f4``, float64 for ``<f8``); every
     malformed file raises CheckpointError, also one whose values
-    :class:`~thermoseer.mapping.MappingModel` refuses (a non-finite
-    parameter, a scaler that is not finite or a ``feature_std`` that is not
-    positive)."""
-    header, flat = _read_container(
-        path, "checkpoint", lambda header: (_header_key(header, "param_count", int, path),))
-    n = _header_key(header, "n", int, path)
-    if n < 2:
-        raise CheckpointError(f"{path}: n must be >= 2, got {n}")
-    if _header_key(header, "layer_widths", list, path) != layer_dims(n)[1:]:
-        raise CheckpointError(f"{path}: layer widths do not match N={n}")
-    scaler = _header_key(header, "scaler", dict, path)
+    :class:`~thermoseer.mapping.MappingModel` refuses (an ``n`` below 2, a
+    non-finite parameter, a scaler that is not four finite values or a
+    ``feature_std`` that is not positive)."""
     try:
-        return MappingModel(
-            n=n,
-            params=flat,
-            feature_mean=_header_vector(scaler, "feature_mean", path),
-            feature_std=_header_vector(scaler, "feature_std", path),
-            scaler_fitted=_header_key(scaler, "fitted", bool, path),
-            seed=_header_key(_header_key(header, "seeds", dict, path), "init", int, path),
-            training_meta=_header_key(header, "training_meta", dict, path),
-        )
-    # ShapeError: param_count does not fit N; DomainError: a non-finite
-    # value or a feature_std that is not positive
+        header, params = _read_container(path, "checkpoint", lambda header: (
+            param_size(_header_key(header, "n", int, path)),))
+        return MappingModel(params=params, **{key: _header_key(header, key, kind, path)
+                                              for key, kind in _CHECKPOINT_KEYS.items()})
     except (ShapeError, DomainError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
@@ -332,11 +317,6 @@ def parse_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return table
-
-
-def _field_types(cls) -> dict[str, type]:
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _seed(text: str) -> int:

@@ -89,6 +89,13 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _require_count(name: str, value: float) -> None:
+    """DomainError unless ``value`` is a whole number >= 1.  NaN and +-inf
+    fail the range test before ``int`` could raise on them."""
+    if not (1 <= value < math.inf and int(value) == value):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 def wire_deposition_rate(wire_feed_rate: float, wire_diameter: float) -> float:
     """Volumetric deposition rate in mm^3/s from wire feed rate (m/min) and
     wire diameter (mm)."""
@@ -133,8 +140,7 @@ class ProcessSettings:
             "interpass_target",
         ):
             _require_positive(name, getattr(self, name))
-        if int(self.num_layers) != self.num_layers or self.num_layers < 1:
-            raise DomainError(f"num_layers must be a positive integer, got {self.num_layers!r}")
+        _require_count("num_layers", self.num_layers)
         travel_time = self.layer_length / self.travel_speed
         if self.layer_print_time < travel_time - 1e-9:
             raise DomainError(
@@ -158,6 +164,7 @@ class ProcessSettings:
         """Settings with the usual derived defaults: print time from travel
         speed plus the 0.5 s allowance, deposition rate from the wire."""
         _require_positive("travel_speed", travel_speed)
+        _require_count("num_layers", num_layers)
         if layer_print_time is None:
             layer_print_time = default_layer_print_time(layer_length, travel_speed)
         if deposition_rate is None:
@@ -206,8 +213,7 @@ class PointId:
     relative_delay: float
 
     def __post_init__(self) -> None:
-        if int(self.layer) != self.layer or self.layer < 1:
-            raise DomainError(f"layer must be a positive integer, got {self.layer!r}")
+        _require_count("layer", self.layer)
         if not math.isfinite(self.axial_distance) or self.axial_distance < 0.0:
             raise DomainError(f"axial_distance must be >= 0, got {self.axial_distance!r}")
         if not math.isfinite(self.relative_delay) or self.relative_delay < 0.0:

@@ -31,6 +31,7 @@ bit-identical trained weights on one platform.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,19 +54,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 # elements per Adam slice: one slice of each of its five buffers (~0.6 MB) stays in cache
 ADAM_BLOCK = 1 << 15
-
-
-def _hidden_widths(n: int) -> list[int]:
-    return [3 * n, 6 * n, 12 * n, 6 * n, 3 * n]
+# the BLAS build and its thread setting decide the last bits of float32
+# matmuls; train records both, the setting as found when this module loads
+try:  # numpy describes its build as a dict from 1.26 on
+    _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+except (TypeError, KeyError):
+    _BLAS = {}
+_BLAS_META = {"blas_name": _BLAS.get("name"), "blas_version": _BLAS.get("version"),
+              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def layer_dims(n: int) -> list[int]:
-    """Sizes along the affine chain: N+4 inputs through the hidden widths to
-    the N outputs."""
-    return [n + 4] + _hidden_widths(n) + [n]
+    """Sizes along the affine chain: N+4 inputs through the hidden widths 3N,
+    6N, 12N, 6N, 3N to the N outputs."""
+    return [n + 4, 3 * n, 6 * n, 12 * n, 6 * n, 3 * n, n]
 
 
-def _param_size(n: int) -> int:
+def param_size(n: int) -> int:
+    """The net's weight and bias count for N-value curves; N < 2 is a DomainError."""
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     dims = layer_dims(n)
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
@@ -73,8 +81,8 @@ def _param_size(n: int) -> int:
 def _layer_views(params: np.ndarray, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The parameter layout: ``params`` holds ``w1, b1, ..., w6, b6`` back to
     back, each weight matrix row-major.  Returns the weight and bias views."""
-    if params.shape != (_param_size(n),):
-        raise ShapeError(f"N={n} needs {_param_size(n)} parameters in one vector, "
+    if params.shape != (param_size(n),):
+        raise ShapeError(f"N={n} needs {param_size(n)} parameters in one vector, "
                          f"got shape {params.shape}")
     dims = layer_dims(n)
     weights, biases, at = [], [], 0
@@ -99,9 +107,9 @@ class MappingModel:
 
     The model checks what it holds when it is built: a ``params`` vector
     that does not fit ``n``, or a ``feature_mean`` or ``feature_std`` that
-    is not four values, raises ShapeError; a non-finite parameter, a
-    non-finite ``feature_mean`` or a ``feature_std`` that is not positive
-    and finite raises DomainError.
+    is not four values, raises ShapeError; an ``n`` below 2, a non-finite
+    parameter, a non-finite ``feature_mean`` or a ``feature_std`` that is
+    not positive and finite raises DomainError.
     """
 
     n: int
@@ -204,10 +212,8 @@ class CurvePairs:
 
 def init_model(n: int, seed: int = 0) -> MappingModel:
     """Fresh model: fan-in-scaled uniform weights, zero biases."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    params = np.zeros(_param_size(n))
+    params = np.zeros(param_size(n))
     for w in _layer_views(params, n)[0]:
         bound = np.sqrt(1.0 / w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -368,7 +374,9 @@ def train(model: MappingModel, pairs: CurvePairs,
     and Adam, whose gradients and moments are float32 too, updates it in
     place.  That store is the float32 ``params`` of the returned model, and
     inference and checkpoints use it as it is; the input model is neither
-    copied nor written.  Returns the trained model and the per-epoch loss
+    copied nor written.  Returns the trained model, whose ``training_meta``
+    records the epochs run, the final loss, each epoch's learning rate, the
+    BLAS build and ``OPENBLAS_NUM_THREADS`` as found, and the per-epoch loss
     history; a non-finite batch loss (which float32 reaches above about
     3.4e38) raises NumericsError, and so does a trained model that
     :class:`MappingModel` refuses (a non-finite weight).
@@ -440,7 +448,7 @@ def train(model: MappingModel, pairs: CurvePairs,
             loss_history.append(sse / n_samples)
 
     meta = {"epochs_run": config.epochs, "final_loss": loss_history[-1],
-            "lr_history": lr_history}
+            "lr_history": lr_history, **_BLAS_META}
     try:
         trained = MappingModel(n=model.n, params=w, feature_mean=mean, feature_std=std,
                                scaler_fitted=True, seed=model.seed, training_meta=meta)

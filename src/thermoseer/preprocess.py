@@ -17,31 +17,40 @@ import numpy as np
 from .core import DomainError, ShapeError
 
 MIN_RISE_SEPARATION_S = 5.0  # see split_experiment
+_RISE_WINDOW_S = 0.5  # split_experiment's rise_threshold is a rise over this span
 
 
 def split_experiment(temps: np.ndarray, sample_period: float,
                      rise_threshold: float = 50.0) -> np.ndarray:
     """Cut indices ``[0, rise_1, ..., temps.size]`` that split a trace's
-    temperatures, read every ``sample_period`` seconds, immediately before
-    each sharp rise: segment i is samples ``cuts[i]`` to ``cuts[i + 1]``
-    (exclusive).
+    temperatures, read every ``sample_period`` seconds, at each sharp rise:
+    segment i is samples ``cuts[i]`` to ``cuts[i + 1]`` (exclusive).
 
-    A maximal run of consecutive forward differences above ``rise_threshold``
-    counts as one rise event, and rises closer than
-    :data:`MIN_RISE_SEPARATION_S` to the previous one are treated as the same
-    deposition event (noise can briefly dip a rise below the threshold; true
-    rises are at least one print cycle apart).  A trace with no rise comes
-    back as the one segment ``[0, temps.size]``."""
+    A rise is a window of ``w = max(1, round(0.5 / sample_period))`` samples
+    over which the temperature climbs by more than ``rise_threshold``, so
+    the threshold means degC over about half a second at any sampling rate
+    (at 0.5 s and above, w = 1: one sample to the next).  A maximal run of
+    such windows is one rise event, cut at the end of its first window.
+    Rises closer than :data:`MIN_RISE_SEPARATION_S` to the previous one are
+    treated as the same deposition event (noise can briefly dip a rise below
+    the threshold; true rises are at least one print cycle apart), and a
+    rise that would leave fewer than two samples after its cut is ignored.
+    A trace with no rise comes back as the one segment ``[0, temps.size]``."""
     if not 0.0 < rise_threshold < np.inf:
         raise DomainError(f"rise_threshold must be positive and finite, got {rise_threshold!r}")
     if not sample_period > 0.0:
         raise DomainError(f"sample_period must be positive, got {sample_period!r}")
-    steep = np.diff(temps) > rise_threshold
+    # a window longer than the trace finds no rise (and a subnormal period
+    # would make the ratio overflow)
+    w = max(1, round(min(_RISE_WINDOW_S / sample_period, len(temps))))
+    steep = temps[w:] - temps[:-w] > rise_threshold
     starts = np.flatnonzero(steep & ~np.concatenate([[False], steep[:-1]]))
     kept = []
-    for i in starts:
-        if not kept or (i + 1 - kept[-1]) * sample_period >= MIN_RISE_SEPARATION_S:
-            kept.append(int(i) + 1)
+    for cut in (starts + w).tolist():
+        if cut > len(temps) - 2:
+            break
+        if not kept or (cut - kept[-1]) * sample_period >= MIN_RISE_SEPARATION_S:
+            kept.append(cut)
     return np.array([0] + kept + [len(temps)])
 
 

@@ -201,10 +201,13 @@ class TestCheckpointRoundTrip:
         header_line = data[:data.index(b"\n") + 1]
         assert len(data) == len(header_line) + 8 * param_count(model)
         header = json.loads(header_line)
-        assert header["version"] == 3
+        assert header["version"] == 4
         assert header["dtype"] == "<f8"
-        assert header["param_count"] == param_count(model)
-        assert set(header["scaler"]) == {"feature_mean", "feature_std", "fitted"}
+        # MappingModel's constructor arguments other than params, under their
+        # own names, and nothing that follows from n
+        assert list(header) == ["format", "version", "dtype", "n", "feature_mean",
+                                "feature_std", "scaler_fitted", "seed", "training_meta"]
+        assert header["feature_std"] == [1.0, 1.0, 1.0, 1.0] and header["seed"] == 3
         # the payload opens with w1 row-major in little-endian float64
         first = np.frombuffer(data, dtype="<f8", count=3, offset=len(header_line))
         np.testing.assert_array_equal(first, model.weights[0][0, :3])
@@ -283,6 +286,22 @@ def _padded_header(data: bytes, line_length: int) -> bytes:
     return _join_file(header, payload)
 
 
+def _v3_file(data: bytes) -> bytes:
+    """A version-4 checkpoint rewritten in the retired version-3 layout: the
+    same payload under a header with the layer widths, the parameter count
+    and the nested ``scaler`` and ``seeds`` blocks."""
+    header, payload = _split_file(data)
+    n = header["n"]
+    widths = [3 * n, 6 * n, 12 * n, 6 * n, 3 * n, n]
+    return _join_file({
+        "format": header["format"], "version": 3, "dtype": header["dtype"], "n": n,
+        "layer_widths": widths, "param_count": len(payload) // 8,
+        "scaler": {"feature_mean": header["feature_mean"],
+                   "feature_std": header["feature_std"], "fitted": header["scaler_fitted"]},
+        "seeds": {"init": header["seed"]}, "training_meta": header["training_meta"],
+    }, payload)
+
+
 def _v1_document(model) -> bytes:
     """A checkpoint as the retired version-1 writer laid it out: one JSON
     document with the weights as nested lists."""
@@ -353,16 +372,19 @@ class TestMalformedCheckpointExit4:
     def test_one_byte_appended(self, checkpoint_bytes, predict_with):
         assert predict_with(checkpoint_bytes + b"\0") == 4
 
-    @pytest.mark.parametrize("key", ["n", "layer_widths", "dtype", "param_count",
-                                     "scaler", "seeds", "training_meta"])
+    @pytest.mark.parametrize("key", ["n", "dtype", "feature_mean", "feature_std",
+                                     "scaler_fitted", "seed", "training_meta"])
     def test_missing_key(self, checkpoint_bytes, predict_with, key):
         header, payload = _split_file(checkpoint_bytes)
         del header[key]
         assert predict_with(_join_file(header, payload)) == 4
 
-    @pytest.mark.parametrize("key, value", [("n", "8"), ("n", 8.0), ("param_count", True),
+    @pytest.mark.parametrize("key, value", [("n", "8"), ("n", 8.0), ("seed", True),
                                             ("dtype", "<f4"), ("dtype", ">f8"),
-                                            ("scaler", []), ("dtype", ">f4")])
+                                            ("training_meta", []), ("dtype", ">f4"),
+                                            ("scaler_fitted", 1), ("seed", 3.0),
+                                            ("feature_std", [1, 1, 1, 1]),
+                                            ("feature_mean", [[0.0, 0.0, 0.0, 0.0]])])
     def test_mistyped_key_or_other_dtype(self, checkpoint_bytes, predict_with, key, value):
         header, payload = _split_file(checkpoint_bytes)
         header[key] = value
@@ -389,13 +411,16 @@ class TestMalformedCheckpointExit4:
                                             ("feature_mean", [0.0, 0.0, 0.0, math.nan]),
                                             ("feature_mean", [0.0, 0.0, 0.0, math.inf]),
                                             ("feature_std", [1.0, 1.0, 1.0, math.nan]),
-                                            ("feature_std", [1.0, 1.0, 1.0, math.inf])],
+                                            ("feature_std", [1.0, 1.0, 1.0, math.inf]),
+                                            ("feature_mean", [0.0, 0.0, 0.0]),
+                                            ("feature_std", [1.0] * 5)],
                              ids=["feature_std-value2", "feature_mean-value3",
                                   "feature_mean-NaN", "feature_mean-Infinity",
-                                  "feature_std-NaN", "feature_std-Infinity"])
+                                  "feature_std-NaN", "feature_std-Infinity",
+                                  "feature_mean-three-values", "feature_std-five-values"])
     def test_bad_scaler(self, checkpoint_bytes, predict_with, key, value):
         header, payload = _split_file(checkpoint_bytes)
-        header["scaler"][key] = value
+        header[key] = value
         assert predict_with(_join_file(header, payload)) == 4
 
     def test_non_finite_payload(self, checkpoint_bytes, predict_with):
@@ -403,11 +428,25 @@ class TestMalformedCheckpointExit4:
         bad[-8:] = np.array([np.nan], dtype="<f8").tobytes()
         assert predict_with(bytes(bad)) == 4
 
-    def test_param_count_not_fitting_n(self, checkpoint_bytes, predict_with):
-        # header and payload agree on 4 fewer parameters than N=8 needs
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_n_not_fitting_payload(self, checkpoint_bytes, predict_with, capsys, n):
+        # the payload holds N=8's parameters; the header's n sizes the payload
         header, payload = _split_file(checkpoint_bytes)
-        header["param_count"] -= 4
-        assert predict_with(json.dumps(header).encode() + b"\n" + payload[:-32]) == 4
+        header["n"] = n
+        assert predict_with(_join_file(header, payload)) == 4
+        assert "payload holds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, 1, -3, 10 ** 9])
+    def test_n_outside_the_model_exit_4(self, checkpoint_bytes, predict_with, capsys, n):
+        header, payload = _split_file(checkpoint_bytes)
+        header["n"] = n
+        assert predict_with(_join_file(header, payload)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_version_3_file(self, checkpoint_bytes, predict_with, capsys):
+        assert predict_with(_v3_file(checkpoint_bytes)) == 4
+        assert "unsupported checkpoint version 3" in capsys.readouterr().err
 
     def test_v1_document(self, predict_with, capsys):
         assert predict_with(_v1_document(init_model(8, seed=3))) == 4
@@ -938,7 +977,12 @@ class TestTrainPredictEvalField:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert done.returncode == 0, done.stderr
         assert "trained on 30 curve pairs" in done.stdout  # 5->6 and 6->7, 3 points
-        assert got.read_bytes() == want.read_bytes()
+        got_header, got_payload = _split_file(got.read_bytes())
+        want_header, want_payload = _split_file(want.read_bytes())
+        # each file records the BLAS thread setting its own process found
+        assert got_header["training_meta"].pop("openblas_num_threads") == "1"
+        want_header["training_meta"].pop("openblas_num_threads")
+        assert got_header == want_header and got_payload == want_payload
 
     @pytest.mark.parametrize("option, value", [
         ("--times", "nan"), ("--times", "inf"), ("--times", "-1"),

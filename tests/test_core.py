@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis
@@ -258,6 +259,16 @@ class TestTypes:
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40)
         assert s.layer_print_time == pytest.approx(20.5)
         assert s.deposition_rate == pytest.approx(wire_deposition_rate(3.0, 1.2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_layer_counts_refuse_nan_and_inf(self, settings, value):
+        # int() of these raises ValueError or OverflowError; each is a DomainError
+        with pytest.raises(DomainError, match="layer must be a positive integer"):
+            PointId(value, 1.0, 0.1)
+        with pytest.raises(DomainError, match="num_layers must be a positive integer"):
+            ProcessSettings.build(8.0, 3.0, 160.0, 1.5, value)
+        with pytest.raises(DomainError, match="num_layers must be a positive integer"):
+            dataclasses.replace(settings, num_layers=value)
 
     def test_dwell_rejects_negative(self):
         with pytest.raises(DomainError):

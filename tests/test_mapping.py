@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -175,6 +176,15 @@ class TestModelInvariants:
         fields[field][-1] = value
         with pytest.raises(DomainError, match=field.replace("params", "parameters")):
             MappingModel(**fields)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_n_below_two_refused(self, n):
+        # param_size is the one N rule, which the model and init_model both reach
+        with pytest.raises(DomainError, match="n must be >= 2"):
+            MappingModel(n=n, params=np.zeros(0), feature_mean=np.zeros(4),
+                         feature_std=np.ones(4), scaler_fitted=False, seed=0)
+        with pytest.raises(DomainError, match="n must be >= 2"):
+            init_model(n)
 
     def test_non_finite_trained_weights_raise_numerics_error(self):
         # one step at lr 1e39 moves weights past the float32 maximum while the
@@ -412,6 +422,16 @@ class TestTrain:
         assert history[-1] < history[0]
         assert out.training_meta["epochs_run"] == 30
         assert out.training_meta["lr_history"][0] == 0.001
+
+    def test_meta_records_the_blas_build_and_thread_setting(self):
+        # they decide a float32 matmul's last bits, so a checkpoint carries them
+        out, _ = train(init_model(4, seed=1), make_samples(np.random.default_rng(5), 4, 8),
+                       TrainConfig(epochs=1, batch_size=8))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert out.training_meta["blas_name"] == blas["name"]
+        assert out.training_meta["blas_version"] == blas["version"]
+        assert (out.training_meta["openblas_num_threads"]
+                == os.environ.get("OPENBLAS_NUM_THREADS"))
 
     def test_deterministic_training(self):
         rng = np.random.default_rng(23)

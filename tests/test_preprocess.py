@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoseer.core import Curve, DomainError, PointId, ShapeError
+from thermoseer.core import (
+    Curve,
+    DomainError,
+    PointId,
+    ProcessSettings,
+    ShapeError,
+    curve_duration,
+)
 from thermoseer.preprocess import overlap_truncate_rows, resample, split_experiment
 from thermoseer.synthgen import (
     SynthParams,
@@ -78,6 +85,20 @@ class TestSplitExperiment:
         # five re-heat arcs of the layers above it
         assert cuts.size - 2 == 6
 
+    def test_threshold_is_a_rise_over_half_a_second(self):
+        # +20 degC every 0.1 s: no step exceeds 50, but a 5-sample window does,
+        # first over samples 17..22; read every 0.5 s, 20 degC is no rise
+        temps = np.concatenate([np.full(20, 300.0), 300.0 + 20.0 * np.arange(1, 11),
+                                np.full(20, 500.0)])
+        np.testing.assert_array_equal(split_experiment(temps, 0.1, 50.0), [0, 22, 50])
+        np.testing.assert_array_equal(split_experiment(temps, 0.5, 50.0), [0, 50])
+        # a window longer than the trace finds no rise
+        np.testing.assert_array_equal(split_experiment(temps, 1e-320, 50.0), [0, 50])
+
+    def test_rise_at_the_last_sample_leaves_no_one_sample_segment(self):
+        temps = np.array([300.0, 295, 290, 285, 280, 500])
+        np.testing.assert_array_equal(split_experiment(temps, 1.0, 100.0), [0, 6])
+
     def test_rejects_nonpositive_threshold(self):
         # a threshold no difference can exceed finds no rise either
         for threshold in (0.0, float("nan"), float("inf")):
@@ -88,6 +109,40 @@ class TestSplitExperiment:
     def test_rejects_nonpositive_sample_period(self, sample_period):
         with pytest.raises(DomainError):
             split_experiment(np.array([1.0, 200.0, 190.0]), sample_period, 50.0)
+
+
+# the largest gap between a segmented curve's duration and the oracle's
+# curve_duration at the default 0.5 s period over the traces below (2.998 s,
+# at 5 degC noise): the cut lands where the re-heat ramp crosses the
+# threshold, ahead of the oracle's cycle boundary
+DEFAULT_PERIOD_GAP_S = 3.0
+
+
+class TestSplitAtAnySamplingRate:
+    @pytest.mark.parametrize("noise_sd", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("sample_period", [0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0])
+    def test_curve_durations_follow_the_oracle(self, sample_period, noise_sd):
+        # another period moves a cut by at most the rise window (w samples)
+        # and one period of sampling from where the default period puts it
+        window = max(1, round(0.5 / sample_period)) * sample_period
+        bound = DEFAULT_PERIOD_GAP_S + (0.0 if sample_period == 0.5
+                                        else window + sample_period)
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, layer_print_time=20.5,
+                                         deposition_rate=52.8)
+        params = SynthParams(seed=1)
+        sched = build_schedule(params, settings)
+        for layer in range(1, 8):
+            for j, d in enumerate((40.0, 80.0, 120.0)):
+                point = PointId.from_distance(layer, d, settings.travel_speed)
+                times, temps = point_trace(params, settings, sched, point, sample_period,
+                                           lead_in=5.0)
+                seen = emulate_pyrometer(temps, noise_sd, seed=10 * layer + j)
+                cuts = split_experiment(seen, sample_period, 50.0)
+                # the pre-deposition stub, five curves, the last re-heat's stub
+                assert cuts.size - 1 == 7
+                _, durations = resample(times, seen, cuts[1:7], 5)
+                want = [curve_duration(sched, settings, layer, k) for k in range(1, 6)]
+                assert np.abs(durations - want).max() <= bound
 
 
 class TestResample:

@@ -295,6 +295,15 @@ class TestExperimentWall:
                 want = curve_duration(ds.schedule, s, 2, k)
                 assert duration == pytest.approx(want, abs=3.0)
 
+    @pytest.mark.parametrize("sample_period", [0.05, 0.1, 0.2, 0.25])
+    def test_generates_at_fine_sampling(self, sample_period):
+        # a rise per sample found too few segments at these periods, and a
+        # rise at a trace's last sample left a one-sample segment at 0.25 s
+        s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 10, deposition_rate=52.8)
+        ds = generate_experiment_wall(s, SynthParams(seed=3), points_per_layer=2, n=20,
+                                      sample_period=sample_period)
+        assert ds.layers() == list(range(1, 6)) and len(ds.profiles) == 10
+
     def test_builds_no_curve(self, params, monkeypatch):
         # a point's five curves go from the trace to its (5, N) block in one
         # resampling call, never through per-curve objects
