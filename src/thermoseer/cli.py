@@ -34,6 +34,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import typing
 import uuid
@@ -167,34 +168,41 @@ def _read_container(path: str, kind: str, shape_of) -> tuple[dict, np.ndarray]:
     """``(header, values)`` of a file :func:`_write_container` wrote, where
     ``shape_of(header)`` is the payload shape the header implies; ``values``
     is an aligned, writable array of the header's dtype in native byte
-    order.  Every malformed container raises the error class of ``kind``;
-    the values themselves are checked by the types the caller builds from
-    them."""
+    order, into which the payload is read straight from the file.  The
+    payload's size is checked against the file's before anything is
+    allocated, so the file must be a regular file, not a pipe.  Every
+    malformed container raises the error class of ``kind``; the values
+    themselves are checked by the types the caller builds from them."""
     fmt, version, error, dtypes = _CONTAINERS[kind]
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n", 0, HEADER_LINE_LIMIT)
-    if end < 0:
-        raise error(f"{path}: no header line in the first {HEADER_LINE_LIMIT} bytes")
-    try:
-        header = json.loads(data[:end].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-        raise error(f"{path}: header is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise error(f"{path}: not a {fmt} file")
-    if header.get("version") != version:
-        raise error(f"{path}: unsupported {kind} version {header.get('version')}")
-    dtype = _header_key(header, "dtype", str, path, error)
-    if dtype not in dtypes:
-        raise error(f"{path}: a {kind} dtype is one of {dtypes}, got {dtype!r}")
-    dtype = np.dtype(dtype)
-    shape = shape_of(header)
-    payload = memoryview(data)[end + 1:]
-    if min(shape) < 0 or len(payload) != dtype.itemsize * math.prod(shape):
-        raise error(f"{path}: payload holds {len(payload)} bytes, the header "
-                    f"implies {dtype.str} values of shape {shape}")
-    # astype copies into an aligned, writable, native-order array
-    values = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(shape)
+        line = fh.readline(HEADER_LINE_LIMIT)
+        if not line.endswith(b"\n"):
+            raise error(f"{path}: no header line in the first {HEADER_LINE_LIMIT} bytes")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+            raise error(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != fmt:
+            raise error(f"{path}: not a {fmt} file")
+        if header.get("version") != version:
+            raise error(f"{path}: unsupported {kind} version {header.get('version')}")
+        dtype = _header_key(header, "dtype", str, path, error)
+        if dtype not in dtypes:
+            raise error(f"{path}: a {kind} dtype is one of {dtypes}, got {dtype!r}")
+        dtype = np.dtype(dtype)
+        shape = shape_of(header)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check
+            raise error(f"{path}: not a regular file")
+        size = info.st_size - len(line)
+        if min(shape) < 0 or size != dtype.itemsize * math.prod(shape):
+            raise error(f"{path}: payload holds {size} bytes, the header "
+                        f"implies {dtype.str} values of shape {shape}")
+        values = np.empty(shape, dtype)
+        if fh.readinto(memoryview(values.reshape(-1)).cast("B")) != size:
+            raise error(f"{path}: the payload ended early while it was read")
+    if not dtype.isnative:  # a big-endian host swaps in place
+        values = values.byteswap(inplace=True).view(dtype.newbyteorder("="))
     return header, values
 
 

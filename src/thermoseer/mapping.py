@@ -54,14 +54,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 # elements per Adam slice: one slice of each of its five buffers (~0.6 MB) stays in cache
 ADAM_BLOCK = 1 << 15
-# the BLAS build and its thread setting decide the last bits of float32
-# matmuls; train records both, the setting as found when this module loads
+# the BLAS build and its thread count decide the last bits of float32
+# matmuls; train records the build, the thread setting as found when this
+# module loads, and the CPU count, which OpenBLAS uses when the setting is unset
 try:  # numpy describes its build as a dict from 1.26 on
     _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 except (TypeError, KeyError):
     _BLAS = {}
 _BLAS_META = {"blas_name": _BLAS.get("name"), "blas_version": _BLAS.get("version"),
-              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+              "cpu_count": os.cpu_count()}
 
 
 def layer_dims(n: int) -> list[int]:
@@ -216,7 +218,11 @@ def init_model(n: int, seed: int = 0) -> MappingModel:
     params = np.zeros(param_size(n))
     for w in _layer_views(params, n)[0]:
         bound = np.sqrt(1.0 / w.shape[0])
-        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        # drawn in place: rng.uniform(-bound, bound) is low + (high - low) * u
+        # of these same draws, so the bytes are the same
+        rng.random(out=w.reshape(-1))
+        w *= bound - -bound
+        w += -bound
     return MappingModel(n=n, params=params, feature_mean=np.zeros(4),
                         feature_std=np.ones(4), scaler_fitted=False, seed=seed)
 
@@ -376,10 +382,10 @@ def train(model: MappingModel, pairs: CurvePairs,
     inference and checkpoints use it as it is; the input model is neither
     copied nor written.  Returns the trained model, whose ``training_meta``
     records the epochs run, the final loss, each epoch's learning rate, the
-    BLAS build and ``OPENBLAS_NUM_THREADS`` as found, and the per-epoch loss
-    history; a non-finite batch loss (which float32 reaches above about
-    3.4e38) raises NumericsError, and so does a trained model that
-    :class:`MappingModel` refuses (a non-finite weight).
+    BLAS build, ``OPENBLAS_NUM_THREADS`` as found and the CPU count, and the
+    per-epoch loss history; a non-finite batch loss (which float32 reaches
+    above about 3.4e38) raises NumericsError, and so does a trained model
+    that :class:`MappingModel` refuses (a non-finite weight).
     """
     if not len(pairs):
         raise DomainError("curve pairs must be nonempty")
@@ -409,6 +415,13 @@ def train(model: MappingModel, pairs: CurvePairs,
     d_weights, d_biases = _layer_views(g, model.n)
     blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, w.size, ADAM_BLOCK)]
     step = 0
+    # glibc keeps freed memory on its heap for reuse only up to twice the
+    # largest mapped block freed so far, else hands it back to the system.
+    # Freeing one block the size of a step's activations and gradients
+    # first keeps every step's temporaries there; without it a process's
+    # first training faults them back in on every step (about 2,000 page
+    # faults a step at N = 100, batch 256).  The block is never touched.
+    np.empty(2 * config.batch_size * sum(layer_dims(model.n)[1:-1]), np.float32)
 
     loss_history: list[float] = []
     lr_history: list[float] = []

@@ -64,17 +64,18 @@ def resample(times: np.ndarray, temps: np.ndarray, cuts: np.ndarray,
     if np.shape(times) != np.shape(temps):
         raise ShapeError(f"times {np.shape(times)} and temps {np.shape(temps)} "
                          "must have one shape")
+    cuts = np.asarray(cuts)
     lengths = np.diff(cuts)
     if np.any(lengths < 2):
         raise DomainError(f"segment needs >= 2 samples to resample, got {lengths.min()}")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    durations = times[cuts[1:] - 1] - times[cuts[:-1]]
+    # the transposed view axis=-1 would return, without its bookkeeping
+    grids = np.linspace(0.0, durations, n).T
     block = np.empty((lengths.size, n))
-    durations = np.empty(lengths.size)
-    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        local = times[lo:hi] - times[lo]
-        durations[i] = local[-1]
-        block[i] = np.interp(np.linspace(0.0, local[-1], n), local, temps[lo:hi])
+    for row, grid, lo, hi in zip(block, grids, cuts[:-1].tolist(), cuts[1:].tolist()):
+        row[:] = np.interp(grid, times[lo:hi] - times[lo], temps[lo:hi])
     return block, durations
 
 

@@ -166,63 +166,102 @@ def build_schedule(params: SynthParams, settings: ProcessSettings) -> DwellSched
     return DwellSchedule(tuple(dwell))
 
 
-def _cycle_constants(params: SynthParams, settings: ProcessSettings,
-                     schedule: DwellSchedule, point: PointId):
-    """A (3, 5) array of per-cycle amplitudes, re-heat amplitudes and
-    durations, chained so cycles join continuously, plus the point's cooling
-    constant."""
+def _layer_durations(settings: ProcessSettings, schedule: DwellSchedule,
+                     layer: int) -> list[float]:
+    """The five curve durations of every point on ``layer``."""
+    return [curve_duration(schedule, settings, layer, k)
+            for k in range(1, CURVES_PER_PROFILE + 1)]
+
+
+def _cycle_constants(params: SynthParams, settings: ProcessSettings, point: PointId,
+                     durations: list[float]) -> tuple[list[float], list[float], float]:
+    """Per-cycle amplitudes and re-heat amplitudes of ``point``, chained so
+    cycles of the given ``durations`` join continuously, plus the point's
+    cooling constant.  Scalar on purpose: ``math.exp`` and ``np.exp`` may
+    differ in the last bit."""
     tau = cooling_tau(params, settings, point.layer, point.relative_delay)
     amp = deposition_peak(params, settings, point.layer,
                           point.relative_delay) - params.ambient
     reheat0 = params.reheat_scale * amp
-    out = []
-    for k in range(1, CURVES_PER_PROFILE + 1):
-        duration = curve_duration(schedule, settings, point.layer, k)
-        reheat = params.reheat_decay ** (k - 1) * reheat0
-        out.append((amp, reheat, duration))
+    amps, reheats = [], []
+    for k, duration in enumerate(durations):
+        amps.append(amp)
+        reheats.append(params.reheat_decay ** k * reheat0)
         # next cycle starts at this cycle's re-heat peak
-        amp = amp * math.exp(-duration / tau) + reheat
-    return np.array(out).T, tau
+        amp = amp * math.exp(-duration / tau) + reheats[-1]
+    return amps, reheats, tau
+
+
+def _one_layer(points: PointId | list[PointId]) -> tuple[list[PointId], int]:
+    """``points`` as a list (one PointId is a list of one) and their layer;
+    points on more than one layer, or none, raise DomainError."""
+    points = [points] if isinstance(points, PointId) else list(points)
+    layers = {point.layer for point in points}
+    if len(layers) != 1:
+        raise DomainError(f"the oracle takes the points of one layer, got layers "
+                          f"{sorted(layers)}")
+    return points, layers.pop()
 
 
 def analytic_curve(params: SynthParams, settings: ProcessSettings,
-                   schedule: DwellSchedule, point: PointId, curve_index: int | np.ndarray,
-                   local_times: np.ndarray) -> np.ndarray:
-    """Noise-free oracle temperatures of curve ``curve_index`` of ``point``
-    at the given local times (s since the cycle start).  ``curve_index`` is
-    1-based, an int or an int array that broadcasts against
-    ``local_times``."""
-    cycles, tau = _cycle_constants(params, settings, schedule, point)
-    amp, reheat, duration = cycles[:, np.asarray(curve_index) - 1]
+                   schedule: DwellSchedule, points: PointId | list[PointId],
+                   curve_index: int | np.ndarray, local_times: np.ndarray) -> np.ndarray:
+    """Noise-free oracle temperatures of curve ``curve_index`` at the given
+    local times (s since the cycle start), for one point or for a sequence
+    of points on one layer.  ``curve_index`` is 1-based, an int or an int
+    array that broadcasts against ``local_times``.  A sequence gets one row
+    per point (a leading axis); one PointId gets that row alone."""
+    layer_points, layer = _one_layer(points)
+    durations = _layer_durations(settings, schedule, layer)
+    idx = np.asarray(curve_index) - 1
     t = np.asarray(local_times, dtype=np.float64)
-    return params.ambient + amp * np.exp(-t / tau) \
-        + reheat * np.exp((t - duration) / params.reheat_tau)
+    shape = np.broadcast_shapes(idx.shape, t.shape)
+    idx, t = np.broadcast_to(idx, shape), np.broadcast_to(t, shape)
+    # the re-heat term does not depend on the point, only its amplitude does
+    reheat_rise = np.exp((t - np.array(durations)[idx]) / params.reheat_tau)
+    amps, reheats, taus = (np.array(c) for c in zip(*(
+        _cycle_constants(params, settings, point, durations) for point in layer_points)))
+    # ambient + amp * exp(-t / tau) + reheat * reheat_rise, each product and
+    # sum in place
+    temps = np.exp(-t / taus.reshape((-1,) + (1,) * len(shape)))
+    temps *= np.take(amps, idx, axis=1)
+    temps += params.ambient
+    reheat = np.take(reheats, idx, axis=1)
+    reheat *= reheat_rise
+    temps += reheat
+    return temps[0] if isinstance(points, PointId) else temps
 
 
 def point_trace(params: SynthParams, settings: ProcessSettings,
-                schedule: DwellSchedule, point: PointId,
+                schedule: DwellSchedule, points: PointId | list[PointId],
                 sample_period: float = 0.1,
                 lead_in: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``(times, temps)`` of one point's raw trace: global times every
-    ``sample_period`` seconds spanning its five cycles, optionally preceded
-    by ``lead_in`` seconds of ambient readings before deposition."""
+    """``(times, temps)`` of a raw trace: global times every
+    ``sample_period`` seconds spanning the five cycles, optionally preceded
+    by ``lead_in`` seconds of ambient readings before deposition.  For a
+    sequence of points on one layer both arrays have one row per point,
+    and every row has the same length; one PointId gets its row alone."""
     if not 0.0 < sample_period < math.inf:
         raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
-    durations = _cycle_constants(params, settings, schedule, point)[0][2]
-    total = float(sum(durations))
-    start = deposition_time(schedule, settings, point.layer, point.axial_distance)
+    layer_points, layer = _one_layer(points)
+    durations = _layer_durations(settings, schedule, layer)
+    starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
+                       for point in layer_points])
 
     n_lead = int(round(lead_in / sample_period))
-    n_span = int(math.ceil(total / sample_period))
+    n_span = int(math.ceil(float(sum(durations)) / sample_period))
     offsets = (np.arange(-n_lead, n_span + 1)) * sample_period
 
     bounds = np.concatenate([[0.0], np.cumsum(durations)])
     local = offsets[n_lead:]
     # each sample's cycle; the last keeps the final samples that overrun the span
     k = np.minimum(np.searchsorted(bounds, local, side="right") - 1, CURVES_PER_PROFILE - 1)
-    temps = np.concatenate([np.full(n_lead, params.ambient), analytic_curve(
-        params, settings, schedule, point, k + 1, local - bounds[k])])
-    return start + offsets, temps
+    temps = np.empty((len(layer_points), offsets.size))
+    temps[:, :n_lead] = params.ambient
+    temps[:, n_lead:] = analytic_curve(params, settings, schedule, layer_points, k + 1,
+                                       local - bounds[k])
+    times = starts[:, np.newaxis] + offsets
+    return (times[0], temps[0]) if isinstance(points, PointId) else (times, temps)
 
 
 def emulate_pyrometer(temps: np.ndarray, noise_sd: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -281,12 +320,11 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
     curve_indices = np.arange(1, CURVES_PER_PROFILE + 1)[:, np.newaxis]
     profiles = []
     for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
-        durations = [curve_duration(schedule, settings, layer, k)
-                     for k in range(1, CURVES_PER_PROFILE + 1)]
+        durations = _layer_durations(settings, schedule, layer)
         grids = np.linspace(0.0, durations, n, axis=-1)
-        for j, d in enumerate(distances, start=1):
-            point = PointId.from_distance(layer, d, settings.travel_speed)
-            temps = analytic_curve(params, settings, schedule, point, curve_indices, grids)
+        points = [PointId.from_distance(layer, d, settings.travel_speed) for d in distances]
+        block = analytic_curve(params, settings, schedule, points, curve_indices, grids)
+        for j, (point, temps) in enumerate(zip(points, block), start=1):
             if params.noise_sd > 0:
                 temps += np.random.default_rng((params.seed, layer, j)).normal(
                     0.0, params.noise_sd, size=temps.shape)
@@ -328,23 +366,24 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
         params = replace(params, noise_sd=2.0)
     distances = _point_distances(settings, points_per_layer, spacing_mm)
     schedule = build_schedule(params, settings)
+    layers = range(1, settings.num_layers - CURVES_PER_PROFILE + 1)
     # each point's raw trace spans the lead-in and its five cycles
-    trace_s = sum(EXPERIMENT_LEAD_IN_S + sum(curve_duration(schedule, settings, layer, k)
-                                             for k in range(1, CURVES_PER_PROFILE + 1))
-                  for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1))
+    trace_s = sum(EXPERIMENT_LEAD_IN_S + sum(_layer_durations(settings, schedule, layer))
+                  for layer in layers)
     _refuse_oversized(settings, points_per_layer, n,
                       points_per_layer * trace_s / sample_period)
 
     profiles = []
-    for layer in range(1, settings.num_layers - CURVES_PER_PROFILE + 1):
-        for j, d in enumerate(distances, start=1):
-            rng = np.random.default_rng((params.seed, layer, j))
-            true_d = float(np.clip(d + rng.uniform(-jitter_mm, jitter_mm),
-                                   0.0, settings.layer_length))
-            true_point = PointId.from_distance(layer, true_d, settings.travel_speed)
-            times, temps = point_trace(params, settings, schedule, true_point,
-                                       sample_period=sample_period,
-                                       lead_in=EXPERIMENT_LEAD_IN_S)
+    for layer in layers:
+        rngs = [np.random.default_rng((params.seed, layer, j))
+                for j in range(1, points_per_layer + 1)]
+        true_points = [PointId.from_distance(
+            layer, min(max(d + rng.uniform(-jitter_mm, jitter_mm), 0.0),
+                       settings.layer_length), settings.travel_speed)
+            for d, rng in zip(distances, rngs)]
+        traces = point_trace(params, settings, schedule, true_points,
+                             sample_period=sample_period, lead_in=EXPERIMENT_LEAD_IN_S)
+        for j, (d, rng, times, temps) in enumerate(zip(distances, rngs, *traces), start=1):
             seen = emulate_pyrometer(temps, noise_sd=params.noise_sd,
                                      seed=int(rng.integers(2 ** 31)))
             # through the module, so a wrapper set on its attributes sees the calls

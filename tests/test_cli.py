@@ -7,6 +7,7 @@ import resource
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -245,6 +246,29 @@ class TestCheckpointRoundTrip:
         assert json.loads(header_line)["dtype"] == "<f4"
         assert data[len(header_line):] == model.params.astype("<f4").tobytes()
 
+    def test_load_copies_payload_once(self, tmp_path):
+        # the payload is read straight into the array the loader returns, so
+        # a load peaks near one payload: the model's finite check adds a
+        # one-byte mask per value, a quarter of a float32 payload
+        model = init_model(100, seed=3)
+        model = dataclasses.replace(model, params=model.params.astype(np.float32))
+        ckpt, data = str(tmp_path / "model.ckpt"), str(tmp_path / "wall.tsd")
+        save_checkpoint(ckpt, model)
+        settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40,
+                                         layer_print_time=20.5, deposition_rate=52.8)
+        save_dataset(data, generate_wall(settings, SynthParams(seed=7), points_per_layer=7,
+                                         n=100))
+        for load, path in ((load_checkpoint, ckpt), (load_dataset, data)):
+            with open(path, "rb") as fh:
+                payload = os.path.getsize(path) - len(fh.readline())
+            tracemalloc.start()
+            try:
+                load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.3 * payload, (load.__name__, peak, payload)
+
     def test_trained_n100_checkpoint_is_float32(self, tmp_path):
         # a trained model's checkpoint holds its float32 store as it is; an
         # untrained one keeps its float64 parameters
@@ -284,6 +308,17 @@ def _padded_header(data: bytes, line_length: int) -> bytes:
     header["pad"] = ""
     header["pad"] = "x" * (line_length - len(json.dumps(header)))
     return _join_file(header, payload)
+
+
+def _traced_peak(run, limit=1 << 20):
+    """``run()``'s result and whether its traced allocation peak stayed
+    under ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] < limit
+    finally:
+        tracemalloc.stop()
 
 
 def _v3_file(data: bytes) -> bytes:
@@ -371,6 +406,13 @@ class TestMalformedCheckpointExit4:
 
     def test_one_byte_appended(self, checkpoint_bytes, predict_with):
         assert predict_with(checkpoint_bytes + b"\0") == 4
+
+    def test_huge_implied_payload_allocates_nothing(self, checkpoint_bytes, predict_with):
+        # n = 73,300 implies about 10**12 parameters; the file's size refuses
+        # them before any array is made
+        header, payload = _split_file(checkpoint_bytes)
+        header["n"] = 73_300
+        assert _traced_peak(lambda: predict_with(_join_file(header, payload))) == (4, True)
 
     @pytest.mark.parametrize("key", ["n", "dtype", "feature_mean", "feature_std",
                                      "scaler_fitted", "seed", "training_meta"])
@@ -579,6 +621,35 @@ class TestMalformedDatasetExit3:
         assert "wall.tsd: " in err
         if column == 0 and value == 1.5:
             assert "layer 1.5 is not an integer" in err
+
+    def test_pipe_exit_3(self, dataset_bytes, tmp_path, capsys):
+        # a load sizes the payload from the file before reading it, which a
+        # pipe cannot tell
+        fifo = tmp_path / "wall.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(dataset_bytes)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert run_cli("eval", "--pred", str(fifo), "--truth", str(fifo),
+                           "--out", str(tmp_path / "r.json")) == 3
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert "wall.fifo: not a regular file" in capsys.readouterr().err
+
+    def test_huge_implied_payload_allocates_nothing(self, dataset_bytes, eval_with):
+        # 10**6 rows of 7 + 5 * 200,000 values: about 10**12 values
+        header, payload = _split_file(dataset_bytes)
+        header["points"], header["n"] = 10 ** 6, 200_000
+        assert _traced_peak(lambda: eval_with(_join_file(header, payload))) == (3, True)
 
     def test_float32_payload_exit_3(self, dataset_bytes, eval_with, capsys):
         # datasets hold float64 only, even where a float32 payload would fit

@@ -105,6 +105,20 @@ class TestModelShape:
     def test_biases_start_zero(self):
         assert all(np.all(b == 0.0) for b in init_model(10).biases)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    def test_weights_equal_per_layer_uniform_draws(self, n, seed):
+        # each weight matrix drawn in place has the bytes of rng.uniform's own
+        # matrix, one fan-in-scaled layer after the other
+        rng = np.random.default_rng(seed)
+        dims = layer_dims(n)
+        want = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = np.sqrt(1.0 / fan_in)
+            want += [rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        assert init_model(n, seed=seed).params.tobytes() == np.concatenate(
+            [a.reshape(-1) for a in want]).tobytes()
+
     def test_n_below_two_rejected(self):
         with pytest.raises(DomainError):
             init_model(1)
@@ -432,6 +446,8 @@ class TestTrain:
         assert out.training_meta["blas_version"] == blas["version"]
         assert (out.training_meta["openblas_num_threads"]
                 == os.environ.get("OPENBLAS_NUM_THREADS"))
+        # an unset setting leaves OpenBLAS one thread per CPU
+        assert out.training_meta["cpu_count"] == os.cpu_count()
 
     def test_deterministic_training(self):
         rng = np.random.default_rng(23)

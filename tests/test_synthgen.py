@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from thermoseer import core
+from thermoseer.cli import save_dataset
 from thermoseer.core import (
     CURVES_PER_PROFILE,
     DomainError,
@@ -224,6 +226,31 @@ class TestPointTrace:
         want = _reference_trace(params, settings, sched, pt, sample_period, lead_in)
         assert np.array_equal(temps, want)
 
+    def test_a_layer_of_points_is_each_point_in_turn(self, settings, params):
+        # one oracle pass over a layer's points gives every point's own row
+        sched = build_schedule(params, settings)
+        pts = [PointId.from_distance(9, d, settings.travel_speed)
+               for d in (0.0, 33.3, 80.0, 160.0)]
+        times, temps = point_trace(params, settings, sched, pts, 0.25, 5.0)
+        curves = analytic_curve(params, settings, sched, pts, np.arange(1, 6)[:, np.newaxis],
+                                np.linspace(0.0, 40.0, 9))
+        for pt, row_times, row_temps, row_curves in zip(pts, times, temps, curves,
+                                                       strict=True):
+            one_times, one_temps = point_trace(params, settings, sched, pt, 0.25, 5.0)
+            assert np.array_equal(row_times, one_times)
+            assert np.array_equal(row_temps, one_temps)
+            assert np.array_equal(row_curves, analytic_curve(
+                params, settings, sched, pt, np.arange(1, 6)[:, np.newaxis],
+                np.linspace(0.0, 40.0, 9)))
+
+    def test_points_of_two_layers_refused(self, settings, params):
+        sched = build_schedule(params, settings)
+        pts = [PointId.from_distance(layer, 40.0, settings.travel_speed) for layer in (3, 4)]
+        with pytest.raises(DomainError, match="one layer"):
+            point_trace(params, settings, sched, pts)
+        with pytest.raises(DomainError, match="one layer"):
+            analytic_curve(params, settings, sched, [], 1, np.zeros(3))
+
     @pytest.mark.parametrize("sample_period", [math.nan, math.inf, 0.0, -0.5])
     def test_rejects_a_period_that_is_not_positive_and_finite(self, settings, params,
                                                              sample_period):
@@ -339,3 +366,39 @@ class TestExperimentWall:
         for pa, pb in zip(a.profiles, b.profiles, strict=True):
             assert pa.point == pb.point
             np.testing.assert_array_equal(pa.temps, pb.temps)
+
+
+def _settings(num_layers):
+    return ProcessSettings.build(8.0, 3.0, 160.0, 1.5, num_layers,
+                                 layer_print_time=20.5, deposition_rate=52.8)
+
+
+class TestPinnedBytes:
+    """sha256 of saved walls, pinned so a faster generator must reproduce
+    every byte, noise and pyrometer splits included."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: generate_wall(_settings(40), SynthParams(seed=7), 7, n=100),
+         "0a6c702e7ad6baee6358e0b0d33ae33c3649de5599fd2777c4fc12ecf0b9ac8b"),
+        (lambda: generate_wall(_settings(40), SynthParams(seed=7, noise_sd=1.0), 7, n=100),
+         "e8d1fad260f83527535cda49a4ae0e3b72a28fe31614f2ac22213ec97f40f526"),
+        (lambda: generate_experiment_wall(_settings(12), SynthParams(seed=1), 3, n=40,
+                                          sample_period=0.1),
+         "4d11ed4967c8c7f4d0eb6092d4432938ee60603c2ab6159fc390d6a92479b5fb"),
+        (lambda: generate_experiment_wall(_settings(12), SynthParams(seed=1), 3, n=40,
+                                          sample_period=0.25),
+         "e95a87e4438a444a2ada064016da0a791f33a168609e60ead721b94055b73442"),
+        (lambda: generate_experiment_wall(_settings(12), SynthParams(seed=1), 3, n=40,
+                                          sample_period=0.5),
+         "1e0c84c35ef046c080b38175057af4fa6cb1b86e93391f4ce7e6010f92ee25ad"),
+        (lambda: generate_experiment_wall(_settings(12), SynthParams(seed=1), 3, n=40,
+                                          sample_period=1.0),
+         "b22e7465d98d0553b9851a3bf4167379261e16913153a1137acf4d444ec1c45c"),
+        (lambda: generate_experiment_wall(_settings(40), SynthParams(seed=7), 7, n=100),
+         "6cb00e71d05887dd83d80da480963ad1b18997b5d49adc0cc8696f9ba94222ff"),
+    ], ids=["simulation-noise0", "simulation-noise1", "experiment-0.1s", "experiment-0.25s",
+            "experiment-0.5s", "experiment-1.0s", "experiment-canonical"])
+    def test_saved_wall_digest(self, tmp_path, build, digest):
+        path = tmp_path / "wall.tsd"
+        save_dataset(str(path), build())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
