@@ -13,7 +13,6 @@ from .core import (
     CURVES_PER_PROFILE,
     CheckpointError,
     ConfigError,
-    Curve,
     DomainError,
     DwellSchedule,
     HorizonError,
@@ -86,7 +85,6 @@ __all__ = [
     "CURVES_PER_PROFILE",
     "CheckpointError",
     "ConfigError",
-    "Curve",
     "CurvePairs",
     "DomainError",
     "DwellSchedule",

@@ -100,11 +100,11 @@ def _atomic_file(path: str) -> typing.Iterator[typing.BinaryIO]:
         raise
 
 
-def _atomic_write(path: str, data: bytes | str) -> None:
-    """Replace ``path`` with ``data`` (``str`` is written as UTF-8) in one
-    step, through :func:`_atomic_file`."""
+def _atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` as UTF-8 in one step, through
+    :func:`_atomic_file`."""
     with _atomic_file(path) as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        fh.write(text.encode("utf-8"))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -376,31 +376,26 @@ def _split_wall_overrides(table: dict[str, str]):
     return shared, walls
 
 
-# the arguments ProcessSettings.build requires; other keys keep their owners' defaults
-_BUILD_DEFAULTS = {"travel_speed": 8.0, "wire_feed_rate": 3.0, "layer_length": 160.0,
-                   "layer_thickness": 1.5, "num_layers": 40}
-
-
 def _given(values: dict, keys) -> dict:
     return {k: values[k] for k in keys if k in values}
 
 
 def _build_generation(values: dict):
     """``(generator, settings, params, kwargs)`` of one wall's typed config
-    values; the wall is ``generator(settings, params, **kwargs)``."""
+    values, a key left out keeping its owner's default; the wall is
+    ``generator(settings, params, **kwargs)``."""
     if "seed" not in values:
         raise ConfigError("config: required key 'seed' is missing")
     style = values.get("style", "simulation")
     if style not in ("simulation", "experiment"):
         raise ConfigError(f"config: style must be simulation or experiment, got {style!r}")
-    settings = ProcessSettings.build(
-        **{**_BUILD_DEFAULTS, **_given(values, _field_types(ProcessSettings))})
+    settings = ProcessSettings.build(**_given(values, _field_types(ProcessSettings)))
     params = SynthParams(**_given(values, _field_types(SynthParams)))
     if style == "experiment":
         generator, keys = generate_experiment_wall, {**_WALL_KEYS, **_EXPERIMENT_KEYS}
     else:
         generator, keys = generate_wall, _WALL_KEYS
-    return generator, settings, params, {"points_per_layer": 7, **_given(values, keys)}
+    return generator, settings, params, _given(values, keys)
 
 
 def cmd_generate(args) -> int:

@@ -4,7 +4,7 @@ Everything downstream (generation, preprocessing, mapping, reconstruction,
 pipeline) speaks in these types.  A point's temperature history is one
 :class:`Profile`: its first five print+dwell curves as one (5, N) array plus
 their five durations, so producers fill and consumers read that block
-directly; :class:`Curve` is only the row value :attr:`Profile.curves` builds.
+directly; :class:`Curve` is only the unchecked row record :attr:`Profile.curves` builds.
 Temperatures are degrees Celsius stored as float64 end to end; layers are
 indexed 1-based.
 """
@@ -151,17 +151,17 @@ class ProcessSettings:
     @classmethod
     def build(
         cls,
-        travel_speed: float,
-        wire_feed_rate: float,
-        layer_length: float,
-        layer_thickness: float,
-        num_layers: int,
+        travel_speed: float = 8.0,
+        wire_feed_rate: float = 3.0,
+        layer_length: float = 160.0,
+        layer_thickness: float = 1.5,
+        num_layers: int = 40,
         wire_diameter: float = 1.2,
         interpass_target: float = 200.0,
         layer_print_time: float | None = None,
         deposition_rate: float | None = None,
     ) -> "ProcessSettings":
-        """Settings with the usual derived defaults: print time from travel
+        """Settings with the canonical wall's defaults: print time from travel
         speed plus the 0.5 s allowance, deposition rate from the wire."""
         _require_positive("travel_speed", travel_speed)
         _require_count("num_layers", num_layers)
@@ -232,47 +232,27 @@ class PointId:
         return round(self.axial_distance, 9)
 
 
-def curve_durations(durations, count: int = CURVES_PER_PROFILE) -> tuple[float, ...]:
+def curve_durations(durations) -> tuple[float, ...]:
     """``durations`` as a tuple of floats: the durations of a profile's
-    five curves (``count`` of them; a :class:`Curve` has one).  Another
-    count raises ShapeError, and a duration that is not positive and finite
-    DomainError.  :class:`Profile` and
+    five curves.  Another count raises ShapeError, and a duration that is
+    not positive and finite DomainError.  :class:`Profile` and
     :class:`~thermoseer.reconstruct.LayerReconstruction` both hold their
     durations through this rule."""
     durations = tuple(float(d) for d in durations)
-    if len(durations) != count:
-        raise ShapeError(f"need exactly {count} curve durations, got {len(durations)}")
+    if len(durations) != CURVES_PER_PROFILE:
+        raise ShapeError(f"need exactly {CURVES_PER_PROFILE} curve durations, got {len(durations)}")
     for duration in durations:
         if not 0.0 < duration < math.inf:
             raise DomainError(f"curve duration must be positive, got {duration!r}")
     return durations
 
 
-def _frozen_curves(temps: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
-    """``temps`` as a read-only float64 array of shape ``rows + (N,)`` with
-    N >= 2, once every value lies inside the physical temperature range."""
-    temps = np.ascontiguousarray(temps, dtype=np.float64)
-    if temps.ndim != len(rows) + 1 or temps.shape[:-1] != rows or temps.shape[-1] < 2:
-        shape = ", ".join([str(r) for r in rows] + ["N >= 2"])
-        raise ShapeError(f"curve temps must have shape ({shape}), got {temps.shape}")
-    if not in_temperature_range(temps):
-        raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
-                          f"and {MAX_TEMPERATURE_C:g} degC")
-    temps.flags.writeable = False
-    return temps
-
-
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """One print+dwell cycle of a point's temperature history, resampled to a
-    fixed number of evenly spaced values over [0, duration]."""
+    """One row of a :class:`Profile` and its duration, both checked by the profile."""
 
     temps: np.ndarray
     duration: float
-
-    def __post_init__(self) -> None:
-        curve_durations((self.duration,), count=1)
-        object.__setattr__(self, "temps", _frozen_curves(self.temps, ()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +268,15 @@ class Profile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "durations", curve_durations(self.durations))
-        object.__setattr__(self, "temps", _frozen_curves(self.temps, (CURVES_PER_PROFILE,)))
+        temps = np.ascontiguousarray(self.temps, dtype=np.float64)
+        if temps.ndim != 2 or temps.shape[0] != CURVES_PER_PROFILE or temps.shape[1] < 2:
+            raise ShapeError(f"curve temps must have shape ({CURVES_PER_PROFILE}, N >= 2), "
+                             f"got {temps.shape}")
+        if not in_temperature_range(temps):
+            raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
+                              f"and {MAX_TEMPERATURE_C:g} degC")
+        temps.flags.writeable = False
+        object.__setattr__(self, "temps", temps)
 
     @property
     def n(self) -> int:
@@ -296,7 +284,7 @@ class Profile:
 
     @property
     def curves(self) -> tuple[Curve, ...]:
-        """The five rows as :class:`Curve` values, built on each access."""
+        """The five read-only rows as :class:`Curve` records, built on each access."""
         return tuple(Curve(t, d) for t, d in zip(self.temps, self.durations))
 
 
@@ -422,9 +410,12 @@ def mapping_features(
 def reop_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Relative error of profile, row by row: the mean of |T_hat - T| / T
     over each row of two (P, K) arrays, where a row holds one profile's
-    stacked (partial) curves."""
+    stacked (partial) curves.  A non-finite prediction or a truth value at
+    or below 0 degC raises MetricError, so no score is NaN."""
     if predicted.shape != truth.shape or truth.ndim != 2:
         raise ShapeError(f"REOP needs two (P, K) arrays, got {predicted.shape} and {truth.shape}")
+    if not np.isfinite(predicted).all():
+        raise MetricError("REOP undefined: a predicted temperature is not finite")
     if np.any(truth <= 0.0):
         raise MetricError("REOP undefined: truth contains temperatures <= 0 degC")
     return np.mean(np.abs(predicted - truth) / truth, axis=1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,23 +326,28 @@ def _matched_points(wall: WallDataset, layers: Collection[int] | None):
         yield i, lower, [upper_by_place[p.point.place] for p in lower]
 
 
+def _wall_list(walls: WallDataset | Iterable[WallDataset]) -> list[WallDataset]:
+    """A WallDataset is one wall; any other iterable is a collection of walls."""
+    return [walls] if isinstance(walls, WallDataset) else list(walls)
+
+
 def count_curve_pairs(wall: WallDataset) -> int:
     """``len(extract_curve_pairs(wall))``, counted from the matched points
     alone: five curve pairs per point with a partner one layer up."""
     return CURVES_PER_PROFILE * sum(len(lower) for _, lower, _ in _matched_points(wall, None))
 
 
-def extract_curve_pairs(walls: WallDataset | list[WallDataset],
+def extract_curve_pairs(walls: WallDataset | Iterable[WallDataset],
                         layers: Collection[int] | None = None) -> CurvePairs:
-    """Supervised curve pairs of one wall or a list of walls, from every layer
-    transition whose endpoints both carry profiles (restricted to
+    """Supervised curve pairs of one wall or an iterable of walls, from every
+    layer transition whose endpoints both carry profiles (restricted to
     transitions whose endpoints are both in ``layers`` when given; only a
     wall's own layers are looked up, so a ``range`` of any length is cheap).
 
     Rows come out ordered by wall, then source layer, then point (by axial
     distance), then curve index, so every consecutive run of five rows is
     one profile's curve set.  Walls that disagree on N raise ShapeError."""
-    walls = [walls] if isinstance(walls, WallDataset) else list(walls)
+    walls = _wall_list(walls)
     sizes = {wall.n for wall in walls}
     if len(sizes) != 1:
         raise ShapeError(f"walls must share one N, got N {sorted(sizes)}")
@@ -369,7 +374,7 @@ def mapped_pair_reops(model: MappingModel, pairs: CurvePairs) -> list[float]:
     Every consecutive run of five rows (one point's curves, the order
     :func:`extract_curve_pairs` guarantees) scores as one profile.  Raw-array
     inference is used so even wildly wrong predictions are scored rather than
-    rejected."""
+    rejected; only a non-finite one raises MetricError."""
     if not len(pairs) or len(pairs) % CURVES_PER_PROFILE != 0:
         raise DomainError(
             f"need a multiple of {CURVES_PER_PROFILE} curve pairs, got {len(pairs)}"
@@ -395,7 +400,7 @@ def run_benchmark(train_data, test_data: WallDataset,
                   model: MappingModel | None = None) -> BenchmarkReport:
     """Train on curve pairs from the training walls/layers, then predict each
     test layer from the layer below and score the reconstruction at held-out
-    points.
+    points.  ``train_data`` is one wall or an iterable of walls.
 
     On each test layer the odd-indexed points (first, third, ...) feed the
     mapping and the remaining points are reconstructed and scored, mirroring
@@ -403,7 +408,7 @@ def run_benchmark(train_data, test_data: WallDataset,
     ``test_layers`` is every layer of the test wall with a layer below it.
     Passing a pretrained ``model`` skips training.
     """
-    walls = train_data if isinstance(train_data, list) else [train_data]
+    walls = _wall_list(train_data)
     if test_layers is None:
         test_layers = [l for l in test_data.layers() if l - 1 in set(test_data.layers())]
     for wall in walls:

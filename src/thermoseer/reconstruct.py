@@ -128,9 +128,11 @@ def elm_train(delays: np.ndarray, coefficients: np.ndarray,
 
 
 def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
-    """Basis-coefficient rows (len(delays), m_star) in one pass; a scalar
-    delay gives one row."""
-    delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
+    """Basis-coefficient rows (len(delays), m_star) of a 1-D sequence of
+    delays, in one pass."""
+    delays = np.asarray(delays, dtype=np.float64)
+    if delays.ndim != 1:
+        raise ShapeError(f"delays must be 1-D, got shape {delays.shape}")
     if not np.isfinite(delays).all():
         raise DomainError("delays must be finite")
     x = (delays - elm.delay_mean) / elm.delay_std

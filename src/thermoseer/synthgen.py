@@ -5,11 +5,11 @@ cooling law plus an exponential re-heat approach, with per-layer dwell times
 solved so each layer returns to the interpass target before the next one is
 deposited.  Curves of successive layers are similar by construction and the
 similarity grows with height, which is the structure the mapping model
-learns.  Experiment-style walls come from raw traces of the same oracle:
-a raw trace is two equal-length arrays, ``(times, temps)`` from
-:func:`point_trace`, whose temperatures the pyrometer emulator (noise plus
-clamping) turns into readings that :mod:`thermoseer.preprocess` splits into
-curves.
+learns.  The oracle takes a sequence of one layer's points and returns one
+row per point.  Experiment-style walls come from raw traces of the same
+oracle, ``(times, temps)`` from :func:`point_trace`, whose temperatures the
+pyrometer emulator (noise plus clamping) turns into readings that
+:mod:`thermoseer.preprocess` splits into curves.
 
 No claim of physical fidelity is made; every constant lives in
 :class:`SynthParams` so the oracle is fully specified by its parameters and
@@ -19,6 +19,7 @@ seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -192,26 +193,25 @@ def _cycle_constants(params: SynthParams, settings: ProcessSettings, point: Poin
     return amps, reheats, tau
 
 
-def _one_layer(points: PointId | list[PointId]) -> tuple[list[PointId], int]:
-    """``points`` as a list (one PointId is a list of one) and their layer;
-    points on more than one layer, or none, raise DomainError."""
-    points = [points] if isinstance(points, PointId) else list(points)
+def _one_layer(points: Sequence[PointId]) -> int:
+    """The one layer of ``points``; points on more than one layer, or none,
+    raise DomainError."""
     layers = {point.layer for point in points}
     if len(layers) != 1:
         raise DomainError(f"the oracle takes the points of one layer, got layers "
                           f"{sorted(layers)}")
-    return points, layers.pop()
+    return layers.pop()
 
 
 def analytic_curve(params: SynthParams, settings: ProcessSettings,
-                   schedule: DwellSchedule, points: PointId | list[PointId],
+                   schedule: DwellSchedule, points: Sequence[PointId],
                    curve_index: int | np.ndarray, local_times: np.ndarray) -> np.ndarray:
     """Noise-free oracle temperatures of curve ``curve_index`` at the given
-    local times (s since the cycle start), for one point or for a sequence
-    of points on one layer.  ``curve_index`` is 1-based, an int or an int
-    array that broadcasts against ``local_times``.  A sequence gets one row
-    per point (a leading axis); one PointId gets that row alone."""
-    layer_points, layer = _one_layer(points)
+    local times (s since the cycle start), one row per point of ``points``,
+    a sequence of points on one layer.  ``curve_index`` is 1-based, an int
+    or an int array that broadcasts against ``local_times``; each row has
+    their broadcast shape."""
+    layer = _one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     idx = np.asarray(curve_index) - 1
     t = np.asarray(local_times, dtype=np.float64)
@@ -220,7 +220,7 @@ def analytic_curve(params: SynthParams, settings: ProcessSettings,
     # the re-heat term does not depend on the point, only its amplitude does
     reheat_rise = np.exp((t - np.array(durations)[idx]) / params.reheat_tau)
     amps, reheats, taus = (np.array(c) for c in zip(*(
-        _cycle_constants(params, settings, point, durations) for point in layer_points)))
+        _cycle_constants(params, settings, point, durations) for point in points)))
     # ambient + amp * exp(-t / tau) + reheat * reheat_rise, each product and
     # sum in place
     temps = np.exp(-t / taus.reshape((-1,) + (1,) * len(shape)))
@@ -229,24 +229,24 @@ def analytic_curve(params: SynthParams, settings: ProcessSettings,
     reheat = np.take(reheats, idx, axis=1)
     reheat *= reheat_rise
     temps += reheat
-    return temps[0] if isinstance(points, PointId) else temps
+    return temps
 
 
 def point_trace(params: SynthParams, settings: ProcessSettings,
-                schedule: DwellSchedule, points: PointId | list[PointId],
+                schedule: DwellSchedule, points: Sequence[PointId],
                 sample_period: float = 0.1,
                 lead_in: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``(times, temps)`` of a raw trace: global times every
-    ``sample_period`` seconds spanning the five cycles, optionally preceded
-    by ``lead_in`` seconds of ambient readings before deposition.  For a
-    sequence of points on one layer both arrays have one row per point,
-    and every row has the same length; one PointId gets its row alone."""
+    """``(times, temps)`` of the raw traces of ``points``, a sequence of
+    points on one layer: both arrays have one row per point, all of one
+    length, of global times every ``sample_period`` seconds spanning the
+    five cycles, optionally preceded by ``lead_in`` seconds of ambient
+    readings before deposition."""
     if not 0.0 < sample_period < math.inf:
         raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
-    layer_points, layer = _one_layer(points)
+    layer = _one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
-                       for point in layer_points])
+                       for point in points])
 
     n_lead = int(round(lead_in / sample_period))
     n_span = int(math.ceil(float(sum(durations)) / sample_period))
@@ -256,12 +256,11 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     local = offsets[n_lead:]
     # each sample's cycle; the last keeps the final samples that overrun the span
     k = np.minimum(np.searchsorted(bounds, local, side="right") - 1, CURVES_PER_PROFILE - 1)
-    temps = np.empty((len(layer_points), offsets.size))
+    temps = np.empty((len(points), offsets.size))
     temps[:, :n_lead] = params.ambient
-    temps[:, n_lead:] = analytic_curve(params, settings, schedule, layer_points, k + 1,
+    temps[:, n_lead:] = analytic_curve(params, settings, schedule, points, k + 1,
                                        local - bounds[k])
-    times = starts[:, np.newaxis] + offsets
-    return (times[0], temps[0]) if isinstance(points, PointId) else (times, temps)
+    return starts[:, np.newaxis] + offsets, temps
 
 
 def emulate_pyrometer(temps: np.ndarray, noise_sd: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -307,7 +306,7 @@ def _refuse_oversized(settings: ProcessSettings, points_per_layer: int, n: int,
 
 
 def generate_wall(settings: ProcessSettings, params: SynthParams,
-                  points_per_layer: int, n: int = 100,
+                  points_per_layer: int = 7, n: int = 100,
                   spacing_mm: float | None = None) -> WallDataset:
     """Simulation-style dataset: noise-free (unless ``params.noise_sd`` > 0)
     analytic profiles of evenly spaced interior points on every layer that
@@ -343,14 +342,16 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
 
 
 def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
-                             points_per_layer: int, n: int = 100,
+                             points_per_layer: int = 7, n: int = 100,
                              spacing_mm: float | None = None,
                              jitter_mm: float = 2.0,
                              sample_period: float = 0.5,
                              rise_threshold: float = 50.0) -> WallDataset:
     """Experiment-style dataset: each point's oracle trace is evaluated at a
     jittered location (manual pyrometer placement), passed through the
-    pyrometer emulator, split at sharp rises, and resampled.  Recorded point
+    pyrometer emulator, split at sharp rises, and resampled.  A pyrometer
+    always reads with noise: a ``params.noise_sd`` <= 0 is replaced by
+    2.0 degC, and the provenance records the value used.  Recorded point
     identities keep the nominal locations.  A wall whose curves and raw
     traces together exceed MAX_WALL_VALUES raises ConfigError before any
     trace is built."""

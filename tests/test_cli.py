@@ -142,28 +142,24 @@ def roundtrip_dir(tmp_path_factory):
 
 class TestOnlinePath:
     def test_builds_no_curve(self, tmp_path, small_wall, monkeypatch):
-        # file to score, a profile stays one (5, N) block: the online path
-        # never takes it apart into per-curve objects
+        # from the dataset file to the score, a profile stays one (5, N)
+        # block: the online path never takes it apart through Profile.curves
         path = str(tmp_path / "wall.tsd")
         save_dataset(path, small_wall)
         model = init_model(small_wall.n, seed=0)
         model.params[:] = 0.0  # the identity map keeps every prediction in range
-        built = []
-        post_init = core.Curve.__post_init__
-
-        def counting(curve):
-            built.append(curve)
-            post_init(curve)
-
-        monkeypatch.setattr(core.Curve, "__post_init__", counting)
+        reads = []
+        curves = core.Profile.curves.fget
+        monkeypatch.setattr(core.Profile, "curves",
+                            property(lambda prof: reads.append(prof) or curves(prof)))
         wall = load_dataset(path)
         prediction = predict_layer(model, wall, 7)
         truth = wall.profiles_on(7)
         preds = [predict_point(prediction, p.point.axial_distance, wall.settings)
                  for p in truth]
         assert len(evaluate(preds, truth).per_point) == 3
-        assert built == []
-        assert len(truth[0].curves) == 5 and len(built) == 5  # the counter counts
+        assert reads == []
+        assert len(truth[0].curves) == 5 and reads == [truth[0]]  # the counter counts
 
 
 class TestCheckpointRoundTrip:
@@ -711,7 +707,7 @@ class TestAtomicWrite:
             raise OSError("replace failed")
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            _atomic_write(str(path), b"new")
+            _atomic_write(str(path), "new")
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["report.json"]
 
@@ -720,7 +716,7 @@ class TestAtomicWrite:
         with open(plain, "w") as fh:
             fh.write("x")
         _atomic_write(str(tmp_path / "a.txt"), "text é")
-        _atomic_write(str(tmp_path / "b.bin"), b"\x00\x01")
+        _atomic_write(str(tmp_path / "b.bin"), "\x00\x01")
         assert (tmp_path / "a.txt").read_bytes() == "text é".encode("utf-8")
         assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
         mode = stat.S_IMODE(plain.stat().st_mode)
@@ -1070,6 +1066,40 @@ class TestTrainPredictEvalField:
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setup, code, message", [
+        ("generate", "seed = 7\nnum_layers 12\n", 2, "expected key=value"),
+        ("generate", None, 2, "cannot read config"),
+        ("generate", "seed = x\n", 2, "a seed must be an integer"),
+        ("generate", "seed = 7\nwall.a.n = 8\n", 2, "malformed wall override key"),
+        ("generate", "seed = 7\nstyle = foo\n", 2, "style must be simulation or experiment"),
+        ("train", "--layers a:b", 2, "--layers expects START:END"),
+        ("train", "--layers 100:200", 3, "no curve pairs"),
+        ("field", "--times a,b", 2, "--times expects comma-separated seconds"),
+        ("field", "--times ,", 2, "--times lists no time values")])
+    def test_config_and_option_errors_exit_with_their_code(self, tmp_path, dataset_path,
+                                                           capsys, command, setup, code,
+                                                           message):
+        # a malformed config (line, file, value, wall key, style), layer range
+        # or time list ends the command with its code, a message and no file
+        ckpt = str(tmp_path / "model.ckpt")
+        assert run_cli("train", "--data", dataset_path, "--out", ckpt, "--epochs", "0") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if command == "generate":
+            cfg = tmp_path / "wall.cfg"
+            if setup is not None:
+                cfg.write_text(setup)
+            argv = ["generate", "--config", str(cfg)]
+        elif command == "train":
+            argv = ["train", "--data", dataset_path, "--epochs", "1", *setup.split()]
+        else:
+            argv = ["field", "--ckpt", ckpt, "--data", dataset_path, "--layer", "6",
+                    *setup.split()]
+        assert run_cli(*argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_too_many_frames_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys):

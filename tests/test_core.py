@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from thermoseer.core import (
     ABSOLUTE_ZERO_C,
     MAX_TEMPERATURE_C,
-    Curve,
     DomainError,
     DwellSchedule,
     MetricError,
@@ -26,6 +25,9 @@ from thermoseer.core import (
     reop_rows,
     wire_deposition_rate,
 )
+
+import thermoseer
+from thermoseer import core
 
 from conftest import constant_profile, random_positive_profile
 
@@ -219,6 +221,14 @@ class TestReop:
         with pytest.raises(ShapeError):
             reop(constant_profile(10.0, n=20), constant_profile(10.0, n=21))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prediction_raises(self, value):
+        # checked before any arithmetic, so no score is NaN and numpy warns of nothing
+        pred = np.full((2, 5), 300.0)
+        pred[1, 3] = value
+        with pytest.raises(MetricError, match="not finite"):
+            reop_rows(pred, np.full((2, 5), 300.0))
+
     @pytest.mark.parametrize("shapes", [((5,), (5,)), ((2, 5), (3, 5)), ((1, 5), (2, 5))])
     def test_rows_need_two_arrays_of_one_2d_shape(self, shapes):
         # (1, 5) against (2, 5) would broadcast to two rows without the check
@@ -259,6 +269,8 @@ class TestTypes:
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40)
         assert s.layer_print_time == pytest.approx(20.5)
         assert s.deposition_rate == pytest.approx(wire_deposition_rate(3.0, 1.2))
+        # the canonical wall's five settings are build's own defaults
+        assert ProcessSettings.build() == s
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_layer_counts_refuse_nan_and_inf(self, settings, value):
@@ -283,25 +295,24 @@ class TestTypes:
             WallDataset(settings, schedule, [bad])
 
     def test_curve_rejects_bad_values(self):
-        # a Curve is one row, a Profile five rows with one duration each;
-        # both check their values the same way
+        # a Profile checks each of its five rows and their durations
         pt = PointId.from_distance(1, 10.0, 8.0)
-        kinds = (lambda temps, d: Curve(temps, d),
-                 lambda temps, d: Profile(pt, np.tile(temps, (5, 1)), (1.0,) * 4 + (d,)))
-        for make in kinds:
+
+        def make(temps, d):
+            return Profile(pt, np.tile(temps, (5, 1)), (1.0,) * 4 + (d,))
+        with pytest.raises(DomainError):
+            make(np.array([1.0, np.nan]), 1.0)
+        with pytest.raises(DomainError):
+            make(np.array([1.0, -300.0]), 1.0)
+        for value in (np.inf, -np.inf, -273.15, 1e4, 1e300):
             with pytest.raises(DomainError):
-                make(np.array([1.0, np.nan]), 1.0)
+                make(np.array([1.0, value]), 1.0)
+        make(np.array([-273.14, 9999.99]), 1.0)  # inside the physical range
+        for duration in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
-                make(np.array([1.0, -300.0]), 1.0)
-            for value in (np.inf, -np.inf, -273.15, 1e4, 1e300):
-                with pytest.raises(DomainError):
-                    make(np.array([1.0, value]), 1.0)
-            make(np.array([-273.14, 9999.99]), 1.0)  # inside the physical range
-            for duration in (0.0, -1.0, np.nan, np.inf):
-                with pytest.raises(DomainError):
-                    make(np.array([1.0, 2.0]), duration)
-            with pytest.raises(ShapeError):  # N < 2
-                make(np.array([1.0]), 1.0)
+                make(np.array([1.0, 2.0]), duration)
+        with pytest.raises(ShapeError):  # N < 2
+            make(np.array([1.0]), 1.0)
         for temps in (np.full(2, 300.0), np.full((4, 2), 300.0), np.full((6, 2), 300.0),
                       np.full((5, 2, 1), 300.0), np.full((5, 1), 300.0), np.full((5, 0), 300.0)):
             with pytest.raises(ShapeError):
@@ -309,18 +320,22 @@ class TestTypes:
         for durations in ((1.0,) * 4, (1.0,) * 6):
             with pytest.raises(ShapeError):
                 Profile(pt, np.full((5, 2), 300.0), durations)
-        with pytest.raises(ShapeError):
-            Curve(np.full((1, 2), 300.0), 1.0)
 
     def test_curve_is_immutable(self):
-        c = Curve(np.array([1.0, 2.0]), 1.0)
-        with pytest.raises(ValueError):
-            c.temps[0] = 5.0
+        # a curve is a row of its profile: the profile's block is read-only,
+        # and so is every row that Profile.curves hands out
         p = Profile(PointId.from_distance(1, 10.0, 8.0), np.full((5, 2), 300.0), [1.0] * 5)
         with pytest.raises(ValueError):
             p.temps[0, 0] = 5.0
         assert p.durations == (1.0,) * 5 and p.n == 2
         assert [c.duration for c in p.curves] == [1.0] * 5
+        for c in p.curves:
+            with pytest.raises(ValueError):
+                c.temps[0] = 5.0
+        # the row record is plain: only a Profile checks values, and the
+        # package does not export it
+        assert "__post_init__" not in vars(core.Curve)
+        assert "Curve" not in thermoseer.__all__
 
     def test_dataset_rejects_mixed_n(self, settings, schedule):
         a = constant_profile(300.0, n=20, layer=2, distance=20.0)

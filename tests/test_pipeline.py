@@ -439,6 +439,16 @@ def test_zero_degree_truth_is_a_metric_error(path):
         score()
 
 
+def test_nan_parameters_are_a_metric_error():
+    # a model's params stay writable; a NaN written into them makes NaN
+    # predictions, which the REOP kernel refuses instead of scoring NaN
+    model = init_model(8)
+    model.params[:] = np.nan
+    pairs = CurvePairs(np.full((5, 8), 310.0), np.ones((5, 4)), np.full((5, 8), 300.0))
+    with pytest.raises(MetricError, match="not finite"):
+        mapped_pair_reops(model, pairs)
+
+
 class TestCurvePairs:
     def test_full_wall_pair_count(self, wall):
         # 34 usable transitions x 7 points x 5 curves
@@ -534,7 +544,22 @@ class TestRunBenchmark:
         )
         a = run_benchmark(wall, wall, **kwargs)
         b = run_benchmark(wall, wall, **kwargs)
+        assert _report_fields(a) == _report_fields(b)
 
-        def fields(r):
-            return r.train_pairs, r.final_train_loss, r.per_layer, r.mapped_per_layer
-        assert fields(a) == fields(b)
+    def test_a_tuple_of_walls_is_the_list_of_them(self):
+        # a WallDataset is one wall and any other iterable a collection of
+        # walls, for run_benchmark as for extract_curve_pairs
+        settings = ProcessSettings.build(num_layers=12, layer_print_time=20.5,
+                                         deposition_rate=52.8)
+        first, second, test = (generate_wall(settings, SynthParams(seed=seed),
+                                             points_per_layer=3, n=40) for seed in (7, 8, 9))
+        config = TrainConfig(epochs=1, batch_size=32, seed=5)
+        reports = [run_benchmark(walls, test, train_config=config)
+                   for walls in ([first, second], (first, second))]
+        assert reports[0].train_pairs == len(extract_curve_pairs((first, second))) == 180
+        assert _report_fields(reports[0]) == _report_fields(reports[1])
+
+
+def _report_fields(report):
+    return (report.train_pairs, report.final_train_loss, report.per_layer,
+            report.mapped_per_layer)

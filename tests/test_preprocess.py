@@ -4,7 +4,6 @@ import pytest
 from hypothesis import strategies as st
 
 from thermoseer.core import (
-    Curve,
     DomainError,
     PointId,
     ProcessSettings,
@@ -78,7 +77,8 @@ class TestSplitExperiment:
         params = SynthParams(seed=1)
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(4, 60.0, settings.travel_speed)
-        _, temps = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=5.0)
+        _, (temps,) = point_trace(params, settings, sched, [pt], sample_period=0.5,
+                                  lead_in=5.0)
         seen = emulate_pyrometer(temps, noise_sd=2.0, seed=5)
         cuts = split_experiment(seen, 0.5, 50.0)
         # six visible deposition events: the point's own deposition plus the
@@ -134,8 +134,8 @@ class TestSplitAtAnySamplingRate:
         for layer in range(1, 8):
             for j, d in enumerate((40.0, 80.0, 120.0)):
                 point = PointId.from_distance(layer, d, settings.travel_speed)
-                times, temps = point_trace(params, settings, sched, point, sample_period,
-                                           lead_in=5.0)
+                (times,), (temps,) = point_trace(params, settings, sched, [point],
+                                                 sample_period, lead_in=5.0)
                 seen = emulate_pyrometer(temps, noise_sd, seed=10 * layer + j)
                 cuts = split_experiment(seen, sample_period, 50.0)
                 # the pre-deposition stub, five curves, the last re-heat's stub
@@ -203,36 +203,36 @@ class TestResample:
 
 class TestOverlapTruncate:
     def test_equal_durations_is_plain_resample(self):
-        cur = Curve(np.linspace(900, 300, 30), 8.0)
-        a = overlap_truncate_rows(cur.temps[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
-        trace = make_trace(cur.temps, dt=8.0 / 29)
+        curve = np.linspace(900, 300, 30)
+        a = overlap_truncate_rows(curve[np.newaxis], np.array([8.0]), np.array([8.0]), 10)
+        trace = make_trace(curve, dt=8.0 / 29)
         b, _ = resample(*trace, whole(trace), 10)
         np.testing.assert_allclose(a[0], b[0], atol=1e-12)
 
     def test_half_ramp(self):
-        cur = Curve(np.array([0.0, 100.0]), 10.0)
-        c = overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([5.0]), 6)
+        curve = np.array([0.0, 100.0])
+        c = overlap_truncate_rows(curve[np.newaxis], np.array([10.0]), np.array([5.0]), 6)
         np.testing.assert_allclose(c[0], [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
         # the row samples the first 5 s of the curve, endpoint included
         np.testing.assert_array_equal(c[0], np.interp(np.linspace(0.0, 5.0, 6),
-                                                      np.linspace(0.0, 10.0, 2), cur.temps))
+                                                      np.linspace(0.0, 10.0, 2), curve))
 
     def test_n_preserved(self):
-        cur = Curve(np.linspace(1000, 250, 100), 20.0)
+        curve = np.linspace(1000, 250, 100)
         fracs = np.array([0.2, 0.5, 0.9])
-        rows = overlap_truncate_rows(np.tile(cur.temps, (3, 1)), np.full(3, 20.0),
+        rows = overlap_truncate_rows(np.tile(curve, (3, 1)), np.full(3, 20.0),
                                      20 * fracs, 33)
         assert rows.shape == (3, 33)
 
     def test_accepts_curve(self):
-        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0)
-        out = overlap_truncate_rows(cur.temps[np.newaxis], np.array([cur.duration]),
-                                    np.array([5.0]), cur.temps.size)
+        curve = np.linspace(0.0, 100.0, 11)
+        out = overlap_truncate_rows(curve[np.newaxis], np.array([10.0]),
+                                    np.array([5.0]), curve.size)
         assert out.shape == (1, 11)
         np.testing.assert_allclose(out[0], np.linspace(0.0, 50.0, 11))
 
     def test_longer_than_upper_rejected(self):
-        cur = Curve(np.linspace(0.0, 100.0, 11), 10.0)
+        curve = np.linspace(0.0, 100.0, 11)
         with pytest.raises(DomainError):
-            overlap_truncate_rows(cur.temps[np.newaxis], np.array([10.0]), np.array([11.0]), 11)
+            overlap_truncate_rows(curve[np.newaxis], np.array([10.0]), np.array([11.0]), 11)
 

@@ -215,11 +215,15 @@ class TestElm:
     def test_single_output_column_shape(self):
         elm = elm_train(np.linspace(1, 10, 5), np.ones((5, 1)), n_hidden=16, seed=0)
         assert elm.output_weights.shape == (16, 1)
-        assert elm_predict(elm, 3.0).shape == (1, 1)
+        assert elm_predict(elm, [3.0]).shape == (1, 1)
+        # the delays are one 1-D sequence: a bare scalar or a 2-D block is refused
+        for delays in (3.0, np.ones((2, 1))):
+            with pytest.raises(ShapeError, match="1-D"):
+                elm_predict(elm, delays)
 
     def test_zero_hidden_parameters_give_zero_output(self):
         elm = ElmModel(np.zeros(8), np.zeros(8), np.ones((8, 3)), 0.0, 1.0)
-        np.testing.assert_array_equal(elm_predict(elm, 123.4), np.zeros((1, 3)))
+        np.testing.assert_array_equal(elm_predict(elm, [123.4]), np.zeros((1, 3)))
 
     def test_deterministic(self):
         delays = np.linspace(1, 10, 6)
@@ -227,7 +231,7 @@ class TestElm:
         a = elm_train(delays, y, seed=5)
         b = elm_train(delays, y, seed=5)
         np.testing.assert_array_equal(a.output_weights, b.output_weights)
-        np.testing.assert_array_equal(elm_predict(a, 4.2), elm_predict(b, 4.2))
+        np.testing.assert_array_equal(elm_predict(a, [4.2]), elm_predict(b, [4.2]))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
@@ -358,6 +362,37 @@ def _layer_parts(n=4, m_star=2):
 
 
 BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+
+
+def _elm_of(n_hidden, output_rows, n_biases=None):
+    return ElmModel(np.zeros(n_hidden), np.zeros(n_hidden if n_biases is None else n_biases),
+                    np.zeros((output_rows, 2)), 0.0, 1.0)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("error, call", [
+        (ShapeError, lambda: pod_decompose(np.ones(6))),
+        (DomainError, lambda: pod_decompose(np.eye(6, 2), energy_threshold=0.0)),
+        (DomainError, lambda: pod_decompose(np.eye(6, 2), energy_threshold=1.5)),
+        (DomainError, lambda: elm_train(np.array([1.0]), np.zeros((1, 2)))),
+        (ShapeError, lambda: elm_train(np.arange(3.0), np.zeros((4, 2)))),
+        (DomainError, lambda: elm_train(np.arange(3.0), np.zeros((3, 2)), n_hidden=0)),
+        (ShapeError, lambda: _elm_of(4, 4, n_biases=3)),
+        (ShapeError, lambda: _elm_of(4, 3)),
+        (ShapeError, lambda: LayerReconstruction(np.eye(10)[0], _elm_of(4, 4), 3,
+                                                 (1.0,) * 5)),
+        (ShapeError, lambda: LayerReconstruction(np.eye(6, 2), _elm_of(4, 4), 3,
+                                                 (1.0,) * 5)),
+        (ShapeError, lambda: build_profile_matrix(layer_profiles(10, n=2)))],
+        ids=["pod-1d", "pod-energy-0", "pod-energy-1.5", "elm-one-delay",
+             "elm-row-count", "elm-no-hidden", "elm-biases", "elm-output-rows",
+             "layer-1d-basis", "layer-rows-not-5n", "matrix-wide"])
+    def test_raises_its_package_error(self, error, call):
+        # each bad argument is named by the package's own error class, never
+        # left to a numpy error further in
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error
 
 
 class TestModelInvariants:

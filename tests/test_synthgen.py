@@ -108,8 +108,8 @@ class TestGenerateWall:
         for layer in range(1, 36):
             pt = PointId.from_distance(layer, settings.layer_length, settings.travel_speed)
             local = (settings.layer_print_time - end_delay) + wall.schedule.for_layer(layer)
-            temp = analytic_curve(params, settings, wall.schedule, pt, 1,
-                                  np.array([local]))[0]
+            temp = analytic_curve(params, settings, wall.schedule, [pt], 1,
+                                  np.array([local]))[0, 0]
             assert abs(temp - settings.interpass_target) <= 10.0
 
     def test_equals_per_curve_oracle_and_noise(self, settings):
@@ -122,8 +122,8 @@ class TestGenerateWall:
             for j, prof in enumerate(ds.profiles_on(layer), start=1):
                 rng = np.random.default_rng((params.seed, layer, j))
                 for k, (row, duration) in enumerate(zip(prof.temps, prof.durations), start=1):
-                    want = analytic_curve(params, s, ds.schedule, prof.point, k,
-                                          np.linspace(0.0, duration, 30))
+                    (want,) = analytic_curve(params, s, ds.schedule, [prof.point], k,
+                                             np.linspace(0.0, duration, 30))
                     want += rng.normal(0.0, params.noise_sd, size=30)
                     assert np.array_equal(row, want)
 
@@ -162,6 +162,13 @@ class TestGenerateWall:
         small = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 5)
         with pytest.raises(DomainError):
             generate_wall(small, params, points_per_layer=7)
+
+    def test_seven_points_a_layer_by_default(self):
+        # both generators default to the canonical wall's seven points a layer
+        s = ProcessSettings.build(num_layers=8)
+        for generate in (generate_wall, generate_experiment_wall):
+            ds = generate(s, SynthParams(seed=1), n=4)
+            assert [len(ds.profiles_on(layer)) for layer in ds.layers()] == [7, 7, 7]
 
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -208,8 +215,8 @@ def _reference_trace(params, settings, schedule, point, sample_period, lead_in):
     for k in range(CURVES_PER_PROFILE):
         lo, hi = bounds[k], bounds[k + 1]
         sel = (local >= lo) & ((local < hi) | (k == CURVES_PER_PROFILE - 1))
-        temps[n_lead:][sel] = analytic_curve(params, settings, schedule, point, k + 1,
-                                             local[sel] - lo)
+        temps[n_lead:][sel] = analytic_curve(params, settings, schedule, [point], k + 1,
+                                             local[sel] - lo)[0]
     return temps
 
 
@@ -222,7 +229,7 @@ class TestPointTrace:
         params = SynthParams(seed=3, reheat_tau=reheat_tau)
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(layer, d, settings.travel_speed)
-        _, temps = point_trace(params, settings, sched, pt, sample_period, lead_in)
+        _, (temps,) = point_trace(params, settings, sched, [pt], sample_period, lead_in)
         want = _reference_trace(params, settings, sched, pt, sample_period, lead_in)
         assert np.array_equal(temps, want)
 
@@ -236,12 +243,13 @@ class TestPointTrace:
                                 np.linspace(0.0, 40.0, 9))
         for pt, row_times, row_temps, row_curves in zip(pts, times, temps, curves,
                                                        strict=True):
-            one_times, one_temps = point_trace(params, settings, sched, pt, 0.25, 5.0)
+            (one_times,), (one_temps,) = point_trace(params, settings, sched, [pt],
+                                                     0.25, 5.0)
             assert np.array_equal(row_times, one_times)
             assert np.array_equal(row_temps, one_temps)
             assert np.array_equal(row_curves, analytic_curve(
-                params, settings, sched, pt, np.arange(1, 6)[:, np.newaxis],
-                np.linspace(0.0, 40.0, 9)))
+                params, settings, sched, (pt,), np.arange(1, 6)[:, np.newaxis],
+                np.linspace(0.0, 40.0, 9))[0])
 
     def test_points_of_two_layers_refused(self, settings, params):
         sched = build_schedule(params, settings)
@@ -251,18 +259,27 @@ class TestPointTrace:
         with pytest.raises(DomainError, match="one layer"):
             analytic_curve(params, settings, sched, [], 1, np.zeros(3))
 
+    def test_a_bare_point_is_refused(self, settings, params):
+        # the oracle takes a sequence of one layer's points, never one PointId
+        sched = build_schedule(params, settings)
+        pt = PointId.from_distance(3, 40.0, settings.travel_speed)
+        with pytest.raises(TypeError):
+            point_trace(params, settings, sched, pt)
+        with pytest.raises(TypeError):
+            analytic_curve(params, settings, sched, pt, 1, np.zeros(3))
+
     @pytest.mark.parametrize("sample_period", [math.nan, math.inf, 0.0, -0.5])
     def test_rejects_a_period_that_is_not_positive_and_finite(self, settings, params,
                                                              sample_period):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
         with pytest.raises(DomainError, match="sample_period"):
-            point_trace(params, settings, sched, pt, sample_period=sample_period)
+            point_trace(params, settings, sched, [pt], sample_period=sample_period)
 
     def test_spans_five_cycles(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
-        times, temps = point_trace(params, settings, sched, pt, sample_period=0.5)
+        (times,), (temps,) = point_trace(params, settings, sched, [pt], sample_period=0.5)
         total = sum(curve_duration(sched, settings, 3, k) for k in range(1, 6))
         assert times.shape == temps.shape
         np.testing.assert_allclose(np.diff(times), 0.5, rtol=0, atol=1e-9)
@@ -271,7 +288,8 @@ class TestPointTrace:
     def test_lead_in_is_ambient(self, settings, params):
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(3, 40.0, settings.travel_speed)
-        _, temps = point_trace(params, settings, sched, pt, sample_period=0.5, lead_in=3.0)
+        _, (temps,) = point_trace(params, settings, sched, [pt], sample_period=0.5,
+                                  lead_in=3.0)
         assert np.all(temps[:6] == params.ambient)
         # deposition jump right after the lead-in
         assert temps[6] > 1000.0
@@ -282,7 +300,7 @@ class TestPointTrace:
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(1, 80.0, settings.travel_speed)
         assert deposition_time(sched, settings, 1, 80.0) == pytest.approx(10.0)
-        times, _ = point_trace(params, settings, sched, pt, sample_period=0.1)
+        (times,), _ = point_trace(params, settings, sched, [pt], sample_period=0.1)
         assert times[0] == pytest.approx(10.0)
 
     def test_matches_analytic_curves_at_sample_times(self, settings):
@@ -291,14 +309,14 @@ class TestPointTrace:
         params = SynthParams()
         sched = build_schedule(params, settings)
         pt = PointId.from_distance(6, 100.0, settings.travel_speed)
-        times, temps = point_trace(params, settings, sched, pt, sample_period=0.1)
+        (times,), (temps,) = point_trace(params, settings, sched, [pt], sample_period=0.1)
         assert times[0] == deposition_time(sched, settings, 6, 100.0)
         for k in range(1, 6):
             lo = deposition_time(sched, settings, pt.layer + k - 1, pt.axial_distance)
             hi = deposition_time(sched, settings, pt.layer + k, pt.axial_distance)
             inside = (times > lo + 1e-9) & (times < hi - 1e-9)
             assert inside.sum() >= (hi - lo) / 0.1 - 2
-            want = analytic_curve(params, settings, sched, pt, k, times[inside] - lo)
+            (want,) = analytic_curve(params, settings, sched, [pt], k, times[inside] - lo)
             np.testing.assert_allclose(temps[inside], want, rtol=0, atol=1e-9)
 
 
@@ -333,20 +351,16 @@ class TestExperimentWall:
 
     def test_builds_no_curve(self, params, monkeypatch):
         # a point's five curves go from the trace to its (5, N) block in one
-        # resampling call, never through per-curve objects
+        # resampling call, never through Profile.curves
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12, deposition_rate=52.8)
-        built = []
-        post_init = core.Curve.__post_init__
-
-        def counting(curve):
-            built.append(curve)
-            post_init(curve)
-
-        monkeypatch.setattr(core.Curve, "__post_init__", counting)
+        reads = []
+        curves = core.Profile.curves.fget
+        monkeypatch.setattr(core.Profile, "curves",
+                            property(lambda prof: reads.append(prof) or curves(prof)))
         ds = generate_experiment_wall(s, params, points_per_layer=3, n=40)
-        assert len(ds.profiles) == 21 and built == []
+        assert len(ds.profiles) == 21 and reads == []
         first = ds.profiles[0]
-        assert len(first.curves) == 5 and len(built) == 5  # the counter counts
+        assert len(first.curves) == 5 and reads == [first]  # the counter counts
 
     @pytest.mark.parametrize("jitter_mm", [1e308, 161.0, math.inf, math.nan, -1.0])
     def test_rejects_a_jitter_outside_the_layer(self, params, jitter_mm):
