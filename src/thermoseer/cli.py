@@ -468,12 +468,13 @@ def _parse_layer_range(spec: str) -> range:
 
 
 def _load_training_data(paths, layer_spec):
+    """The curve pairs of the given dataset files; the walls are not kept."""
     datasets = [load_dataset(p) for p in paths]
     layers = _parse_layer_range(layer_spec) if layer_spec else None
     pairs = extract_curve_pairs(datasets, layers)
     if not len(pairs):
         raise ShapeError("no curve pairs in the given datasets/layer range")
-    return datasets, pairs
+    return pairs
 
 
 def _train_config(values) -> TrainConfig:
@@ -497,13 +498,15 @@ def cmd_train(args) -> int:
     paths = values["data"]
     if isinstance(paths, str):
         paths = paths.split(",")
-    datasets, pairs = _load_training_data(paths, values.get("layers"))
-    if args.command == "finetune":
-        # fine-tuning is the same procedure continued from the loaded weights
-        model, verb = load_checkpoint(args.ckpt), "fine-tuned"
-    else:
-        model, verb = init_model(datasets[0].n, seed=values.get("init_seed", 0)), "trained"
-    trained, history = train(model, pairs, config)
+    pairs = _load_training_data(paths, values.get("layers"))
+    # fine-tuning is the same procedure continued from the loaded weights;
+    # the starting model goes straight into train, which lets go of it
+    # before its first step
+    finetune = args.command == "finetune"
+    trained, history = train(load_checkpoint(args.ckpt) if finetune else
+                             init_model(pairs.n, seed=values.get("init_seed", 0)),
+                             pairs, config)
+    verb = "fine-tuned" if finetune else "trained"
     save_checkpoint(values["out"], trained)
     if "loss_csv" in values:
         _write_csv(values["loss_csv"], ["epoch", "loss"],

@@ -19,9 +19,15 @@ checked, which is how a layer's five-curve profiles are mapped in one call.
 The parameters are one vector, float32 or float64.  :func:`train` keeps
 one float32 store of the weights: activations, gradients, Adam's moments
 and the weights it updates in place are all float32, and that store is the
-trained model's ``params``.  Inference and checkpoints use the parameters
-in their own dtype, so a trained model is served in float32, while
-:func:`init_model` gives float64 parameters.  The loss and gradient
+trained model's ``params``.  Training holds only what Adam needs: the
+weights, the two moments, one affine map's gradient and one step's
+activations.  The backward pass hands each map to Adam through a hook as
+soon as it is done with it, so the maps' gradients share one buffer the
+size of the largest map, and it writes each map's input gradient over the
+activation it came from.  ``train`` keeps no reference to its input model
+once it has cast the parameters.  Inference and checkpoints use the
+parameters in their own dtype, so a trained model is served in float32,
+while :func:`init_model` gives float64 parameters.  The loss and gradient
 functions compute in float64 for every model.
 
 Everything is plain numpy with explicit seeds: identical seeds give
@@ -31,7 +37,9 @@ bit-identical trained weights on one platform.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +161,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
         if not 0.0 < self.initial_lr < math.inf:
             raise DomainError(f"initial_lr must be positive and finite, got {self.initial_lr}")
 
@@ -338,29 +346,37 @@ def loss_gradients(model: MappingModel, pairs: CurvePairs,
 
 def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
               r: np.ndarray, dropout_mask: np.ndarray | None,
-              d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> float:
+              d_weights: list[np.ndarray], d_biases: list[np.ndarray],
+              done: Callable[[int], None] | None = None) -> float:
     """Writes the batch gradients into ``d_weights`` / ``d_biases`` and
-    returns the batch loss, computed in the dtype of the arrays passed."""
+    returns the batch loss, computed in the dtype of the arrays passed.
+
+    The maps are visited last first.  ``done(l)``, when given, is called
+    once map ``l``'s gradients are final and ``weights[l]`` has been read
+    for the gradient of the map's input, so it may update map ``l`` in
+    place, and the gradient views of different maps may then share one
+    buffer.  Each map's input gradient is written over the activation it
+    was computed from, so a step allocates no gradient arrays of its own."""
     out, post = _net_forward(weights, biases, x, dropout_mask)
     diff = out - r
     loss = float(np.mean(diff ** 2))
 
-    grad = (2.0 / diff.size) * diff
-    np.matmul(post[-1].T, grad, out=d_weights[-1])
-    grad.sum(axis=0, out=d_biases[-1])
-    grad = grad @ weights[-1].T
-    if dropout_mask is not None:
-        grad *= dropout_mask
-        grad /= 1.0 - DROPOUT_RATE
-    for l in range(N_AFFINE_MAPS - 2, -1, -1):
-        # a ReLU output is > 0 exactly where its input was; where dropout
-        # zeroed it, the gradient is already zero
-        grad *= post[l] > 0.0
+    grad = np.multiply(diff, 2.0 / diff.size, out=diff)
+    for l in range(N_AFFINE_MAPS - 1, -1, -1):
         below = post[l - 1] if l > 0 else x
         np.matmul(below.T, grad, out=d_weights[l])
         grad.sum(axis=0, out=d_biases[l])
         if l > 0:
-            grad = grad @ weights[l].T
+            # a ReLU output is > 0 exactly where its input was; where dropout
+            # zeroed it, the gradient is already zero
+            active = below > 0.0
+            grad = np.matmul(grad, weights[l].T, out=below)
+            if l == N_AFFINE_MAPS - 1 and dropout_mask is not None:
+                grad *= dropout_mask
+                grad /= 1.0 - DROPOUT_RATE
+            grad *= active
+        if done is not None:
+            done(l)
     return loss
 
 
@@ -378,12 +394,20 @@ def train(model: MappingModel, pairs: CurvePairs,
     Training keeps one float32 store of the weights, built from the input
     model's parameters: the forward and backward passes read views of it,
     and Adam, whose gradients and moments are float32 too, updates it in
-    place.  That store is the float32 ``params`` of the returned model, and
-    inference and checkpoints use it as it is; the input model is neither
-    copied nor written.  Returns the trained model, whose ``training_meta``
-    records the epochs run, the final loss, each epoch's learning rate, the
-    BLAS build, ``OPENBLAS_NUM_THREADS`` as found and the CPU count, and the
-    per-epoch loss history; a non-finite batch loss (which float32 reaches
+    place.  Adam takes each affine map's step from the backward pass's hook
+    as soon as that map's gradient is final, so one gradient buffer the size
+    of the largest map serves all six.  That store is the float32 ``params``
+    of the returned model, and inference and checkpoints use it as it is;
+    the input model is neither copied nor written.  Once its parameters are
+    cast, ``train`` holds no reference to the input model, so one passed as
+    a temporary is freed before the first step on CPython 3.11 and later
+    (3.10 keeps a call's arguments alive until it returns).  With zero
+    epochs the input model itself is returned.
+
+    Returns the trained model, whose ``training_meta`` records the epochs
+    run, the final loss, each epoch's learning rate, the BLAS build,
+    ``OPENBLAS_NUM_THREADS`` as found and the CPU count, and the per-epoch
+    loss history; a non-finite batch loss (which float32 reaches
     above about 3.4e38) raises NumericsError, and so does a trained model
     that :class:`MappingModel` refuses (a non-finite weight).
     """
@@ -404,24 +428,56 @@ def train(model: MappingModel, pairs: CurvePairs,
     n_samples = x_all.shape[0]
     rng = np.random.default_rng(config.seed)
 
+    n, seed = model.n, model.seed
     w = model.params.astype(np.float32)
-    weights, biases = _layer_views(w, model.n)
+    # nothing below reads the input model, so one passed as a temporary is
+    # freed here (see the docstring)
+    del model
+    weights, biases = _layer_views(w, n)
     m = np.zeros_like(w)
     v = np.zeros_like(w)
-    # the gradient buffer doubles as scratch once v has taken the step's
-    # gradient; m's update needs one block of its own
-    g = np.empty_like(w)
+    # one map's gradient at a time: Adam takes each map's step as soon as
+    # the backward pass has finished with it, so every map's gradient views
+    # start at the head of one buffer the size of the largest map.  The
+    # buffer doubles as scratch once v has taken the gradient; m's update
+    # needs one block of its own
+    dims = layer_dims(n)
+    maps = list(zip(dims[:-1], dims[1:]))
+    g = np.empty(max((fan_in + 1) * fan_out for fan_in, fan_out in maps), np.float32)
     scratch = np.empty(ADAM_BLOCK, dtype=np.float32)
-    d_weights, d_biases = _layer_views(g, model.n)
-    blocks = [slice(lo, lo + ADAM_BLOCK) for lo in range(0, w.size, ADAM_BLOCK)]
+    d_weights, d_biases, stores, at = [], [], [], 0
+    for fan_in, fan_out in maps:
+        size = (fan_in + 1) * fan_out
+        d_weights.append(g[:fan_in * fan_out].reshape(fan_in, fan_out))
+        d_biases.append(g[fan_in * fan_out:size])
+        # the map's slices of m, v and w, and its gradient
+        stores.append((m[at:at + size], v[at:at + size], w[at:at + size], g[:size]))
+        at += size
     step = 0
+
+    def adam(l: int) -> None:
+        # Adam in Kingma and Ba's cheaper form, the bias corrections folded
+        # into the step size and epsilon: w -= alpha * (m / (sqrt(v) +
+        # eps_hat)), in place, one cache-sized block at a time
+        m_l, v_l, w_l, g_l = stores[l]
+        for lo in range(0, w_l.size, ADAM_BLOCK):
+            s = slice(lo, lo + ADAM_BLOCK)
+            ms, vs, gs, ws = m_l[s], v_l[s], g_l[s], w_l[s]
+            ms *= ADAM_BETA1
+            ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=scratch[:gs.size])
+            vs *= ADAM_BETA2
+            vs += np.multiply(np.square(gs, out=gs), 1.0 - ADAM_BETA2, out=gs)
+            np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
+            ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
+
     # glibc keeps freed memory on its heap for reuse only up to twice the
     # largest mapped block freed so far, else hands it back to the system.
-    # Freeing one block the size of a step's activations and gradients
-    # first keeps every step's temporaries there; without it a process's
-    # first training faults them back in on every step (about 2,000 page
-    # faults a step at N = 100, batch 256).  The block is never touched.
-    np.empty(2 * config.batch_size * sum(layer_dims(model.n)[1:-1]), np.float32)
+    # Freeing one block the size of a step's activations first keeps every
+    # step's temporaries there; without it a process's first training can
+    # fault them back in on every step (about 3,200 page faults a step at
+    # N = 100 with all 1,015 pairs of the canonical wall in one batch).
+    # The block is never touched.
+    np.empty(config.batch_size * sum(dims[1:-1]), np.float32)
 
     loss_history: list[float] = []
     lr_history: list[float] = []
@@ -436,35 +492,23 @@ def train(model: MappingModel, pairs: CurvePairs,
             for lo in range(0, n_samples, config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 xb, rb = x_all[batch], r_all[batch]
-                mask = rng.random((batch.size, 3 * model.n)) >= DROPOUT_RATE
-                loss = _backprop(weights, biases, xb, rb, mask, d_weights, d_biases)
+                mask = rng.random((batch.size, 3 * n)) >= DROPOUT_RATE
+                step += 1
+                root2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
+                alpha = lr * root2 / (1.0 - ADAM_BETA1 ** step)
+                eps_hat = ADAM_EPSILON * root2
+                loss = _backprop(weights, biases, xb, rb, mask, d_weights, d_biases, adam)
                 if not math.isfinite(loss):
                     raise NumericsError(f"training diverged: batch loss {loss} is not "
                                         f"finite (epoch {epoch + 1}, lr {lr})")
                 sse += loss * batch.size
-                step += 1
-                # Adam in Kingma and Ba's cheaper form, the bias corrections
-                # folded into the step size and epsilon:
-                # w -= alpha * (m / (sqrt(v) + eps_hat)), in place, one
-                # cache-sized block at a time
-                root2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
-                alpha = lr * root2 / (1.0 - ADAM_BETA1 ** step)
-                eps_hat = ADAM_EPSILON * root2
-                for s in blocks:
-                    ms, vs, gs, ws = m[s], v[s], g[s], w[s]
-                    ms *= ADAM_BETA1
-                    ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=scratch[:gs.size])
-                    vs *= ADAM_BETA2
-                    vs += np.multiply(np.square(gs, out=gs), 1.0 - ADAM_BETA2, out=gs)
-                    np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
-                    ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
             loss_history.append(sse / n_samples)
 
     meta = {"epochs_run": config.epochs, "final_loss": loss_history[-1],
             "lr_history": lr_history, **_BLAS_META}
     try:
-        trained = MappingModel(n=model.n, params=w, feature_mean=mean, feature_std=std,
-                               scaler_fitted=True, seed=model.seed, training_meta=meta)
+        trained = MappingModel(n=n, params=w, feature_mean=mean, feature_std=std,
+                               scaler_fitted=True, seed=seed, training_meta=meta)
     except DomainError as exc:
         raise NumericsError(f"training produced an unusable model: {exc}") from exc
     return trained, loss_history

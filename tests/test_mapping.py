@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,8 @@ from thermoseer.mapping import (
     MappingModel,
     TrainConfig,
     _backprop,
+    _layer_views,
+    _net_forward,
     _training_matrices,
     forward_many,
     forward_raw,
@@ -32,6 +36,7 @@ from thermoseer.mapping import (
     loss_gradients,
     mse_loss,
     param_count,
+    param_size,
     train,
 )
 from thermoseer.pipeline import extract_curve_pairs
@@ -207,6 +212,15 @@ class TestModelInvariants:
         with pytest.raises(NumericsError, match="parameters must be finite"):
             train(init_model(8, seed=1), samples,
                   TrainConfig(epochs=1, batch_size=64, initial_lr=1e39))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("epochs", 2.5), ("epochs", math.nan),
+        ("batch_size", 2.5)])
+    def test_train_config_refuses_what_train_cannot_run(self, field, value):
+        # each of these used to pass the constructor and fail inside train
+        # with a bare numpy or Python error
+        with pytest.raises(DomainError, match=f"{field} must be a whole number"):
+            TrainConfig(**{field: value})
 
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(["n", "params", "feature_mean", "feature_std", "seed"]),
@@ -503,6 +517,121 @@ class TestTrain:
                  for n in (8, 9)]
         with pytest.raises(ShapeError):
             train(init_model(8, seed=0), extract_curve_pairs(walls), TrainConfig(epochs=1))
+
+
+def allocating_backprop(weights, biases, x, r, dropout_mask):
+    """The backward pass written plainly, with a new array for every
+    gradient: the reference for ``_backprop``, which writes input gradients
+    over the activations and lets the maps share one gradient buffer.
+    Returns each map's weight and bias gradients and the batch loss, in the
+    dtype of the arrays passed."""
+    out, post = _net_forward(weights, biases, x, dropout_mask)
+    diff = out - r
+    loss = float(np.mean(diff ** 2))
+    d_weights, d_biases = [None] * 6, [None] * 6
+    grad = (2.0 / diff.size) * diff
+    d_weights[-1] = post[-1].T @ grad
+    d_biases[-1] = grad.sum(axis=0)
+    grad = grad @ weights[-1].T
+    if dropout_mask is not None:
+        grad *= dropout_mask
+        grad /= 1.0 - DROPOUT_RATE
+    for l in range(4, -1, -1):
+        grad *= post[l] > 0.0
+        below = post[l - 1] if l > 0 else x
+        d_weights[l] = below.T @ grad
+        d_biases[l] = grad.sum(axis=0)
+        if l > 0:
+            grad = grad @ weights[l].T
+    return d_weights, d_biases, loss
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestBackprop:
+    @pytest.mark.parametrize("n", [6, 11, 40])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_bits_equal_the_allocating_backward_pass(self, n, dropout):
+        rng = np.random.default_rng(n)
+        samples = make_samples(rng, n, 24)
+        model = scaled_model(n, seed=3)
+        mask = rng.random((24, 3 * n)) >= DROPOUT_RATE if dropout else None
+        x, r = _training_matrices(samples, model.feature_mean, model.feature_std)
+
+        # float64, through loss_gradients
+        d_w, d_b, loss = loss_gradients(model, samples, mask)
+        want_w, want_b, want_loss = allocating_backprop(model.weights, model.biases, x, r, mask)
+        assert (_bytes(d_w), _bytes(d_b), loss) == (_bytes(want_w), _bytes(want_b), want_loss)
+
+        # float32, as training runs it
+        params = model.params.astype(np.float32)
+        weights, biases = _layer_views(params, n)
+        x, r = x.astype(np.float32), r.astype(np.float32)
+        want_w, want_b, want_loss = allocating_backprop(weights, biases, x, r, mask)
+        d_w, d_b = _layer_views(np.empty_like(params), n)
+        assert _backprop(weights, biases, x, r, mask, d_w, d_b) == want_loss
+        assert (_bytes(d_w), _bytes(d_b)) == (_bytes(want_w), _bytes(want_b))
+
+        # as train calls it: every map's gradient at the head of one shared
+        # buffer, taken by the hook, which then overwrites the map's weights
+        dims = layer_dims(n)
+        maps = list(zip(dims[:-1], dims[1:]))
+        shared = np.empty(max((fan_in + 1) * fan_out for fan_in, fan_out in maps), np.float32)
+        d_w = [shared[:fan_in * fan_out].reshape(fan_in, fan_out) for fan_in, fan_out in maps]
+        d_b = [shared[fan_in * fan_out:(fan_in + 1) * fan_out] for fan_in, fan_out in maps]
+        taken = {}
+
+        def done(l):
+            taken[l] = (d_w[l].tobytes(), d_b[l].tobytes())
+            weights[l][:] = np.nan
+
+        assert _backprop(weights, biases, x, r, mask, d_w, d_b, done) == want_loss
+        assert list(taken) == [5, 4, 3, 2, 1, 0]
+        assert [taken[l] for l in range(6)] == list(zip(_bytes(want_w), _bytes(want_b)))
+
+
+@pytest.fixture(scope="module")
+def canonical_pairs():
+    """The 1,015 curve pairs of layers 1-30 of the canonical 40 x 7 wall at N = 100."""
+    settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40,
+                                     layer_print_time=20.5, deposition_rate=52.8)
+    return extract_curve_pairs(generate_wall(settings, SynthParams(seed=7), n=100),
+                               range(1, 31))
+
+
+class TestTrainMemory:
+    # In units of the float32 store S = 4 bytes a parameter (7.46 MB at
+    # N = 100), training holds the weights and Adam's two moments (3 S), one
+    # map's gradient (0.39 S) and one step's activations: 4.06 S traced.  A
+    # caller that holds its float64 starting model adds that model's 2 S
+    # (6.06-6.16 S); one that passes it as a temporary has it freed before
+    # the first step.  With a full-size gradient, a new array per layer's
+    # gradient and the starting model held to the end, both cases peaked at
+    # 6.95-7.06 S.
+    @pytest.mark.parametrize("held, bound", [
+        (True, 6.5),
+        pytest.param(False, 4.5, marks=pytest.mark.skipif(
+            sys.version_info < (3, 11),
+            reason="CPython 3.10 keeps a call's arguments on the caller's stack")),
+    ])
+    def test_traced_peak_in_float32_stores(self, canonical_pairs, held, bound):
+        config = TrainConfig(epochs=1, batch_size=256, seed=0)
+
+        def run():
+            if held:
+                model = init_model(100, seed=0)
+                return train(model, canonical_pairs, config)
+            return train(init_model(100, seed=0), canonical_pairs, config)
+
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1] / (4 * param_size(100))
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
 
 def reference_train(model, samples, config, dtype=np.float32):
