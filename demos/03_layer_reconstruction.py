@@ -42,7 +42,7 @@ print(f"energy shares:   {np.round(energy, 6)}")
 print(f"retained bases m* = {m_star} (99% energy criterion)")
 
 t0 = time.perf_counter()
-recon = fit_layer(inputs, seed=0)
+recon = fit_layer(inputs)
 preds = [reconstruct_profile(recon, p.point) for p in held_out]
 elapsed = time.perf_counter() - t0
 print(f"\nbuild + ELM train + {len(preds)} reconstructions: {elapsed * 1e3:.2f} ms")

@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import (
     CURVES_PER_PROFILE,
+    MAX_WALL_VALUES,
     CheckpointError,
     ConfigError,
     DomainError,
@@ -62,7 +63,7 @@ from .pipeline import (
     predict_layer,
     render_field,
 )
-from .synthgen import MAX_WALL_VALUES, SynthParams, generate_experiment_wall, generate_wall
+from .synthgen import SynthParams, generate_experiment_wall, generate_wall
 
 HEADER_LINE_LIMIT = 1 << 20  # a header line's "\n" comes within this many bytes
 # kind of file -> (format name, version, error class of a malformed file,
@@ -523,7 +524,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
-    prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
+    prediction = predict_layer(model, dataset, args.layer)
     predicted = WallDataset(
         dataset.settings, dataset.schedule, prediction.mapped_profiles,
         {"kind": "prediction", "source": args.data, "layer": args.layer,
@@ -587,7 +588,7 @@ def cmd_field(args) -> int:
                           f"{values:.3g} curve values, more than the {MAX_WALL_VALUES} "
                           f"allowed; ask for fewer times or positions")
 
-    prediction = predict_layer(model, dataset, args.layer, recon_seed=args.seed)
+    prediction = predict_layer(model, dataset, args.layer)
 
     def rows():
         # one frame at a time: each is rendered after the last one's rows are
@@ -639,7 +640,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--out", required=True, help="predicted-profiles dataset path")
     p.add_argument("--timing", help="timing JSON path")
-    p.add_argument("--seed", type=_seed, default=0, help="online ELM seed")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predicted profiles against truth")
@@ -656,7 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated local times, s")
     p.add_argument("--out", required=True, help="field CSV path")
     p.add_argument("--positions", type=int, default=160)
-    p.add_argument("--seed", type=_seed, default=0, help="online ELM seed")
     p.set_defaults(func=cmd_field)
 
     return parser

@@ -12,7 +12,7 @@ indexed 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
 import numpy as np
@@ -22,6 +22,10 @@ ABSOLUTE_ZERO_C = -273.15
 # No printed metal surface reaches this (even tungsten boils near 5600 degC),
 # so a reading at or above it is a corrupt value, not a temperature.
 MAX_TEMPERATURE_C = 1e4
+# float64 values one generated wall, or the curves of the field frames one
+# request renders, may need (2 GiB); a larger request is refused before
+# anything is allocated
+MAX_WALL_VALUES = 1 << 28
 
 
 class ThermoseerError(Exception):
@@ -129,17 +133,9 @@ class ProcessSettings:
     num_layers: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "travel_speed",
-            "wire_feed_rate",
-            "wire_diameter",
-            "layer_length",
-            "layer_thickness",
-            "layer_print_time",
-            "deposition_rate",
-            "interpass_target",
-        ):
-            _require_positive(name, getattr(self, name))
+        for f in fields(self):
+            if f.type == "float":
+                _require_positive(f.name, getattr(self, f.name))
         _require_count("num_layers", self.num_layers)
         travel_time = self.layer_length / self.travel_speed
         if self.layer_print_time < travel_time - 1e-9:
@@ -326,7 +322,7 @@ class WallDataset:
             point = prof.point
             if not 1 <= point.layer <= self.settings.num_layers:
                 raise DomainError(f"point layer {point.layer} outside 1..{self.settings.num_layers}")
-            if point.axial_distance > self.settings.layer_length + 1e-9:
+            if point.axial_distance > self.settings.layer_length:
                 raise DomainError(
                     f"axial_distance {point.axial_distance} beyond layer length "
                     f"{self.settings.layer_length}"

@@ -6,7 +6,8 @@ plus four process features and outputs the N-value correction added to the
 input curve, so with zero weights the mapping is the identity.  Hidden sizes
 are 3N, 6N, 12N, 6N, 3N with ReLU activations, dropout 0.1 sits before the
 final N-output affine map, and training runs mini-batch Adam on a mean
-squared error loss over scaled temperatures.  The training set is one
+squared error loss over scaled temperatures, the learning rate halved at
+each of the fixed :data:`LR_DECAY_EPOCHS`.  The training set is one
 :class:`CurvePairs`: row-aligned arrays of input curves, process features
 and overlap-truncated target curves, which every training function reads
 directly.
@@ -56,7 +57,8 @@ from .core import (
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
 N_AFFINE_MAPS = 6
-LR_DECAY_RATIO = 0.5  # learning-rate factor at each of TrainConfig.lr_decay_epochs
+LR_DECAY_EPOCHS = (100, 200, 300, 400)  # 0-indexed: 0.5 ** (epoch // 100) over 500 epochs
+LR_DECAY_RATIO = 0.5  # learning-rate factor at each of LR_DECAY_EPOCHS
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -152,12 +154,11 @@ class MappingModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Mini-batch Adam training schedule."""
+    """Mini-batch Adam training schedule; the rate decays at LR_DECAY_EPOCHS."""
 
     epochs: int = 500
     batch_size: int = 256
     initial_lr: float = 0.001
-    lr_decay_epochs: tuple[int, ...] = (100, 200, 300, 400)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -172,7 +173,7 @@ class TrainConfig:
         """Learning rate used during the 0-indexed epoch: the initial rate
         shrunk by LR_DECAY_RATIO once for every decay epoch already
         completed."""
-        decays = sum(1 for d in self.lr_decay_epochs if d <= epoch_index)
+        decays = sum(1 for d in LR_DECAY_EPOCHS if d <= epoch_index)
         return self.initial_lr * LR_DECAY_RATIO ** decays
 
 

@@ -4,6 +4,9 @@ Step 1 takes the measured profiles of M points on the printed layer; step 2
 maps each of their curves one layer up with the mapping model; step 3
 decomposes the mapped profiles and trains the layer's ELM online; step 4
 reconstructs the profile of any requested point from its relative delay.
+Steps 3 and 4 run on the paper's constants (the 99% energy criterion and
+128 hidden nodes from seed 0), so a prediction depends only on the model
+and the measured profiles.
 The module also extracts the supervised curve pairs of one or more walls
 as one :class:`~thermoseer.mapping.CurvePairs`, renders full-layer
 temperature fields, scores predictions with the profile error metric
@@ -23,6 +26,7 @@ import numpy as np
 
 from .core import (
     CURVES_PER_PROFILE,
+    MAX_WALL_VALUES,
     DomainError,
     DwellSchedule,
     HorizonError,
@@ -47,13 +51,11 @@ from .mapping import (
 )
 from .preprocess import overlap_truncate_rows
 from .reconstruct import (
-    DEFAULT_ENERGY_THRESHOLD,
     LayerReconstruction,
     fit_layer,
     reconstruct_profile,
     reconstruct_stacked,
 )
-from .synthgen import MAX_WALL_VALUES
 
 ROOM_TEMPERATURE = 25.0
 
@@ -86,11 +88,9 @@ class FieldFrame:
 
 
 def predict_next_layer(model: MappingModel, measured: list[Profile],
-                       settings: ProcessSettings, schedule: DwellSchedule,
-                       energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-                       recon_seed: int = 0) -> LayerPrediction:
+                       settings: ProcessSettings, schedule: DwellSchedule) -> LayerPrediction:
     """Map M measured profiles one layer up and train the layer's
-    reconstruction online."""
+    reconstruction online with :func:`~thermoseer.reconstruct.fit_layer`."""
     if not measured:
         raise DomainError("measured profiles must be nonempty")
     layers = {p.point.layer for p in measured}
@@ -112,7 +112,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
               for prof, block in zip(measured, blocks)]
     t_map = time.perf_counter()
 
-    recon = fit_layer(mapped, energy_threshold=energy_threshold, seed=recon_seed)
+    recon = fit_layer(mapped)
     t_done = time.perf_counter()
     return LayerPrediction(
         layer=target,
@@ -124,8 +124,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
     )
 
 
-def predict_layer(model: MappingModel, dataset: WallDataset, layer: int,
-                  **kwargs) -> LayerPrediction:
+def predict_layer(model: MappingModel, dataset: WallDataset, layer: int) -> LayerPrediction:
     """Predict one layer of a wall from the dataset's profiles on the layer
     below.  Layer 1 has no previous layer and is rejected."""
     if layer < 2:
@@ -136,8 +135,7 @@ def predict_layer(model: MappingModel, dataset: WallDataset, layer: int,
     measured = dataset.profiles_on(layer - 1)
     if not measured:
         raise ProtocolError(f"dataset has no profiles on layer {layer - 1}")
-    return predict_next_layer(model, measured, dataset.settings, dataset.schedule,
-                              **kwargs)
+    return predict_next_layer(model, measured, dataset.settings, dataset.schedule)
 
 
 def predict_point(prediction: LayerPrediction, axial_distance: float,

@@ -2,9 +2,10 @@
 
 The M measured/predicted profiles of a layer are stacked column-wise into a
 5N x M snapshot matrix, reduced by singular value decomposition under a 99%
-energy criterion, and an extreme learning machine is trained from relative
-delay to the retained basis coefficients.  Any point on the layer is then
-reconstructed as the basis times its predicted coefficients.
+energy criterion, and an extreme learning machine (128 hidden nodes, seed
+0) is trained from relative delay to the retained basis coefficients; only
+the primitives under :func:`fit_layer` take other values.  Any point on the
+layer is then reconstructed as the basis times its predicted coefficients.
 
 The reduced basis and coefficients are layer-specific and never reused
 across layers; the ELM is cheap enough to retrain online per layer.
@@ -202,7 +203,8 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
 
 @dataclass(frozen=True, eq=False)
 class LayerReconstruction:
-    """Reduced basis and the trained ELM of one layer.
+    """Reduced basis and the trained ELM of one layer, with ``delay_range``,
+    the (lo, hi) span of the relative delays the ELM was trained on.
 
     The layer checks what it holds when it is built: a basis that is not a
     5N x m_star matrix (m_star >= 1), or an ELM that does not predict
@@ -223,7 +225,7 @@ class LayerReconstruction:
     elm: ElmModel
     layer: int
     durations: tuple[float, ...]
-    delay_range: tuple[float, float] = (0.0, 0.0)
+    delay_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.basis.ndim != 2 or self.basis.shape[1] < 1:
@@ -266,12 +268,12 @@ class LayerReconstruction:
         return grids
 
 
-def fit_layer(profiles: list[Profile], energy_threshold: float = DEFAULT_ENERGY_THRESHOLD,
-              seed: int = 0) -> LayerReconstruction:
-    """Decompose a layer's profiles and train its delay-to-coefficients ELM."""
+def fit_layer(profiles: list[Profile]) -> LayerReconstruction:
+    """Decompose a layer's profiles and train its delay-to-coefficients ELM
+    at the paper's 99% energy, 128 hidden nodes and hidden seed 0."""
     matrix, delays = build_profile_matrix(profiles)
-    basis, rows, _, _ = pod_decompose(matrix, energy_threshold)
-    elm = elm_train(delays, rows, seed=seed)
+    basis, rows, _, _ = pod_decompose(matrix)
+    elm = elm_train(delays, rows)
     reference = min(profiles, key=lambda p: p.point.relative_delay)
     return LayerReconstruction(
         basis=basis,

@@ -27,6 +27,7 @@ import numpy as np
 from . import preprocess
 from .core import (
     CURVES_PER_PROFILE,
+    MAX_WALL_VALUES,
     ConfigError,
     DomainError,
     DwellSchedule,
@@ -41,10 +42,6 @@ from .core import (
 PYROMETER_CLAMP_LOW = 150.0
 PYROMETER_CLAMP_HIGH = 1000.0
 EXPERIMENT_LEAD_IN_S = 5.0  # ambient readings before a point's deposition
-# float64 values one generated wall, or the curves of the field frames one
-# request renders, may need (2 GiB); a larger request is refused before
-# anything is allocated
-MAX_WALL_VALUES = 1 << 28
 
 
 @dataclass(frozen=True)

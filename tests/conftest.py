@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from thermoseer.core import DwellSchedule, PointId, ProcessSettings, Profile
+from thermoseer.reconstruct import (
+    LayerReconstruction,
+    build_profile_matrix,
+    elm_train,
+    pod_decompose,
+)
 
 
 @pytest.fixture
@@ -37,3 +43,15 @@ def random_positive_profile(rng, n=20, layer=3, distance=40.0, low=100.0, high=1
     point = PointId.from_distance(layer, distance, 8.0)
     return Profile(point, rng.uniform(low, high, size=(5, n)),
                    [50.0 + 2.0 * k for k in range(5)])
+
+
+def layer_at_threshold(profiles, energy_threshold, seed=0):
+    """The layer :func:`~thermoseer.reconstruct.fit_layer` builds, with the
+    POD kept at ``energy_threshold`` and the ELM's hidden layer drawn from
+    ``seed`` instead of the paper's 99% and seed 0."""
+    matrix, delays = build_profile_matrix(profiles)
+    basis, rows, _, _ = pod_decompose(matrix, energy_threshold)
+    reference = min(profiles, key=lambda p: p.point.relative_delay)
+    return LayerReconstruction(basis, elm_train(delays, rows, seed=seed),
+                               profiles[0].point.layer, reference.durations,
+                               (float(delays[0]), float(delays[-1])))

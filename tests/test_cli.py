@@ -626,13 +626,14 @@ class TestMalformedDatasetExit3:
         assert eval_with(_join_file(header, payload)) == 3
 
     @pytest.mark.parametrize("column, value", [(0, 1.5), (0, 0.0), (0, 13.0), (1, -1.0),
-                                               (1, 161.0), (2, 0.0), (7, -300.0),
-                                               (7, 1e300)] + [
+                                               (1, 161.0), (1, 160.0 + 5e-10),
+                                               (1, math.nextafter(160.0, math.inf)),
+                                               (2, 0.0), (7, -300.0), (7, 1e300)] + [
         (column, value) for column in (0, 1, 2, 7) for value in (math.nan, math.inf, -math.inf)])
     def test_hostile_row_value(self, dataset_bytes, eval_with, capsys, column, value):
-        # layer not integral or outside the wall, distance outside the layer,
-        # a zero duration, a temperature below absolute zero or far above
-        # any surface temperature
+        # layer not integral or outside the wall, distance outside the layer
+        # (by any amount: the rule predict_point holds), a zero duration, a
+        # temperature below absolute zero or far above any surface temperature
         header, payload = _split_file(dataset_bytes)
         rows = np.frombuffer(payload, dtype="<f8").reshape(header["points"], -1).copy()
         rows[4, column] = value
@@ -1183,7 +1184,6 @@ class TestTrainPredictEvalField:
         ("train", "--seed -1"), ("train", "--init-seed -1"),
         ("finetune", "--seed -1"), ("finetune", "--init-seed -1"),
         ("train", "config: seed = -1"), ("train", "config: init_seed = -1"),
-        ("predict", "--seed -1"), ("field", "--seed -1"),
         ("train", "--lr nan"), ("train", "--lr inf"), ("finetune", "--lr nan"),
         ("train", "config: lr = inf"), ("train", "--batch-size 0"), ("train", "--epochs -1")])
     def test_bad_option_exit_2_writes_nothing(self, tmp_path, dataset_path, capsys,
@@ -1202,8 +1202,6 @@ class TestTrainPredictEvalField:
             "train": ["--data", dataset_path, "--epochs", "1", "--loss-csv", str(loss_csv)],
             "finetune": ["--ckpt", ckpt, "--data", dataset_path, "--epochs", "1",
                          "--loss-csv", str(loss_csv)],
-            "predict": ["--ckpt", ckpt, "--data", dataset_path, "--layer", "6"],
-            "field": ["--ckpt", ckpt, "--data", dataset_path, "--layer", "6", "--times", "5"],
         }[command]
         try:
             code = run_cli(command, *argv, "--out", str(out), *extra.split())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thermoseer import mapping
 from thermoseer.cli import load_checkpoint, save_checkpoint
 from thermoseer.core import (
     DomainError,
@@ -691,25 +692,26 @@ class TestFlatAdam:
     # (40, 50, 16): N = 40 has 299,320 parameters, so Adam runs over nine
     # full blocks and a ragged tail, and 50 pairs leave a last batch of 2
     @pytest.mark.parametrize("n, count, batch", [(6, 40, 16), (11, 23, 8), (40, 50, 16)])
-    def test_bit_identical_to_per_layer_loop(self, n, count, batch):
+    def test_bit_identical_to_per_layer_loop(self, n, count, batch, monkeypatch):
+        monkeypatch.setattr(mapping, "LR_DECAY_EPOCHS", (2, 4))
         rng = np.random.default_rng(n)
         samples = make_samples(rng, n, count)
-        cfg = TrainConfig(epochs=5, batch_size=batch, seed=3,
-                          lr_decay_epochs=(2, 4))
+        cfg = TrainConfig(epochs=5, batch_size=batch, seed=3)
         got, got_history = train(init_model(n, seed=5), samples, cfg)
         want, want_history = reference_train(init_model(n, seed=5), samples, cfg)
         assert got.params.dtype == want.params.dtype == np.float32
         assert got_history == want_history
         assert got.params.tobytes() == want.params.tobytes()
 
-    def test_close_to_float64_training(self):
+    def test_close_to_float64_training(self, monkeypatch):
         # float32 rounds to about 6e-8 relative.  Over these 40 Adam steps the
         # weights move by about 2.5e-2; allow 1e-5 on each (1% of one step of
         # lr 1e-3) and 1e-5 relative on each epoch's loss, some 70 times the
         # differences measured when this test was written (1e-6 and 1.4e-7)
         rng = np.random.default_rng(40)
         samples = make_samples(rng, 40, 50)
-        cfg = TrainConfig(epochs=10, batch_size=16, seed=3, lr_decay_epochs=(5,))
+        monkeypatch.setattr(mapping, "LR_DECAY_EPOCHS", (5,))
+        cfg = TrainConfig(epochs=10, batch_size=16, seed=3)
         got, got_history = train(init_model(40, seed=5), samples, cfg)
         want, want_history = reference_train(init_model(40, seed=5), samples, cfg,
                                              dtype=np.float64)

@@ -35,6 +35,8 @@ from thermoseer.preprocess import overlap_truncate_rows
 from thermoseer.reconstruct import reconstruct_stacked
 from thermoseer.synthgen import SynthParams, generate_experiment_wall, generate_wall
 
+from conftest import layer_at_threshold
+
 
 def zero_model(n):
     model = init_model(n, seed=0)
@@ -137,8 +139,9 @@ class TestPredictPoint:
         # at full effective rank the ELM exact-fit composition reproduces a
         # training point up to the discarded below-rank energy (~5e-7 here)
         pred = predict_next_layer(zero_model(100), wall.profiles_on(20),
-                                  wall.settings, wall.schedule,
-                                  energy_threshold=1.0)
+                                  wall.settings, wall.schedule)
+        pred = dataclasses.replace(
+            pred, reconstruction=layer_at_threshold(pred.mapped_profiles, 1.0))
         mapped = pred.mapped_profiles[2]
         got = predict_point(pred, mapped.point.axial_distance, wall.settings)
         rel = np.linalg.norm(got.temps - mapped.temps) / np.linalg.norm(mapped.temps)
@@ -311,8 +314,9 @@ class TestRenderFieldMatchesLoop:
     @pytest.mark.parametrize("energy_threshold, m_star", [(0.999999, 6), (1.0, 7)])
     def test_bit_identical_with_several_modes(self, noisy_wall, energy_threshold, m_star):
         pred = predict_next_layer(zero_model(100), noisy_wall.profiles_on(30),
-                                  noisy_wall.settings, noisy_wall.schedule,
-                                  energy_threshold=energy_threshold)
+                                  noisy_wall.settings, noisy_wall.schedule)
+        pred = dataclasses.replace(pred, reconstruction=layer_at_threshold(
+            pred.mapped_profiles, energy_threshold))
         assert pred.reconstruction.m_star == m_star
         boundaries = np.cumsum(pred.reconstruction.durations)
         for n_positions in (2, 7, 160, 1000):

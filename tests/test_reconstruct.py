@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import warnings
@@ -27,6 +28,8 @@ from thermoseer.reconstruct import (
     reconstruct_profile,
     reconstruct_stacked,
 )
+
+from conftest import layer_at_threshold
 
 
 def affine_profile(d, n=100, layer=8, travel_speed=8.0, base=400.0, slope=30.0):
@@ -273,7 +276,8 @@ class TestFrameGeometry:
     def test_bounds_and_grids_equal_their_formulas(self, n, durations):
         basis = np.linalg.qr(np.random.default_rng(n).normal(size=(5 * n, 1)))[0]
         elm = elm_train(np.array([1.0, 2.0]), np.ones((2, 1)), n_hidden=8)
-        recon = LayerReconstruction(basis, elm, layer=3, durations=durations)
+        recon = LayerReconstruction(basis, elm, layer=3, durations=durations,
+                                    delay_range=(1.0, 2.0))
         bounds = np.concatenate([[0.0], np.cumsum(durations)])
         grids = np.linspace(0.0, durations, n, axis=-1)
         assert recon.bounds.tobytes() == bounds.tobytes()
@@ -296,7 +300,8 @@ class TestReconstructStacked:
         train_delays = np.sort(rng.uniform(0.0, 20.0, size=m_star + 1))
         elm = elm_train(train_delays, rng.normal(0.0, 500.0, size=(m_star + 1, m_star)),
                         seed=seed % 7)
-        recon = LayerReconstruction(basis, elm, layer=3, durations=(5.0,) * 5)
+        recon = LayerReconstruction(basis, elm, layer=3, durations=(5.0,) * 5,
+                                    delay_range=(train_delays[0], train_delays[-1]))
         delays = rng.uniform(-5.0, 25.0, size=n_delays)
         rows = rng.integers(0, 5 * n, size=(n_rows, n_delays))
         got = reconstruct_stacked(recon, delays, rows)
@@ -308,7 +313,7 @@ class TestReconstructStacked:
 class TestReconstructProfile:
     def test_training_point_reproduced_with_full_basis(self):
         profiles = layer_profiles(5)
-        recon = fit_layer(profiles, energy_threshold=1.0, seed=2)
+        recon = layer_at_threshold(profiles, 1.0, seed=2)
         assert recon.m_star <= 5
         for prof in profiles:
             got = reconstruct_profile(recon, prof.point)
@@ -319,7 +324,7 @@ class TestReconstructProfile:
         # the affine family has rank exactly two; retaining its full effective
         # rank leaves only the ELM's delay interpolation as the error source
         profiles = layer_profiles(5)  # training points at 20..100 mm
-        recon = fit_layer(profiles, energy_threshold=1.0, seed=3)
+        recon = layer_at_threshold(profiles, 1.0, seed=3)
         assert recon.m_star == 2
         for d in (30.0, 50.0, 70.0, 90.0):
             want = affine_profile(d)
@@ -327,7 +332,7 @@ class TestReconstructProfile:
             assert reop(got, want) < 0.01
 
     def test_output_shape_contract(self):
-        recon = fit_layer(layer_profiles(6, n=40), seed=1)
+        recon = fit_layer(layer_profiles(6, n=40))
         point = PointId(recon.layer, 9.37 * 8.0, 9.37)
         prof = reconstruct_profile(recon, point)
         assert prof.temps.shape == (5, 40)
@@ -337,18 +342,34 @@ class TestReconstructProfile:
                                       reconstruct_stacked(recon, [9.37])[:, 0])
 
     def test_point_on_another_layer_rejected(self):
-        recon = fit_layer(layer_profiles(6, n=40), seed=1)
+        recon = fit_layer(layer_profiles(6, n=40))
         with pytest.raises(DomainError, match="layer 9"):
             reconstruct_profile(recon, PointId(recon.layer + 1, 40.0, 5.0))
 
     def test_end_to_end_timing_budget(self):
         profiles = layer_profiles(7)
         t0 = time.perf_counter()
-        recon = fit_layer(profiles, seed=0)
+        recon = fit_layer(profiles)
         for delay in (3.0, 9.0, 15.0):
             reconstruct_profile(recon, PointId(recon.layer, delay * 8.0, delay))
         elapsed = time.perf_counter() - t0
         assert elapsed < 0.02
+
+    def test_fit_layer_runs_on_the_paper_constants(self):
+        # fit_layer takes no setting, and it is the full-rank cases' helper at
+        # 99% energy and hidden seed 0, bit for bit
+        assert list(inspect.signature(fit_layer).parameters) == ["profiles"]
+        rng = np.random.default_rng(29)
+        profiles = [Profile(p.point, rng.uniform(100.0, 1500.0, size=(5, 40)), p.durations)
+                    for p in layer_profiles(7, n=40)]
+        got, want = fit_layer(profiles), layer_at_threshold(profiles, 0.99)
+        assert got.m_star == want.m_star > 1
+        for a, b in ((got.basis, want.basis), (got.elm.output_weights, want.elm.output_weights),
+                     (got.elm.hidden_weights, want.elm.hidden_weights)):
+            assert a.tobytes() == b.tobytes()
+        assert got.elm.hidden_weights.size == 128
+        assert (got.layer, got.durations, got.delay_range) == \
+            (want.layer, want.durations, want.delay_range)
 
 
 def _layer_parts(n=4, m_star=2):
@@ -380,9 +401,9 @@ class TestArgumentErrors:
         (ShapeError, lambda: _elm_of(4, 4, n_biases=3)),
         (ShapeError, lambda: _elm_of(4, 3)),
         (ShapeError, lambda: LayerReconstruction(np.eye(10)[0], _elm_of(4, 4), 3,
-                                                 (1.0,) * 5)),
+                                                 (1.0,) * 5, (1.0, 4.0))),
         (ShapeError, lambda: LayerReconstruction(np.eye(6, 2), _elm_of(4, 4), 3,
-                                                 (1.0,) * 5)),
+                                                 (1.0,) * 5, (1.0, 4.0))),
         (ShapeError, lambda: build_profile_matrix(layer_profiles(10, n=2)))],
         ids=["pod-1d", "pod-energy-0", "pod-energy-1.5", "elm-one-delay",
              "elm-row-count", "elm-no-hidden", "elm-biases", "elm-output-rows",
@@ -399,7 +420,7 @@ class TestModelInvariants:
     def test_nan_basis_refused(self):
         _, elm = _layer_parts(m_star=1)
         with pytest.raises(NumericsError, match="orthonormal"):
-            LayerReconstruction(np.full((10, 1), np.nan), elm, 3, (1.0,) * 5)
+            LayerReconstruction(np.full((10, 1), np.nan), elm, 3, (1.0,) * 5, (1.0, 4.0))
 
     @pytest.mark.parametrize("durations, delay_range", [
         ((-1.0, 0.0, math.nan, 1.0, 1.0), (math.nan, -math.inf)),
@@ -415,7 +436,7 @@ class TestModelInvariants:
         basis, _ = _layer_parts(m_star=2)
         _, elm = _layer_parts(m_star=3)
         with pytest.raises(ShapeError):
-            LayerReconstruction(basis, elm, 3, (1.0,) * 5)
+            LayerReconstruction(basis, elm, 3, (1.0,) * 5, (1.0, 4.0))
 
     @pytest.mark.parametrize("field, value", [("output_weights", math.nan),
                                               ("delay_std", 0.0)])
