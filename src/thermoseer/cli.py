@@ -240,7 +240,11 @@ def save_dataset(path: str, dataset: WallDataset) -> None:
 def load_dataset(path: str) -> WallDataset:
     """Read a version-2 dataset (see :func:`save_dataset`); every malformed
     file raises a data error (exit code 3) whose message names the file,
-    also one that lists a point twice (:class:`WallDataset` refuses it)."""
+    also one that lists a point twice (:class:`WallDataset` refuses it).
+    The payload is made read-only and its temperature columns become the
+    profiles' curves in place: :meth:`~thermoseer.core.Profile.of_block`
+    checks them as one (points, 5, n) block, and each profile's ``temps``
+    is a view of its row."""
     header, rows = _read_container(path, "dataset", lambda header: (
         _header_key(header, "points", int, path, DomainError),
         _ROW_HEAD + CURVES_PER_PROFILE * _header_key(header, "n", int, path, DomainError)))
@@ -250,14 +254,15 @@ def load_dataset(path: str) -> WallDataset:
         # a missing or unknown settings key is a TypeError
         settings = ProcessSettings(**header["settings"])
         schedule = DwellSchedule(tuple(header["schedule"]))
-        profiles = []
-        for row in rows:
-            layer, d_mm, *durations = row[:_ROW_HEAD].tolist()
+        points, durations = [], []
+        for layer, d_mm, *row_durations in rows[:, :_ROW_HEAD].tolist():
             if not layer.is_integer():
                 raise DomainError(f"layer {layer!r} is not an integer")
-            point = PointId.from_distance(int(layer), d_mm, settings.travel_speed)
-            profiles.append(Profile(point, row[_ROW_HEAD:].reshape(CURVES_PER_PROFILE, -1),
-                                    durations))
+            points.append(PointId.from_distance(int(layer), d_mm, settings.travel_speed))
+            durations.append(row_durations)
+        rows.flags.writeable = False
+        temps = rows[:, _ROW_HEAD:].reshape(len(rows), CURVES_PER_PROFILE, header["n"])
+        profiles = Profile.of_block(points, temps, durations)
         return WallDataset(settings, schedule, profiles, provenance, wall_id)
     except ThermoseerError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -5,6 +5,10 @@ pipeline) speaks in these types.  A point's temperature history is one
 :class:`Profile`: its first five print+dwell curves as one (5, N) array plus
 their five durations, so producers fill and consumers read that block
 directly; :class:`Curve` is only the unchecked row record :attr:`Profile.curves` builds.
+A producer that holds the profiles of many points as one (P, 5, N) block
+(a loaded dataset, a generated layer, a mapped layer) builds them with
+:meth:`Profile.of_block`, which checks the block once.  A
+:class:`WallDataset` indexes its profiles by layer once, when it is built.
 Temperatures are degrees Celsius stored as float64 end to end; layers are
 indexed 1-based.
 """
@@ -251,6 +255,28 @@ class Curve:
     duration: float
 
 
+def _checked_curves(temps, lead: int) -> np.ndarray:
+    """``temps`` as a read-only float64 array of ``lead`` leading axes over
+    (5, N >= 2) blocks, each block C-contiguous; it is copied only if it is
+    not float64 or a block is not contiguous.  Another shape raises
+    ShapeError naming one block's shape, and a value outside the
+    temperature range DomainError, so one check of a stack of blocks says
+    what a check of each block would."""
+    temps = np.asarray(temps, dtype=np.float64)
+    shape = temps.shape[lead:]
+    if len(shape) != 2 or shape[0] != CURVES_PER_PROFILE or shape[1] < 2:
+        raise ShapeError(f"curve temps must have shape ({CURVES_PER_PROFILE}, N >= 2), "
+                         f"got {shape}")
+    if not temps.flags.c_contiguous and \
+            temps.strides[lead:] != (shape[1] * temps.itemsize, temps.itemsize):
+        temps = np.ascontiguousarray(temps)
+    if not in_temperature_range(temps):
+        raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
+                          f"and {MAX_TEMPERATURE_C:g} degC")
+    temps.flags.writeable = False
+    return temps
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """The first five curves of one point as one read-only (5, N) float64
@@ -264,15 +290,29 @@ class Profile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "durations", curve_durations(self.durations))
-        temps = np.ascontiguousarray(self.temps, dtype=np.float64)
-        if temps.ndim != 2 or temps.shape[0] != CURVES_PER_PROFILE or temps.shape[1] < 2:
-            raise ShapeError(f"curve temps must have shape ({CURVES_PER_PROFILE}, N >= 2), "
-                             f"got {temps.shape}")
-        if not in_temperature_range(temps):
-            raise DomainError(f"curve temps must lie strictly between {ABSOLUTE_ZERO_C} "
-                              f"and {MAX_TEMPERATURE_C:g} degC")
-        temps.flags.writeable = False
-        object.__setattr__(self, "temps", temps)
+        object.__setattr__(self, "temps", _checked_curves(self.temps, 0))
+
+    @classmethod
+    def of_block(cls, points, temps, durations) -> list["Profile"]:
+        """The profiles of a (P, 5, N) block, row i with ``points[i]`` and
+        ``durations[i]``: what ``[Profile(p, t, d) for p, t, d in zip(points,
+        temps, durations)]`` gives, with the same errors, but the block's
+        shape and temperatures are checked once and each profile's ``temps``
+        is a read-only row view of the block.  Points, rows and durations of
+        different counts raise ShapeError."""
+        temps = _checked_curves(temps, 1)
+        if not len(points) == len(temps) == len(durations):
+            raise ShapeError(f"{len(points)} points, {len(temps)} curve blocks and "
+                             f"{len(durations)} duration sets do not match")
+        profiles = []
+        for point, block, row_durations in zip(points, temps, durations):
+            # the checks above stand for __post_init__, which is not run again
+            profile = object.__new__(cls)
+            object.__setattr__(profile, "point", point)
+            object.__setattr__(profile, "temps", block)
+            object.__setattr__(profile, "durations", curve_durations(row_durations))
+            profiles.append(profile)
+        return profiles
 
     @property
     def n(self) -> int:
@@ -292,7 +332,9 @@ class WallDataset:
     ``profiles`` may be given as any iterable of :class:`Profile`; it is
     stored as one tuple ordered by layer, then :attr:`PointId.place`.  Two
     profiles on one layer with the same place are the same point, listed
-    twice, and raise DomainError."""
+    twice, and raise DomainError.  The layers are indexed once, when the
+    dataset is built: :meth:`layers` and :meth:`profiles_on` read the index
+    and do not scan the profiles."""
 
     settings: ProcessSettings
     schedule: DwellSchedule
@@ -315,7 +357,9 @@ class WallDataset:
         if len(sizes) != 1:
             raise ShapeError(f"all profiles must share N, got sizes {sorted(sizes)}")
         previous = None
-        for key, prof in keyed:
+        first: dict[int, int] = {}  # each layer's first index in the sorted profiles
+        for index, (key, prof) in enumerate(keyed):
+            first.setdefault(key[0], index)
             if key == previous:
                 raise DomainError(f"point (layer {key[0]}, distance {key[1]}) is listed twice")
             previous = key
@@ -334,17 +378,25 @@ class WallDataset:
                     f"(expected {expected})"
                 )
         object.__setattr__(self, "profiles", tuple(p for _, p in keyed))
+        # the layer index: each layer's slice of ``profiles``, in ascending
+        # layer order; an attribute, not a field, so repr and fields() omit it
+        starts = list(first.values())
+        object.__setattr__(self, "_by_layer",
+                           dict(zip(first, map(slice, starts, starts[1:] + [len(keyed)]))))
 
     @property
     def n(self) -> int:
         return self.profiles[0].n
 
     def layers(self) -> list[int]:
-        return sorted({p.point.layer for p in self.profiles})
+        """The layers that hold profiles, ascending."""
+        return list(self._by_layer)
 
     def profiles_on(self, layer: int) -> list[Profile]:
-        """Profiles of one layer ordered by axial distance."""
-        return [p for p in self.profiles if p.point.layer == layer]
+        """Profiles of one layer ordered by axial distance; none for a layer
+        without profiles."""
+        span = self._by_layer.get(layer)
+        return [] if span is None else list(self.profiles[span])
 
 
 def deposition_time(

@@ -6,8 +6,8 @@ plus four process features and outputs the N-value correction added to the
 input curve, so with zero weights the mapping is the identity.  Hidden sizes
 are 3N, 6N, 12N, 6N, 3N with ReLU activations, dropout 0.1 sits before the
 final N-output affine map, and training runs mini-batch Adam on a mean
-squared error loss over scaled temperatures, the learning rate halved at
-each of the fixed :data:`LR_DECAY_EPOCHS`.  The training set is one
+squared error loss over scaled temperatures, the learning rate halved
+every :data:`LR_DECAY_EVERY` epochs.  The training set is one
 :class:`CurvePairs`: row-aligned arrays of input curves, process features
 and overlap-truncated target curves, which every training function reads
 directly.
@@ -57,8 +57,8 @@ from .core import (
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
 DROPOUT_RATE = 0.1
 N_AFFINE_MAPS = 6
-LR_DECAY_EPOCHS = (100, 200, 300, 400)  # 0-indexed: 0.5 ** (epoch // 100) over 500 epochs
-LR_DECAY_RATIO = 0.5  # learning-rate factor at each of LR_DECAY_EPOCHS
+LR_DECAY_EVERY = 100  # epochs per decay: the rate is 0.5 ** (epoch // 100) of the first
+LR_DECAY_RATIO = 0.5  # learning-rate factor at each decay
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -154,7 +154,7 @@ class MappingModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Mini-batch Adam training schedule; the rate decays at LR_DECAY_EPOCHS."""
+    """Mini-batch Adam training schedule; the rate decays every LR_DECAY_EVERY epochs."""
 
     epochs: int = 500
     batch_size: int = 256
@@ -171,10 +171,9 @@ class TrainConfig:
 
     def lr_at(self, epoch_index: int) -> float:
         """Learning rate used during the 0-indexed epoch: the initial rate
-        shrunk by LR_DECAY_RATIO once for every decay epoch already
-        completed."""
-        decays = sum(1 for d in LR_DECAY_EPOCHS if d <= epoch_index)
-        return self.initial_lr * LR_DECAY_RATIO ** decays
+        shrunk by LR_DECAY_RATIO once for every LR_DECAY_EVERY epochs
+        already completed, for any number of epochs."""
+        return self.initial_lr * LR_DECAY_RATIO ** (epoch_index // LR_DECAY_EVERY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +477,7 @@ def train(model: MappingModel, pairs: CurvePairs,
     # fault them back in on every step (about 3,200 page faults a step at
     # N = 100 with all 1,015 pairs of the canonical wall in one batch).
     # The block is never touched.
-    np.empty(config.batch_size * sum(dims[1:-1]), np.float32)
+    np.empty(min(config.batch_size, n_samples) * sum(dims[1:-1]), np.float32)
 
     loss_history: list[float] = []
     lr_history: list[float] = []

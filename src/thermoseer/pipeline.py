@@ -107,9 +107,9 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
     temps, _ = _curve_rows(measured, model.n)
     feats = np.broadcast_to(mapping_features(settings, schedule, source), (len(temps), 4))
     blocks = forward_many(model, temps, feats).reshape(len(measured), CURVES_PER_PROFILE, -1)
-    mapped = [Profile(PointId(target, prof.point.axial_distance, prof.point.relative_delay),
-                      block, prof.durations)
-              for prof, block in zip(measured, blocks)]
+    mapped = Profile.of_block(
+        [PointId(target, p.point.axial_distance, p.point.relative_delay) for p in measured],
+        blocks, [p.durations for p in measured])
     t_map = time.perf_counter()
 
     recon = fit_layer(mapped)
@@ -408,7 +408,9 @@ def run_benchmark(train_data, test_data: WallDataset,
     """
     walls = _wall_list(train_data)
     if test_layers is None:
-        test_layers = [l for l in test_data.layers() if l - 1 in set(test_data.layers())]
+        layers = test_data.layers()
+        available = set(layers)
+        test_layers = [l for l in layers if l - 1 in available]
     for wall in walls:
         if wall is test_data:
             overlap = set(train_layers or wall.layers()) & set(test_layers)

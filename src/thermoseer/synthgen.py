@@ -320,11 +320,11 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
         grids = np.linspace(0.0, durations, n, axis=-1)
         points = [PointId.from_distance(layer, d, settings.travel_speed) for d in distances]
         block = analytic_curve(params, settings, schedule, points, curve_indices, grids)
-        for j, (point, temps) in enumerate(zip(points, block), start=1):
-            if params.noise_sd > 0:
+        if params.noise_sd > 0:
+            for j, temps in enumerate(block, start=1):
                 temps += np.random.default_rng((params.seed, layer, j)).normal(
                     0.0, params.noise_sd, size=temps.shape)
-            profiles.append(Profile(point, temps, durations))
+        profiles += Profile.of_block(points, block, [durations] * len(points))
 
     provenance = {
         "kind": "synthetic",

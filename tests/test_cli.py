@@ -28,7 +28,13 @@ from thermoseer.cli import (
     save_dataset,
 )
 from thermoseer.mapping import TrainConfig, init_model, param_count, param_size, train
-from thermoseer.pipeline import evaluate, extract_curve_pairs, predict_layer, predict_point
+from thermoseer.pipeline import (
+    count_curve_pairs,
+    evaluate,
+    extract_curve_pairs,
+    predict_layer,
+    predict_point,
+)
 from thermoseer.synthgen import SynthParams, generate_wall
 from thermoseer.core import DwellSchedule, PointId, ProcessSettings, Profile, WallDataset
 
@@ -1313,3 +1319,66 @@ class TestExitCodes:
         assert self._eval_raising(monkeypatch, FileNotFoundError("gone")) == 3
         with pytest.raises(RuntimeError):
             self._eval_raising(monkeypatch, RuntimeError("bug"))
+
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    """A small wall's dataset file and an untrained checkpoint for it."""
+    workdir = tmp_path_factory.mktemp("sweep")
+    data, ckpt = str(workdir / "wall.tsd"), str(workdir / "model.ckpt")
+    settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 12,
+                                     layer_print_time=20.5, deposition_rate=52.8)
+    wall = generate_wall(settings, SynthParams(seed=7), points_per_layer=3, n=40)
+    save_dataset(data, wall)
+    save_checkpoint(ckpt, init_model(40, seed=0))
+    return data, ckpt, count_curve_pairs(wall)
+
+
+# what each sweep case may end with: 0 or a documented exit code
+_DOCUMENTED_CODES = {0, 2, 3, 4, 5, 6}
+_SWEPT_OPTIONS = [(command, option) for command in ("train", "finetune")
+                  for option in ("--lr", "--batch-size", "--seed", "--init-seed", "--epochs")
+                  ] + [("predict", "--layer"), ("field", "--layer"), ("field", "--positions"),
+                       ("field", "--times")]
+# --epochs 10**9 is left out: it trains for that long before anything could
+# refuse it
+_SWEEP = [(command, option, value) for command, option in _SWEPT_OPTIONS
+          for value in ("nan", "inf", "-inf", "0", "-1", str(10 ** 9))
+          if (option, value) != ("--epochs", str(10 ** 9))]
+
+
+class TestOptionSweep:
+    @pytest.mark.parametrize("command, option, value", _SWEEP)
+    def test_exits_0_or_documented_without_traceback(self, sweep_files, tmp_path, capsys,
+                                                     command, option, value):
+        data, ckpt, _ = sweep_files
+        out, loss_csv = tmp_path / "out", tmp_path / "loss.csv"
+        base = {
+            "train": ["--data", data, "--epochs", "1", "--loss-csv", str(loss_csv)],
+            "finetune": ["--ckpt", ckpt, "--data", data, "--epochs", "1",
+                         "--loss-csv", str(loss_csv)],
+            "predict": ["--ckpt", ckpt, "--data", data, "--layer", "6"],
+            "field": ["--ckpt", ckpt, "--data", data, "--layer", "6", "--times", "5.0"],
+        }[command]
+        try:
+            code = run_cli(command, *base, option, value, "--out", str(out))
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+        assert code in _DOCUMENTED_CODES
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code != 0:
+            assert err and not out.exists() and not loss_csv.exists()
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_batch_larger_than_the_pairs_is_one_batch(self, sweep_files, tmp_path, command):
+        # the largest batch that runs holds every pair, whatever --batch-size asks
+        data, ckpt, pairs = sweep_files
+        start = ["--ckpt", ckpt] if command == "finetune" else []
+        outputs = []
+        for batch in (pairs, 10 ** 9):
+            out = tmp_path / f"{batch}.ckpt"
+            assert run_cli(command, *start, "--data", data, "--epochs", "2",
+                           "--batch-size", str(batch), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

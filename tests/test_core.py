@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tempfile
 
 import hypothesis
 import numpy as np
@@ -28,6 +29,8 @@ from thermoseer.core import (
 
 import thermoseer
 from thermoseer import core
+from thermoseer.cli import load_dataset, save_dataset
+from thermoseer.synthgen import SynthParams, generate_wall
 
 from conftest import constant_profile, random_positive_profile
 
@@ -371,3 +374,122 @@ class TestTypes:
         for given in ([a, b], [b, *others, a]):
             with pytest.raises(DomainError, match="listed twice"):
                 WallDataset(settings, schedule, given)
+
+
+def _block_and_rows(rng, count=4, n=6):
+    points = [PointId.from_distance(3, 20.0 * (i + 1), 8.0) for i in range(count)]
+    durations = [[50.0 + k + i for k in range(5)] for i in range(count)]
+    return points, rng.uniform(100.0, 1500.0, size=(count, 5, n)), durations
+
+
+def _first_error(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestProfileBlock:
+    @pytest.mark.parametrize("layout", ["float64", "float32", "payload-rows", "strided"])
+    def test_equals_one_profile_per_row(self, layout):
+        rng = np.random.default_rng(5)
+        points, block, durations = _block_and_rows(rng)
+        if layout == "float32":
+            block = block.astype(np.float32)
+        elif layout == "payload-rows":  # the loader's block: columns 7: of its rows
+            rows = np.concatenate([np.zeros((len(block), 7)), block.reshape(len(block), -1)],
+                                  axis=1)
+            block = rows[:, 7:].reshape(block.shape)
+        elif layout == "strided":  # rows that are not contiguous themselves
+            block = np.asfortranarray(block)
+        want = [Profile(p, t, d) for p, t, d in zip(points, block, durations)]
+        got = Profile.of_block(points, block, durations)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is Profile and g.point is w.point
+            assert g.temps.dtype == np.float64 and g.temps.flags.c_contiguous
+            assert not g.temps.flags.writeable
+            assert g.temps.tobytes() == w.temps.tobytes() and g.durations == w.durations
+        if layout in ("float64", "payload-rows"):  # row views, no copy
+            assert all(np.shares_memory(g.temps, block) for g in got)
+
+    def test_empty_block(self):
+        assert Profile.of_block([], np.empty((0, 5, 4)), []) == []
+
+    @pytest.mark.parametrize("where, value", [
+        ((0, 0, 0), math.nan), ((3, 4, 5), math.nan), ((2, 1, 3), ABSOLUTE_ZERO_C),
+        ((1, 2, 2), -300.0), ((3, 0, 1), MAX_TEMPERATURE_C), ((0, 4, 5), 1e300),
+        ((2, 2, 2), math.inf), ((1, 1, 1), -math.inf),
+        ((2, 4), 0.0), ((0, 0), math.nan), ((3, 2), math.inf), ((1, 3), -1.0)])
+    def test_bad_value_raises_what_profile_raises(self, where, value):
+        # three indices name a temperature of the block, two a duration
+        rng = np.random.default_rng(6)
+        points, block, durations = _block_and_rows(rng)
+        if len(where) == 3:
+            block[where] = value
+        else:
+            durations[where[0]][where[1]] = value
+        want = _first_error(lambda: [Profile(p, t, d)
+                                     for p, t, d in zip(points, block, durations)])
+        assert want[0] is DomainError
+        assert _first_error(lambda: Profile.of_block(points, block, durations)) == want
+
+    @pytest.mark.parametrize("shape", [(4, 4, 6), (4, 6, 6), (4, 5, 1), (4, 5, 0), (4, 5),
+                                       (4,), (4, 5, 6, 1), (4, 1, 5, 6)])
+    def test_bad_shape_raises_what_profile_raises(self, shape):
+        points, _, durations = _block_and_rows(np.random.default_rng(7))
+        block = np.full(shape, 300.0)
+        want = _first_error(lambda: [Profile(p, t, d)
+                                     for p, t, d in zip(points, block, durations)])
+        assert want[0] is ShapeError
+        assert _first_error(lambda: Profile.of_block(points, block, durations)) == want
+
+    def test_counts_must_match(self):
+        points, block, durations = _block_and_rows(np.random.default_rng(8))
+        for args in ((points[:3], block, durations), (points, block[:3], durations),
+                     (points, block, durations[:3])):
+            with pytest.raises(ShapeError, match="do not match"):
+                Profile.of_block(*args)
+
+
+def _scanned_layers(wall):
+    return sorted({p.point.layer for p in wall.profiles})
+
+
+def _scanned_profiles_on(wall, layer):
+    return [p for p in wall.profiles if p.point.layer == layer]
+
+
+class TestLayerIndex:
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(source=st.sampled_from(["generated", "loaded", "shuffled"]),
+                      num_layers=st.integers(6, 12), points=st.integers(2, 4),
+                      seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_layers_and_profiles_on_equal_their_scans(self, source, num_layers, points,
+                                                      seed, data):
+        settings = ProcessSettings.build(num_layers=num_layers)
+        wall = generate_wall(settings, SynthParams(seed=seed), points_per_layer=points, n=4)
+        if source == "loaded":
+            with tempfile.TemporaryDirectory() as tmp:
+                save_dataset(f"{tmp}/wall.tsd", wall)
+                wall = load_dataset(f"{tmp}/wall.tsd")
+        elif source == "shuffled":  # a random nonempty subset, in random order
+            keep = data.draw(st.lists(st.sampled_from(wall.profiles), min_size=1,
+                                      unique_by=id))
+            wall = dataclasses.replace(wall, profiles=keep)
+        layers = _scanned_layers(wall)
+        assert wall.layers() == layers and wall.layers() is not wall.layers()
+        for layer in range(-1, num_layers + 3):
+            got = wall.profiles_on(layer)
+            assert got == _scanned_profiles_on(wall, layer)
+            assert got is not wall.profiles_on(layer)  # a new list each call
+            assert bool(got) == (layer in layers)
+
+    def test_index_is_not_a_field(self, settings, schedule):
+        wall = WallDataset(settings, schedule,
+                           [constant_profile(300.0, layer=layer) for layer in (2, 5)])
+        assert [f.name for f in dataclasses.fields(wall)] == \
+            ["settings", "schedule", "profiles", "provenance", "wall_id"]
+        assert "slice" not in repr(wall)
+        # replace builds the dataset anew, and its index with it
+        fewer = dataclasses.replace(wall, profiles=wall.profiles[1:])
+        assert fewer.layers() == [5] and fewer.profiles_on(2) == []

@@ -442,6 +442,14 @@ class TestTrain:
                             (200, 0.00025), (399, 0.000125), (400, 0.0000625)):
             assert cfg.lr_at(epoch) == pytest.approx(want, rel=1e-12)
 
+    def test_lr_keeps_halving_past_epoch_500(self):
+        # the paper's formula 0.001 * 0.5 ** (epoch // 100) holds for any
+        # number of epochs, not only the default 500
+        cfg = TrainConfig(epochs=700)
+        assert cfg.lr_at(499) == 6.25e-05
+        assert cfg.lr_at(500) == 3.125e-05
+        assert cfg.lr_at(600) == 1.5625e-05
+
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(22)
         model = init_model(8, seed=1)
@@ -693,7 +701,7 @@ class TestFlatAdam:
     # full blocks and a ragged tail, and 50 pairs leave a last batch of 2
     @pytest.mark.parametrize("n, count, batch", [(6, 40, 16), (11, 23, 8), (40, 50, 16)])
     def test_bit_identical_to_per_layer_loop(self, n, count, batch, monkeypatch):
-        monkeypatch.setattr(mapping, "LR_DECAY_EPOCHS", (2, 4))
+        monkeypatch.setattr(mapping, "LR_DECAY_EVERY", 2)
         rng = np.random.default_rng(n)
         samples = make_samples(rng, n, count)
         cfg = TrainConfig(epochs=5, batch_size=batch, seed=3)
@@ -710,7 +718,7 @@ class TestFlatAdam:
         # differences measured when this test was written (1e-6 and 1.4e-7)
         rng = np.random.default_rng(40)
         samples = make_samples(rng, 40, 50)
-        monkeypatch.setattr(mapping, "LR_DECAY_EPOCHS", (5,))
+        monkeypatch.setattr(mapping, "LR_DECAY_EVERY", 5)
         cfg = TrainConfig(epochs=10, batch_size=16, seed=3)
         got, got_history = train(init_model(40, seed=5), samples, cfg)
         want, want_history = reference_train(init_model(40, seed=5), samples, cfg,
