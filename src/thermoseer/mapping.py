@@ -470,15 +470,6 @@ def train(model: MappingModel, pairs: CurvePairs,
             np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
             ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
 
-    # glibc keeps freed memory on its heap for reuse only up to twice the
-    # largest mapped block freed so far, else hands it back to the system.
-    # Freeing one block the size of a step's activations first keeps every
-    # step's temporaries there; without it a process's first training can
-    # fault them back in on every step (about 3,200 page faults a step at
-    # N = 100 with all 1,015 pairs of the canonical wall in one batch).
-    # The block is never touched.
-    np.empty(min(config.batch_size, n_samples) * sum(dims[1:-1]), np.float32)
-
     loss_history: list[float] = []
     lr_history: list[float] = []
     # a diverging run overflows in the matmuls; the finite-loss check below

@@ -104,7 +104,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
         )
 
     start = time.perf_counter()
-    temps, _ = _curve_rows(measured, model.n)
+    temps = _curve_temps(measured, model.n)
     feats = np.broadcast_to(mapping_features(settings, schedule, source), (len(temps), 4))
     blocks = forward_many(model, temps, feats).reshape(len(measured), CURVES_PER_PROFILE, -1)
     mapped = Profile.of_block(
@@ -254,14 +254,20 @@ def _summarize(values: np.ndarray) -> LayerSummary:
     )
 
 
-def _curve_rows(profiles: list[Profile], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The profiles' curves as (5P, n) rows and their durations as 5P values,
-    in profile then curve order; no profiles give (0, n) rows.  A profile
-    whose N is not ``n`` raises ShapeError."""
+def _curve_temps(profiles: list[Profile], n: int) -> np.ndarray:
+    """The profiles' curves as (5P, n) rows, in profile then curve order; no
+    profiles give (0, n) rows.  A profile whose N is not ``n`` raises
+    ShapeError."""
     sizes = sorted({p.n for p in profiles} - {n})
     if sizes:
         raise ShapeError(f"profiles have N {sizes}, expected {n}")
-    return (np.array([p.temps for p in profiles]).reshape(-1, n),
+    return np.array([p.temps for p in profiles]).reshape(-1, n)
+
+
+def _curve_rows(profiles: list[Profile], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_curve_temps` and the curves' durations as 5P values in the
+    same order."""
+    return (_curve_temps(profiles, n),
             np.array([p.durations for p in profiles]).reshape(-1))
 
 

@@ -122,6 +122,13 @@ class TestPredictNextLayer:
         with pytest.raises(DomainError):
             predict_next_layer(zero_model(100), mixed, wall.settings, wall.schedule)
 
+    def test_profile_of_another_n_rejected(self, wall):
+        measured = wall.profiles_on(5)
+        short = Profile(measured[0].point, measured[0].temps[:, :50], measured[0].durations)
+        with pytest.raises(ShapeError, match=r"N \[50\], expected 100"):
+            predict_next_layer(zero_model(100), [short] + measured[1:],
+                               wall.settings, wall.schedule)
+
     def test_first_layer_guard(self, wall):
         with pytest.raises(ProtocolError, match="first layer"):
             predict_layer(zero_model(100), wall, 1)
