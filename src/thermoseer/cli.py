@@ -366,6 +366,9 @@ def _typed(table: dict[str, str], types: dict[str, type], context: str) -> dict:
             out[key] = types[key](raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{context}: key {key!r}: {exc}") from exc
+        # here, whatever the style: a key the style does not use is dropped unseen
+        if types[key] is float and not math.isfinite(out[key]):
+            raise ConfigError(f"{context}: key {key!r} must be finite, got {raw!r}")
     return out
 
 

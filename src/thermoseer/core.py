@@ -16,6 +16,7 @@ indexed 1-based.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
@@ -148,6 +149,16 @@ class ProcessSettings:
                 % (self.layer_print_time, travel_time)
             )
 
+    def check_layer(self, layer: int) -> None:
+        """DomainError unless ``layer`` is one of the wall's, 1..num_layers."""
+        if not 1 <= layer <= self.num_layers:
+            raise DomainError(f"layer {layer} outside 1..{self.num_layers}")
+
+    def check_distance(self, axial_distance: float) -> None:
+        """DomainError unless ``axial_distance`` lies on a layer, 0..layer_length mm."""
+        if not 0.0 <= axial_distance <= self.layer_length:
+            raise DomainError(f"axial_distance {axial_distance} outside 0..{self.layer_length}")
+
     @classmethod
     def build(
         cls,
@@ -230,6 +241,15 @@ class PointId:
         the same place are the same point, and points of successive layers
         with the same place lie one above the other."""
         return round(self.axial_distance, 9)
+
+
+def one_layer(points: Iterable[PointId]) -> int:
+    """The one layer of ``points``, the inputs of one online step or oracle
+    pass; points on more than one layer, or none, raise DomainError."""
+    layers = {point.layer for point in points}
+    if len(layers) != 1:
+        raise DomainError(f"need the points of one layer, got layers {sorted(layers)}")
+    return layers.pop()
 
 
 def curve_durations(durations) -> tuple[float, ...]:
@@ -324,6 +344,29 @@ class Profile:
         return tuple(Curve(t, d) for t, d in zip(self.temps, self.durations))
 
 
+def one_n(sizes: Iterable[int], n: int | None = None) -> int:
+    """The one N that ``sizes``, each profile's or wall's N, share: ``n``
+    when given, else the first.  Another N, or no sizes and no ``n``,
+    raises ShapeError."""
+    sizes = list(sizes)
+    if n is None:
+        if not sizes:
+            raise ShapeError("no profiles to take N from")
+        n = sizes[0]
+    others = sorted(set(sizes) - {n})
+    if others:
+        raise ShapeError(f"profiles have N {others}, expected {n}")
+    return n
+
+
+def stack_temps(profiles: Sequence[Profile], n: int) -> np.ndarray:
+    """The profiles' ``temps`` as one new (P, 5, n) block, the inverse of
+    :meth:`Profile.of_block`; a profile whose N is not ``n`` raises
+    ShapeError (:func:`one_n`)."""
+    one_n((p.n for p in profiles), n)
+    return np.array([p.temps for p in profiles]).reshape(-1, CURVES_PER_PROFILE, n)
+
+
 @dataclass(frozen=True, eq=False)
 class WallDataset:
     """All profiles of one generated or loaded thin wall, each point once;
@@ -353,9 +396,7 @@ class WallDataset:
                        key=itemgetter(0))
         if not keyed:
             raise ShapeError("dataset holds no profiles")
-        sizes = {p.n for _, p in keyed}
-        if len(sizes) != 1:
-            raise ShapeError(f"all profiles must share N, got sizes {sorted(sizes)}")
+        one_n(p.n for _, p in keyed)
         previous = None
         first: dict[int, int] = {}  # each layer's first index in the sorted profiles
         for index, (key, prof) in enumerate(keyed):
@@ -364,13 +405,8 @@ class WallDataset:
                 raise DomainError(f"point (layer {key[0]}, distance {key[1]}) is listed twice")
             previous = key
             point = prof.point
-            if not 1 <= point.layer <= self.settings.num_layers:
-                raise DomainError(f"point layer {point.layer} outside 1..{self.settings.num_layers}")
-            if point.axial_distance > self.settings.layer_length:
-                raise DomainError(
-                    f"axial_distance {point.axial_distance} beyond layer length "
-                    f"{self.settings.layer_length}"
-                )
+            self.settings.check_layer(point.layer)
+            self.settings.check_distance(point.axial_distance)
             expected = point.axial_distance / self.settings.travel_speed
             if abs(point.relative_delay - expected) > 1e-9:
                 raise DomainError(
@@ -408,12 +444,8 @@ def deposition_time(
     """Global time (s) at which material is deposited at the given axial
     distance of the given layer: all prior print and dwell time plus the
     travel time within the layer."""
-    if not 1 <= layer <= settings.num_layers:
-        raise DomainError(f"layer {layer} outside 1..{settings.num_layers}")
-    if not 0.0 <= axial_distance <= settings.layer_length:
-        raise DomainError(
-            f"axial_distance {axial_distance} outside 0..{settings.layer_length}"
-        )
+    settings.check_layer(layer)
+    settings.check_distance(axial_distance)
     prior_dwell = sum(schedule.dwell[: layer - 1])
     return (layer - 1) * settings.layer_print_time + prior_dwell \
         + axial_distance / settings.travel_speed
@@ -449,8 +481,7 @@ def mapping_features(
     being predicted), as a (4,) array in this order: layer print time (s),
     dwell of the source layer (s), deposition rate (mm^3/s) and relative
     height of the source layer (mm)."""
-    if not 1 <= source_layer <= settings.num_layers:
-        raise DomainError(f"source_layer {source_layer} outside 1..{settings.num_layers}")
+    settings.check_layer(source_layer)
     return np.array([settings.layer_print_time, schedule.for_layer(source_layer),
                      settings.deposition_rate, source_layer * settings.layer_thickness])
 

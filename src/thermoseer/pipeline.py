@@ -35,10 +35,12 @@ from .core import (
     ProcessSettings,
     Profile,
     ProtocolError,
-    ShapeError,
     WallDataset,
     mapping_features,
+    one_layer,
+    one_n,
     reop_rows,
+    stack_temps,
 )
 from .mapping import (
     CurvePairs,
@@ -90,21 +92,15 @@ class FieldFrame:
 def predict_next_layer(model: MappingModel, measured: list[Profile],
                        settings: ProcessSettings, schedule: DwellSchedule) -> LayerPrediction:
     """Map M measured profiles one layer up and train the layer's
-    reconstruction online with :func:`~thermoseer.reconstruct.fit_layer`."""
-    if not measured:
-        raise DomainError("measured profiles must be nonempty")
-    layers = {p.point.layer for p in measured}
-    if len(layers) != 1:
-        raise DomainError(f"measured profiles span layers {sorted(layers)}, need one")
-    source = layers.pop()
+    reconstruction online with :func:`~thermoseer.reconstruct.fit_layer`.
+    The profiles must lie on one layer below the wall's top layer and have
+    the model's N."""
+    source = one_layer(p.point for p in measured)
     target = source + 1
-    if target > settings.num_layers:
-        raise DomainError(
-            f"cannot predict layer {target}: the wall has {settings.num_layers} layers"
-        )
+    settings.check_layer(target)
 
     start = time.perf_counter()
-    temps = _curve_temps(measured, model.n)
+    temps = stack_temps(measured, model.n).reshape(-1, model.n)
     feats = np.broadcast_to(mapping_features(settings, schedule, source), (len(temps), 4))
     blocks = forward_many(model, temps, feats).reshape(len(measured), CURVES_PER_PROFILE, -1)
     mapped = Profile.of_block(
@@ -141,10 +137,7 @@ def predict_layer(model: MappingModel, dataset: WallDataset, layer: int) -> Laye
 def predict_point(prediction: LayerPrediction, axial_distance: float,
                   settings: ProcessSettings) -> Profile:
     """Profile of any point on the predicted layer, at exactly that distance."""
-    if not 0.0 <= axial_distance <= settings.layer_length:
-        raise DomainError(
-            f"axial_distance {axial_distance} outside 0..{settings.layer_length}"
-        )
+    settings.check_distance(axial_distance)
     return reconstruct_profile(
         prediction.reconstruction,
         PointId.from_distance(prediction.layer, axial_distance, settings.travel_speed))
@@ -254,20 +247,11 @@ def _summarize(values: np.ndarray) -> LayerSummary:
     )
 
 
-def _curve_temps(profiles: list[Profile], n: int) -> np.ndarray:
-    """The profiles' curves as (5P, n) rows, in profile then curve order; no
-    profiles give (0, n) rows.  A profile whose N is not ``n`` raises
-    ShapeError."""
-    sizes = sorted({p.n for p in profiles} - {n})
-    if sizes:
-        raise ShapeError(f"profiles have N {sizes}, expected {n}")
-    return np.array([p.temps for p in profiles]).reshape(-1, n)
-
-
 def _curve_rows(profiles: list[Profile], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_curve_temps` and the curves' durations as 5P values in the
-    same order."""
-    return (_curve_temps(profiles, n),
+    """The profiles' curves as (5P, n) rows, in profile then curve order,
+    and their durations as 5P values in the same order.  A profile whose N
+    is not ``n`` raises ShapeError (:func:`~thermoseer.core.stack_temps`)."""
+    return (stack_temps(profiles, n).reshape(-1, n),
             np.array([p.durations for p in profiles]).reshape(-1))
 
 
@@ -352,10 +336,7 @@ def extract_curve_pairs(walls: WallDataset | Iterable[WallDataset],
     distance), then curve index, so every consecutive run of five rows is
     one profile's curve set.  Walls that disagree on N raise ShapeError."""
     walls = _wall_list(walls)
-    sizes = {wall.n for wall in walls}
-    if len(sizes) != 1:
-        raise ShapeError(f"walls must share one N, got N {sorted(sizes)}")
-    n = sizes.pop()
+    n = one_n(wall.n for wall in walls)
 
     lower, upper, features = [], [], []
     for wall in walls:

@@ -28,6 +28,8 @@ from .core import (
     Profile,
     ShapeError,
     curve_durations,
+    one_layer,
+    stack_temps,
 )
 
 DEFAULT_ENERGY_THRESHOLD = 0.99
@@ -142,17 +144,13 @@ def elm_predict(elm: ElmModel, delays: ArrayLike) -> np.ndarray:
 
 def build_profile_matrix(profiles: list[Profile]) -> tuple[np.ndarray, np.ndarray]:
     """Stack M same-layer profiles into the 5N x M snapshot matrix, columns
-    sorted by relative delay.  Returns (matrix, sorted delays)."""
+    sorted by relative delay, as the transposed view of their stacked
+    (M, 5, N) block.  Returns (matrix, sorted delays)."""
     if len(profiles) < 2:
         raise DomainError(f"need >= 2 profiles, got {len(profiles)}")
-    layers = {p.point.layer for p in profiles}
-    if len(layers) != 1:
-        raise ShapeError(f"profiles span layers {sorted(layers)}, need exactly one")
-    sizes = {p.n for p in profiles}
-    if len(sizes) != 1:
-        raise ShapeError(f"profiles disagree on N: {sorted(sizes)}")
+    one_layer(p.point for p in profiles)
     ordered = sorted(profiles, key=lambda p: p.point.relative_delay)
-    matrix = np.column_stack([p.temps.reshape(-1) for p in ordered])
+    matrix = stack_temps(ordered, ordered[0].n).reshape(len(ordered), -1).T
     if matrix.shape[0] <= matrix.shape[1]:
         raise ShapeError(
             f"snapshot matrix must be tall (5N > M), got {matrix.shape}"

@@ -37,6 +37,7 @@ from .core import (
     WallDataset,
     curve_duration,
     deposition_time,
+    one_layer,
 )
 
 PYROMETER_CLAMP_LOW = 150.0
@@ -98,14 +99,8 @@ def _delay_fraction(settings: ProcessSettings, relative_delay: float) -> float:
     return relative_delay / settings.layer_print_time
 
 
-def _amplitude_scale(params: SynthParams, settings: ProcessSettings,
-                     layer: int, relative_delay: float) -> float:
-    # later-deposited points sit on longer-heated substrate: hotter overall
-    return 1.0 + params.delay_gain * _delay_fraction(settings, relative_delay)
-
-
 def cooling_tau(params: SynthParams, settings: ProcessSettings,
-                layer: int, relative_delay: float = 0.0) -> float:
+                layer: int, relative_delay: float) -> float:
     """Cooling time constant (s).
 
     Grows linearly with layer height, shortened near the substrate (the cold
@@ -119,11 +114,12 @@ def cooling_tau(params: SynthParams, settings: ProcessSettings,
 
 
 def deposition_peak(params: SynthParams, settings: ProcessSettings,
-                    layer: int, relative_delay: float = 0.0) -> float:
-    """Temperature (degC) right after deposition at a point."""
+                    relative_delay: float) -> float:
+    """Temperature (degC) right after deposition at a point: later-deposited
+    points sit on longer-heated substrate, so they start hotter."""
     rise = params.peak_base + params.dr_gain * settings.deposition_rate - params.ambient
-    return params.ambient + _amplitude_scale(params, settings, layer,
-                                             relative_delay) * rise
+    return params.ambient + (
+        1.0 + params.delay_gain * _delay_fraction(settings, relative_delay)) * rise
 
 
 def cooling_time(tau: float, start_temp: float, ambient: float, target: float) -> float:
@@ -142,7 +138,7 @@ def solve_dwell(params: SynthParams, settings: ProcessSettings, layer: int) -> f
     from its deposition peak to the interpass target."""
     end_delay = settings.layer_length / settings.travel_speed
     tau = cooling_tau(params, settings, layer, end_delay)
-    peak = deposition_peak(params, settings, layer, end_delay)
+    peak = deposition_peak(params, settings, end_delay)
     return cooling_time(tau, peak, params.ambient, settings.interpass_target)
 
 
@@ -178,8 +174,7 @@ def _cycle_constants(params: SynthParams, settings: ProcessSettings, point: Poin
     cooling constant.  Scalar on purpose: ``math.exp`` and ``np.exp`` may
     differ in the last bit."""
     tau = cooling_tau(params, settings, point.layer, point.relative_delay)
-    amp = deposition_peak(params, settings, point.layer,
-                          point.relative_delay) - params.ambient
+    amp = deposition_peak(params, settings, point.relative_delay) - params.ambient
     reheat0 = params.reheat_scale * amp
     amps, reheats = [], []
     for k, duration in enumerate(durations):
@@ -190,16 +185,6 @@ def _cycle_constants(params: SynthParams, settings: ProcessSettings, point: Poin
     return amps, reheats, tau
 
 
-def _one_layer(points: Sequence[PointId]) -> int:
-    """The one layer of ``points``; points on more than one layer, or none,
-    raise DomainError."""
-    layers = {point.layer for point in points}
-    if len(layers) != 1:
-        raise DomainError(f"the oracle takes the points of one layer, got layers "
-                          f"{sorted(layers)}")
-    return layers.pop()
-
-
 def analytic_curve(params: SynthParams, settings: ProcessSettings,
                    schedule: DwellSchedule, points: Sequence[PointId],
                    curve_index: int | np.ndarray, local_times: np.ndarray) -> np.ndarray:
@@ -208,7 +193,7 @@ def analytic_curve(params: SynthParams, settings: ProcessSettings,
     a sequence of points on one layer.  ``curve_index`` is 1-based, an int
     or an int array that broadcasts against ``local_times``; each row has
     their broadcast shape."""
-    layer = _one_layer(points)
+    layer = one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     idx = np.asarray(curve_index) - 1
     t = np.asarray(local_times, dtype=np.float64)
@@ -240,7 +225,7 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     readings before deposition."""
     if not 0.0 < sample_period < math.inf:
         raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
-    layer = _one_layer(points)
+    layer = one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
                        for point in points])

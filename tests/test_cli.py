@@ -893,15 +893,18 @@ class TestGenerate:
     @pytest.mark.parametrize("key", [key for key, kind in cli._GENERATE_KEYS.items()
                                      if kind in (int, float)])
     def test_number_key_sweep_exits_0_2_or_3(self, tmp_path, key, value):
-        table = {"seed": "7", "num_layers": "12", "points_per_layer": "3", "n": "8"}
-        if key in cli._EXPERIMENT_KEYS:
-            table["style"] = "experiment"
-        table[key] = value
-        cfg, out = tmp_path / "w.cfg", tmp_path / "w.tsd"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in table.items()))
-        code = run_cli("generate", "--config", str(cfg), "--out", str(out))
-        assert code in ((2, 3) if value in ("nan", "inf", "-inf") else (0, 2, 3))
-        assert code == 0 or os.listdir(tmp_path) == ["w.cfg"]
+        # an experiment key runs on both styles: a simulation wall does not
+        # use it, and must still refuse a value that is not finite
+        styles = ["experiment", "simulation"] if key in cli._EXPERIMENT_KEYS else ["simulation"]
+        for style in styles:
+            table = {"seed": "7", "num_layers": "12", "points_per_layer": "3", "n": "8",
+                     "style": style, key: value}
+            cfg, out = tmp_path / "w.cfg", tmp_path / "w.tsd"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in table.items()))
+            code = run_cli("generate", "--config", str(cfg), "--out", str(out))
+            assert code in ((2,) if value in ("nan", "inf", "-inf") else (0, 2, 3)), style
+            assert code == 0 or os.listdir(tmp_path) == ["w.cfg"]
+            out.unlink(missing_ok=True)
 
     @pytest.mark.parametrize("jitter", ["1e308", "161"])
     def test_jitter_beyond_the_layer_exit_3(self, tmp_path, capsys, jitter):

@@ -77,7 +77,7 @@ class TestProfileMatrix:
     def test_mixed_layers_rejected(self):
         a = layer_profiles(2, layer=3)
         b = layer_profiles(2, layer=4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             build_profile_matrix([a[0], b[1]])
 
     def test_mixed_n_rejected(self):

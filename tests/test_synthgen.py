@@ -47,7 +47,7 @@ class TestSolveDwell:
 
     def test_target_at_peak_is_zero(self, params):
         s = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40, deposition_rate=52.8)
-        peak = deposition_peak(params, s, 5, s.layer_length / s.travel_speed)
+        peak = deposition_peak(params, s, s.layer_length / s.travel_speed)
         s_at_peak = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40, deposition_rate=52.8,
                                           interpass_target=peak)
         assert solve_dwell(params, s_at_peak, 5) == pytest.approx(0.0, abs=1e-12)
@@ -82,7 +82,7 @@ class TestGenerateWall:
 
     def test_curve_start_is_the_deposition_peak(self, settings, params, wall):
         prof = wall.profiles_on(12)[3]
-        peak = deposition_peak(params, settings, 12, prof.point.relative_delay)
+        peak = deposition_peak(params, settings, prof.point.relative_delay)
         assert prof.temps[0, 0] == pytest.approx(peak, abs=1.0)
 
     def test_durations_match_duration_law(self, settings, wall):
