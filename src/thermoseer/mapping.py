@@ -20,12 +20,16 @@ checked, which is how a layer's five-curve profiles are mapped in one call.
 The parameters are one vector, float32 or float64.  :func:`train` keeps
 one float32 store of the weights: activations, gradients, Adam's moments
 and the weights it updates in place are all float32, and that store is the
-trained model's ``params``.  Training holds only what Adam needs: the
-weights, the two moments, one affine map's gradient and one step's
-activations.  The backward pass hands each map to Adam through a hook as
-soon as it is done with it, so the maps' gradients share one buffer the
-size of the largest map, and it writes each map's input gradient over the
-activation it came from.  ``train`` keeps no reference to its input model
+trained model's ``params``.  Adam keeps its moments as running sums,
+sum(beta1**k * g) and sum(beta2**k * g**2); the moments' constant factors
+1 - beta1 and 1 - beta2 join the bias corrections in the step size and
+epsilon, so a weight's update is ten array passes with no buffer beyond the
+gradient's.  Training holds only what Adam needs: the weights, the two
+moments, one affine map's gradient and one step's activations.  The
+backward pass hands each map to Adam through a hook as soon as it is done
+with it, so the maps' gradients share one buffer the size of the largest
+map, and it writes each map's input gradient over the activation it came
+from.  ``train`` keeps no reference to its input model
 once it has cast the parameters.  Inference and checkpoints use the
 parameters in their own dtype, so a trained model is served in float32,
 while :func:`init_model` gives float64 parameters.  The loss and gradient
@@ -62,7 +66,7 @@ LR_DECAY_RATIO = 0.5  # learning-rate factor at each decay
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# elements per Adam slice: one slice of each of its five buffers (~0.6 MB) stays in cache
+# elements per Adam slice: one slice of each of its four buffers (~0.5 MB) stays in cache
 ADAM_BLOCK = 1 << 15
 # the BLAS build and its thread count decide the last bits of float32
 # matmuls; train records the build, the thread setting as found when this
@@ -367,12 +371,12 @@ def _backprop(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
         np.matmul(below.T, grad, out=d_weights[l])
         grad.sum(axis=0, out=d_biases[l])
         if l > 0:
-            # a ReLU output is > 0 exactly where its input was; where dropout
-            # zeroed it, the gradient is already zero
+            # a ReLU output is > 0 exactly where its input was.  Dropout
+            # zeroed the last hidden activation in place, so there the mask is
+            # in ``active`` too and only its 1 / (1 - rate) scale is left
             active = below > 0.0
             grad = np.matmul(grad, weights[l].T, out=below)
             if l == N_AFFINE_MAPS - 1 and dropout_mask is not None:
-                grad *= dropout_mask
                 grad /= 1.0 - DROPOUT_RATE
             grad *= active
         if done is not None:
@@ -394,15 +398,19 @@ def train(model: MappingModel, pairs: CurvePairs,
     Training keeps one float32 store of the weights, built from the input
     model's parameters: the forward and backward passes read views of it,
     and Adam, whose gradients and moments are float32 too, updates it in
-    place.  Adam takes each affine map's step from the backward pass's hook
-    as soon as that map's gradient is final, so one gradient buffer the size
-    of the largest map serves all six.  That store is the float32 ``params``
-    of the returned model, and inference and checkpoints use it as it is;
-    the input model is neither copied nor written.  Once its parameters are
-    cast, ``train`` holds no reference to the input model, so one passed as
-    a temporary is freed before the first step on CPython 3.11 and later
-    (3.10 keeps a call's arguments alive until it returns).  With zero
-    epochs the input model itself is returned.
+    place.  The moments are running sums, Adam's moments without their
+    constant factors 1 - beta1 and 1 - beta2, which are folded into the
+    step size and epsilon with the bias corrections; the trained weights
+    are those of textbook Adam to float32 rounding.  Adam takes each affine
+    map's step from the backward pass's hook as soon as that map's gradient
+    is final, so one gradient buffer the size of the largest map serves all
+    six.  That store is the float32 ``params`` of the returned model, and
+    inference and checkpoints use it as it is; the input model is neither
+    copied nor written.  Once its parameters are cast, ``train`` holds no
+    reference to the input model, so one passed as a temporary is freed
+    before the first step on CPython 3.11 and later (3.10 keeps a call's
+    arguments alive until it returns).  With zero epochs the input model
+    itself is returned.
 
     Returns the trained model, whose ``training_meta`` records the epochs
     run, the final loss, each epoch's learning rate, the BLAS build,
@@ -439,12 +447,10 @@ def train(model: MappingModel, pairs: CurvePairs,
     # one map's gradient at a time: Adam takes each map's step as soon as
     # the backward pass has finished with it, so every map's gradient views
     # start at the head of one buffer the size of the largest map.  The
-    # buffer doubles as scratch once v has taken the gradient; m's update
-    # needs one block of its own
+    # buffer doubles as scratch once m and v have taken the gradient
     dims = layer_dims(n)
     maps = list(zip(dims[:-1], dims[1:]))
     g = np.empty(max((fan_in + 1) * fan_out for fan_in, fan_out in maps), np.float32)
-    scratch = np.empty(ADAM_BLOCK, dtype=np.float32)
     d_weights, d_biases, stores, at = [], [], [], 0
     for fan_in, fan_out in maps:
         size = (fan_in + 1) * fan_out
@@ -456,18 +462,19 @@ def train(model: MappingModel, pairs: CurvePairs,
     step = 0
 
     def adam(l: int) -> None:
-        # Adam in Kingma and Ba's cheaper form, the bias corrections folded
-        # into the step size and epsilon: w -= alpha * (m / (sqrt(v) +
-        # eps_hat)), in place, one cache-sized block at a time
+        # Adam in Kingma and Ba's cheaper form on the running sums m and v,
+        # every constant factor folded into the step size and epsilon: w -=
+        # alpha * (m / (sqrt(v) + eps)), in place, one cache-sized block at a
+        # time
         m_l, v_l, w_l, g_l = stores[l]
         for lo in range(0, w_l.size, ADAM_BLOCK):
             s = slice(lo, lo + ADAM_BLOCK)
             ms, vs, gs, ws = m_l[s], v_l[s], g_l[s], w_l[s]
             ms *= ADAM_BETA1
-            ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=scratch[:gs.size])
+            ms += gs
             vs *= ADAM_BETA2
-            vs += np.multiply(np.square(gs, out=gs), 1.0 - ADAM_BETA2, out=gs)
-            np.add(np.sqrt(vs, out=gs), eps_hat, out=gs)
+            vs += np.square(gs, out=gs)
+            np.add(np.sqrt(vs, out=gs), eps, out=gs)
             ws -= np.multiply(np.divide(ms, gs, out=gs), alpha, out=gs)
 
     loss_history: list[float] = []
@@ -485,9 +492,9 @@ def train(model: MappingModel, pairs: CurvePairs,
                 xb, rb = x_all[batch], r_all[batch]
                 mask = rng.random((batch.size, 3 * n)) >= DROPOUT_RATE
                 step += 1
-                root2 = math.sqrt(1.0 - ADAM_BETA2 ** step)
-                alpha = lr * root2 / (1.0 - ADAM_BETA1 ** step)
-                eps_hat = ADAM_EPSILON * root2
+                root2 = math.sqrt(1.0 - ADAM_BETA2 ** step) / math.sqrt(1.0 - ADAM_BETA2)
+                alpha = lr * root2 * (1.0 - ADAM_BETA1) / (1.0 - ADAM_BETA1 ** step)
+                eps = ADAM_EPSILON * root2
                 loss = _backprop(weights, biases, xb, rb, mask, d_weights, d_biases, adam)
                 if not math.isfinite(loss):
                     raise NumericsError(f"training diverged: batch loss {loss} is not "
