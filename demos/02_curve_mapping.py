@@ -16,12 +16,11 @@ from thermoseer import (
     TrainConfig,
     evaluate,
     extract_curve_pairs,
-    forward_many,
     generate_wall,
     init_model,
+    predict_next_layer,
     train,
 )
-from thermoseer.core import Profile, PointId, mapping_features
 
 settings = ProcessSettings.build(8.0, 3.0, 160.0, 1.5, 40,
                                  layer_print_time=20.5, deposition_rate=52.8)
@@ -37,16 +36,9 @@ print(f"loss: first epoch {history[0]:.2e} -> last epoch {history[-1]:.2e}")
 
 def mapped_reop(layer):
     """Median REOP of single-step mapping onto the given layer."""
-    lower = wall.profiles_on(layer - 1)
-    truth = wall.profiles_on(layer)
-    # every curve of the layer below in one (5M, N) block, one feature row each
-    temps = np.concatenate([prof.temps for prof in lower])
-    feats = np.tile(mapping_features(settings, wall.schedule, layer - 1), (len(temps), 1))
-    mapped = forward_many(model, temps, feats).reshape(len(lower), 5, -1)
-    preds = [Profile(PointId(layer, prof.point.axial_distance, prof.point.relative_delay),
-                     block, prof.durations)
-             for prof, block in zip(lower, mapped)]
-    report = evaluate(preds, truth)
+    mapped = predict_next_layer(model, wall.profiles_on(layer - 1), settings,
+                                wall.schedule).mapped_profiles
+    report = evaluate(mapped, wall.profiles_on(layer))
     return float(np.median(report.reops()))
 
 

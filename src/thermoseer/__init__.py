@@ -27,7 +27,6 @@ from .core import (
     ThermoseerError,
     WallDataset,
     curve_duration,
-    default_layer_print_time,
     deposition_time,
     mapping_features,
     reop,
@@ -108,7 +107,6 @@ __all__ = [
     "WallDataset",
     "build_profile_matrix",
     "curve_duration",
-    "default_layer_print_time",
     "deposition_time",
     "elm_predict",
     "elm_train",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -98,11 +98,24 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def _require_count(name: str, value: float) -> None:
-    """DomainError unless ``value`` is a whole number >= 1.  NaN and +-inf
-    fail the range test before ``int`` could raise on them."""
-    if not (1 <= value < math.inf and int(value) == value):
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+def whole_number(name: str, value, low: int) -> int:
+    """``value`` as a plain int, the one rule for every count, index and seed:
+    an int or numpy integer at or above ``low`` passes, and a bool, a float
+    (even an integral one), a string or a smaller value raises DomainError."""
+    if type(value) is int and value >= low:  # the common case, first
+        return value
+    try:
+        if not isinstance(value, bool) and index(value) >= low:
+            return index(value)
+    except TypeError:  # not an integer type
+        pass
+    raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
+
+
+def check_sample_period(sample_period: float) -> None:
+    """DomainError unless a raw trace's seconds between readings are positive and finite."""
+    if not 0.0 < sample_period < math.inf:
+        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
 
 
 def wire_deposition_rate(wire_feed_rate: float, wire_diameter: float) -> float:
@@ -111,11 +124,6 @@ def wire_deposition_rate(wire_feed_rate: float, wire_diameter: float) -> float:
     _require_positive("wire_feed_rate", wire_feed_rate)
     _require_positive("wire_diameter", wire_diameter)
     return math.pi * (wire_diameter / 2.0) ** 2 * wire_feed_rate * 1000.0 / 60.0
-
-
-def default_layer_print_time(layer_length: float, travel_speed: float) -> float:
-    """Layer print time with the 0.5 s acceleration/deceleration allowance."""
-    return layer_length / travel_speed + 0.5
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ class ProcessSettings:
         for f in fields(self):
             if f.type == "float":
                 _require_positive(f.name, getattr(self, f.name))
-        _require_count("num_layers", self.num_layers)
+        object.__setattr__(self, "num_layers", whole_number("num_layers", self.num_layers, 1))
         travel_time = self.layer_length / self.travel_speed
         if self.layer_print_time < travel_time - 1e-9:
             raise DomainError(
@@ -151,7 +159,7 @@ class ProcessSettings:
 
     def check_layer(self, layer: int) -> None:
         """DomainError unless ``layer`` is one of the wall's, 1..num_layers."""
-        if not 1 <= layer <= self.num_layers:
+        if whole_number("layer", layer, 1) > self.num_layers:
             raise DomainError(f"layer {layer} outside 1..{self.num_layers}")
 
     def check_distance(self, axial_distance: float) -> None:
@@ -175,9 +183,8 @@ class ProcessSettings:
         """Settings with the canonical wall's defaults: print time from travel
         speed plus the 0.5 s allowance, deposition rate from the wire."""
         _require_positive("travel_speed", travel_speed)
-        _require_count("num_layers", num_layers)
-        if layer_print_time is None:
-            layer_print_time = default_layer_print_time(layer_length, travel_speed)
+        if layer_print_time is None:  # with the acceleration/deceleration allowance
+            layer_print_time = layer_length / travel_speed + 0.5
         if deposition_rate is None:
             deposition_rate = wire_deposition_rate(wire_feed_rate, wire_diameter)
         return cls(
@@ -189,7 +196,7 @@ class ProcessSettings:
             layer_print_time=layer_print_time,
             deposition_rate=deposition_rate,
             interpass_target=interpass_target,
-            num_layers=int(num_layers),
+            num_layers=num_layers,
         )
 
 
@@ -209,7 +216,7 @@ class DwellSchedule:
         return len(self.dwell)
 
     def for_layer(self, layer: int) -> float:
-        if not 1 <= layer <= len(self.dwell):
+        if whole_number("layer", layer, 1) > len(self.dwell):
             raise DomainError(f"layer {layer} outside schedule range 1..{len(self.dwell)}")
         return self.dwell[layer - 1]
 
@@ -224,7 +231,7 @@ class PointId:
     relative_delay: float
 
     def __post_init__(self) -> None:
-        _require_count("layer", self.layer)
+        object.__setattr__(self, "layer", whole_number("layer", self.layer, 1))
         if not math.isfinite(self.axial_distance) or self.axial_distance < 0.0:
             raise DomainError(f"axial_distance must be >= 0, got {self.axial_distance!r}")
         if not math.isfinite(self.relative_delay) or self.relative_delay < 0.0:
@@ -460,9 +467,7 @@ def curve_duration(
     """Duration of curve k of any point on the given layer: one layer print
     time plus the dwell of layer (layer + k - 1).  Independent of the point's
     axial distance."""
-    if layer < 1 or curve_index < 1:
-        raise DomainError(f"layer and curve_index must be >= 1, got ({layer}, {curve_index})")
-    top = layer + curve_index - 1
+    top = whole_number("layer", layer, 1) + whole_number("curve_index", curve_index, 1) - 1
     if top > settings.num_layers:
         raise DomainError(
             f"curve {curve_index} of layer {layer} indexes dwell[{top}] past the "

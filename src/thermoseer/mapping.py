@@ -42,7 +42,6 @@ bit-identical trained weights on one platform.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -56,6 +55,7 @@ from .core import (
     NumericsError,
     ShapeError,
     in_temperature_range,
+    whole_number,
 )
 
 TEMP_SCALE = 1000.0  # degC per network unit; keeps 1500 degC inputs O(1)
@@ -87,10 +87,9 @@ def layer_dims(n: int) -> list[int]:
 
 
 def param_size(n: int) -> int:
-    """The net's weight and bias count for N-value curves; N < 2 is a DomainError."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    dims = layer_dims(n)
+    """The net's weight and bias count for N-value curves; an N that is not
+    a whole number >= 2 is a DomainError."""
+    dims = layer_dims(whole_number("n", n, 2))
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
 
@@ -123,9 +122,10 @@ class MappingModel:
 
     The model checks what it holds when it is built: a ``params`` vector
     that does not fit ``n``, or a ``feature_mean`` or ``feature_std`` that
-    is not four values, raises ShapeError; an ``n`` below 2, a non-finite
-    parameter, a non-finite ``feature_mean`` or a ``feature_std`` that is
-    not positive and finite raises DomainError.
+    is not four values, raises ShapeError; an ``n`` or ``seed`` that is not
+    a whole number >= 2 or >= 0 (stored as ints), a non-finite parameter, a
+    non-finite ``feature_mean`` or a ``feature_std`` that is not positive
+    and finite raises DomainError.
     """
 
     n: int
@@ -139,6 +139,8 @@ class MappingModel:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.n = whole_number("n", self.n, 2)
+        self.seed = whole_number("seed", self.seed, 0)
         dtype = np.float32 if np.asarray(self.params).dtype == np.float32 else np.float64
         self.params = np.ascontiguousarray(self.params, dtype=dtype)
         self.weights, self.biases = _layer_views(self.params, self.n)
@@ -167,9 +169,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), low))
         if not 0.0 < self.initial_lr < math.inf:
             raise DomainError(f"initial_lr must be positive and finite, got {self.initial_lr}")
 
@@ -226,17 +226,17 @@ class CurvePairs:
 
 def init_model(n: int, seed: int = 0) -> MappingModel:
     """Fresh model: fan-in-scaled uniform weights, zero biases."""
-    rng = np.random.default_rng(seed)
-    params = np.zeros(param_size(n))
-    for w in _layer_views(params, n)[0]:
+    model = MappingModel(n=n, params=np.zeros(param_size(n)), feature_mean=np.zeros(4),
+                         feature_std=np.ones(4), scaler_fitted=False, seed=seed)
+    rng = np.random.default_rng(model.seed)
+    for w in model.weights:
         bound = np.sqrt(1.0 / w.shape[0])
         # drawn in place: rng.uniform(-bound, bound) is low + (high - low) * u
         # of these same draws, so the bytes are the same
         rng.random(out=w.reshape(-1))
         w *= bound - -bound
         w += -bound
-    return MappingModel(n=n, params=params, feature_mean=np.zeros(4),
-                        feature_std=np.ones(4), scaler_fitted=False, seed=seed)
+    return model
 
 
 def param_count(model: MappingModel) -> int:

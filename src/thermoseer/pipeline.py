@@ -41,6 +41,7 @@ from .core import (
     one_n,
     reop_rows,
     stack_temps,
+    whole_number,
 )
 from .mapping import (
     CurvePairs,
@@ -163,8 +164,7 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     HorizonError."""
     if not math.isfinite(local_time) or local_time < 0.0:
         raise DomainError(f"local_time must be finite and >= 0, got {local_time}")
-    if n_positions < 2:
-        raise DomainError(f"n_positions must be >= 2, got {n_positions}")
+    n_positions = whole_number("n_positions", n_positions, 2)
 
     recon = prediction.reconstruction
     n = recon.n

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, ShapeError
+from .core import DomainError, ShapeError, check_sample_period, whole_number
 
 MIN_RISE_SEPARATION_S = 5.0  # see split_experiment
 _RISE_WINDOW_S = 0.5  # split_experiment's rise_threshold is a rise over this span
@@ -38,8 +38,7 @@ def split_experiment(temps: np.ndarray, sample_period: float,
     A trace with no rise comes back as the one segment ``[0, temps.size]``."""
     if not 0.0 < rise_threshold < np.inf:
         raise DomainError(f"rise_threshold must be positive and finite, got {rise_threshold!r}")
-    if not sample_period > 0.0:
-        raise DomainError(f"sample_period must be positive, got {sample_period!r}")
+    check_sample_period(sample_period)
     # a window longer than the trace finds no rise (and a subnormal period
     # would make the ratio overflow)
     w = max(1, round(min(_RISE_WINDOW_S / sample_period, len(temps))))
@@ -68,8 +67,7 @@ def resample(times: np.ndarray, temps: np.ndarray, cuts: np.ndarray,
     lengths = np.diff(cuts)
     if np.any(lengths < 2):
         raise DomainError(f"segment needs >= 2 samples to resample, got {lengths.min()}")
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    n = whole_number("n", n, 2)
     durations = times[cuts[1:] - 1] - times[cuts[:-1]]
     # the transposed view axis=-1 would return, without its bookkeeping
     grids = np.linspace(0.0, durations, n).T

@@ -30,6 +30,7 @@ from .core import (
     curve_durations,
     one_layer,
     stack_temps,
+    whole_number,
 )
 
 DEFAULT_ENERGY_THRESHOLD = 0.99
@@ -116,10 +117,9 @@ def elm_train(delays: np.ndarray, coefficients: np.ndarray,
         )
     if not (np.isfinite(delays).all() and np.isfinite(coefficients).all()):
         raise DomainError("delays and coefficients must be finite")
-    if n_hidden < 1:
-        raise DomainError(f"n_hidden must be >= 1, got {n_hidden}")
 
-    omega, bias = _hidden_layer(n_hidden, seed)
+    omega, bias = _hidden_layer(whole_number("n_hidden", n_hidden, 1),
+                                whole_number("seed", seed, 0))
     mean = float(delays.sum() / delays.size)
     deviations = delays - mean
     std = math.sqrt((deviations * deviations).sum() / delays.size)

@@ -35,9 +35,11 @@ from .core import (
     ProcessSettings,
     Profile,
     WallDataset,
+    check_sample_period,
     curve_duration,
     deposition_time,
     one_layer,
+    whole_number,
 )
 
 PYROMETER_CLAMP_LOW = 150.0
@@ -81,8 +83,7 @@ class SynthParams:
             raise DomainError(f"reheat_decay must lie in (0, 1), got {self.reheat_decay!r}")
         if self.noise_sd < 0.0:
             raise DomainError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
         if self.peak_base <= self.ambient:
             raise DomainError("peak_base must exceed ambient")
         if not 0.0 <= self.substrate_chill < 1.0:
@@ -223,8 +224,7 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     length, of global times every ``sample_period`` seconds spanning the
     five cycles, optionally preceded by ``lead_in`` seconds of ambient
     readings before deposition."""
-    if not 0.0 < sample_period < math.inf:
-        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
+    check_sample_period(sample_period)
     layer = one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
@@ -251,16 +251,15 @@ def emulate_pyrometer(temps: np.ndarray, noise_sd: float = 0.0, seed: int = 0) -
     instrument band [PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH]."""
     seen = np.array(temps, dtype=np.float64)
     if noise_sd > 0.0:
-        seen += np.random.default_rng(seed).normal(0.0, noise_sd, size=seen.shape)
+        seen += np.random.default_rng(whole_number("seed", seed, 0)).normal(
+            0.0, noise_sd, size=seen.shape)
     return np.clip(seen, PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH, out=seen)
 
 
 def _point_distances(settings: ProcessSettings, points_per_layer: int,
                      spacing_mm: float | None) -> list[float]:
-    if settings.num_layers < 6:
-        raise DomainError("num_layers must be >= 6 so at least one layer has five curves")
-    if points_per_layer < 2:
-        raise DomainError(f"points_per_layer must be >= 2, got {points_per_layer}")
+    # at least one layer must have five curves
+    whole_number("num_layers", settings.num_layers, CURVES_PER_PROFILE + 1)
     if spacing_mm is None:
         spacing_mm = settings.layer_length / (points_per_layer + 1)
     if not (spacing_mm > 0.0 and points_per_layer * spacing_mm < settings.layer_length):
@@ -272,19 +271,20 @@ def _point_distances(settings: ProcessSettings, points_per_layer: int,
 
 
 def _refuse_oversized(settings: ProcessSettings, points_per_layer: int, n: int,
-                      trace_values: float = 0.0) -> None:
-    """DomainError when ``n`` < 2; ConfigError when a wall needs more than
-    MAX_WALL_VALUES float64 values: 7 + 5n per profiled point (its layer,
-    distance, five durations and five curves, as in its dataset row) plus
-    ``trace_values``."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+                      trace_values: float = 0.0) -> tuple[int, int]:
+    """``points_per_layer`` and ``n`` as whole numbers >= 2; ConfigError when
+    a wall needs more than MAX_WALL_VALUES float64 values: 7 + 5n per
+    profiled point (its layer, distance, five durations and five curves, as
+    in its dataset row) plus ``trace_values``."""
+    points_per_layer = whole_number("points_per_layer", points_per_layer, 2)
+    n = whole_number("n", n, 2)
     points = (settings.num_layers - CURVES_PER_PROFILE) * points_per_layer
     values = points * (2 + CURVES_PER_PROFILE * (1 + n)) + trace_values
     if values > MAX_WALL_VALUES:
         raise ConfigError(f"the wall needs about {values:.3g} float64 values, more than "
                           f"the {MAX_WALL_VALUES} allowed; make num_layers, "
                           f"points_per_layer or n smaller, or sample_period larger")
+    return points_per_layer, n
 
 
 def generate_wall(settings: ProcessSettings, params: SynthParams,
@@ -294,7 +294,7 @@ def generate_wall(settings: ProcessSettings, params: SynthParams,
     analytic profiles of evenly spaced interior points on every layer that
     admits five curves.  A wall too large to hold (see MAX_WALL_VALUES)
     raises ConfigError before anything is allocated."""
-    _refuse_oversized(settings, points_per_layer, n)
+    points_per_layer, n = _refuse_oversized(settings, points_per_layer, n)
     distances = _point_distances(settings, points_per_layer, spacing_mm)
     schedule = build_schedule(params, settings)
 
@@ -337,14 +337,13 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     identities keep the nominal locations.  A wall whose curves and raw
     traces together exceed MAX_WALL_VALUES raises ConfigError before any
     trace is built."""
-    if not 0.0 < sample_period < math.inf:
-        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
+    check_sample_period(sample_period)
     # a wider jitter lands ever more points clipped onto a layer end, and near
     # 1e308 the uniform draw overflows
     if not 0.0 <= jitter_mm <= settings.layer_length:
         raise DomainError(f"jitter_mm must lie in [0, layer_length = "
                           f"{settings.layer_length!r}] mm, got {jitter_mm!r}")
-    _refuse_oversized(settings, points_per_layer, n)
+    points_per_layer, n = _refuse_oversized(settings, points_per_layer, n)
     if params.noise_sd <= 0.0:
         params = replace(params, noise_sd=2.0)
     distances = _point_distances(settings, points_per_layer, spacing_mm)

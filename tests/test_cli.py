@@ -140,6 +140,20 @@ class TestDatasetRoundTrip:
         save_dataset(str(path), small_wall)
         assert all(type(p.point.layer) is int for p in load_dataset(str(path)).profiles)
 
+    def test_numpy_integer_counts_save_as_ints(self, tmp_path, small_wall):
+        # the settings, the generator and its params store each count as an
+        # int, so the file is the one a wall of plain ints gives
+        settings = dataclasses.replace(small_wall.settings, num_layers=np.int64(12))
+        wall = generate_wall(settings, SynthParams(seed=np.int64(7)),
+                             points_per_layer=np.int64(3), n=np.int64(40))
+        a, b = tmp_path / "a.tsd", tmp_path / "b.tsd"
+        save_dataset(str(a), wall)
+        save_dataset(str(b), small_wall)
+        assert a.read_bytes() == b.read_bytes()
+        header, _ = _split_file(a.read_bytes())
+        assert type(header["settings"]["num_layers"]) is int
+        assert load_dataset(str(a)).settings == small_wall.settings
+
 
 @pytest.fixture(scope="module")
 def roundtrip_dir(tmp_path_factory):
@@ -228,6 +242,22 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
         assert loaded.scaler_fitted is True
         assert loaded.seed == 5
+
+    def test_numpy_integer_counts_save_as_ints(self, tmp_path, small_wall):
+        # n, the seeds and the epoch count are stored as ints, so the header
+        # holds ints and the model reloads bit for bit
+        model, _ = train(init_model(np.int64(40), seed=np.int64(5)),
+                         extract_curve_pairs(small_wall),
+                         TrainConfig(epochs=np.int64(1), batch_size=np.int64(32),
+                                     seed=np.int64(2)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), model)
+        header, _ = _split_file(path.read_bytes())
+        counts = header["n"], header["seed"], header["training_meta"]["epochs_run"]
+        assert counts == (40, 5, 1) and all(type(count) is int for count in counts)
+        loaded = load_checkpoint(str(path))
+        assert (loaded.n, loaded.seed) == (40, 5)
+        assert loaded.params.tobytes() == model.params.tobytes()
         assert loaded.training_meta == model.training_meta
 
     def test_save_copies_no_payload(self, tmp_path):
@@ -690,6 +720,21 @@ class TestMalformedDatasetExit3:
         assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT - 1)) == 0
         assert eval_with(_padded_header(dataset_bytes, cli.HEADER_LINE_LIMIT)) == 3
         assert "no header line in the first 1048576 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_layers", [12.0, True])
+    def test_layer_count_not_an_int_exit_3(self, dataset_bytes, tmp_path, capsys,
+                                           num_layers):
+        # the header's int keys hold ints; 12.0 used to load, and be saved back
+        header, payload = _split_file(dataset_bytes)
+        header["settings"]["num_layers"] = num_layers
+        data, ckpt, out = tmp_path / "wall.tsd", tmp_path / "m.ckpt", tmp_path / "p.tsd"
+        data.write_bytes(_join_file(header, payload))
+        save_checkpoint(str(ckpt), init_model(40, seed=0))
+        assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(data),
+                       "--layer", "5", "--out", str(out)) == 3
+        assert (f"num_layers must be a whole number >= 1, got {num_layers!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_header_only(self, tmp_path, small_wall):
         path = tmp_path / "wall.tsd"

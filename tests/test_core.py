@@ -277,12 +277,12 @@ class TestTypes:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_layer_counts_refuse_nan_and_inf(self, settings, value):
-        # int() of these raises ValueError or OverflowError; each is a DomainError
-        with pytest.raises(DomainError, match="layer must be a positive integer"):
+        # no float is a whole number, and these are not even integral
+        with pytest.raises(DomainError, match="layer must be a whole number >= 1"):
             PointId(value, 1.0, 0.1)
-        with pytest.raises(DomainError, match="num_layers must be a positive integer"):
+        with pytest.raises(DomainError, match="num_layers must be a whole number >= 1"):
             ProcessSettings.build(8.0, 3.0, 160.0, 1.5, value)
-        with pytest.raises(DomainError, match="num_layers must be a positive integer"):
+        with pytest.raises(DomainError, match="num_layers must be a whole number >= 1"):
             dataclasses.replace(settings, num_layers=value)
 
     def test_dwell_rejects_negative(self):

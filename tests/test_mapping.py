@@ -199,11 +199,11 @@ class TestModelInvariants:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_n_below_two_refused(self, n):
-        # param_size is the one N rule, which the model and init_model both reach
-        with pytest.raises(DomainError, match="n must be >= 2"):
+        # core.whole_number is the one N rule, which the model and init_model both reach
+        with pytest.raises(DomainError, match="n must be a whole number >= 2"):
             MappingModel(n=n, params=np.zeros(0), feature_mean=np.zeros(4),
                          feature_std=np.ones(4), scaler_fitted=False, seed=0)
-        with pytest.raises(DomainError, match="n must be >= 2"):
+        with pytest.raises(DomainError, match="n must be a whole number >= 2"):
             init_model(n)
 
     def test_non_finite_trained_weights_raise_numerics_error(self):

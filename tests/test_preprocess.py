@@ -105,7 +105,7 @@ class TestSplitExperiment:
             with pytest.raises(DomainError, match="rise_threshold"):
                 split_experiment(np.array([1.0, 2.0]), 1.0, threshold)
 
-    @pytest.mark.parametrize("sample_period", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("sample_period", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_nonpositive_sample_period(self, sample_period):
         with pytest.raises(DomainError):
             split_experiment(np.array([1.0, 200.0, 190.0]), sample_period, 50.0)

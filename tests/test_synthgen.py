@@ -171,7 +171,7 @@ class TestGenerateWall:
             assert [len(ds.profiles_on(layer)) for layer in ds.layers()] == [7, 7, 7]
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="seed must be a whole number >= 0"):
             SynthParams(seed=-1, noise_sd=1.0)
 
     def test_rejects_overflowing_spacing(self, settings, params):
