@@ -93,11 +93,6 @@ def in_temperature_range(temps: np.ndarray) -> bool:
                                    and temps.max() < MAX_TEMPERATURE_C)
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-
-
 def whole_number(name: str, value, low: int) -> int:
     """``value`` as a plain int, the one rule for every count, index and seed:
     an int or numpy integer at or above ``low`` passes, and a bool, a float
@@ -112,17 +107,33 @@ def whole_number(name: str, value, low: int) -> int:
     raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
 
 
-def check_sample_period(sample_period: float) -> None:
-    """DomainError unless a raw trace's seconds between readings are positive and finite."""
-    if not 0.0 < sample_period < math.inf:
-        raise DomainError(f"sample_period must be positive and finite, got {sample_period!r}")
+# the least float each bound of real_number takes (every bound takes only
+# floats below inf, and NaN fails both tests) and its message's words for it
+_LEAST = {None: math.nextafter(-math.inf, 0.0), ">= 0": 0.0, "> 0": math.ulp(0.0)}
+_STATED = {None: "finite", ">= 0": ">= 0 and finite", "> 0": "positive and finite"}
+
+
+def real_number(name: str, value, bound: str | None = None) -> float:
+    """``value`` as a plain float, the one rule for every physical quantity,
+    duration and threshold: an int, a float or a numpy integer or floating
+    scalar that is finite and meets ``bound`` (None: any, ">= 0" or "> 0")
+    passes; any other value, a bool too, raises DomainError "{name} must be
+    finite" (">= 0 and finite", "positive and finite"), ", got {value!r}"."""
+    try:  # a float, the common case, is taken as it is
+        number = value if type(value) is float else float(value) if type(value) is not bool \
+            and isinstance(value, (int, float, np.integer, np.floating)) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if _LEAST[bound] <= number < math.inf:
+        return number
+    raise DomainError(f"{name} must be {_STATED[bound]}, got {value!r}")
 
 
 def wire_deposition_rate(wire_feed_rate: float, wire_diameter: float) -> float:
     """Volumetric deposition rate in mm^3/s from wire feed rate (m/min) and
     wire diameter (mm)."""
-    _require_positive("wire_feed_rate", wire_feed_rate)
-    _require_positive("wire_diameter", wire_diameter)
+    wire_feed_rate = real_number("wire_feed_rate", wire_feed_rate, "> 0")
+    wire_diameter = real_number("wire_diameter", wire_diameter, "> 0")
     return math.pi * (wire_diameter / 2.0) ** 2 * wire_feed_rate * 1000.0 / 60.0
 
 
@@ -148,7 +159,7 @@ class ProcessSettings:
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.type == "float":
-                _require_positive(f.name, getattr(self, f.name))
+                object.__setattr__(self, f.name, real_number(f.name, getattr(self, f.name), "> 0"))
         object.__setattr__(self, "num_layers", whole_number("num_layers", self.num_layers, 1))
         travel_time = self.layer_length / self.travel_speed
         if self.layer_print_time < travel_time - 1e-9:
@@ -164,7 +175,7 @@ class ProcessSettings:
 
     def check_distance(self, axial_distance: float) -> None:
         """DomainError unless ``axial_distance`` lies on a layer, 0..layer_length mm."""
-        if not 0.0 <= axial_distance <= self.layer_length:
+        if not 0.0 <= real_number("axial_distance", axial_distance) <= self.layer_length:
             raise DomainError(f"axial_distance {axial_distance} outside 0..{self.layer_length}")
 
     @classmethod
@@ -182,9 +193,9 @@ class ProcessSettings:
     ) -> "ProcessSettings":
         """Settings with the canonical wall's defaults: print time from travel
         speed plus the 0.5 s allowance, deposition rate from the wire."""
-        _require_positive("travel_speed", travel_speed)
         if layer_print_time is None:  # with the acceleration/deceleration allowance
-            layer_print_time = layer_length / travel_speed + 0.5
+            layer_print_time = real_number("layer_length", layer_length, "> 0") \
+                / real_number("travel_speed", travel_speed, "> 0") + 0.5
         if deposition_rate is None:
             deposition_rate = wire_deposition_rate(wire_feed_rate, wire_diameter)
         return cls(
@@ -207,10 +218,8 @@ class DwellSchedule:
     dwell: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dwell", tuple(float(d) for d in self.dwell))
-        for i, d in enumerate(self.dwell, start=1):
-            if not math.isfinite(d) or d < 0.0:
-                raise DomainError(f"dwell[{i}] must be >= 0 and finite, got {d!r}")
+        object.__setattr__(self, "dwell", tuple(
+            real_number(f"dwell[{i}]", d, ">= 0") for i, d in enumerate(self.dwell, 1)))
 
     def __len__(self) -> int:
         return len(self.dwell)
@@ -232,15 +241,13 @@ class PointId:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer", whole_number("layer", self.layer, 1))
-        if not math.isfinite(self.axial_distance) or self.axial_distance < 0.0:
-            raise DomainError(f"axial_distance must be >= 0, got {self.axial_distance!r}")
-        if not math.isfinite(self.relative_delay) or self.relative_delay < 0.0:
-            raise DomainError(f"relative_delay must be >= 0, got {self.relative_delay!r}")
+        for name in ("axial_distance", "relative_delay"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name), ">= 0"))
 
     @classmethod
     def from_distance(cls, layer: int, axial_distance: float, travel_speed: float) -> "PointId":
-        return cls(layer=layer, axial_distance=axial_distance,
-                   relative_delay=axial_distance / travel_speed)
+        distance = real_number("axial_distance", axial_distance, ">= 0")
+        return cls(layer, distance, distance / real_number("travel_speed", travel_speed, "> 0"))
 
     @property
     def place(self) -> float:
@@ -262,16 +269,13 @@ def one_layer(points: Iterable[PointId]) -> int:
 def curve_durations(durations) -> tuple[float, ...]:
     """``durations`` as a tuple of floats: the durations of a profile's
     five curves.  Another count raises ShapeError, and a duration that is
-    not positive and finite DomainError.  :class:`Profile` and
-    :class:`~thermoseer.reconstruct.LayerReconstruction` both hold their
-    durations through this rule."""
-    durations = tuple(float(d) for d in durations)
+    not positive and finite DomainError (:func:`real_number`).
+    :class:`Profile` and :class:`~thermoseer.reconstruct.LayerReconstruction`
+    both hold their durations through this rule."""
+    durations = tuple(durations)
     if len(durations) != CURVES_PER_PROFILE:
         raise ShapeError(f"need exactly {CURVES_PER_PROFILE} curve durations, got {len(durations)}")
-    for duration in durations:
-        if not 0.0 < duration < math.inf:
-            raise DomainError(f"curve duration must be positive, got {duration!r}")
-    return durations
+    return tuple([real_number("curve duration", d, "> 0") for d in durations])
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,6 +55,7 @@ from .core import (
     NumericsError,
     ShapeError,
     in_temperature_range,
+    real_number,
     whole_number,
 )
 
@@ -170,8 +171,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), low))
-        if not 0.0 < self.initial_lr < math.inf:
-            raise DomainError(f"initial_lr must be positive and finite, got {self.initial_lr}")
+        object.__setattr__(self, "initial_lr",
+                           real_number("initial_lr", self.initial_lr, "> 0"))
 
     def lr_at(self, epoch_index: int) -> float:
         """Learning rate used during the 0-indexed epoch: the initial rate

@@ -17,7 +17,6 @@ point when they share a layer and a :attr:`~thermoseer.core.PointId.place`.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from .core import (
     mapping_features,
     one_layer,
     one_n,
+    real_number,
     reop_rows,
     stack_temps,
     whole_number,
@@ -124,7 +124,7 @@ def predict_next_layer(model: MappingModel, measured: list[Profile],
 def predict_layer(model: MappingModel, dataset: WallDataset, layer: int) -> LayerPrediction:
     """Predict one layer of a wall from the dataset's profiles on the layer
     below.  Layer 1 has no previous layer and is rejected."""
-    if layer < 2:
+    if whole_number("layer", layer, 1) < 2:
         raise ProtocolError(
             "the method is not applicable on the first layer: there is no "
             "printed layer below it to measure"
@@ -162,8 +162,7 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     values (max(5·N, n_hidden) per position) raise DomainError before
     anything is allocated; a time past the five-curve horizon raises
     HorizonError."""
-    if not math.isfinite(local_time) or local_time < 0.0:
-        raise DomainError(f"local_time must be finite and >= 0, got {local_time}")
+    local_time = real_number("local_time", local_time, ">= 0")
     n_positions = whole_number("n_positions", n_positions, 2)
 
     recon = prediction.reconstruction
@@ -329,12 +328,14 @@ def extract_curve_pairs(walls: WallDataset | Iterable[WallDataset],
                         layers: Collection[int] | None = None) -> CurvePairs:
     """Supervised curve pairs of one wall or an iterable of walls, from every
     layer transition whose endpoints both carry profiles (restricted to
-    transitions whose endpoints are both in ``layers`` when given; only a
-    wall's own layers are looked up, so a ``range`` of any length is cheap).
+    transitions with both endpoints in ``layers`` when given, whole numbers
+    >= 1 or DomainError; a ``range`` is never iterated, so any length is cheap).
 
     Rows come out ordered by wall, then source layer, then point (by axial
     distance), then curve index, so every consecutive run of five rows is
     one profile's curve set.  Walls that disagree on N raise ShapeError."""
+    if layers is not None and not isinstance(layers, range):
+        layers = {whole_number("layer", layer, 1) for layer in layers}
     walls = _wall_list(walls)
     n = one_n(wall.n for wall in walls)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, ShapeError, check_sample_period, whole_number
+from .core import DomainError, ShapeError, real_number, whole_number
 
 MIN_RISE_SEPARATION_S = 5.0  # see split_experiment
 _RISE_WINDOW_S = 0.5  # split_experiment's rise_threshold is a rise over this span
@@ -36,9 +36,8 @@ def split_experiment(temps: np.ndarray, sample_period: float,
     the threshold; true rises are at least one print cycle apart), and a
     rise that would leave fewer than two samples after its cut is ignored.
     A trace with no rise comes back as the one segment ``[0, temps.size]``."""
-    if not 0.0 < rise_threshold < np.inf:
-        raise DomainError(f"rise_threshold must be positive and finite, got {rise_threshold!r}")
-    check_sample_period(sample_period)
+    rise_threshold = real_number("rise_threshold", rise_threshold, "> 0")
+    sample_period = real_number("sample_period", sample_period, "> 0")
     # a window longer than the trace finds no rise (and a subnormal period
     # would make the ratio overflow)
     w = max(1, round(min(_RISE_WINDOW_S / sample_period, len(temps))))

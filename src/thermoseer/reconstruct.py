@@ -29,6 +29,7 @@ from .core import (
     ShapeError,
     curve_durations,
     one_layer,
+    real_number,
     stack_temps,
     whole_number,
 )
@@ -68,9 +69,8 @@ class ElmModel:
         if not (np.isfinite(self.hidden_weights).all() and np.isfinite(self.hidden_biases).all()
                 and np.isfinite(self.output_weights).all()):
             raise DomainError("ELM weights and biases must be finite")
-        if not (math.isfinite(self.delay_mean) and 0.0 < self.delay_std < math.inf):
-            raise DomainError(f"ELM delay mean must be finite and its std positive and "
-                              f"finite, got {self.delay_mean!r} and {self.delay_std!r}")
+        for name, bound in (("delay_mean", None), ("delay_std", "> 0")):
+            object.__setattr__(self, name, real_number(name, getattr(self, name), bound))
 
 
 def _hidden_matrix(x: np.ndarray, hidden_weights: np.ndarray,
@@ -172,7 +172,8 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
         raise ShapeError(f"snapshot matrix must be 2-D, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise DomainError("snapshot matrix must be finite")
-    if not 0.0 < energy_threshold <= 1.0:
+    energy_threshold = real_number("energy_threshold", energy_threshold, "> 0")
+    if energy_threshold > 1.0:
         raise DomainError(f"energy_threshold must be in (0, 1], got {energy_threshold}")
 
     try:
@@ -240,10 +241,10 @@ class LayerReconstruction:
         if not np.abs(gram - np.eye(self.m_star)).max() <= 1e-10:
             raise NumericsError("reduced basis columns are not orthonormal to 1e-10")
         object.__setattr__(self, "durations", curve_durations(self.durations))
-        lo, hi = self.delay_range
-        if not -math.inf < lo <= hi < math.inf:
-            raise DomainError(f"delay_range must be finite with lo <= hi, "
-                              f"got {self.delay_range!r}")
+        lo, hi = (real_number(f"delay_range[{i}]", x) for i, x in enumerate(self.delay_range))
+        if lo > hi:
+            raise DomainError(f"delay_range must be finite with lo <= hi, got {self.delay_range!r}")
+        object.__setattr__(self, "delay_range", (lo, hi))
 
     @property
     def m_star(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .core import (
     ProcessSettings,
     Profile,
     WallDataset,
-    check_sample_period,
     curve_duration,
     deposition_time,
     one_layer,
+    real_number,
     whole_number,
 )
 
@@ -54,46 +54,36 @@ class SynthParams:
     ambient/peak_base degC; cool_tau0 s; cool_height_gain 1/mm; reheat_tau s;
     reheat_decay and reheat_scale unitless; dr_gain degC per (mm^3/s);
     delay_gain and delay_tau_gain unitless per normalized in-layer delay;
-    noise_sd degC.
+    noise_sd degC.  Each float field holds the ``real_number`` bound in its metadata.
     """
 
-    ambient: float = 25.0
-    peak_base: float = 1450.0
-    cool_tau0: float = 55.0
-    cool_height_gain: float = 0.02
-    substrate_chill: float = 0.3
-    chill_height: float = 10.0
-    reheat_tau: float = 2.0
-    reheat_decay: float = 0.9
-    reheat_scale: float = 0.45
-    dr_gain: float = 0.5
-    delay_gain: float = 0.05
-    delay_tau_gain: float = 0.08
-    noise_sd: float = 0.0
+    ambient: float = field(default=25.0, metadata={"bound": None})
+    peak_base: float = field(default=1450.0, metadata={"bound": None})
+    cool_tau0: float = field(default=55.0, metadata={"bound": "> 0"})
+    cool_height_gain: float = field(default=0.02, metadata={"bound": ">= 0"})
+    substrate_chill: float = field(default=0.3, metadata={"bound": ">= 0"})
+    chill_height: float = field(default=10.0, metadata={"bound": "> 0"})
+    reheat_tau: float = field(default=2.0, metadata={"bound": "> 0"})
+    reheat_decay: float = field(default=0.9, metadata={"bound": "> 0"})
+    reheat_scale: float = field(default=0.45, metadata={"bound": ">= 0"})
+    dr_gain: float = field(default=0.5, metadata={"bound": ">= 0"})
+    delay_gain: float = field(default=0.05, metadata={"bound": ">= 0"})
+    delay_tau_gain: float = field(default=0.08, metadata={"bound": ">= 0"})
+    noise_sd: float = field(default=0.0, metadata={"bound": ">= 0"})
     seed: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value!r}")
-        if self.cool_tau0 <= 0.0 or self.reheat_tau <= 0.0:
-            raise DomainError("cooling and re-heat time constants must be positive")
-        if not 0.0 < self.reheat_decay < 1.0:
-            raise DomainError(f"reheat_decay must lie in (0, 1), got {self.reheat_decay!r}")
-        if self.noise_sd < 0.0:
-            raise DomainError(f"noise_sd must be >= 0, got {self.noise_sd!r}")
+            if "bound" in f.metadata:
+                object.__setattr__(self, f.name, real_number(
+                    f.name, getattr(self, f.name), f.metadata["bound"]))
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
+        if self.reheat_decay >= 1.0:
+            raise DomainError(f"reheat_decay must lie in (0, 1), got {self.reheat_decay!r}")
         if self.peak_base <= self.ambient:
             raise DomainError("peak_base must exceed ambient")
-        if not 0.0 <= self.substrate_chill < 1.0:
+        if self.substrate_chill >= 1.0:
             raise DomainError(f"substrate_chill must lie in [0, 1), got {self.substrate_chill!r}")
-        if self.chill_height <= 0.0:
-            raise DomainError(f"chill_height must be positive, got {self.chill_height!r}")
-        for name in ("cool_height_gain", "reheat_scale", "dr_gain",
-                     "delay_gain", "delay_tau_gain"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0")
 
 
 def _delay_fraction(settings: ProcessSettings, relative_delay: float) -> float:
@@ -137,6 +127,7 @@ def solve_dwell(params: SynthParams, settings: ProcessSettings, layer: int) -> f
     """Dwell time (s) after printing ``layer``: the analytic time for the
     layer-end point (the last and hottest deposit, the binding one) to cool
     from its deposition peak to the interpass target."""
+    settings.check_layer(layer)
     end_delay = settings.layer_length / settings.travel_speed
     tau = cooling_tau(params, settings, layer, end_delay)
     peak = deposition_peak(params, settings, end_delay)
@@ -224,7 +215,8 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     length, of global times every ``sample_period`` seconds spanning the
     five cycles, optionally preceded by ``lead_in`` seconds of ambient
     readings before deposition."""
-    check_sample_period(sample_period)
+    sample_period = real_number("sample_period", sample_period, "> 0")
+    lead_in = real_number("lead_in", lead_in, ">= 0")
     layer = one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
     starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
@@ -250,7 +242,7 @@ def emulate_pyrometer(temps: np.ndarray, noise_sd: float = 0.0, seed: int = 0) -
     additive zero-mean Gaussian noise followed by clamping to the
     instrument band [PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH]."""
     seen = np.array(temps, dtype=np.float64)
-    if noise_sd > 0.0:
+    if real_number("noise_sd", noise_sd, ">= 0") > 0.0:
         seen += np.random.default_rng(whole_number("seed", seed, 0)).normal(
             0.0, noise_sd, size=seen.shape)
     return np.clip(seen, PYROMETER_CLAMP_LOW, PYROMETER_CLAMP_HIGH, out=seen)
@@ -337,10 +329,12 @@ def generate_experiment_wall(settings: ProcessSettings, params: SynthParams,
     identities keep the nominal locations.  A wall whose curves and raw
     traces together exceed MAX_WALL_VALUES raises ConfigError before any
     trace is built."""
-    check_sample_period(sample_period)
+    sample_period = real_number("sample_period", sample_period, "> 0")
+    rise_threshold = real_number("rise_threshold", rise_threshold, "> 0")
     # a wider jitter lands ever more points clipped onto a layer end, and near
     # 1e308 the uniform draw overflows
-    if not 0.0 <= jitter_mm <= settings.layer_length:
+    jitter_mm = real_number("jitter_mm", jitter_mm, ">= 0")
+    if jitter_mm > settings.layer_length:
         raise DomainError(f"jitter_mm must lie in [0, layer_length = "
                           f"{settings.layer_length!r}] mm, got {jitter_mm!r}")
     points_per_layer, n = _refuse_oversized(settings, points_per_layer, n)

@@ -736,6 +736,27 @@ class TestMalformedDatasetExit3:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("schedule", "98.05", "dwell[3] must be >= 0 and finite, got '98.05'"),
+        ("schedule", True, "dwell[3] must be >= 0 and finite, got True"),
+        ("interpass_target", True, "interpass_target must be positive and finite, got True"),
+    ])
+    def test_header_value_not_a_real_number_exit_3(self, dataset_bytes, tmp_path, capsys,
+                                                   key, value, message):
+        # each used to load, and predict wrote it back out (a schedule true as 1.0)
+        header, payload = _split_file(dataset_bytes)
+        if key == "schedule":
+            header["schedule"][2] = value
+        else:
+            header["settings"][key] = value
+        data, ckpt = tmp_path / "wall.tsd", tmp_path / "m.ckpt"
+        data.write_bytes(_join_file(header, payload))
+        save_checkpoint(str(ckpt), init_model(40, seed=0))
+        assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(data),
+                       "--layer", "6", "--out", str(tmp_path / "p.tsd")) == 3
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "wall.tsd"]
+
     def test_header_only(self, tmp_path, small_wall):
         path = tmp_path / "wall.tsd"
         path.write_text('{"format": "thermoseer-dataset", "version": 2}\n')

@@ -6,10 +6,10 @@ from one function in ``thermoseer.core`` (``one_layer``, ``one_n`` with its
 stacking form ``stack_temps``, and ``ProcessSettings.check_layer`` /
 ``check_distance``).  Two rules hold single values: a count, index or seed
 is a whole number at or above its least value (``core.whole_number``), and
-a raw trace's sample period is positive and finite
-(``core.check_sample_period``).  So every public entry that takes such an
-input raises one error class with one message, and only ``core`` raises
-it."""
+a physical quantity, duration or threshold is a finite real number that is
+any, >= 0 or > 0 (``core.real_number``).  So every public entry that takes
+such an input raises one error class with one message, and only ``core``
+raises it."""
 
 import ast
 import dataclasses
@@ -17,6 +17,8 @@ import functools
 import math
 import pathlib
 import re
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -36,17 +38,26 @@ from thermoseer.core import (
     mapping_features,
     stack_temps,
     whole_number,
+    wire_deposition_rate,
 )
 from thermoseer.mapping import MappingModel, TrainConfig, init_model, param_size
 from thermoseer.pipeline import (
     evaluate,
     extract_curve_pairs,
+    predict_layer,
     predict_next_layer,
     predict_point,
     render_field,
 )
 from thermoseer.preprocess import resample, split_experiment
-from thermoseer.reconstruct import build_profile_matrix, elm_train, fit_layer
+from thermoseer.reconstruct import (
+    ElmModel,
+    LayerReconstruction,
+    build_profile_matrix,
+    elm_train,
+    fit_layer,
+    pod_decompose,
+)
 from thermoseer.synthgen import (
     SynthParams,
     analytic_curve,
@@ -54,6 +65,7 @@ from thermoseer.synthgen import (
     generate_experiment_wall,
     generate_wall,
     point_trace,
+    solve_dwell,
 )
 
 N = 20
@@ -69,9 +81,15 @@ def zero_model(n):
     return model
 
 
+@functools.cache
+def rules_wall():
+    """The wall the tables' calls read."""
+    return generate_wall(SETTINGS, SynthParams(seed=5), points_per_layer=7, n=N)
+
+
 @pytest.fixture(scope="module")
 def wall():
-    return generate_wall(SETTINGS, SynthParams(seed=5), points_per_layer=7, n=N)
+    return rules_wall()
 
 
 def raised(call):
@@ -160,6 +178,8 @@ WALL_RANGE = {
     "predict_next_layer past the top": (LAYER_MESSAGE, lambda w: predict_next_layer(
         zero_model(N), [moved(p, layer=12) for p in w.profiles_on(4)],
         w.settings, w.schedule)),
+    "solve_dwell past the top": (LAYER_MESSAGE, lambda w: solve_dwell(
+        SynthParams(), w.settings, 13)),
 }
 
 
@@ -179,7 +199,7 @@ TRACE = np.arange(8.0)
 @functools.cache
 def layer_four():
     """A prediction of layer 5 from layer 4 of the test wall."""
-    wall = generate_wall(SETTINGS, SynthParams(seed=5), points_per_layer=7, n=N)
+    wall = rules_wall()
     return predict_next_layer(zero_model(N), wall.profiles_on(4), SETTINGS, wall.schedule)
 
 
@@ -242,6 +262,9 @@ WHOLE_NUMBERS = {
         TRACE[:3], np.ones((3, 1)), seed=v))),
     "render_field": ("n_positions", 2, lambda v: nothing(render_field(
         layer_four(), SETTINGS, SCHEDULE, 5.0, n_positions=v))),
+    "solve_dwell layer": ("layer", 1, lambda v: nothing(solve_dwell(SynthParams(), SMALL, v))),
+    "extract_curve_pairs layers": ("layer", 1, lambda v: nothing(extract_curve_pairs(
+        rules_wall(), [2, v]))),
 }
 
 
@@ -292,6 +315,13 @@ def test_any_value_is_taken_as_an_int_or_refused_with_the_one_message(entry, val
         assert str(error) == f"{name} must be a whole number >= {low}, got {value!r}"
 
 
+@pytest.mark.parametrize("layer", [2.5, 3.0, np.float64(3.0), True, 0, -1])
+def test_predict_layer_takes_a_whole_number_before_its_first_layer_rule(wall, layer):
+    error = raised(lambda: predict_layer(zero_model(N), wall, layer))
+    assert type(error) is DomainError
+    assert str(error) == f"layer must be a whole number >= 1, got {layer!r}"
+
+
 @given(value=st.integers())
 def test_whole_number_returns_any_int_at_or_above_low(value):
     if value >= -5:
@@ -301,31 +331,223 @@ def test_whole_number_returns_any_int_at_or_above_low(value):
             whole_number("k", value, -5)
 
 
-SAMPLE_PERIOD = {
-    "point_trace": lambda w, period: point_trace(
-        SynthParams(), w.settings, w.schedule, [w.profiles_on(2)[0].point], period),
-    "generate_experiment_wall": lambda w, period: generate_experiment_wall(
-        SMALL, SynthParams(), points_per_layer=2, n=3, sample_period=period),
-    "split_experiment": lambda w, period: split_experiment(TRACE, period),
+class Real(NamedTuple):
+    """A public entry that takes a physical quantity, duration or threshold:
+    the name it checks the value by, the bound it holds (None for any
+    finite value, ">= 0" or "> 0"), and a call with the value put in, which
+    returns what the entry stores of it (or None where it stores nothing).
+    ``scale`` brings 2.5 and 3 under an upper bound of the entry's own;
+    ``least`` is the least value a range test of its own takes, where that
+    is above the rule's bound."""
+
+    name: str
+    bound: str | None
+    call: Callable
+    scale: float = 1.0
+    least: float = -math.inf
+
+
+# settings under which every float field may be as small as 0.25: a short
+# layer keeps the travel time (0.25 s) under any print time the tables try
+ROOMY = dataclasses.replace(SETTINGS, layer_length=2.0)
+POINT = PointId(2, 20.0, 2.5)
+CURVES = np.full((5, 2), 300.0)
+ELM = ElmModel(np.zeros(4), np.zeros(4), np.zeros((4, 1)), 0.0, 1.0)
+
+
+def durations(first):
+    return (first, 1.0, 1.0, 1.0, 1.0)
+
+
+def layer_of(durations=(1.0,) * 5, delay_range=(1.0, 4.0)):
+    """A one-mode reconstruction of an N = 2 layer."""
+    return LayerReconstruction(np.eye(10, 1), ELM, 3, durations, delay_range)
+
+
+def elm_of(delay_mean=0.0, delay_std=1.0):
+    return ElmModel(ELM.hidden_weights, ELM.hidden_biases, ELM.output_weights,
+                    delay_mean, delay_std)
+
+
+def experiment_wall(**kwargs):
+    return generate_experiment_wall(SMALL, SynthParams(), points_per_layer=2, n=3, **kwargs)
+
+
+# every public entry that takes a physical quantity, duration or threshold
+REAL_NUMBERS = {
+    **{f"ProcessSettings {name}": Real(name, "> 0", functools.partial(
+        lambda name, v: getattr(dataclasses.replace(ROOMY, **{name: v}), name), name))
+       for name in ("travel_speed", "wire_feed_rate", "wire_diameter", "layer_length",
+                    "layer_thickness", "layer_print_time", "deposition_rate",
+                    "interpass_target")},
+    "ProcessSettings.build travel_speed": Real("travel_speed", "> 0", lambda v: (
+        ProcessSettings.build(travel_speed=v).travel_speed)),
+    "ProcessSettings.build layer_length": Real("layer_length", "> 0", lambda v: (
+        ProcessSettings.build(layer_length=v).layer_length)),
+    "wire_deposition_rate wire_feed_rate": Real("wire_feed_rate", "> 0", lambda v: (
+        nothing(wire_deposition_rate(v, 1.2)))),
+    "wire_deposition_rate wire_diameter": Real("wire_diameter", "> 0", lambda v: (
+        nothing(wire_deposition_rate(3.0, v)))),
+    "ProcessSettings.check_distance": Real("axial_distance", None, lambda v: (
+        SETTINGS.check_distance(v)), least=0.0),
+    "DwellSchedule": Real("dwell[2]", ">= 0", lambda v: DwellSchedule(
+        (10.0, v)).dwell[1]),
+    "PointId axial_distance": Real("axial_distance", ">= 0", lambda v: PointId(
+        1, v, 0.0).axial_distance),
+    "PointId relative_delay": Real("relative_delay", ">= 0", lambda v: PointId(
+        1, 0.0, v).relative_delay),
+    "PointId.from_distance axial_distance": Real(
+        "axial_distance", ">= 0", lambda v: PointId.from_distance(
+            1, v, 8.0).axial_distance),
+    "PointId.from_distance travel_speed": Real(
+        "travel_speed", "> 0", lambda v: nothing(PointId.from_distance(1, 1.0, v))),
+    "Profile": Real("curve duration", "> 0", lambda v: Profile(
+        POINT, CURVES, durations(v)).durations[0]),
+    "Profile.of_block": Real("curve duration", "> 0", lambda v: Profile.of_block(
+        [POINT], CURVES[np.newaxis], [durations(v)])[0].durations[0]),
+    "LayerReconstruction durations": Real("curve duration", "> 0", lambda v: (
+        layer_of(durations=durations(v)).durations[0])),
+    "LayerReconstruction delay_range lo": Real("delay_range[0]", None, lambda v: (
+        layer_of(delay_range=(v, 10.0)).delay_range[0])),
+    "LayerReconstruction delay_range hi": Real("delay_range[1]", None, lambda v: (
+        layer_of(delay_range=(-10.0, v)).delay_range[1])),
+    "ElmModel delay_mean": Real("delay_mean", None, lambda v: (
+        elm_of(delay_mean=v).delay_mean)),
+    "ElmModel delay_std": Real("delay_std", "> 0", lambda v: (
+        elm_of(delay_std=v).delay_std)),
+    "TrainConfig initial_lr": Real("initial_lr", "> 0", lambda v: TrainConfig(
+        initial_lr=v).initial_lr),
+    **{f"SynthParams {name}": Real(name, bound, functools.partial(
+        lambda name, v: getattr(SynthParams(**{name: v}), name), name), scale)
+       for name, bound, scale in (
+           ("ambient", None, 1.0), ("cool_tau0", "> 0", 1.0),
+           ("cool_height_gain", ">= 0", 1.0),
+           ("substrate_chill", ">= 0", 0.2), ("chill_height", "> 0", 1.0),
+           ("reheat_tau", "> 0", 1.0), ("reheat_decay", "> 0", 0.2),
+           ("reheat_scale", ">= 0", 1.0), ("dr_gain", ">= 0", 1.0),
+           ("delay_gain", ">= 0", 1.0), ("delay_tau_gain", ">= 0", 1.0),
+           ("noise_sd", ">= 0", 1.0))},
+    # below an ambient of -10 degC, so that peak_base > ambient holds
+    "SynthParams peak_base": Real("peak_base", None, lambda v: SynthParams(
+        ambient=-10.0, peak_base=v).peak_base),
+    "point_trace sample_period": Real("sample_period", "> 0", lambda v: nothing(
+        point_trace(SynthParams(), SETTINGS, SCHEDULE, [POINT], v))),
+    "point_trace lead_in": Real("lead_in", ">= 0", lambda v: nothing(
+        point_trace(SynthParams(), SETTINGS, SCHEDULE, [POINT], 0.5, v))),
+    "emulate_pyrometer noise_sd": Real("noise_sd", ">= 0", lambda v: nothing(
+        emulate_pyrometer(TRACE, v))),
+    "generate_experiment_wall sample_period": Real("sample_period", "> 0", lambda v: (
+        experiment_wall(sample_period=v).provenance["sample_period"])),
+    "generate_experiment_wall jitter_mm": Real("jitter_mm", ">= 0", lambda v: (
+        experiment_wall(jitter_mm=v).provenance["jitter_mm"])),
+    "generate_experiment_wall rise_threshold": Real("rise_threshold", "> 0", lambda v: (
+        experiment_wall(rise_threshold=v).provenance["rise_threshold"])),
+    "split_experiment sample_period": Real("sample_period", "> 0", lambda v: nothing(
+        split_experiment(TRACE, v))),
+    "split_experiment rise_threshold": Real("rise_threshold", "> 0", lambda v: (
+        nothing(split_experiment(TRACE, 0.5, v)))),
+    "pod_decompose energy_threshold": Real("energy_threshold", "> 0", lambda v: (
+        nothing(pod_decompose(np.eye(6, 2), v))), scale=0.2),
+    "render_field local_time": Real("local_time", ">= 0", lambda v: render_field(
+        layer_four(), SETTINGS, SCHEDULE, v).local_time),
 }
 
-
-@pytest.mark.parametrize("period", [0.0, -0.5, math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("entry", SAMPLE_PERIOD)
-def test_a_sample_period_that_is_not_positive_and_finite_raises_one_error(
-        wall, entry, period):
-    error = raised(lambda: SAMPLE_PERIOD[entry](wall, period))
-    assert type(error) is DomainError
-    assert str(error) == f"sample_period must be positive and finite, got {period!r}"
+# the rule's three messages, one for each bound
+REAL_MESSAGES = {None: "{} must be finite, got {!r}",
+                 ">= 0": "{} must be >= 0 and finite, got {!r}",
+                 "> 0": "{} must be positive and finite, got {!r}"}
 
 
-# the messages of the rules, and of the copies they replaced
+def is_real(value):
+    """Whether ``value`` is an int, a float or a numpy integer or floating
+    scalar, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
+
+
+def within(bound, value):
+    """Whether the rule takes ``value`` under ``bound``: a finite real
+    value that is any, >= 0 or > 0."""
+    try:
+        number = float(value) if is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    return math.isfinite(number) and (
+        bound is None or number > 0 or (bound == ">= 0" and number == 0))
+
+
+def check_real_number(entry, value):
+    """The entry takes ``value`` (scaled into its own range) and stores it
+    as a plain float, or raises exactly DomainError with the one message of
+    its bound; no other error escapes."""
+    spec = REAL_NUMBERS[entry]
+    given = value * spec.scale if within(None, value) and spec.scale != 1.0 else value
+    try:
+        stored, error = spec.call(given), None
+    except core.ThermoseerError as raised_error:
+        stored, error = None, raised_error
+    if within(spec.bound, given) and given >= spec.least:
+        assert error is None, error
+        assert stored is None or (type(stored) is float and stored == float(given))
+    else:
+        assert type(error) is DomainError, f"{given!r} was taken"
+        if within(spec.bound, given):  # below the entry's own range
+            assert str(error) == f"{spec.name} {given} outside 0..{SETTINGS.layer_length}"
+        else:
+            assert str(error) == REAL_MESSAGES[spec.bound].format(spec.name, given)
+
+
+REALS = {"2.5": 2.5, "3": 3, "float32 2.5": np.float32(2.5), "int64 3": np.int64(3),
+         "0.0": 0.0, "-0.5": -0.5, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+         "True": True, "'2.5'": "2.5", "None": None}
+
+
+@pytest.mark.parametrize("value", REALS)
+@pytest.mark.parametrize("entry", REAL_NUMBERS)
+def test_a_quantity_duration_or_threshold_is_a_finite_real_number(entry, value):
+    check_real_number(entry, REALS[value])
+
+
+@hsettings(max_examples=200, deadline=None)
+@given(entry=st.sampled_from(list(REAL_NUMBERS)),
+       value=st.one_of(
+           # multiples of 0.25 in [-4, 4]: no entry is asked for a huge trace
+           st.integers(-16, 16).map(lambda k: k / 4),
+           st.integers(-16, 16).map(lambda k: np.float32(k / 4)),
+           st.integers(-4, 4), st.integers(-4, 4).map(np.int64),
+           st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400]),
+           st.booleans(), st.text(max_size=2), st.none()))
+def test_any_value_is_taken_as_a_float_or_refused_with_the_one_message(entry, value):
+    check_real_number(entry, value)
+
+
+@given(value=st.floats() | st.integers())
+def test_real_number_returns_any_finite_value_as_a_float(value):
+    for bound in REAL_MESSAGES:
+        if within(bound, value):
+            number = core.real_number("x", value, bound)
+            assert type(number) is float and number == float(value)
+        else:
+            with pytest.raises(DomainError) as info:
+                core.real_number("x", value, bound)
+            assert str(info.value) == REAL_MESSAGES[bound].format("x", value)
+
+
+# the messages of the rules, and of the copies they replaced.  The
+# real-number wordings pass over the checks that stay outside the rule: the
+# array checks of MappingModel.feature_mean and feature_std and of
+# overlap_truncate_rows' lower durations, cli._typed's finite config value
+# ("key ... must be finite") and cli._seed's option text ("a seed must be")
 RULE_MESSAGES = re.compile(
     r"points of one layer|span layers|\bN \{|share (one )?N|disagree on N"
     r"|outside [01]\.\.|beyond layer length|the wall has"
     r"|whole number|positive integer|[\"'](layer and )?(n|n_hidden|n_positions|num_layers"
     r"|points_per_layer|layer|curve_index|seed|epochs|batch_size) must be"
-    r"|sample_period must")
+    r"|sample_period must"
+    r"|(?<!feature_mean )(?<!feature_std )(?<!\{key!r\} )"
+    r"must be (positive and |>= 0 and )?finite, got"
+    r"|positive finite number|(?<!lower durations )(?<!a seed )must be (positive|>= 0), got"
+    r"|time constants must be positive|finite and >= 0")
 
 
 def test_only_core_raises_the_rules():
