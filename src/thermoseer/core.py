@@ -240,14 +240,24 @@ class PointId:
     relative_delay: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer", whole_number("layer", self.layer, 1))
-        for name in ("axial_distance", "relative_delay"):
-            object.__setattr__(self, name, real_number(name, getattr(self, name), ">= 0"))
+        self._hold(self.layer, real_number("axial_distance", self.axial_distance, ">= 0"),
+                   self.relative_delay)
+
+    def _hold(self, layer, distance: float, delay) -> None:
+        """Store the checked fields; ``distance`` comes checked."""
+        held = vars(self)
+        held["layer"] = whole_number("layer", layer, 1)
+        held["axial_distance"] = distance
+        held["relative_delay"] = real_number("relative_delay", delay, ">= 0")
 
     @classmethod
     def from_distance(cls, layer: int, axial_distance: float, travel_speed: float) -> "PointId":
+        """The point ``axial_distance`` mm along ``layer``, its delay the
+        distance over ``travel_speed``; the distance is checked once."""
         distance = real_number("axial_distance", axial_distance, ">= 0")
-        return cls(layer, distance, distance / real_number("travel_speed", travel_speed, "> 0"))
+        point = cls.__new__(cls)
+        point._hold(layer, distance, distance / real_number("travel_speed", travel_speed, "> 0"))
+        return point
 
     @property
     def place(self) -> float:

@@ -82,7 +82,9 @@ class FieldFrame:
 
     ``interior`` marks printed positions whose relative delay lies inside the
     span of the mapped points; outside it the ELM extrapolates and boundary
-    error amplification is expected."""
+    error amplification is expected.  ``positions`` is read-only and shared
+    by the layer's frames of one layer length, travel speed and position
+    count; ``temps`` and ``interior`` are the frame's own."""
 
     local_time: float
     positions: np.ndarray
@@ -157,7 +159,11 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
     bits.  Each position reads three samples of its reconstructed curves,
     the two around its time and the curve's last one, and only those are
     reconstructed; a frame holds about ``n_hidden`` (the ELM's hidden
-    matrix) plus a few floats per position.  A non-finite ``local_time``,
+    matrix) plus a few floats per position.  The layer keeps its positions,
+    deposit times and the ELM coefficient rows of its printed positions
+    (:meth:`~thermoseer.reconstruct.LayerReconstruction.frame`), so a frame
+    that prints as many positions as the one before it predicts no
+    coefficients.  A non-finite ``local_time``,
     fewer than two positions, or a frame of more than ``MAX_WALL_VALUES``
     values (max(5·N, n_hidden) per position) raise DomainError before
     anything is allocated; a time past the five-curve horizon raises
@@ -184,16 +190,17 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
             f"the maximum representable local time is {horizon:.6g} s"
         )
 
-    positions = np.linspace(0.0, settings.layer_length, n_positions)
+    inputs = recon.frame(settings.layer_length, settings.travel_speed, n_positions,
+                         local_time)
+    delays = inputs.delays  # the P printed positions' deposit times, a prefix
+    printed = slice(delays.size)
     temps = np.full(n_positions, ROOM_TEMPERATURE)
-    deposit_times = positions / settings.travel_speed
-    printed = local_time >= deposit_times
     lo, hi = recon.delay_range
-    interior = printed & (deposit_times >= lo) & (deposit_times <= hi)
-    if not printed.any():
-        return FieldFrame(local_time, positions, temps, interior)
+    interior = np.zeros(n_positions, dtype=bool)
+    interior[printed] = (delays >= lo) & (delays <= hi)
+    if not delays.size:
+        return FieldFrame(local_time, inputs.positions, temps, interior)
 
-    delays = deposit_times[printed]
     elapsed = local_time - delays
     k = np.minimum(bounds.searchsorted(elapsed, side="right") - 1,
                    CURVES_PER_PROFILE - 1)
@@ -213,7 +220,7 @@ def render_field(prediction: LayerPrediction, settings: ProcessSettings,
         recon, delays, np.stack([first + jj, first + jj + 1, first + n - 1]))
     values = np.where(x == x0, f0, (f1 - f0) / (x1 - x0) * (x - x0) + f0)
     temps[printed] = np.where(j == n - 1, last, values)
-    return FieldFrame(local_time, positions, temps, interior)
+    return FieldFrame(local_time, inputs.positions, temps, interior)
 
 
 @dataclass(frozen=True)

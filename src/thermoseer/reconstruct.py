@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -50,7 +51,7 @@ class ElmModel:
     The model checks what it holds when it is built: arrays whose sizes
     disagree raise ShapeError; a non-finite weight or bias, a non-finite
     ``delay_mean`` or a ``delay_std`` that is not positive and finite raise
-    DomainError."""
+    DomainError.  It makes its output weights read-only."""
 
     hidden_weights: np.ndarray
     hidden_biases: np.ndarray
@@ -71,6 +72,8 @@ class ElmModel:
             raise DomainError("ELM weights and biases must be finite")
         for name, bound in (("delay_mean", None), ("delay_std", "> 0")):
             object.__setattr__(self, name, real_number(name, getattr(self, name), bound))
+        # a layer keeps coefficient rows predicted from these weights
+        self.output_weights.flags.writeable = False
 
 
 def _hidden_matrix(x: np.ndarray, hidden_weights: np.ndarray,
@@ -200,6 +203,19 @@ def pod_decompose(matrix: np.ndarray, energy_threshold: float = DEFAULT_ENERGY_T
     return basis, rows, m_star, s
 
 
+class FrameInputs(NamedTuple):
+    """What the frames of one layer share at one ``key``, (layer_length,
+    travel_speed, n_positions): the read-only positions and deposit times,
+    and ``delays``, the printed prefix of the deposit times, with their
+    read-only ELM ``coefficients`` (P, m_star)."""
+
+    key: tuple[float, float, int]
+    positions: np.ndarray
+    deposit_times: np.ndarray
+    delays: np.ndarray
+    coefficients: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class LayerReconstruction:
     """Reduced basis and the trained ELM of one layer, with ``delay_range``,
@@ -218,7 +234,9 @@ class LayerReconstruction:
     ``bounds``, the six curve bounds (0 followed by the cumulative
     durations, the last the five-curve horizon), and ``grids``, the (5, N)
     sample times of each curve.  A layer that is never rendered never
-    builds them."""
+    builds them.  Beside them it keeps the inputs of its last frame
+    (:meth:`frame`) for the next frame to reuse, as one read-only
+    :class:`FrameInputs` replaced whole."""
 
     basis: np.ndarray
     elm: ElmModel
@@ -266,6 +284,40 @@ class LayerReconstruction:
         grids.flags.writeable = False
         return grids
 
+    def frame(self, layer_length: float, travel_speed: float, n_positions: int,
+              local_time: float) -> FrameInputs:
+        """The inputs of a frame at ``local_time`` (its caller checks the
+        arguments): ``n_positions`` evenly spaced positions on a layer of
+        ``layer_length`` mm, their deposit times at ``travel_speed`` mm/s,
+        and the ELM coefficient rows of the P printed positions, the prefix
+        whose deposit time is at most ``local_time``.
+
+        The layer keeps the last frame's inputs.  A frame of the same
+        length, speed and position count reuses the positions and deposit
+        times, and a frame that also prints the same P reuses the
+        coefficient rows; any other frame computes them as the first did and
+        replaces the kept inputs, so every frame gets the same bits.  Threads
+        may replace them in turn: each frame uses the one entry it holds."""
+        key = (layer_length, travel_speed, n_positions)
+        kept = vars(self).get("_frame")
+        if kept is not None and kept.key == key:
+            positions, deposit_times = kept.positions, kept.deposit_times
+        else:
+            positions = np.linspace(0.0, layer_length, n_positions)
+            deposit_times = positions / travel_speed
+            positions.flags.writeable = deposit_times.flags.writeable = False
+            kept = None
+        # deposit times rise with position, so the printed ones are a prefix
+        printed = int(deposit_times.searchsorted(local_time, side="right"))
+        if kept is not None and kept.delays.size == printed:
+            return kept
+        delays = deposit_times[:printed]
+        coefficients = elm_predict(self.elm, delays)
+        coefficients.flags.writeable = False
+        kept = FrameInputs(key, positions, deposit_times, delays, coefficients)
+        vars(self)["_frame"] = kept
+        return kept
+
 
 def fit_layer(profiles: list[Profile]) -> LayerReconstruction:
     """Decompose a layer's profiles and train its delay-to-coefficients ELM
@@ -291,8 +343,14 @@ def reconstruct_stacked(recon: LayerReconstruction, delays: ArrayLike,
     Without ``rows`` the result is the (5N, P) block, one column per delay.
     With an (R, P) integer array it is the (R, P) array of
     ``block[rows[r, p], p]``, computed from the gathered basis rows alone;
-    both forms give the same bits."""
-    coef = elm_predict(recon.elm, delays)  # (P, m_star)
+    both forms give the same bits.
+
+    Handed the ``delays`` array of the layer's kept frame itself (the same
+    read-only object, :meth:`LayerReconstruction.frame`), it reuses the
+    coefficient rows kept with it; any other delays are predicted here."""
+    kept = vars(recon).get("_frame")
+    coef = kept.coefficients if kept is not None and delays is kept.delays \
+        else elm_predict(recon.elm, delays)  # (P, m_star)
     basis = recon.basis[:, None, :] if rows is None else recon.basis[rows]
     out = basis[..., 0] * coef[:, 0]
     for i in range(1, recon.m_star):

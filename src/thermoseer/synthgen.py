@@ -214,11 +214,18 @@ def point_trace(params: SynthParams, settings: ProcessSettings,
     points on one layer: both arrays have one row per point, all of one
     length, of global times every ``sample_period`` seconds spanning the
     five cycles, optionally preceded by ``lead_in`` seconds of ambient
-    readings before deposition."""
+    readings before deposition.  Traces of more than MAX_WALL_VALUES values
+    raise DomainError before anything is allocated."""
     sample_period = real_number("sample_period", sample_period, "> 0")
     lead_in = real_number("lead_in", lead_in, ">= 0")
     layer = one_layer(points)
     durations = _layer_durations(settings, schedule, layer)
+    # times and temps, one row per point; an infinite count compares too
+    values = 2 * len(points) * ((lead_in + sum(durations)) / sample_period + 2)
+    if values > MAX_WALL_VALUES:
+        raise DomainError(f"the traces need about {values:.3g} values, more than the "
+                          f"{MAX_WALL_VALUES} allowed; make sample_period larger or "
+                          f"lead_in shorter")
     starts = np.array([deposition_time(schedule, settings, layer, point.axial_distance)
                        for point in points])
 
@@ -254,6 +261,9 @@ def _point_distances(settings: ProcessSettings, points_per_layer: int,
     whole_number("num_layers", settings.num_layers, CURVES_PER_PROFILE + 1)
     if spacing_mm is None:
         spacing_mm = settings.layer_length / (points_per_layer + 1)
+    elif not isinstance(spacing_mm, (float, np.floating)) or math.isfinite(spacing_mm):
+        # a NaN or an infinity, like 0, does not fit below
+        spacing_mm = real_number("spacing_mm", spacing_mm)
     if not (spacing_mm > 0.0 and points_per_layer * spacing_mm < settings.layer_length):
         raise DomainError(
             f"{points_per_layer} points at {spacing_mm} mm spacing do not fit "

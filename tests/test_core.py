@@ -289,6 +289,23 @@ class TestTypes:
         with pytest.raises(DomainError):
             DwellSchedule((1.0, -0.5))
 
+    def test_from_distance_checks_the_distance_once(self, monkeypatch):
+        checked = []
+        real_number = core.real_number
+
+        def counting(name, value, bound=None):
+            checked.append(name)
+            return real_number(name, value, bound)
+
+        monkeypatch.setattr(core, "real_number", counting)
+        point = PointId.from_distance(3, np.float32(20.1), np.int64(8))
+        assert checked == ["axial_distance", "travel_speed", "relative_delay"]
+        distance = float(np.float32(20.1))
+        assert point == PointId(3, distance, distance / 8.0)
+        assert type(point.axial_distance) is float and type(point.relative_delay) is float
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.layer = 4
+
     def test_point_delay_consistency_enforced_by_dataset(self, settings, schedule):
         good = constant_profile(300.0, layer=2, distance=40.0, travel_speed=8.0)
         WallDataset(settings, schedule, [good])

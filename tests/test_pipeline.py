@@ -1,9 +1,12 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from thermoseer import reconstruct
 from thermoseer.core import (
     DomainError,
     HorizonError,
@@ -341,6 +344,124 @@ class TestRenderFieldMatchesLoop:
         frame = render_field(pred, wall.settings, wall.schedule, t, n_positions=n_positions)
         assert np.array_equal(frame.temps,
                               _reference_frame(pred, wall.settings, t, n_positions))
+
+
+def _fresh(prediction):
+    """The prediction with a new reconstruction of the same layer, which has
+    rendered no frame yet."""
+    return dataclasses.replace(prediction, reconstruction=dataclasses.replace(
+        prediction.reconstruction))
+
+
+def _assert_reference_frame(frame, prediction, settings, local_time, n_positions):
+    """Every array of ``frame`` as the per-position loop gives it."""
+    positions = np.linspace(0.0, settings.layer_length, n_positions)
+    deposit_times = positions / settings.travel_speed
+    lo, hi = prediction.reconstruction.delay_range
+    interior = (local_time >= deposit_times) & (deposit_times >= lo) & (deposit_times <= hi)
+    assert np.array_equal(frame.positions, positions)
+    assert np.array_equal(frame.interior, interior)
+    assert np.array_equal(frame.temps,
+                          _reference_frame(prediction, settings, local_time, n_positions))
+
+
+class TestRenderFieldSharedInputs:
+    """A layer keeps the positions, deposit times and ELM coefficient rows
+    its frames share; every frame still equals the per-position loop."""
+
+    def test_a_mixed_sequence_of_frames_matches_the_loop(self, wall, pred):
+        pred = _fresh(pred)
+        faster = dataclasses.replace(wall.settings, travel_speed=10.0)
+        shorter = dataclasses.replace(wall.settings, layer_length=120.0)
+        # printed counts change from frame to frame until the layer is
+        # printed (20 s); 4.7 and 4.71 print the same count at another time
+        times = [0.0, 1.3, 4.7, 4.71, 9.9, 15.2, 20.0, 20.5, 30.0, 60.0, 61.0, 30.0, 2.2]
+        frames = 0
+        for settings in (wall.settings, faster, wall.settings, shorter):
+            for n_positions in (160, 7, 1000, 160):
+                for t in times:
+                    frame = render_field(pred, settings, wall.schedule, t, n_positions)
+                    _assert_reference_frame(frame, pred, settings, t, n_positions)
+                    frames += 1
+        assert frames == 16 * len(times)
+
+    def test_fully_printed_frames_predict_the_coefficients_once(self, wall, pred,
+                                                                monkeypatch):
+        pred = _fresh(pred)
+        horizon = float(pred.reconstruction.bounds[-1])
+        times = [horizon * (k + 0.5) / 5 for k in range(5)]
+        assert min(times) > wall.settings.layer_length / wall.settings.travel_speed
+        calls = []
+        elm_predict = reconstruct.elm_predict
+
+        def counting(elm, delays):
+            calls.append(len(delays))
+            return elm_predict(elm, delays)
+
+        monkeypatch.setattr(reconstruct, "elm_predict", counting)
+        frames = [render_field(pred, wall.settings, wall.schedule, t) for t in times]
+        assert calls == [160]
+        monkeypatch.undo()
+        for frame, t in zip(frames, times):
+            _assert_reference_frame(frame, pred, wall.settings, t, 160)
+
+    def test_positions_are_shared_and_read_only(self, wall, pred):
+        pred = _fresh(pred)
+        a = render_field(pred, wall.settings, wall.schedule, 30.0)
+        b = render_field(pred, wall.settings, wall.schedule, 5.0)
+        assert a.positions is b.positions
+        with pytest.raises(ValueError, match="read-only"):
+            a.positions[0] = 1.0
+        # the kept coefficient rows stay those of the ELM's weights
+        with pytest.raises(ValueError, match="read-only"):
+            pred.reconstruction.elm.output_weights[0, 0] = 1.0
+        a.temps[0] = a.interior[0] = 0.0  # each frame's own arrays stay writable
+        assert b.temps[0] > 1000.0
+
+    def test_a_kept_frame_serves_only_its_own_delays(self, wall, pred):
+        rendered, fresh = _fresh(pred), _fresh(pred)
+        render_field(rendered, wall.settings, wall.schedule, 30.0)
+        delays = np.linspace(0.0, 20.0, 160)  # the frame's delays, in another array
+        assert np.array_equal(reconstruct_stacked(rendered.reconstruction, delays),
+                              reconstruct_stacked(fresh.reconstruction, delays))
+        assert np.array_equal(predict_point(rendered, 47.3, wall.settings).temps,
+                              predict_point(fresh, 47.3, wall.settings).temps)
+
+    def test_threads_on_one_prediction(self, wall, pred):
+        # four threads, two position counts: each frame replaces the kept
+        # inputs of the other count, so a thread that paired one entry's
+        # delays with another's rows would read wrong temperatures
+        pred = _fresh(pred)
+        horizon = float(pred.reconstruction.bounds[-1])
+        times = [horizon * k / 199 for k in range(200)]
+        counts = (160, 7, 160, 7)
+        want = {n_positions: [_reference_frame(pred, wall.settings, t, n_positions)
+                              for t in times] for n_positions in set(counts)}
+        start = threading.Barrier(len(counts), timeout=60)
+        wrong, done = [], []
+
+        def render(n_positions):
+            start.wait()
+            for t, temps in zip(times, want[n_positions]):
+                frame = render_field(pred, wall.settings, wall.schedule, t, n_positions)
+                if not (np.array_equal(frame.temps, temps) and frame.positions.size
+                        == n_positions):
+                    wrong.append((n_positions, t))
+            done.append(n_positions)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=render, args=(n,)) for n in counts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == sorted(counts)
+        assert wrong == []
 
 
 class TestEvaluate:

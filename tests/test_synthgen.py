@@ -179,6 +179,18 @@ class TestGenerateWall:
             with pytest.raises(DomainError, match="do not fit"):
                 generate_wall(settings, params, points_per_layer=9, spacing_mm=spacing)
 
+    def test_a_spacing_that_is_not_a_real_number_takes_the_rule(self, settings, params):
+        # True placed points at 1, 2 and 3 mm, and "5" ended in a bare TypeError
+        for spacing in (True, "5", [5.0], 10**400):
+            with pytest.raises(DomainError, match=r"^spacing_mm must be finite, got "):
+                generate_wall(settings, params, points_per_layer=3, spacing_mm=spacing)
+        for spacing in (float("inf"), np.float32("nan"), -5.0):
+            with pytest.raises(DomainError, match="do not fit"):
+                generate_wall(settings, params, points_per_layer=3, spacing_mm=spacing)
+        wall = generate_wall(settings, params, points_per_layer=3, n=10,
+                             spacing_mm=np.float32(5.0))
+        assert [p.point.axial_distance for p in wall.profiles_on(1)] == [5.0, 10.0, 15.0]
+
 
 class TestEmulatePyrometer:
     def test_inside_band_unchanged(self):
@@ -258,6 +270,17 @@ class TestPointTrace:
             point_trace(params, settings, sched, pts)
         with pytest.raises(DomainError, match="one layer"):
             analytic_curve(params, settings, sched, [], 1, np.zeros(3))
+
+    @pytest.mark.parametrize("sample_period, lead_in", [(1e-300, 0.0), (0.1, 1e300),
+                                                         (1e-300, 1e300), (1e-7, 0.0)])
+    def test_a_trace_too_large_to_hold_is_refused(self, settings, params,
+                                                  sample_period, lead_in):
+        # these ended in numpy's bare "Maximum allowed size exceeded", or
+        # tried to allocate gigabytes
+        sched = build_schedule(params, settings)
+        pts = [PointId.from_distance(3, 40.0, settings.travel_speed)]
+        with pytest.raises(DomainError, match=f"more than the {core.MAX_WALL_VALUES} allowed"):
+            point_trace(params, settings, sched, pts, sample_period, lead_in)
 
     def test_a_bare_point_is_refused(self, settings, params):
         # the oracle takes a sequence of one layer's points, never one PointId
